@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import fitlab, relax
 from .equilib import EquilibriumParams, Maxwellian
 from .hypotheses import HypothesisId, check
-from .model import ContinuousEnergy, PowerLawE, single_species, spec_from_json
+from .model import ContinuousEnergy, PowerLawE, single_species, spec_from_json, validate
 from .operator import GridSpec, assemble_k1, k2_integrability_diagnostic
 
 EXIT_OK = 0
@@ -43,13 +44,17 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _atomic_write(path, text: str) -> None:
+@contextmanager
+def _atomic_write(path):
+    """Yield a temp file path beside ``path`` for the block to write, then
+    rename the file over ``path``; the temp file is removed if the block
+    raises."""
     path = Path(path)
     parent = path.parent if str(path.parent) else Path(".")
     fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=path.name + ".", suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -110,7 +115,6 @@ def _cmd_diag(args) -> int:
         diag = k2_integrability_diagnostic(args.delta, args.zeta)
         lines = [f"# seed={args.seed}", "epsilon,partial_integral"]
         lines += [f"{eps:.17g},{val:.17g}" for eps, val in diag.rows()]
-        _atomic_write(out, "\n".join(lines) + "\n")
         summary = {
             "kind": "k2",
             "delta": args.delta,
@@ -137,7 +141,6 @@ def _cmd_diag(args) -> int:
             f"{idx},{speeds[idx]:.17g},{k1.nodes_i[idx]:.17g},{norms[idx]:.17g}"
             for idx in range(k1.n_nodes)
         ]
-        _atomic_write(out, "\n".join(lines) + "\n")
         summary = {
             "kind": "k1norm",
             "delta": args.delta,
@@ -148,6 +151,8 @@ def _cmd_diag(args) -> int:
             "symmetry_defect": k1.symmetry_defect(),
             "n_nodes": k1.n_nodes,
         }
+    with _atomic_write(out) as tmp:
+        Path(tmp).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -156,6 +161,9 @@ def _cmd_relax(args) -> int:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     jsonschema.validate(doc, _load_schema("relax_config.schema.json"))
     spec = spec_from_json(json.dumps(doc))
+    problems = validate(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
     rc = doc["relax"]
     config = relax.RelaxConfig(
         dt=rc["dt"],
@@ -168,20 +176,8 @@ def _cmd_relax(args) -> int:
     series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
                        u0=rc.get("u0"))
     out = args.out or "relax_series.csv"
-    out_path = Path(out)
-    parent = out_path.parent if str(out_path.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=out_path.name + ".",
-                               suffix=".tmp")
-    os.close(fd)
-    try:
+    with _atomic_write(out) as tmp:
         series.to_csv(tmp)
-        os.replace(tmp, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
     summary = relax.relax_summary(series)
     summary["out"] = str(out)
     summary = {k: _json_safe(v) for k, v in summary.items()}
@@ -192,16 +188,8 @@ def _cmd_relax(args) -> int:
 
 
 def _write_report(rows, out) -> dict:
-    header = ",".join(fitlab.REPORT_COLUMNS)
-    body = []
-    for r in rows:
-        body.append(
-            f"{r.gas},{r.pressure_bar:g},{r.t_low:g},{r.t_high:g},"
-            f"{r.delta_fit:.12g},{r.zeta_fit:.12g},"
-            f"{r.delta_ref:g},{r.zeta_ref:g},{r.zeta_chapman_cowling:g},"
-            f"{r.delta_gap:.12g},{r.zeta_gap:.12g},{r.zeta_chapman_gap:.12g}"
-        )
-    _atomic_write(out, "\n".join([header] + body) + "\n")
+    with _atomic_write(out) as tmp:
+        fitlab.report_to_csv(rows, tmp)
     return {
         "rows": len(rows),
         "out": str(out),

@@ -1,6 +1,9 @@
 """Exact collision rules for all model families.
 
-Two layers live here.  The array layer (:func:`monatomic_rule`,
+Three layers live here.  The pair-law table (:func:`pair_law`) resolves,
+once per species pair, which exchange law the pair follows: its
+Borgnakke-Larsen Beta shapes and the closed-form weight integral.  The
+array layer (:func:`monatomic_rule`,
 :func:`bl_poly_poly`, :func:`resonant_rule`, :func:`discrete_rule`, ...) works
 on numpy arrays with leading batch dimensions and is what the Monte Carlo
 estimators and the relaxation simulator call.  The object layer
@@ -20,9 +23,11 @@ the level jump.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Union
 
 import numpy as np
+from scipy import special
 
 from .model import (
     ContinuousEnergy,
@@ -32,6 +37,9 @@ from .model import (
 )
 
 __all__ = [
+    "PairKind",
+    "PairLaw",
+    "pair_law",
     "ParticleState",
     "MonatomicParams",
     "BorgnakkeLarsenParams",
@@ -69,6 +77,78 @@ def unit_vector(sigma, tol: float = _SIGMA_TOL) -> np.ndarray:
     if np.any(np.abs(norm - 1.0) > tol):
         raise ValueError("sigma must be a unit vector (|sigma| - 1 beyond tolerance)")
     return sigma / norm[..., None]
+
+
+# ---------------------------------------------------------------------------
+# pair-law table
+# ---------------------------------------------------------------------------
+
+
+class PairKind(str, Enum):
+    """Which collision family couples a species pair: continuous (cont),
+    monatomic (mono, with poly naming its continuous partner) or discrete
+    (disc) internal structure on each side, first species first."""
+
+    CONT_CONT = "cont-cont"
+    POLY_MONO = "poly-mono"
+    MONO_POLY = "mono-poly"
+    MONO_MONO = "mono-mono"
+    DISC_DISC = "disc-disc"
+
+
+@dataclass(frozen=True)
+class PairLaw:
+    """Exchange law of one species pair (i, j).
+
+    ``beta_r`` and ``beta_R`` are the Beta shapes of the internal split r and
+    the kinetic fraction R (Borgnakke & Larsen, J. Comput. Phys. 18, 1975),
+    None where the family has no such parameter.  ``weight`` integrates the
+    transition weight over the exchange parameters and the scattering
+    direction without the kernel prefactor C: 4 pi B(beta_r) B(beta_R),
+    which is 16 pi/15 for two continuous species at delta = 2.
+    """
+
+    kind: PairKind
+    m_i: float
+    m_j: float
+    mu: float
+    beta_r: tuple[float, float] | None
+    beta_R: tuple[float, float] | None
+    weight: float
+
+
+def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
+    """Resolve the exchange law of species pair (i, j).
+
+    Raises ValueError for pairs no collision rule couples (a discrete species
+    with a continuous or monatomic one).
+    """
+    ei, ej = spec.species[i].energy, spec.species[j].energy
+    beta_r = beta_R = None
+    if isinstance(ei, ContinuousEnergy) and isinstance(ej, ContinuousEnergy):
+        kind = PairKind.CONT_CONT
+        beta_r = (0.5 * ei.delta, 0.5 * ej.delta)
+        beta_R = (1.5, 0.5 * (ei.delta + ej.delta))
+    elif isinstance(ei, ContinuousEnergy) and isinstance(ej, Monatomic):
+        kind = PairKind.POLY_MONO
+        beta_R = (1.5, 0.5 * ei.delta)
+    elif isinstance(ei, Monatomic) and isinstance(ej, ContinuousEnergy):
+        kind = PairKind.MONO_POLY
+        beta_R = (1.5, 0.5 * ej.delta)
+    elif isinstance(ei, Monatomic) and isinstance(ej, Monatomic):
+        kind = PairKind.MONO_MONO
+    elif isinstance(ei, DiscreteLevels) and isinstance(ej, DiscreteLevels):
+        kind = PairKind.DISC_DISC
+    else:
+        raise ValueError(f"no collision rule couples species {i} and {j}")
+    weight = 4.0 * np.pi
+    if beta_r is not None:
+        weight *= special.beta(*beta_r)
+    if beta_R is not None:
+        weight *= special.beta(*beta_R)
+    mi, mj = spec.species[i].mass, spec.species[j].mass
+    return PairLaw(kind=kind, m_i=mi, m_j=mj, mu=mi * mj / (mi + mj),
+                   beta_r=beta_r, beta_R=beta_R, weight=float(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +218,12 @@ def bl_poly_poly(v, v_star, I, I_star, r, R, sigma, m: float, m_star: float | No
     return vp, vsp, Ip, Isp, E
 
 
-def bl_poly_mono(v, v_star, I, R, sigma, m: float, m_star: float, poly_first: bool = True):
+def bl_poly_mono(v, v_star, I, R, sigma, m: float, m_star: float):
     """Exchange collision where only one particle carries internal energy.
 
-    ``poly_first`` says whether the internal energy I travels with the first
-    particle.  Returns (v', v'_*, I_post, E) with I_post = (1 - R)E attached
-    to whichever particle is polyatomic.
+    Returns (v', v'_*, I_post, E) with I_post = (1 - R)E attached to
+    whichever particle is polyatomic; the velocity update does not depend
+    on which one that is.
     """
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
@@ -153,7 +233,6 @@ def bl_poly_mono(v, v_star, I, R, sigma, m: float, m_star: float, poly_first: bo
     center = _mass_center(v, v_star, m, m_star)
     gprime = np.sqrt(2.0 * R * E / mu)
     vp, vsp = _post_velocities(center, gprime, np.asarray(sigma, dtype=float), m, m_star)
-    del poly_first  # the carrier does not change the velocity update
     return vp, vsp, (1.0 - R) * E, E
 
 
@@ -338,13 +417,12 @@ def collide_borgnakke_larsen(
     pair raises ValueError.  The jacobian field is only filled for the
     equal-mass two-polyatomic case.
     """
-    sp1, sp2 = spec.species[s1.species], spec.species[s2.species]
-    m1, m2 = sp1.mass, sp2.mass
-    poly1, poly2 = sp1.polyatomic, sp2.polyatomic
-    if isinstance(sp1.energy, DiscreteLevels) or isinstance(sp2.energy, DiscreteLevels):
+    law = pair_law(spec, s1.species, s2.species)
+    m1, m2 = law.m_i, law.m_j
+    if law.kind is PairKind.DISC_DISC:
         raise ValueError("exchange collisions need continuous or monatomic species")
 
-    if poly1 and poly2:
+    if law.kind is PairKind.CONT_CONT:
         if not isinstance(params, BorgnakkeLarsenParams):
             raise ValueError("two polyatomic particles need BorgnakkeLarsenParams")
         vp, vsp, Ip, Isp, E = bl_poly_poly(
@@ -357,16 +435,15 @@ def collide_borgnakke_larsen(
         )
         return CollisionOutcome(post=post, admissible=True, E=float(E), jacobian=jac)
 
-    if poly1 != poly2:
+    if law.kind is not PairKind.MONO_MONO:
         if not isinstance(params, PolyMonoParams):
             raise ValueError("a polyatomic-monatomic pair needs PolyMonoParams")
+        poly1 = law.kind is PairKind.POLY_MONO
         I = s1.I if poly1 else s2.I
-        vp, vsp, I_post, E = bl_poly_mono(
-            s1.v, s2.v, I, params.R, params.sigma, m1, m2, poly_first=poly1
-        )
+        vp, vsp, I_post, E = bl_poly_mono(s1.v, s2.v, I, params.R, params.sigma, m1, m2)
         post = (
             ParticleState(v=vp, species=s1.species, I=float(I_post) if poly1 else None),
-            ParticleState(v=vsp, species=s2.species, I=float(I_post) if poly2 else None),
+            ParticleState(v=vsp, species=s2.species, I=None if poly1 else float(I_post)),
         )
         return CollisionOutcome(post=post, admissible=True, E=float(E))
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ..collide import pair_law
 from ..equilib import Maxwellian
-from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted
+from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted, single_species
 
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
@@ -42,20 +43,16 @@ class GridSpec:
 def reduced_kernel_coefficient(kernel: KernelModel, delta: float, nq: int = 40) -> float:
     """Coefficient of E^(zeta/2) after integrating the transition weight.
 
-    For a plain energy-power kernel this is 4 pi C B(delta/2, delta/2)
-    B(3/2, delta); a split-dependent weight psi(r, R) is integrated with
-    Gauss-Jacobi rules matching the endpoint powers.
+    For a plain energy-power kernel this is C times the pair-law weight
+    4 pi B(delta/2, delta/2) B(3/2, delta); a split-dependent weight
+    psi(r, R) is integrated with Gauss-Jacobi rules matching the endpoint
+    powers.
     """
     if isinstance(kernel, PowerLawE) or (
         isinstance(kernel, PsiWeighted) and kernel.psi is None
     ):
-        return float(
-            4.0
-            * np.pi
-            * kernel.C
-            * special.beta(0.5 * delta, 0.5 * delta)
-            * special.beta(1.5, delta)
-        )
+        law = pair_law(single_species(ContinuousEnergy(delta), kernel), 0, 0)
+        return float(kernel.C * law.weight)
     if isinstance(kernel, PsiWeighted):
         a = 0.5 * delta - 1.0
         xr, wr = special.roots_jacobi(nq, a, a)
@@ -121,15 +118,12 @@ def assemble_k1(
     grid: GridSpec,
     M: Maxwellian,
     kernel: KernelModel | None = None,
-    cfg=None,
 ) -> K1Matrix:
     """Assemble the kernel matrix on the Gauss tensor grid.
 
     Single continuous-energy species only; the assembly is closed-form in
-    the pair energy, so the matrix is symmetric to rounding.  ``cfg`` is
-    accepted for interface parity and ignored.
+    the pair energy, so the matrix is symmetric to rounding.
     """
-    del cfg
     spec = M.spec
     if spec.n_species != 1 or not isinstance(spec.species[0].energy, ContinuousEnergy):
         raise ValueError("the matrix assembly needs a single continuous species")

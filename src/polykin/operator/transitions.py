@@ -20,17 +20,18 @@ import numpy as np
 from scipy import special
 
 from ..collide import (
+    PairKind,
     bl_poly_mono,
     bl_poly_poly,
     discrete_rule,
     monatomic_rule,
+    pair_law,
     resonant_rule,
 )
 from ..equilib import Maxwellian
 from ..model import (
     CollisionContext,
     ContinuousEnergy,
-    DiscreteLevels,
     KernelModel,
     MixtureSpec,
     Monatomic,
@@ -44,17 +45,6 @@ __all__ = ["Proposal", "TransitionBatch", "make_proposal", "sample_transition"]
 
 _TINY = 1e-300
 _LOG_4PI = np.log(4.0 * np.pi)
-
-
-def _kind(spec: MixtureSpec, s: int) -> str:
-    e = spec.species[s].energy
-    if isinstance(e, Monatomic):
-        return "mono"
-    if isinstance(e, ContinuousEnergy):
-        return "cont"
-    if isinstance(e, DiscreteLevels):
-        return "disc"
-    raise TypeError(f"unknown energy model {type(e).__name__}")
 
 
 def _pow_log(x, p: float):
@@ -94,7 +84,7 @@ def make_proposal(
     """Derive the proposal for ``pair`` from a reference equilibrium."""
     spec = m_ref.spec
     i, j = pair
-    ki, kj = _kind(spec, i), _kind(spec, j)
+    law = pair_law(spec, i, j)
     prop_m = m_ref
     if cfg.proposal_temperature is not None:
         t = cfg.proposal_temperature
@@ -102,20 +92,8 @@ def make_proposal(
             spec, replace(m_ref.params, T_kin=t, T_int=t), m_ref.units
         )
 
-    beta_r = beta_R = None
-    if ki == "cont" and kj == "cont":
-        di = spec.species[i].energy.delta
-        dj = spec.species[j].energy.delta
-        beta_r = (0.5 * di, 0.5 * dj)
-        beta_R = (1.5, 0.5 * (di + dj))
-    elif ki == "cont" and kj == "mono":
-        beta_R = (1.5, 0.5 * spec.species[i].energy.delta)
-    elif ki == "mono" and kj == "cont":
-        beta_R = (1.5, 0.5 * spec.species[j].energy.delta)
-    if cfg.beta_r is not None:
-        beta_r = cfg.beta_r
-    if cfg.beta_R is not None:
-        beta_R = cfg.beta_R
+    beta_r = law.beta_r if cfg.beta_r is None else cfg.beta_r
+    beta_R = law.beta_R if cfg.beta_R is None else cfg.beta_R
     return Proposal(prop_m, (i, j), beta_r, beta_R, cfg.gamma_shape, cfg.i_truncation)
 
 
@@ -205,9 +183,8 @@ def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
         return np.log(np.asarray(b, dtype=float))
 
 
-def _bl_pair(spec, pair, kernel, v, I, prop, rng, n):
+def _bl_pair(spec, pair, law, kernel, v, I, prop, rng, n):
     i, j = pair
-    mi, mj = spec.species[i].mass, spec.species[j].mass
     di = spec.species[i].energy.delta
     dj = spec.species[j].energy.delta
     v_star, lq_v = _gaussian_partner(prop, rng, n, j)
@@ -215,7 +192,7 @@ def _bl_pair(spec, pair, kernel, v, I, prop, rng, n):
     r, lq_r = _beta_draw(prop.beta_r, rng, n)
     R, lq_R = _beta_draw(prop.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
-    vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, mi, mj)
+    vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
     log_a = (
         log_b
@@ -264,14 +241,13 @@ def _resonant_pair(spec, pair, kernel, v, I, prop, rng, n):
     )
 
 
-def _poly_mono_pair(spec, pair, kernel, v, I, prop, rng, n):
+def _poly_mono_pair(spec, pair, law, kernel, v, I, prop, rng, n):
     i, j = pair
-    mi, mj = spec.species[i].mass, spec.species[j].mass
     di = spec.species[i].energy.delta
     v_star, lq_v = _gaussian_partner(prop, rng, n, j)
     R, lq_R = _beta_draw(prop.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
-    vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, mi, mj)
+    vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
     p = 0.5 * di - 1.0
     log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
@@ -282,9 +258,8 @@ def _poly_mono_pair(spec, pair, kernel, v, I, prop, rng, n):
     )
 
 
-def _mono_poly_pair(spec, pair, kernel, v, _unused, prop, rng, n):
-    i, j = pair
-    mi, mj = spec.species[i].mass, spec.species[j].mass
+def _mono_poly_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
+    j = pair[1]
     dj = spec.species[j].energy.delta
     v_star, lq_v = _gaussian_partner(prop, rng, n, j)
     I_star, lq_I = _gamma_partner(prop, rng, n, j)
@@ -292,7 +267,7 @@ def _mono_poly_pair(spec, pair, kernel, v, _unused, prop, rng, n):
     sigma = unit_sphere(rng, n)
     # the internal energy rides with the second (polyatomic) particle
     vsp_in_first_slot, vp_in_second_slot, Isp, E = bl_poly_mono(
-        v_star, v, I_star, R, sigma, mj, mi
+        v_star, v, I_star, R, sigma, law.m_j, law.m_i
     )
     vp, vsp = vp_in_second_slot, vsp_in_first_slot
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
@@ -305,15 +280,13 @@ def _mono_poly_pair(spec, pair, kernel, v, _unused, prop, rng, n):
     )
 
 
-def _mono_mono_pair(spec, pair, kernel, v, _unused, prop, rng, n):
-    i, j = pair
-    mi, mj = spec.species[i].mass, spec.species[j].mass
-    mu = mi * mj / (mi + mj)
+def _mono_mono_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
+    j = pair[1]
     v_star, lq_v = _gaussian_partner(prop, rng, n, j)
     sigma = unit_sphere(rng, n)
-    vp, vsp = monatomic_rule(v, v_star, sigma, mi, mj)
+    vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
     V = v - v_star
-    E = 0.5 * mu * np.sum(V * V, -1)
+    E = 0.5 * law.mu * np.sum(V * V, -1)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
     log_q = lq_v - _LOG_4PI
     zeros = np.zeros(n)
@@ -322,10 +295,8 @@ def _mono_mono_pair(spec, pair, kernel, v, _unused, prop, rng, n):
     )
 
 
-def _discrete_pair(spec, pair, kernel, v, lev, prop, rng, n):
+def _discrete_pair(spec, pair, law, kernel, v, lev, prop, rng, n):
     i, j = pair
-    mi, mj = spec.species[i].mass, spec.species[j].mass
-    mu = mi * mj / (mi + mj)
     ei, ej = spec.species[i].energy, spec.species[j].energy
     Ei = np.asarray(ei.energies)
     Ej = np.asarray(ej.energies)
@@ -338,11 +309,11 @@ def _discrete_pair(spec, pair, kernel, v, lev, prop, rng, n):
     lq_ch = -np.log(float(Ei.size * Ej.size))
     sigma = unit_sphere(rng, n)
     delta_I = Ei[k_post] + Ej[l_post] - Ei[lev] - Ej[lev_star]
-    vp, vsp, ok = discrete_rule(v, v_star, delta_I, sigma, mi, mj)
+    vp, vsp, ok = discrete_rule(v, v_star, delta_I, sigma, law.m_i, law.m_j)
     V = v - v_star
     g2 = np.sum(V * V, -1)
-    E = 0.5 * mu * g2 + Ei[lev] + Ej[lev_star]
-    g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / mu, 0.0))
+    E = 0.5 * law.mu * g2 + Ei[lev] + Ej[lev_star]
+    g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
     log_b = _log_b(
         kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False
     )
@@ -361,6 +332,15 @@ def _discrete_pair(spec, pair, kernel, v, lev, prop, rng, n):
     )
 
 
+_SAMPLERS = {
+    PairKind.CONT_CONT: _bl_pair,
+    PairKind.POLY_MONO: _poly_mono_pair,
+    PairKind.MONO_POLY: _mono_poly_pair,
+    PairKind.MONO_MONO: _mono_mono_pair,
+    PairKind.DISC_DISC: _discrete_pair,
+}
+
+
 def sample_transition(
     spec: MixtureSpec,
     pair: tuple[int, int],
@@ -373,24 +353,12 @@ def sample_transition(
 ) -> TransitionBatch:
     """Draw ``n`` transitions from states (v, internal) of species pair."""
     i, j = pair
-    ki, kj = _kind(spec, i), _kind(spec, j)
+    law = pair_law(spec, i, j)
     if isinstance(kernel, ResonantTensored):
-        if not (i == j and ki == "cont" and spec.n_species == 1):
+        if not (i == j and law.kind is PairKind.CONT_CONT and spec.n_species == 1):
             raise ValueError("resonant kernels require a single continuous species")
         return _resonant_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    if ki == "cont" and kj == "cont":
-        return _bl_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    if ki == "cont" and kj == "mono":
-        return _poly_mono_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    if ki == "mono" and kj == "cont":
-        return _mono_poly_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    if ki == "mono" and kj == "mono":
-        return _mono_mono_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    if ki == "disc" and kj == "disc":
-        return _discrete_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    raise ValueError(
-        f"no transition rule couples species kinds {ki!r} and {kj!r}"
-    )
+    return _SAMPLERS[law.kind](spec, pair, law, kernel, v, internal, prop, rng, n)
 
 
 def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int):
@@ -399,12 +367,11 @@ def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int)
     Returns (v, internal, log_q) where log_q is the per-state proposal
     density (the equilibrium density divided by the species number density).
     """
-    m = prop.maxwellian
-    kind = _kind(m.spec, species)
+    energy = prop.maxwellian.spec.species[species].energy
     v, lq_v = _gaussian_partner(prop, rng, n, species)
-    if kind == "mono":
+    if isinstance(energy, Monatomic):
         return v, None, lq_v
-    if kind == "cont":
+    if isinstance(energy, ContinuousEnergy):
         I, lq_i = _gamma_partner(prop, rng, n, species)
         return v, I, lq_v + lq_i
     lev, lq_lev = _gibbs_partner(prop, rng, n, species)

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
-from .collide import bl_poly_mono, bl_poly_poly, discrete_rule, monatomic_rule
+from .collide import (PairKind, PairLaw, bl_poly_mono, bl_poly_poly, discrete_rule,
+                      monatomic_rule, pair_law)
 from .equilib import EquilibriumParams, Maxwellian, internal_temperature, mean_internal_energy
 from .model import (
     ContinuousEnergy,
@@ -263,15 +264,9 @@ class _PairType:
     j: int
     idx_i: np.ndarray
     idx_j: np.ndarray
-    mass_i: float
-    mass_j: float
-    mu: float
+    law: PairLaw
     C: float
     zeta: float
-    style: str          # "cont-cont" | "poly-mono" | "mono-poly" | "mono-mono" | "disc-disc"
-    c_weight: float     # closed-form integral of the exchange weight and direction
-    beta_r: tuple[float, float] | None
-    beta_R: tuple[float, float] | None
     n_pairs: float
 
 
@@ -284,48 +279,16 @@ def _pair_types(ensemble: Ensemble) -> list[_PairType]:
             idx_j = np.flatnonzero(ensemble.species == j)
             if idx_i.size == 0 or idx_j.size == 0:
                 continue
-            ei, ej = spec.species[i].energy, spec.species[j].energy
             C, zeta = _kernel_parameters(spec.kernel(i, j))
-            cont_i = isinstance(ei, ContinuousEnergy)
-            cont_j = isinstance(ej, ContinuousEnergy)
-            disc_i = isinstance(ei, DiscreteLevels)
-            disc_j = isinstance(ej, DiscreteLevels)
-            beta_r = beta_R = None
-            if cont_i and cont_j:
-                style = "cont-cont"
-                beta_r = (0.5 * ei.delta, 0.5 * ej.delta)
-                beta_R = (1.5, 0.5 * (ei.delta + ej.delta))
-                cw = 4.0 * np.pi * special.beta(*beta_r) * special.beta(*beta_R)
-            elif cont_i and isinstance(ej, Monatomic):
-                style = "poly-mono"
-                beta_R = (1.5, 0.5 * ei.delta)
-                cw = 4.0 * np.pi * special.beta(*beta_R)
-            elif isinstance(ei, Monatomic) and cont_j:
-                style = "mono-poly"
-                beta_R = (1.5, 0.5 * ej.delta)
-                cw = 4.0 * np.pi * special.beta(*beta_R)
-            elif isinstance(ei, Monatomic) and isinstance(ej, Monatomic):
-                style = "mono-mono"
-                cw = 4.0 * np.pi
-            elif disc_i and disc_j:
-                style = "disc-disc"
-                cw = 4.0 * np.pi
-            else:
-                raise ValueError(
-                    f"no collision rule couples species {i} and {j}"
-                )
-            mi, mj = spec.species[i].mass, spec.species[j].mass
+            law = pair_law(spec, i, j)
             n_pairs = (
                 idx_i.size * (idx_i.size - 1) / 2.0 if i == j
                 else float(idx_i.size) * float(idx_j.size)
             )
             if n_pairs <= 0:
                 continue
-            out.append(_PairType(
-                i=i, j=j, idx_i=idx_i, idx_j=idx_j, mass_i=mi, mass_j=mj,
-                mu=mi * mj / (mi + mj), C=C, zeta=zeta, style=style,
-                c_weight=cw, beta_r=beta_r, beta_R=beta_R, n_pairs=n_pairs,
-            ))
+            out.append(_PairType(i=i, j=j, idx_i=idx_i, idx_j=idx_j, law=law,
+                                 C=C, zeta=zeta, n_pairs=n_pairs))
     return out
 
 
@@ -333,9 +296,9 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     """Total transition rate for the given particle pairs."""
     dv = ensemble.v[ii] - ensemble.v[jj]
     g2 = np.sum(dv * dv, axis=-1)
-    E = 0.5 * pt.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
-    if pt.style != "disc-disc":
-        return pt.C * pt.c_weight * E ** (0.5 * pt.zeta)
+    E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
+    if pt.law.kind is not PairKind.DISC_DISC:
+        return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
     ei = ensemble.spec.species[pt.i].energy
     ej = ensemble.spec.species[pt.j].energy
     li = np.asarray(ei.energies)
@@ -346,10 +309,10 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     total = np.zeros(len(ii))
     for kp in range(len(li)):
         for lp in range(len(lj)):
-            gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.mu
+            gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.law.mu
             total += gi[kp] * gj[lp] * np.sqrt(np.maximum(gp2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = pt.C * pt.c_weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
+        out = pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
     return out
 
 
@@ -391,26 +354,27 @@ def _sphere_from_uniforms(z: float, phi: float) -> np.ndarray:
 
 def _apply_continuous(ensemble: Ensemble, pt: _PairType, a: int, b: int,
                       r: float, R: float, sigma: np.ndarray) -> None:
+    law = pt.law
     v1 = ensemble.v[a][None, :]
     v2 = ensemble.v[b][None, :]
     sig = sigma[None, :]
-    if pt.style == "cont-cont":
+    if law.kind is PairKind.CONT_CONT:
         I1 = ensemble.internal[a:a + 1]
         I2 = ensemble.internal[b:b + 1]
         w1, w2, J1, J2, _ = bl_poly_poly(v1, v2, I1, I2, np.array([r]),
-                                         np.array([R]), sig, pt.mass_i, pt.mass_j)
+                                         np.array([R]), sig, law.m_i, law.m_j)
         ensemble.internal[a] = J1[0]
         ensemble.internal[b] = J2[0]
-    elif pt.style == "poly-mono":
+    elif law.kind is PairKind.POLY_MONO:
         w1, w2, J, _ = bl_poly_mono(v1, v2, ensemble.internal[a:a + 1],
-                                    np.array([R]), sig, pt.mass_i, pt.mass_j)
+                                    np.array([R]), sig, law.m_i, law.m_j)
         ensemble.internal[a] = J[0]
-    elif pt.style == "mono-poly":
+    elif law.kind is PairKind.MONO_POLY:
         w2, w1, J, _ = bl_poly_mono(v2, v1, ensemble.internal[b:b + 1],
-                                    np.array([R]), sig, pt.mass_j, pt.mass_i)
+                                    np.array([R]), sig, law.m_j, law.m_i)
         ensemble.internal[b] = J[0]
     else:
-        w1, w2 = monatomic_rule(v1, v2, sig, pt.mass_i, pt.mass_j)
+        w1, w2 = monatomic_rule(v1, v2, sig, law.m_i, law.m_j)
     ensemble.v[a] = w1[0]
     ensemble.v[b] = w2[0]
 
@@ -426,7 +390,7 @@ def _apply_discrete(ensemble: Ensemble, pt: _PairType, a: int, b: int,
     dv = ensemble.v[a] - ensemble.v[b]
     g2 = float(np.dot(dv, dv))
     pre = ensemble.internal[a] + ensemble.internal[b]
-    gp2 = g2 - 2.0 * (li[:, None] + lj[None, :] - pre) / pt.mu
+    gp2 = g2 - 2.0 * (li[:, None] + lj[None, :] - pre) / pt.law.mu
     w_ch = gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))
     total = float(w_ch.sum())
     if total <= 0.0:
@@ -438,7 +402,7 @@ def _apply_discrete(ensemble: Ensemble, pt: _PairType, a: int, b: int,
     d_i = li[kp] + lj[lp] - pre
     w1, w2, ok = discrete_rule(ensemble.v[a][None, :], ensemble.v[b][None, :],
                                np.array([d_i]), sigma[None, :],
-                               pt.mass_i, pt.mass_j)
+                               pt.law.m_i, pt.law.m_j)
     if not bool(ok[0]):
         return False
     ensemble.v[a] = w1[0]
@@ -485,17 +449,16 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         u_acc = rng.random(m)
         z = rng.uniform(-1.0, 1.0, m)
         phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        if pt.style == "cont-cont":
-            r_draw = rng.beta(*pt.beta_r, m)
-            R_draw = rng.beta(*pt.beta_R, m)
-        elif pt.style in ("poly-mono", "mono-poly"):
-            r_draw = np.zeros(m)
-            R_draw = rng.beta(*pt.beta_R, m)
-        elif pt.style == "disc-disc":
+        discrete = pt.law.kind is PairKind.DISC_DISC
+        if pt.law.beta_r is not None:
+            r_draw = rng.beta(*pt.law.beta_r, m)
+        elif discrete:
             r_draw = rng.random(m)       # channel selector
-            R_draw = np.zeros(m)
         else:
             r_draw = np.zeros(m)
+        if pt.law.beta_R is not None:
+            R_draw = rng.beta(*pt.law.beta_R, m)
+        else:
             R_draw = np.zeros(m)
 
         rates = _rates(ensemble, pt, ii, jj)
@@ -526,7 +489,7 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
             if not accept:
                 continue
             sigma = _sphere_from_uniforms(z_l[k], phi_l[k])
-            if pt.style == "disc-disc":
+            if discrete:
                 collided = _apply_discrete(ensemble, pt, a, b, r_l[k], sigma)
             else:
                 _apply_continuous(ensemble, pt, a, b, r_l[k], R_l[k], sigma)

@@ -209,6 +209,19 @@ class TestRelaxCommand:
         assert code == 2
         assert err
 
+    def test_kernel_table_size_mismatch_exits_2(self, tmp_path, capsys):
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        doc["species"].append({"label": "mono", "mass": 2.0,
+                               "energy": {"kind": "monatomic"}})
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert "kernels" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_config_exits_3(self, capsys):
         code, _, _ = run_cli(["relax", "--config", "no_such_config.json"], capsys)
         assert code == 3

@@ -7,6 +7,7 @@ from polykin.collide import (
     BorgnakkeLarsenParams,
     DiscreteParams,
     MonatomicParams,
+    PairKind,
     ParticleState,
     PolyMonoParams,
     ResonantParams,
@@ -21,9 +22,19 @@ from polykin.collide import (
     inverse_parameters,
     jacobian_bl,
     monatomic_rule,
+    pair_law,
     resonant_rule,
     total_energy,
     unit_vector,
+)
+from polykin.model import (
+    ContinuousEnergy,
+    DiscreteLevels,
+    MixtureSpec,
+    Monatomic,
+    PowerLawE,
+    Species,
+    single_species,
 )
 from support import (
     bl_spec,
@@ -361,3 +372,53 @@ class TestMixtureBranches:
             scale = max(1.0, out.E)
             assert np.abs(d.momentum).max() < 1e-12 * scale
             assert abs(d.energy) < 1e-12 * scale
+
+
+class TestPairLaw:
+    def test_all_five_kinds(self):
+        mixed = mixture_cont_spec(delta_b=None)
+        mono = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))
+        assert pair_law(bl_spec(), 0, 0).kind == "cont-cont"
+        assert pair_law(mixed, 0, 1).kind == "poly-mono"
+        assert pair_law(mixed, 1, 0).kind is PairKind.MONO_POLY
+        assert pair_law(mono, 0, 0).kind == "mono-mono"
+        assert pair_law(mixture_disc_spec(), 0, 1).kind == "disc-disc"
+
+    def test_beta_shapes_and_masses(self):
+        law = pair_law(mixture_cont_spec(delta_a=2.0, delta_b=3.0, m_a=1.0, m_b=2.0), 0, 1)
+        assert law.beta_r == (1.0, 1.5)
+        assert law.beta_R == (1.5, 2.5)
+        assert (law.m_i, law.m_j, law.mu) == (1.0, 2.0, 2.0 / 3.0)
+        mixed = mixture_cont_spec(delta_a=2.4, delta_b=None)
+        for i, j in ((0, 1), (1, 0)):
+            law = pair_law(mixed, i, j)
+            assert law.beta_r is None
+            assert law.beta_R == (1.5, 1.2)
+        for law in (pair_law(single_species(Monatomic(), PowerLawE(1.0, 0.0)), 0, 0),
+                    pair_law(discrete_spec(), 0, 0)):
+            assert law.beta_r is None and law.beta_R is None
+
+    def test_closed_form_weights(self):
+        mixed = mixture_cont_spec(delta_a=2.0, delta_b=None)
+        mono = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))
+        assert pair_law(bl_spec(delta=2.0), 0, 0).weight == pytest.approx(16 * np.pi / 15, rel=1e-15)
+        assert pair_law(mixed, 0, 1).weight == pytest.approx(8 * np.pi / 3, rel=1e-15)
+        assert pair_law(mixed, 1, 0).weight == pair_law(mixed, 0, 1).weight
+        assert pair_law(mono, 0, 0).weight == 4 * np.pi
+        assert pair_law(discrete_spec(), 0, 0).weight == 4 * np.pi
+
+    def test_weight_is_free_of_the_kernel_prefactor(self):
+        assert pair_law(bl_spec(C=2.5, zeta=0.5), 0, 0).weight == pair_law(bl_spec(), 0, 0).weight
+
+    def test_continuous_discrete_pair_raises(self):
+        ker = PowerLawE(C=1.0, zeta=0.0)
+        spec = MixtureSpec(
+            species=(
+                Species(label="c", mass=1.0, energy=ContinuousEnergy(2.0)),
+                Species(label="d", mass=1.0, energy=DiscreteLevels((0.0, 0.5), (1.0, 1.0))),
+            ),
+            kernels=((ker, ker), (ker, ker)),
+        )
+        for i, j in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="couples"):
+                pair_law(spec, i, j)

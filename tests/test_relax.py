@@ -11,6 +11,7 @@ from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
     MixtureSpec,
+    Monatomic,
     PowerLawE,
     PsiWeighted,
     Species,
@@ -116,6 +117,22 @@ class TestStepConservation:
         assert dp <= 1e-10
         # the monatomic species never acquires internal energy
         assert np.all(ens.internal[ens.species == 1] == 0.0)
+
+    def test_mono_poly_mixture_conserves(self):
+        # monatomic species first: the pair runs the mono-poly slot order
+        ker = PowerLawE(C=1.0, zeta=0.0)
+        spec = MixtureSpec(
+            species=(
+                Species(label="m", mass=2.0, energy=Monatomic()),
+                Species(label="p", mass=1.0, energy=ContinuousEnergy(delta=2.4)),
+            ),
+            kernels=((ker, ker), (ker, ker)),
+        )
+        de, dp, ens = self._drift(spec, 4000, 1.5, 0.7, steps=50, seed=6)
+        assert de <= 1e-10
+        assert dp <= 1e-10
+        assert np.all(ens.internal[ens.species == 0] == 0.0)
+        assert np.any(ens.internal[ens.species == 1] > 0.0)
 
     def test_discrete_conserves_and_stays_on_levels(self):
         spec = discrete_spec(C=0.05, zeta=0.5)
