@@ -30,7 +30,7 @@ import numpy as np
 from . import fitlab, relax
 from .equilib import EquilibriumParams, Maxwellian
 from .hypotheses import HypothesisId, check
-from .model import ContinuousEnergy, PowerLawE, single_species, spec_from_json, validate
+from .model import ContinuousEnergy, PowerLawE, single_species, spec_from_json
 from .operator import GridSpec, assemble_k1, k2_integrability_diagnostic
 
 EXIT_OK = 0
@@ -161,10 +161,11 @@ def _cmd_relax(args) -> int:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     jsonschema.validate(doc, _load_schema("relax_config.schema.json"))
     spec = spec_from_json(json.dumps(doc))
-    problems = validate(spec)
-    if problems:
-        raise ValueError("; ".join(problems))
     rc = doc["relax"]
+    try:
+        relax.step_count(rc["t_end"], rc["dt"])
+    except ValueError as exc:
+        raise ValueError(f"relax.t_end, relax.dt: {exc}") from None
     config = relax.RelaxConfig(
         dt=rc["dt"],
         n_particles=rc["n_particles"],

@@ -378,19 +378,27 @@ def _energy_to_obj(e: EnergyModel) -> dict:
     raise TypeError(f"unknown energy model {type(e).__name__}")
 
 
-def _energy_from_obj(obj: dict) -> EnergyModel:
+def _field(obj: dict, key: str, path: str):
+    """``obj[key]``, or a ValueError naming the missing field's path."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{path}.{key}: required field is missing") from None
+
+
+def _energy_from_obj(obj: dict, path: str) -> EnergyModel:
     kind = obj.get("kind")
     if kind == "monatomic":
         return Monatomic()
     if kind == "continuous":
-        return ContinuousEnergy(delta=float(obj["delta"]))
+        return ContinuousEnergy(delta=float(_field(obj, "delta", path)))
     if kind == "discrete":
-        levels = obj["levels"]
+        levels = _field(obj, "levels", path)
         return DiscreteLevels(
             energies=tuple(float(l[0]) for l in levels),
             degeneracies=tuple(float(l[1]) for l in levels),
         )
-    raise ValueError(f"unknown energy kind {kind!r}")
+    raise ValueError(f"{path}.kind: unknown energy kind {kind!r}")
 
 
 def _kernel_to_obj(k: KernelModel) -> dict:
@@ -411,20 +419,20 @@ def _kernel_to_obj(k: KernelModel) -> dict:
     raise TypeError(f"unknown kernel model {type(k).__name__}")
 
 
-def _kernel_from_obj(obj: dict) -> KernelModel:
+def _kernel_from_obj(obj: dict, path: str) -> KernelModel:
     kind = obj.get("kind")
     if kind == "power_law_e":
-        return PowerLawE(C=float(obj["C"]), zeta=float(obj["zeta"]))
+        return PowerLawE(C=float(_field(obj, "C", path)), zeta=float(_field(obj, "zeta", path)))
     if kind == "psi_weighted":
-        return PsiWeighted(C=float(obj["C"]), zeta=float(obj["zeta"]))
+        return PsiWeighted(C=float(_field(obj, "C", path)), zeta=float(_field(obj, "zeta", path)))
     if kind == "resonant_tensored":
         return ResonantTensored(
-            C=float(obj["C"]),
+            C=float(_field(obj, "C", path)),
             zeta=float(obj.get("zeta", 0.0)),
             zeta1=float(obj.get("zeta1", 0.0)),
             zeta2=float(obj.get("zeta2", 0.0)),
         )
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    raise ValueError(f"{path}.kind: unknown kernel kind {kind!r}")
 
 
 def spec_to_json(spec: MixtureSpec, indent: int | None = 2) -> str:
@@ -439,16 +447,20 @@ def spec_to_json(spec: MixtureSpec, indent: int | None = 2) -> str:
 
 
 def spec_from_json(text: str) -> MixtureSpec:
+    """Parse a spec document; a missing field raises ValueError naming its
+    path, e.g. ``species[0].energy.delta``."""
     doc = json.loads(text)
     species = tuple(
         Species(
-            label=str(s["label"]),
-            mass=float(s["mass"]),
-            energy=_energy_from_obj(s["energy"]),
+            label=str(_field(s, "label", f"species[{k}]")),
+            mass=float(_field(s, "mass", f"species[{k}]")),
+            energy=_energy_from_obj(_field(s, "energy", f"species[{k}]"),
+                                    f"species[{k}].energy"),
         )
-        for s in doc["species"]
+        for k, s in enumerate(doc["species"])
     )
     kernels = tuple(
-        tuple(_kernel_from_obj(k) for k in row) for row in doc["kernels"]
+        tuple(_kernel_from_obj(ker, f"kernels[{i}][{j}]") for j, ker in enumerate(row))
+        for i, row in enumerate(doc["kernels"])
     )
     return MixtureSpec(species=species, kernels=kernels)

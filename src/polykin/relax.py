@@ -8,10 +8,14 @@ Exchange parameters are drawn from the Beta laws matching the transition
 weights, so accepted collisions follow the kernel's law exactly and the
 per-collision conservation defects are at rounding level.
 
-Candidates are processed sequentially: a candidate whose partners were hit
-earlier in the same step is re-evaluated against the current particle states
-with its original acceptance uniform, so the chain has exact sequential
-semantics while the clean majority stays vectorized.
+Each step draws all its candidates and their random numbers up front, then
+runs them in dependency levels: a candidate's level is one more than the
+deepest earlier candidate sharing a particle with it.  Candidates of one
+level touch disjoint particles and so commute; each level's rates are
+evaluated against the state the earlier levels left, accepted with the
+candidates' own uniforms and collided in one batched call.  The chain
+therefore has exact sequential semantics, and a step costs a handful of
+array calls per level (about four levels at 1e5 particles).
 
 Scope: energy-power kernels (a split weight is allowed only when constant 1);
 continuous and discrete internal structure, single species or binary
@@ -39,6 +43,7 @@ from .model import (
     PowerLawE,
     PsiWeighted,
     UnitSystem,
+    validate,
 )
 
 __all__ = [
@@ -53,10 +58,14 @@ __all__ = [
     "relax_summary",
     "run",
     "step",
+    "step_count",
 ]
 
 _MAJORANT_SAFETY = 2.0
 _MAJORANT_PROBE_PAIRS = 4096
+# longest run accepted; at tens of microseconds per step even a tiny
+# ensemble would need minutes
+MAX_STEPS = 1_000_000
 
 
 class MajorantViolation(RuntimeError):
@@ -211,8 +220,12 @@ def init_ensemble(
 
     Velocities are Gaussian about ``u0`` at ``T_kin0``; internal energies
     follow the species' equilibrium law at ``T_int0``.  Particles are split
-    evenly across species (remainder to the earlier species).
+    evenly across species (remainder to the earlier species).  Raises
+    ValueError listing the violations of an invalid spec.
     """
+    problems = validate(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
     if n < 2:
         raise ValueError("need at least two particles")
     if T_kin0 <= 0 or T_int0 <= 0:
@@ -292,6 +305,12 @@ def _pair_types(ensemble: Ensemble) -> list[_PairType]:
     return out
 
 
+def _level_table(spec: MixtureSpec, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level energies and degeneracies of discrete species ``s``."""
+    energy = spec.species[s].energy
+    return np.asarray(energy.energies), np.asarray(energy.degeneracies)
+
+
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Total transition rate for the given particle pairs."""
     dv = ensemble.v[ii] - ensemble.v[jj]
@@ -299,21 +318,15 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
-    ei = ensemble.spec.species[pt.i].energy
-    ej = ensemble.spec.species[pt.j].energy
-    li = np.asarray(ei.energies)
-    lj = np.asarray(ej.energies)
-    gi = np.asarray(ei.degeneracies)
-    gj = np.asarray(ej.degeneracies)
+    li, gi = _level_table(ensemble.spec, pt.i)
+    lj, gj = _level_table(ensemble.spec, pt.j)
     pre = ensemble.internal[ii] + ensemble.internal[jj]
-    total = np.zeros(len(ii))
-    for kp in range(len(li)):
-        for lp in range(len(lj)):
-            gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.law.mu
-            total += gi[kp] * gj[lp] * np.sqrt(np.maximum(gp2, 0.0))
+    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / pt.law.mu
+    terms = (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(len(ii), -1)
+    # summed channel by channel, in (k', l') order
+    total = np.cumsum(terms, axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
-    return out
+        return pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
 
 
 def _ensure_majorants(ensemble: Ensemble, config: RelaxConfig) -> None:
@@ -347,71 +360,79 @@ def _ensure_majorants(ensemble: Ensemble, config: RelaxConfig) -> None:
         ensemble._majorants[key] = _MAJORANT_SAFETY * top
 
 
-def _sphere_from_uniforms(z: float, phi: float) -> np.ndarray:
-    s = math.sqrt(max(1.0 - z * z, 0.0))
-    return np.array([s * math.cos(phi), s * math.sin(phi), z])
+def _dependency_levels(ii: np.ndarray, jj: np.ndarray):
+    """Yield the candidate positions level by level, in order.
+
+    A candidate's level is one more than the deepest earlier candidate that
+    shares a particle with it, so the candidates of one level touch disjoint
+    particles.  The deepest such candidate is the last earlier one on either
+    particle, so a candidate joins the next level once those two have one.
+    """
+    m = ii.size
+    ends = np.column_stack((ii, jj)).ravel()
+    order = np.argsort(ends, kind="stable")
+    same = ends[order[1:]] == ends[order[:-1]]
+    prev = np.full(2 * m, -1)
+    prev[order[1:][same]] = order[:-1][same] // 2
+    prev_a, prev_b = prev[0::2], prev[1::2]
+    waiting = np.ones(m + 1, dtype=bool)
+    waiting[-1] = False                 # prev == -1: no earlier candidate
+    rest = np.arange(m)
+    while rest.size:
+        free = ~(waiting[prev_a[rest]] | waiting[prev_b[rest]])
+        level = rest[free]
+        yield level
+        waiting[level] = False
+        rest = rest[~free]
 
 
-def _apply_continuous(ensemble: Ensemble, pt: _PairType, a: int, b: int,
-                      r: float, R: float, sigma: np.ndarray) -> None:
-    law = pt.law
-    v1 = ensemble.v[a][None, :]
-    v2 = ensemble.v[b][None, :]
-    sig = sigma[None, :]
+def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
+             r: np.ndarray, R: np.ndarray, sigma: np.ndarray) -> int:
+    """Collide the disjoint pairs (a, b) in place; return how many collided.
+
+    For discrete species ``r`` holds the channel-selecting uniforms.
+    """
+    law, v, I = pt.law, ensemble.v, ensemble.internal
     if law.kind is PairKind.CONT_CONT:
-        I1 = ensemble.internal[a:a + 1]
-        I2 = ensemble.internal[b:b + 1]
-        w1, w2, J1, J2, _ = bl_poly_poly(v1, v2, I1, I2, np.array([r]),
-                                         np.array([R]), sig, law.m_i, law.m_j)
-        ensemble.internal[a] = J1[0]
-        ensemble.internal[b] = J2[0]
+        v[a], v[b], I[a], I[b], _ = bl_poly_poly(v[a], v[b], I[a], I[b], r, R, sigma,
+                                                 law.m_i, law.m_j)
     elif law.kind is PairKind.POLY_MONO:
-        w1, w2, J, _ = bl_poly_mono(v1, v2, ensemble.internal[a:a + 1],
-                                    np.array([R]), sig, law.m_i, law.m_j)
-        ensemble.internal[a] = J[0]
+        v[a], v[b], I[a], _ = bl_poly_mono(v[a], v[b], I[a], R, sigma, law.m_i, law.m_j)
     elif law.kind is PairKind.MONO_POLY:
-        w2, w1, J, _ = bl_poly_mono(v2, v1, ensemble.internal[b:b + 1],
-                                    np.array([R]), sig, law.m_j, law.m_i)
-        ensemble.internal[b] = J[0]
+        v[b], v[a], I[b], _ = bl_poly_mono(v[b], v[a], I[b], R, sigma, law.m_j, law.m_i)
+    elif law.kind is PairKind.MONO_MONO:
+        v[a], v[b] = monatomic_rule(v[a], v[b], sigma, law.m_i, law.m_j)
     else:
-        w1, w2 = monatomic_rule(v1, v2, sig, law.m_i, law.m_j)
-    ensemble.v[a] = w1[0]
-    ensemble.v[b] = w2[0]
+        return _collide_discrete(ensemble, pt, a, b, r, sigma)
+    return a.size
 
 
-def _apply_discrete(ensemble: Ensemble, pt: _PairType, a: int, b: int,
-                    u_channel: float, sigma: np.ndarray) -> bool:
-    ei = ensemble.spec.species[pt.i].energy
-    ej = ensemble.spec.species[pt.j].energy
-    li = np.asarray(ei.energies)
-    lj = np.asarray(ej.energies)
-    gi = np.asarray(ei.degeneracies)
-    gj = np.asarray(ej.degeneracies)
-    dv = ensemble.v[a] - ensemble.v[b]
-    g2 = float(np.dot(dv, dv))
-    pre = ensemble.internal[a] + ensemble.internal[b]
-    gp2 = g2 - 2.0 * (li[:, None] + lj[None, :] - pre) / pt.law.mu
-    w_ch = gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))
-    total = float(w_ch.sum())
-    if total <= 0.0:
-        return False
-    flat = np.cumsum(w_ch.ravel())
-    pick = int(np.searchsorted(flat, u_channel * total, side="right"))
-    pick = min(pick, flat.size - 1)
-    kp, lp = divmod(pick, lj.size)
-    d_i = li[kp] + lj[lp] - pre
-    w1, w2, ok = discrete_rule(ensemble.v[a][None, :], ensemble.v[b][None, :],
-                               np.array([d_i]), sigma[None, :],
+def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
+                      u_channel: np.ndarray, sigma: np.ndarray) -> int:
+    """Pick each pair's post levels (k', l') with probability proportional to
+    the channel weight, then apply the jumps the relative motion admits."""
+    li, gi = _level_table(ensemble.spec, pt.i)
+    lj, gj = _level_table(ensemble.spec, pt.j)
+    v, I = ensemble.v, ensemble.internal
+    dv = v[a] - v[b]
+    pre = I[a] + I[b]
+    # |V|^2 as a BLAS dot product per row (np.sum in _rates): seeded channel
+    # choices depend on it bit for bit
+    g2 = (dv[:, None, :] @ dv[:, :, None])[:, 0, 0]
+    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / pt.law.mu
+    w = (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(a.size, -1)
+    total = w.sum(axis=1)
+    below = np.cumsum(w, axis=1) <= (u_channel * total)[:, None]
+    pick = np.minimum(np.count_nonzero(below, axis=1), w.shape[1] - 1)
+    kp, lp = np.divmod(pick, lj.size)
+    w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - pre, sigma,
                                pt.law.m_i, pt.law.m_j)
-    if not bool(ok[0]):
-        return False
-    ensemble.v[a] = w1[0]
-    ensemble.v[b] = w2[0]
-    ensemble.levels[a] = kp
-    ensemble.levels[b] = lp
-    ensemble.internal[a] = li[kp]
-    ensemble.internal[b] = lj[lp]
-    return True
+    ok &= total > 0.0
+    a, b, kp, lp = a[ok], b[ok], kp[ok], lp[ok]
+    v[a], v[b] = w1[ok], w2[ok]
+    ensemble.levels[a], ensemble.levels[b] = kp, lp
+    I[a], I[b] = li[kp], lj[lp]
+    return a.size
 
 
 def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
@@ -421,12 +442,8 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
     _ensure_majorants(ensemble, config)
     rng = ensemble.rng
     n_total = ensemble.n_particles
-    step_candidates = 0
-    step_violations = 0
+    step_candidates = step_violations = 0
     for pt in _pair_types(ensemble):
-        # rates are re-vectorized per block, so staleness is block-local
-        dirty = bytearray(n_total)
-        any_dirty = False
         b_maj = ensemble._majorants[(pt.i, pt.j)]
         if b_maj <= 0.0:
             continue
@@ -449,56 +466,23 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         u_acc = rng.random(m)
         z = rng.uniform(-1.0, 1.0, m)
         phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        discrete = pt.law.kind is PairKind.DISC_DISC
         if pt.law.beta_r is not None:
             r_draw = rng.beta(*pt.law.beta_r, m)
-        elif discrete:
+        elif pt.law.kind is PairKind.DISC_DISC:
             r_draw = rng.random(m)       # channel selector
         else:
             r_draw = np.zeros(m)
-        if pt.law.beta_R is not None:
-            R_draw = rng.beta(*pt.law.beta_R, m)
-        else:
-            R_draw = np.zeros(m)
-
-        rates = _rates(ensemble, pt, ii, jj)
-        acc_pre = u_acc * b_maj < rates
-        viol_pre = rates > b_maj
-
-        ii_l = ii.tolist()
-        jj_l = jj.tolist()
-        acc_l = acc_pre.tolist()
-        viol_l = viol_pre.tolist()
-        u_l = u_acc.tolist()
-        z_l = z.tolist()
-        phi_l = phi.tolist()
-        r_l = r_draw.tolist()
-        R_l = R_draw.tolist()
-
-        for k in range(m):
-            a, b = ii_l[k], jj_l[k]
-            if any_dirty and (dirty[a] or dirty[b]):
-                rate = float(_rates(ensemble, pt, np.array([a]), np.array([b]))[0])
-                accept = u_l[k] * b_maj < rate
-                if rate > b_maj:
-                    step_violations += 1
-            else:
-                accept = acc_l[k]
-                if viol_l[k]:
-                    step_violations += 1
-            if not accept:
-                continue
-            sigma = _sphere_from_uniforms(z_l[k], phi_l[k])
-            if discrete:
-                collided = _apply_discrete(ensemble, pt, a, b, r_l[k], sigma)
-            else:
-                _apply_continuous(ensemble, pt, a, b, r_l[k], R_l[k], sigma)
-                collided = True
-            if collided:
-                ensemble.collisions += 1
-                dirty[a] = 1
-                dirty[b] = 1
-                any_dirty = True
+        R_draw = rng.beta(*pt.law.beta_R, m) if pt.law.beta_R is not None else np.zeros(m)
+        s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        sigma = np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+        # candidates of one level commute; later levels see their results
+        for lev in _dependency_levels(ii, jj):
+            rates = _rates(ensemble, pt, ii[lev], jj[lev])
+            step_violations += int(np.count_nonzero(rates > b_maj))
+            hit = lev[u_acc[lev] * b_maj < rates]
+            if hit.size:
+                ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
+                                                r_draw[hit], R_draw[hit], sigma[hit])
 
     ensemble.majorant_violations += step_violations
     if step_candidates and step_violations / step_candidates > config.violation_tol:
@@ -656,6 +640,15 @@ def nonincreasing_trend(t: np.ndarray, values: np.ndarray, z: float = 3.0) -> bo
     return slope <= z * math.sqrt(var) + 1e-12
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of length ``dt`` that reach ``t_end``; ValueError when
+    it is not finite or exceeds ``MAX_STEPS``."""
+    n = t_end / dt
+    if not math.isfinite(n) or round(n) > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {n:.6g} steps; at most {MAX_STEPS} are allowed")
+    return int(round(n))
+
+
 def run(
     spec: MixtureSpec,
     config: RelaxConfig,
@@ -673,12 +666,12 @@ def run(
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    n_steps = step_count(t_end, config.dt)
     ens = init_ensemble(spec, config.n_particles, T_kin0, T_int0, u0,
                         seed=config.seed, units=units)
     e0 = ens.total_energy()
     p0 = ens.momentum()
     t_eq = equilibrium_temperature(ens)
-    n_steps = int(round(t_end / config.dt))
     rows = []
 
     def record() -> None:

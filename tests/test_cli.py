@@ -222,6 +222,26 @@ class TestRelaxCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_missing_delta_names_its_path(self, tmp_path, capsys):
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        del doc["species"][0]["energy"]["delta"]
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "species[0].energy.delta" in err
+
+    @pytest.mark.parametrize("field, value", [("t_end", 1e300), ("dt", 1e-300)])
+    def test_unbounded_step_count_exits_2(self, tmp_path, capsys, monkeypatch, field, value):
+        # the check runs before the simulation starts
+        monkeypatch.setattr(cli.relax, "run", None)
+        cfg = write_relax_config(tmp_path / "run.json", **{field: value})
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert f"relax.{field}" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_config_exits_3(self, capsys):
         code, _, _ = run_cli(["relax", "--config", "no_such_config.json"], capsys)
         assert code == 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,3 +189,17 @@ class TestJsonRoundTrip:
         doc = json.loads(spec_to_json(bl_spec(delta=2.5, C=2.0, zeta=0.5)))
         assert doc["species"][0]["energy"] == {"kind": "continuous", "delta": 2.5}
         assert doc["kernels"][0][0] == {"kind": "power_law_e", "C": 2.0, "zeta": 0.5}
+
+    @pytest.mark.parametrize("path, drop", [
+        ("species[1].energy.delta", lambda doc: doc["species"][1]["energy"].pop("delta")),
+        ("species[0].mass", lambda doc: doc["species"][0].pop("mass")),
+        ("kernels[1][0].C", lambda doc: doc["kernels"][1][0].pop("C")),
+        ("species[0].energy.kind", lambda doc: doc["species"][0]["energy"].update(kind="x")),
+    ])
+    def test_missing_fields_name_their_path(self, path, drop):
+        import json
+
+        doc = json.loads(spec_to_json(mixture_cont_spec()))
+        drop(doc)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            spec_from_json(json.dumps(doc))

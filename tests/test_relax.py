@@ -186,6 +186,34 @@ class TestRateAndRelaxation:
         assert abs(ens.kinetic_temperature() - t_eq) < 0.05 * t_eq
 
 
+    @pytest.mark.parametrize("delta, dt, n_steps", [(2.0, 0.01, 60), (3.0, 0.04, 75)])
+    def test_temperature_gap_decays_at_landau_teller_rate(self, delta, dt, n_steps):
+        # constant kernel: d(T_kin - T_int)/dt = -lam (T_kin - T_int) with
+        # lam = nu (3 + delta) / (3 + 2 delta), nu = 4 pi C B(d/2, d/2) B(3/2, d);
+        # the runs cover lam t = 1.4-1.5, and eight seeds give independent
+        # log-linear slope fits whose mean must sit within 3.5 standard errors
+        # (the two-sided 1% point of Student's t with 7 degrees of freedom)
+        from scipy.special import beta
+
+        nu = 4.0 * math.pi * beta(0.5 * delta, 0.5 * delta) * beta(1.5, delta)
+        lam = nu * (3.0 + delta) / (3.0 + 2.0 * delta)
+        n = 20_000
+        fits = []
+        for seed in range(1, 9):
+            cfg = relax.RelaxConfig(dt=dt, n_particles=n, seed=seed)
+            ens = relax.init_ensemble(bl_spec(delta=delta), n, 2.0, 1.0, seed=seed)
+            t, gap = [], []
+            for _ in range(n_steps + 1):
+                t.append(ens.time)
+                gap.append(ens.kinetic_temperature() - ens.internal_temperature())
+                relax.step(ens, cfg)
+            fits.append(-np.polyfit(t, np.log(gap), 1)[0])
+        mean = float(np.mean(fits))
+        stderr = float(np.std(fits, ddof=1)) / math.sqrt(len(fits))
+        assert stderr < 0.02 * lam
+        assert abs(mean - lam) <= 3.5 * stderr
+
+
 class TestDiagnostics:
     def test_h_estimate_matches_closed_form(self):
         # delta=2 Maxwellian: H = -1.5 log(2 pi T) - 2.5 - log T at unit density
@@ -315,6 +343,36 @@ class TestRunAndSeries:
         cfg = relax.RelaxConfig(dt=0.02, n_particles=100, seed=0)
         with pytest.raises(ValueError):
             relax.run(bl_spec(), cfg, 1.0, 1.0, t_end=0.0)
+
+
+    def test_run_and_init_validate_the_spec(self):
+        ker = PowerLawE(C=1.0, zeta=0.0)
+        spec = MixtureSpec(
+            species=(Species(label="a", mass=1.0, energy=ContinuousEnergy(delta=2.0)),
+                     Species(label="b", mass=2.0, energy=Monatomic())),
+            kernels=((ker,),),
+        )
+        cfg = relax.RelaxConfig(dt=0.02, n_particles=100, seed=0)
+        with pytest.raises(ValueError, match="kernels"):
+            relax.run(spec, cfg, 1.0, 1.0, t_end=0.1)
+        with pytest.raises(ValueError, match="kernels"):
+            relax.init_ensemble(spec, 100, 1.0, 1.0)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 0.01), (1.0, 1e-300), (1e300, 1e-300)])
+    def test_run_rejects_unbounded_step_counts(self, monkeypatch, t_end, dt):
+        # rejected before any particle exists
+        monkeypatch.setattr(relax, "init_ensemble", None)
+        cfg = relax.RelaxConfig(dt=dt, n_particles=100, seed=0)
+        with pytest.raises(ValueError, match="steps"):
+            relax.run(bl_spec(), cfg, 1.0, 1.0, t_end=t_end)
+
+    def test_step_count_limit(self):
+        assert relax.step_count(1.0, 0.02) == 50
+        assert relax.step_count(relax.MAX_STEPS * 0.5, 0.5) == relax.MAX_STEPS
+        with pytest.raises(ValueError):
+            relax.step_count((relax.MAX_STEPS + 1) * 0.5, 0.5)
+        with pytest.raises(ValueError):
+            relax.step_count(float("inf"), 0.5)
 
 
 class TestFailureModes:
