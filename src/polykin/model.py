@@ -379,11 +379,13 @@ def _energy_to_obj(e: EnergyModel) -> dict:
 
 
 def _field(obj: dict, key: str, path: str):
-    """``obj[key]``, or a ValueError naming the missing field's path."""
+    """``obj[key]``, or a ValueError naming the missing field's path; an
+    empty ``path`` is the document's top level."""
     try:
         return obj[key]
     except KeyError:
-        raise ValueError(f"{path}.{key}: required field is missing") from None
+        name = f"{path}.{key}" if path else key
+        raise ValueError(f"{name}: required field is missing") from None
 
 
 def _energy_from_obj(obj: dict, path: str) -> EnergyModel:
@@ -457,10 +459,10 @@ def spec_from_json(text: str) -> MixtureSpec:
             energy=_energy_from_obj(_field(s, "energy", f"species[{k}]"),
                                     f"species[{k}].energy"),
         )
-        for k, s in enumerate(doc["species"])
+        for k, s in enumerate(_field(doc, "species", ""))
     )
     kernels = tuple(
         tuple(_kernel_from_obj(ker, f"kernels[{i}][{j}]") for j, ker in enumerate(row))
-        for i, row in enumerate(doc["kernels"])
+        for i, row in enumerate(_field(doc, "kernels", ""))
     )
     return MixtureSpec(species=species, kernels=kernels)

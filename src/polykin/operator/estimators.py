@@ -92,6 +92,26 @@ def _signed_difference(log_a, log_b, log_w, scale):
     return out, snapped
 
 
+def _gain_loss(f: DistributionFn, g: DistributionFn, batch):
+    """Log gain and loss products of a transition batch, f at the first slot
+    and g at the partner's, with the summed magnitude of their log terms as
+    the cancellation scale.  Returns (log_a, log_b, scale)."""
+    lf_pre = f.log_eval(batch.v, batch.i_pre)
+    lg_star = g.log_eval(batch.v_star, batch.i_star)
+    lf_post = f.log_eval(batch.v_post, batch.i_post)
+    lg_post_star = g.log_eval(batch.v_post_star, batch.i_post_star)
+    log_a = lf_post + lg_post_star + batch.log_phi
+    log_b = lf_pre + lg_star
+    scale = (
+        _abs_finite(lf_post)
+        + _abs_finite(lg_post_star)
+        + _abs_finite(batch.log_phi)
+        + _abs_finite(lf_pre)
+        + _abs_finite(lg_star)
+    )
+    return log_a, log_b, scale
+
+
 def _state_arrays(spec, w: ParticleState):
     """Pin down the (velocity, internal) representation of a fixed state."""
     e = spec.species[w.species].energy
@@ -151,19 +171,7 @@ def eval_q(
     def sampler(rng, n):
         v, internal = _tile(v0, i0, n)
         batch = sample_transition(spec, pair, kern, v, internal, prop, rng, n)
-        lf_pre = f.log_eval(batch.v, batch.i_pre)
-        lg_star = g.log_eval(batch.v_star, batch.i_star)
-        lf_post = f.log_eval(batch.v_post, batch.i_post)
-        lg_post_star = g.log_eval(batch.v_post_star, batch.i_post_star)
-        log_a = lf_post + lg_post_star + batch.log_phi
-        log_b = lf_pre + lg_star
-        scale = (
-            _abs_finite(lf_post)
-            + _abs_finite(lg_post_star)
-            + _abs_finite(batch.log_phi)
-            + _abs_finite(lf_pre)
-            + _abs_finite(lg_star)
-        )
+        log_a, log_b, scale = _gain_loss(f, g, batch)
         vals, snapped = _signed_difference(log_a, log_b, batch.log_aq, scale)
         diag = dict(batch.diagnostics)
         diag["snapped"] = snapped
@@ -308,19 +316,7 @@ def weak_moment(
         zero = np.abs(defect) <= SNAP_RTOL * psi_scale
         defect = np.where(zero, 0.0, defect)
 
-        lf_pre = f.log_eval(batch.v, batch.i_pre)
-        lf_star = f.log_eval(batch.v_star, batch.i_star)
-        lf_post = f.log_eval(batch.v_post, batch.i_post)
-        lf_post_star = f.log_eval(batch.v_post_star, batch.i_post_star)
-        log_a = lf_post + lf_post_star + batch.log_phi
-        log_b = lf_pre + lf_star
-        scale = (
-            _abs_finite(lf_post)
-            + _abs_finite(lf_post_star)
-            + _abs_finite(batch.log_phi)
-            + _abs_finite(lf_pre)
-            + _abs_finite(lf_star)
-        )
+        log_a, log_b, scale = _gain_loss(f, f, batch)
         diff, snapped = _signed_difference(
             log_a, log_b, batch.log_aq - log_q_w, scale
         )
@@ -349,25 +345,13 @@ def entropy_production(
     def sampler(rng, n):
         v, i_w, log_q_w = sample_state(prop, 0, rng, n)
         batch = sample_transition(spec, (0, 0), kern, v, i_w, prop, rng, n)
-        lf_pre = f.log_eval(batch.v, batch.i_pre)
-        lf_star = f.log_eval(batch.v_star, batch.i_star)
-        lf_post = f.log_eval(batch.v_post, batch.i_post)
-        lf_post_star = f.log_eval(batch.v_post_star, batch.i_post_star)
-        log_a = lf_post + lf_post_star + batch.log_phi
-        log_b = lf_pre + lf_star
+        log_a, log_b, scale = _gain_loss(f, f, batch)
         live = ~np.isneginf(batch.log_aq)
         if np.any(~np.isfinite(log_a[live])) or np.any(~np.isfinite(log_b[live])):
             raise ValueError(
                 "entropy production requires a strictly positive distribution "
                 "on the sampled states"
             )
-        scale = (
-            _abs_finite(lf_post)
-            + _abs_finite(lf_post_star)
-            + _abs_finite(batch.log_phi)
-            + _abs_finite(lf_pre)
-            + _abs_finite(lf_star)
-        )
         delta = np.where(live, log_a - log_b, 0.0)
         keep = live & (np.abs(delta) > SNAP_RTOL * scale)
         with np.errstate(over="ignore"):

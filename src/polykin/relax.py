@@ -125,7 +125,7 @@ class Ensemble:
     collisions: int = 0
     majorant_violations: int = 0
     units: UnitSystem = field(default_factory=UnitSystem)
-    _majorants: dict = field(default_factory=dict, repr=False)
+    _pair_types: Optional[list] = field(default=None, repr=False)
 
     @property
     def n_particles(self) -> int:
@@ -271,7 +271,8 @@ def _kernel_parameters(kernel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _PairType:
-    """Static per-species-pair data for candidate generation."""
+    """Static per-species-pair data for candidate generation, with the pair's
+    majorant rate bound."""
 
     i: int
     j: int
@@ -281,28 +282,58 @@ class _PairType:
     C: float
     zeta: float
     n_pairs: float
+    b_maj: float = 0.0
 
 
-def _pair_types(ensemble: Ensemble) -> list[_PairType]:
+def _pair_types(ensemble: Ensemble, config: RelaxConfig) -> list[_PairType]:
+    """The ensemble's pair types with their majorants (``config.b_maj`` or the
+    sampled one), resolved at the first step and cached on the ensemble:
+    species never change."""
+    if ensemble._pair_types is not None:
+        return ensemble._pair_types
     spec = ensemble.spec
     out = []
     for i in range(spec.n_species):
+        idx_i = np.flatnonzero(ensemble.species == i)
         for j in range(i, spec.n_species):
-            idx_i = np.flatnonzero(ensemble.species == i)
-            idx_j = np.flatnonzero(ensemble.species == j)
+            idx_j = idx_i if j == i else np.flatnonzero(ensemble.species == j)
             if idx_i.size == 0 or idx_j.size == 0:
                 continue
             C, zeta = _kernel_parameters(spec.kernel(i, j))
-            law = pair_law(spec, i, j)
             n_pairs = (
                 idx_i.size * (idx_i.size - 1) / 2.0 if i == j
                 else float(idx_i.size) * float(idx_j.size)
             )
             if n_pairs <= 0:
                 continue
-            out.append(_PairType(i=i, j=j, idx_i=idx_i, idx_j=idx_j, law=law,
-                                 C=C, zeta=zeta, n_pairs=n_pairs))
+            pt = _PairType(i=i, j=j, idx_i=idx_i, idx_j=idx_j, law=pair_law(spec, i, j),
+                           C=C, zeta=zeta, n_pairs=n_pairs)
+            b_maj = config.b_maj if config.b_maj is not None else _sampled_majorant(ensemble, pt)
+            out.append(replace(pt, b_maj=b_maj))
+    ensemble._pair_types = out
     return out
+
+
+def _sampled_majorant(ensemble: Ensemble, pt: _PairType) -> float:
+    """A high quantile of the rates of sampled pairs times a safety factor."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([8231, pt.i, pt.j])))
+    m = min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs))
+    if pt.i == pt.j:
+        a = rng.integers(0, pt.idx_i.size, m)
+        k = rng.integers(1, pt.idx_i.size, m)
+        ii = pt.idx_i[a]
+        jj = pt.idx_i[(a + k) % pt.idx_i.size]
+    else:
+        ii = pt.idx_i[rng.integers(0, pt.idx_i.size, m)]
+        jj = pt.idx_j[rng.integers(0, pt.idx_j.size, m)]
+    vals = _rates(ensemble, pt, ii, jj)
+    if vals.size == 0:
+        top = 0.0
+    elif vals.size == 1:
+        top = float(vals[0])
+    else:
+        top = float(np.quantile(vals, 1.0 - 1e-6))
+    return _MAJORANT_SAFETY * top
 
 
 def _level_table(spec: MixtureSpec, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,37 +358,6 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     total = np.cumsum(terms, axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
-
-
-def _ensure_majorants(ensemble: Ensemble, config: RelaxConfig) -> None:
-    """Sampled-rate majorant per pair type, cached on the ensemble."""
-    if ensemble._majorants:
-        return
-    for pt in _pair_types(ensemble):
-        key = (pt.i, pt.j)
-        if config.b_maj is not None:
-            ensemble._majorants[key] = config.b_maj
-            continue
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([8231, pt.i, pt.j]))
-        )
-        m = min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs))
-        if pt.i == pt.j:
-            a = rng.integers(0, pt.idx_i.size, m)
-            k = rng.integers(1, pt.idx_i.size, m)
-            ii = pt.idx_i[a]
-            jj = pt.idx_i[(a + k) % pt.idx_i.size]
-        else:
-            ii = pt.idx_i[rng.integers(0, pt.idx_i.size, m)]
-            jj = pt.idx_j[rng.integers(0, pt.idx_j.size, m)]
-        vals = _rates(ensemble, pt, ii, jj)
-        if vals.size == 0:
-            top = 0.0
-        elif vals.size == 1:
-            top = float(vals[0])
-        else:
-            top = float(np.quantile(vals, 1.0 - 1e-6))
-        ensemble._majorants[key] = _MAJORANT_SAFETY * top
 
 
 def _dependency_levels(ii: np.ndarray, jj: np.ndarray):
@@ -439,12 +439,11 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
     """Advance the ensemble by one time step of length ``config.dt``."""
     if ensemble.n_particles < 2:
         raise ValueError("need at least two particles to step")
-    _ensure_majorants(ensemble, config)
     rng = ensemble.rng
     n_total = ensemble.n_particles
     step_candidates = step_violations = 0
-    for pt in _pair_types(ensemble):
-        b_maj = ensemble._majorants[(pt.i, pt.j)]
+    for pt in _pair_types(ensemble, config):
+        b_maj = pt.b_maj
         if b_maj <= 0.0:
             continue
         x = pt.n_pairs * b_maj * config.dt / n_total
@@ -492,8 +491,7 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
                 "step_candidates": step_candidates,
                 "step_violations": step_violations,
                 "violation_fraction": step_violations / step_candidates,
-                "majorants": {f"{i}-{j}": v
-                              for (i, j), v in ensemble._majorants.items()},
+                "majorants": {f"{pt.i}-{pt.j}": pt.b_maj for pt in ensemble._pair_types},
                 "time": ensemble.time,
             },
         )
@@ -512,14 +510,46 @@ def _scott_bins(x: np.ndarray, cap: int) -> int:
     return max(1, min(cap, int(np.ceil(span / width))))
 
 
+def _bins(x: np.ndarray, cap: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges over [0, max x] and each sample's bin: ``cap`` bins when the
+    sample fills them, else Scott's rule but at least ``floor``."""
+    nb = cap if x.size >= 20 * cap else max(floor, _scott_bins(x, cap))
+    edges = np.linspace(0.0, float(x.max()) * (1.0 + 1e-9), nb + 1)
+    return edges, np.clip(np.searchsorted(edges, x, side="right") - 1, 0, nb - 1)
+
+
+def _log_cell_density(n: int, c: np.ndarray, n_speed: int,
+                      I: Optional[np.ndarray] = None, n_internal: int = 0) -> np.ndarray:
+    """Log of the isotropic histogram density of speeds ``c`` (and internal
+    energies ``I`` when given), normalized by ``n`` particles, at each
+    sample's own cell."""
+    c_edges, cell = _bins(c, n_speed, 8)
+    size = np.diff(c_edges)[:, None]
+    if I is not None:
+        i_edges, ki = _bins(I, n_internal, 4)
+        size = size * np.diff(i_edges)[None, :]
+        cell = cell * (i_edges.size - 1) + ki
+    counts = np.bincount(cell, minlength=size.size).reshape(size.shape)
+    mids = 0.5 * (c_edges[:-1] + c_edges[1:])
+    with np.errstate(divide="ignore"):
+        log_f = (
+            np.log(np.maximum(counts, 1e-300))
+            - math.log(n)
+            - np.log(size)
+            - np.log(4.0 * np.pi * mids[:, None] ** 2)
+        )
+    return log_f.ravel()[cell]
+
+
 def h_estimate(ensemble: Ensemble, n_speed: int = 64, n_internal: int = 32) -> float:
     """Histogram estimate of the entropy functional.
 
     Continuous species contribute the mean of log f + (1 - delta/2) log I,
     with f reconstructed isotropically from a speed-by-internal-energy
     histogram; discrete species contribute log of the per-level velocity
-    density relative to the level's degeneracy.  Bin counts fall back to
-    Scott's rule when the sample is too small to fill the default grid.
+    density relative to the level's degeneracy, and a monatomic species
+    counts as one level of degeneracy 1.  Bin counts fall back to Scott's
+    rule when the sample is too small to fill the default grid.
     """
     n = ensemble.n_particles
     if n < 1000:
@@ -531,68 +561,24 @@ def h_estimate(ensemble: Ensemble, n_speed: int = 64, n_internal: int = 32) -> f
         ns = int(np.count_nonzero(mask))
         if ns == 0:
             continue
-        frac = ns / n
         dv = ensemble.v[mask] - u
         c = np.sqrt(np.sum(dv * dv, axis=1))
-        nc = n_speed if ns >= 20 * n_speed else max(8, _scott_bins(c, n_speed))
-        c_edges = np.linspace(0.0, float(c.max()) * (1.0 + 1e-9), nc + 1)
         energy = sp.energy
         if isinstance(energy, ContinuousEnergy):
             I = ensemble.internal[mask]
-            ni = n_internal if ns >= 20 * n_internal else max(4, _scott_bins(I, n_internal))
-            i_edges = np.linspace(0.0, float(I.max()) * (1.0 + 1e-9), ni + 1)
-            counts, _, _ = np.histogram2d(c, I, bins=(c_edges, i_edges))
-            area = np.diff(c_edges)[:, None] * np.diff(i_edges)[None, :]
-            mids = 0.5 * (c_edges[:-1] + c_edges[1:])
-            with np.errstate(divide="ignore"):
-                log_f = (
-                    np.log(np.maximum(counts, 1e-300))
-                    - math.log(n)
-                    - np.log(area)
-                    - np.log(4.0 * np.pi * mids[:, None] ** 2)
-                )
-            ci = np.clip(np.searchsorted(c_edges, c, side="right") - 1, 0, nc - 1)
-            ki = np.clip(np.searchsorted(i_edges, I, side="right") - 1, 0, ni - 1)
             weight = (1.0 - 0.5 * energy.delta) * np.log(np.maximum(I, 1e-300))
-            total += frac * float(np.mean(log_f[ci, ki] + weight))
-        elif isinstance(energy, Monatomic):
-            counts, _ = np.histogram(c, bins=c_edges)
-            widths = np.diff(c_edges)
-            mids = 0.5 * (c_edges[:-1] + c_edges[1:])
-            with np.errstate(divide="ignore"):
-                log_f = (
-                    np.log(np.maximum(counts, 1e-300))
-                    - math.log(n)
-                    - np.log(widths)
-                    - np.log(4.0 * np.pi * mids**2)
-                )
-            ci = np.clip(np.searchsorted(c_edges, c, side="right") - 1, 0, nc - 1)
-            total += frac * float(np.mean(log_f[ci]))
-        else:
-            degeneracies = np.asarray(energy.degeneracies)
+            log_f = _log_cell_density(n, c, n_speed, I, n_internal)
+            total += (ns / n) * float(np.mean(log_f + weight))
+            continue
+        if isinstance(energy, DiscreteLevels):
             lev = ensemble.levels[mask]
-            for k in range(len(degeneracies)):
-                lmask = lev == k
-                nk = int(np.count_nonzero(lmask))
-                if nk == 0:
-                    continue
-                ck = c[lmask]
-                nck = n_speed if nk >= 20 * n_speed else max(8, _scott_bins(ck, n_speed))
-                edges = np.linspace(0.0, float(ck.max()) * (1.0 + 1e-9), nck + 1)
-                counts, _ = np.histogram(ck, bins=edges)
-                widths = np.diff(edges)
-                mids = 0.5 * (edges[:-1] + edges[1:])
-                with np.errstate(divide="ignore"):
-                    log_f = (
-                        np.log(np.maximum(counts, 1e-300))
-                        - math.log(n)
-                        - np.log(widths)
-                        - np.log(4.0 * np.pi * mids**2)
-                    )
-                ci = np.clip(np.searchsorted(edges, ck, side="right") - 1, 0, nck - 1)
-                total += (nk / n) * float(
-                    np.mean(log_f[ci]) - math.log(degeneracies[k])
-                )
+            groups = [(c[lev == k], g) for k, g in enumerate(energy.degeneracies)]
+        else:
+            groups = [(c, 1.0)]
+        for ck, g in groups:
+            if ck.size:
+                log_f = _log_cell_density(n, ck, n_speed)
+                total += (ck.size / n) * float(np.mean(log_f) - math.log(g))
     return total
 
 

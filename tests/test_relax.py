@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polykin import relax
+from polykin.collide import pair_law
 from polykin.equilib import mean_internal_energy
 from polykin.model import (
     ContinuousEnergy,
@@ -232,6 +233,25 @@ class TestDiagnostics:
                    - gammaln(d / 2.0) - (d / 2.0) * math.log(T))
         assert abs(relax.h_estimate(ens) - h_exact) < 0.05
 
+    def test_h_estimate_closed_form_monatomic(self):
+        # unit-density Maxwellian: H = -1.5 log(2 pi T) - 1.5
+        T = 1.6
+        spec = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))
+        ens = relax.init_ensemble(spec, 20_000, T, T, seed=42)
+        h_exact = -1.5 * math.log(2.0 * math.pi * T) - 1.5
+        assert abs(relax.h_estimate(ens) - h_exact) < 0.03
+
+    def test_h_estimate_closed_form_discrete(self):
+        # level k holds p_k = g_k exp(-E_k / T) / Z and adds p_k log(p_k / g_k)
+        T = 1.6
+        spec = discrete_spec()
+        g = np.asarray(spec.species[0].energy.degeneracies)
+        p = g * np.exp(-np.asarray(spec.species[0].energy.energies) / T)
+        p /= p.sum()
+        ens = relax.init_ensemble(spec, 20_000, T, T, seed=42)
+        h_exact = -1.5 * math.log(2.0 * math.pi * T) - 1.5 + float(np.sum(p * np.log(p / g)))
+        assert abs(relax.h_estimate(ens) - h_exact) < 0.03
+
     def test_h_estimate_temperature_shift(self):
         # with a shared seed the sample rescales exactly, so the entropy
         # difference between two temperatures hits the closed form at
@@ -374,6 +394,19 @@ class TestRunAndSeries:
         with pytest.raises(ValueError):
             relax.step_count(float("inf"), 0.5)
 
+    def test_pair_types_resolved_once_per_ensemble(self, monkeypatch):
+        calls = []
+
+        def counted(spec, i, j):
+            calls.append((i, j))
+            return pair_law(spec, i, j)
+
+        monkeypatch.setattr(relax, "pair_law", counted)
+        cfg = relax.RelaxConfig(dt=0.02, n_particles=1000, seed=0, cadence=2)
+        series = relax.run(mixture_cont_spec(), cfg, 2.0, 1.0, t_end=0.2)
+        assert series.collisions[-1] > 0
+        assert calls == [(0, 0), (0, 1), (1, 1)]
+
 
 class TestFailureModes:
     def test_majorant_violation_aborts(self):
@@ -385,6 +418,7 @@ class TestFailureModes:
         diag = err.value.diagnostics
         assert diag["violation_fraction"] > 1e-3
         assert diag["step_candidates"] > 0
+        assert diag["majorants"] == {"0-0": 1.0}
 
     def test_generous_majorant_override_works(self):
         cfg = relax.RelaxConfig(dt=0.01, n_particles=1000, seed=1, b_maj=50.0)

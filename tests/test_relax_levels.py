@@ -93,12 +93,11 @@ def _apply_discrete(ensemble, pt, a, b, u_channel, sigma):
 
 
 def _sequential_step(ensemble, config):
-    relax._ensure_majorants(ensemble, config)
     rng = ensemble.rng
     n_total = ensemble.n_particles
     step_candidates = step_violations = 0
-    for pt in relax._pair_types(ensemble):
-        b_maj = ensemble._majorants[(pt.i, pt.j)]
+    for pt in relax._pair_types(ensemble, config):
+        b_maj = pt.b_maj
         if b_maj <= 0.0:
             continue
         x = pt.n_pairs * b_maj * config.dt / n_total
