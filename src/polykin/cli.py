@@ -174,8 +174,13 @@ def _cmd_relax(args) -> int:
         b_maj=rc.get("b_maj"),
         violation_tol=rc.get("violation_tol", 1e-3),
     )
-    series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
-                       u0=rc.get("u0"))
+    try:
+        series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
+                           u0=rc.get("u0"))
+    except ValueError as exc:
+        if not str(exc).startswith("b_maj:"):
+            raise
+        raise ValueError(f"relax.{exc}") from None
     out = args.out or "relax_series.csv"
     with _atomic_write(out) as tmp:
         series.to_csv(tmp)

@@ -51,6 +51,7 @@ __all__ = [
     "InverseParams",
     "DefectReport",
     "unit_vector",
+    "unit_sphere",
     "com_energy",
     "total_energy",
     "monatomic_rule",
@@ -77,6 +78,15 @@ def unit_vector(sigma, tol: float = _SIGMA_TOL) -> np.ndarray:
     if np.any(np.abs(norm - 1.0) > tol):
         raise ValueError("sigma must be a unit vector (|sigma| - 1 beyond tolerance)")
     return sigma / norm[..., None]
+
+
+def unit_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` directions uniform on the sphere: z uniform on [-1, 1], then the
+    azimuth uniform on [0, 2 pi), drawn in that order."""
+    z = rng.uniform(-1.0, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,8 @@ def internal_temperature(
 
     Closed form for the continuous law; bracketed root solve for discrete
     levels.  Returns inf when mean_I sits at or above the infinite-T limit
-    of a discrete spectrum.
+    of a discrete spectrum, and 0 (the T -> 0 limit) when it equals the
+    ground energy.
     """
     if isinstance(energy, Monatomic):
         raise ValueError("monatomic species has no internal temperature")
@@ -303,8 +304,10 @@ def internal_temperature(
     if isinstance(energy, DiscreteLevels):
         E = np.asarray(energy.energies)
         g = np.asarray(energy.degeneracies)
-        if mean_I <= E[0]:
-            raise ValueError("mean internal energy at or below the ground level")
+        if mean_I == E[0]:
+            return 0.0
+        if mean_I < E[0]:
+            raise ValueError("mean internal energy below the ground level")
         limit = float(np.sum(g * E) / np.sum(g))
         if mean_I >= limit:
             return np.inf

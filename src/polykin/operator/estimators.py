@@ -259,16 +259,12 @@ def eval_k(
         if part == 1:
             expo = 0.5 * log_m_w + 0.5 * log_m_star + batch.log_aq
             hval = -np.asarray(h(batch.v_star, batch.i_star), dtype=float)
-        elif part == 2:
-            log_m_ps = np.asarray(
-                M.log_density(batch.v_post_star, batch.i_post_star, 0), float
-            )
-            expo = 0.5 * log_m_w + log_m_star - 0.5 * log_m_ps + batch.log_aq
-            hval = np.asarray(h(batch.v_post_star, batch.i_post_star), dtype=float)
         else:
-            log_m_p = np.asarray(M.log_density(batch.v_post, batch.i_post, 0), float)
-            expo = 0.5 * log_m_w + log_m_star - 0.5 * log_m_p + batch.log_aq
-            hval = np.asarray(h(batch.v_post, batch.i_post), dtype=float)
+            post = ((batch.v_post_star, batch.i_post_star) if part == 2
+                    else (batch.v_post, batch.i_post))
+            log_m_post = np.asarray(M.log_density(*post, 0), float)
+            expo = 0.5 * log_m_w + log_m_star - 0.5 * log_m_post + batch.log_aq
+            hval = np.asarray(h(*post), dtype=float)
         dead = np.isneginf(batch.log_aq) | np.isnan(expo)
         clipped = int(np.sum(expo > 700.0))
         with np.errstate(over="ignore"):

@@ -1,4 +1,4 @@
-"""Proposal sampling of collision transitions, one scheme per model family.
+"""Proposal sampling of collision transitions, one sampler per exchange law.
 
 A transition sample holds the partner state, the exchange parameters, and
 the post-collisional pair, together with two log quantities the estimators
@@ -7,9 +7,14 @@ combine: ``log_phi`` (the degeneracy ratio entering the gain term) and
 density of everything that was drawn.  Rows with zero weight (inadmissible
 discrete channels, vanishing kernel) carry ``log_aq`` = -inf.
 
-Sampling order is fixed per family (partner velocity, partner internal
-state, exchange parameters, scattering direction) so that results are
-reproducible for a fixed seed.
+:func:`sample_transition` resolves the pair law once and draws the partner
+state once, with :func:`sample_state` (Gaussian velocity, then the Gamma or
+Gibbs internal state).  It then hands over to the sampler of the pair's
+family: Borgnakke-Larsen exchange, poly-mono in either slot order,
+monatomic, discrete levels or resonant.  The family sampler draws the
+exchange parameters and then the scattering direction, and takes the
+exponents of the transition weight from the law's Beta shapes.  The draw
+order is fixed, so results reproduce for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from ..collide import (
     monatomic_rule,
     pair_law,
     resonant_rule,
+    unit_sphere,
 )
 from ..equilib import Maxwellian
 from ..model import (
@@ -54,13 +60,6 @@ def _pow_log(x, p: float):
     return p * np.log(np.maximum(x, _TINY))
 
 
-def unit_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-
-
 @dataclass(frozen=True)
 class Proposal:
     """Resolved proposal distributions for one species pair.
@@ -71,7 +70,6 @@ class Proposal:
     """
 
     maxwellian: Maxwellian
-    pair: tuple[int, int]
     beta_r: tuple[float, float] | None
     beta_R: tuple[float, float] | None
     gamma_shape: float | None
@@ -94,7 +92,7 @@ def make_proposal(
 
     beta_r = law.beta_r if cfg.beta_r is None else cfg.beta_r
     beta_R = law.beta_R if cfg.beta_R is None else cfg.beta_R
-    return Proposal(prop_m, (i, j), beta_r, beta_R, cfg.gamma_shape, cfg.i_truncation)
+    return Proposal(prop_m, beta_r, beta_R, cfg.gamma_shape, cfg.i_truncation)
 
 
 @dataclass
@@ -106,7 +104,6 @@ class TransitionBatch:
     zero-weight rows.
     """
 
-    pair: tuple[int, int]
     v: np.ndarray
     i_pre: np.ndarray | None
     v_star: np.ndarray
@@ -183,36 +180,27 @@ def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
         return np.log(np.asarray(b, dtype=float))
 
 
-def _bl_pair(spec, pair, law, kernel, v, I, prop, rng, n):
-    i, j = pair
-    di = spec.species[i].energy.delta
-    dj = spec.species[j].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    I_star, lq_I = _gamma_partner(prop, rng, n, j)
+def _bl_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     r, lq_r = _beta_draw(prop.beta_r, rng, n)
     R, lq_R = _beta_draw(prop.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
+    pi, pj = law.beta_r[0] - 1.0, law.beta_r[1] - 1.0
     log_a = (
         log_b
-        + _pow_log(r, 0.5 * di - 1.0)
-        + _pow_log(1.0 - r, 0.5 * dj - 1.0)
-        + _pow_log(1.0 - R, 0.5 * (di + dj) - 1.0)
-        + 0.5 * np.log(R)
+        + _pow_log(r, pi)
+        + _pow_log(1.0 - r, pj)
+        + _pow_log(1.0 - R, law.beta_R[1] - 1.0)
+        + _pow_log(R, law.beta_R[0] - 1.0)
     )
-    log_q = lq_v + lq_I + lq_r + lq_R - _LOG_4PI
-    log_phi = _pow_log(I, 0.5 * di - 1.0) - _pow_log(Ip, 0.5 * di - 1.0)
-    log_phi = log_phi + _pow_log(I_star, 0.5 * dj - 1.0) - _pow_log(Isp, 0.5 * dj - 1.0)
-    return TransitionBatch(
-        pair, v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {}
-    )
+    log_q = log_q + lq_r + lq_R - _LOG_4PI
+    log_phi = _pow_log(I, pi) - _pow_log(Ip, pi)
+    log_phi = log_phi + _pow_log(I_star, pj) - _pow_log(Isp, pj)
+    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _resonant_pair(spec, pair, kernel, v, I, prop, rng, n):
-    delta = spec.species[0].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, 0)
-    I_star, lq_I = _gamma_partner(prop, rng, n, 0)
+def _resonant_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     Z = I + I_star
     I_prime = rng.uniform(0.0, 1.0, n) * Z
     lq_ip = -np.log(np.maximum(Z, _TINY))
@@ -227,83 +215,57 @@ def _resonant_pair(spec, pair, kernel, v, I, prop, rng, n):
         I=I,
         I_star=I_star,
         I_prime=I_prime,
-        delta=delta,
+        delta=spec.species[0].energy.delta,
     )
     log_b = _log_b(kernel, ctx, False)
-    p = 0.5 * delta - 1.0
-    log_a = log_b + _pow_log(Ip, p) + _pow_log(Z - Ip, p) - _pow_log(Z, delta - 1.0)
-    log_q = lq_v + lq_I + lq_ip - _LOG_4PI
+    # I' and Z - I' carry delta/2 - 1 each; Z carries delta - 1
+    p = law.beta_r[0] - 1.0
+    log_a = log_b + _pow_log(Ip, p) + _pow_log(Z - Ip, p) - _pow_log(Z, law.beta_R[1] - 1.0)
+    log_q = log_q + lq_ip - _LOG_4PI
     log_phi = (
         _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
     )
-    return TransitionBatch(
-        pair, v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {}
-    )
+    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _poly_mono_pair(spec, pair, law, kernel, v, I, prop, rng, n):
-    i, j = pair
-    di = spec.species[i].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+def _poly_mono_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     R, lq_R = _beta_draw(prop.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
-    vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
+    # the rule takes the polyatomic particle first: for mono-poly that is the
+    # partner, so the slots swap on the way in and on the way out
+    if law.kind is PairKind.MONO_POLY:
+        vsp, vp, Isp, E = bl_poly_mono(v_star, v, I_star, R, sigma, law.m_j, law.m_i)
+        I, Ip, I_poly, I_post = None, None, I_star, Isp
+    else:
+        vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
+        Isp, I_poly, I_post = None, I, Ip
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
-    p = 0.5 * di - 1.0
-    log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
-    log_q = lq_v + lq_R - _LOG_4PI
-    log_phi = _pow_log(I, p) - _pow_log(Ip, p)
-    return TransitionBatch(
-        pair, v, I, v_star, None, vp, Ip, vsp, None, log_phi, log_a - log_q, {}
-    )
+    p = law.beta_R[1] - 1.0
+    log_a = log_b + _pow_log(1.0 - R, p) + _pow_log(R, law.beta_R[0] - 1.0)
+    log_q = log_q + lq_R - _LOG_4PI
+    log_phi = _pow_log(I_poly, p) - _pow_log(I_post, p)
+    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _mono_poly_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
-    j = pair[1]
-    dj = spec.species[j].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    I_star, lq_I = _gamma_partner(prop, rng, n, j)
-    R, lq_R = _beta_draw(prop.beta_R, rng, n)
-    sigma = unit_sphere(rng, n)
-    # the internal energy rides with the second (polyatomic) particle
-    vsp_in_first_slot, vp_in_second_slot, Isp, E = bl_poly_mono(
-        v_star, v, I_star, R, sigma, law.m_j, law.m_i
-    )
-    vp, vsp = vp_in_second_slot, vsp_in_first_slot
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
-    p = 0.5 * dj - 1.0
-    log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
-    log_q = lq_v + lq_I + lq_R - _LOG_4PI
-    log_phi = _pow_log(I_star, p) - _pow_log(Isp, p)
-    return TransitionBatch(
-        pair, v, None, v_star, I_star, vp, None, vsp, Isp, log_phi, log_a - log_q, {}
-    )
-
-
-def _mono_mono_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
-    j = pair[1]
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+def _mono_mono_pair(spec, pair, law, kernel, v, _I, v_star, _I_star, log_q, prop, rng, n):
     sigma = unit_sphere(rng, n)
     vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
     V = v - v_star
     E = 0.5 * law.mu * np.sum(V * V, -1)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
-    log_q = lq_v - _LOG_4PI
     zeros = np.zeros(n)
     return TransitionBatch(
-        pair, v, None, v_star, None, vp, None, vsp, None, zeros, log_b - log_q, {}
+        v, None, v_star, None, vp, None, vsp, None, zeros, log_b - (log_q - _LOG_4PI), {}
     )
 
 
-def _discrete_pair(spec, pair, law, kernel, v, lev, prop, rng, n):
+def _discrete_pair(spec, pair, law, kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     i, j = pair
     ei, ej = spec.species[i].energy, spec.species[j].energy
     Ei = np.asarray(ei.energies)
     Ej = np.asarray(ej.energies)
     gi = np.asarray(ei.degeneracies)
     gj = np.asarray(ej.degeneracies)
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    lev_star, lq_lev = _gibbs_partner(prop, rng, n, j)
     k_post = rng.integers(0, Ei.size, n)
     l_post = rng.integers(0, Ej.size, n)
     lq_ch = -np.log(float(Ei.size * Ej.size))
@@ -324,18 +286,18 @@ def _discrete_pair(spec, pair, law, kernel, v, lev, prop, rng, n):
             + np.log(np.maximum(g_post, 0.0))
             - 0.5 * np.log(np.maximum(E, _TINY))
         )
-    log_aq = np.where(ok, log_a - (lq_v + lq_lev + lq_ch - _LOG_4PI), -np.inf)
+    log_aq = np.where(ok, log_a - (log_q + lq_ch - _LOG_4PI), -np.inf)
     log_phi = np.log(gi[lev] * gj[lev_star]) - np.log(gi[k_post] * gj[l_post])
     diag = {"inadmissible": int(np.sum(~ok))}
     return TransitionBatch(
-        pair, v, lev, v_star, lev_star, vp, k_post, vsp, l_post, log_phi, log_aq, diag
+        v, lev, v_star, lev_star, vp, k_post, vsp, l_post, log_phi, log_aq, diag
     )
 
 
 _SAMPLERS = {
     PairKind.CONT_CONT: _bl_pair,
     PairKind.POLY_MONO: _poly_mono_pair,
-    PairKind.MONO_POLY: _mono_poly_pair,
+    PairKind.MONO_POLY: _poly_mono_pair,
     PairKind.MONO_MONO: _mono_mono_pair,
     PairKind.DISC_DISC: _discrete_pair,
 }
@@ -354,11 +316,13 @@ def sample_transition(
     """Draw ``n`` transitions from states (v, internal) of species pair."""
     i, j = pair
     law = pair_law(spec, i, j)
+    sampler = _SAMPLERS[law.kind]
     if isinstance(kernel, ResonantTensored):
         if not (i == j and law.kind is PairKind.CONT_CONT and spec.n_species == 1):
             raise ValueError("resonant kernels require a single continuous species")
-        return _resonant_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    return _SAMPLERS[law.kind](spec, pair, law, kernel, v, internal, prop, rng, n)
+        sampler = _resonant_pair
+    v_star, i_star, log_q = sample_state(prop, j, rng, n)
+    return sampler(spec, pair, law, kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
 
 
 def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int):

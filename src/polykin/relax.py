@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize
 
 from .collide import (PairKind, PairLaw, bl_poly_mono, bl_poly_poly, discrete_rule,
-                      monatomic_rule, pair_law)
+                      monatomic_rule, pair_law, unit_sphere)
 from .equilib import EquilibriumParams, Maxwellian, internal_temperature, mean_internal_energy
 from .model import (
     ContinuousEnergy,
@@ -66,6 +66,9 @@ _MAJORANT_PROBE_PAIRS = 4096
 # longest run accepted; at tens of microseconds per step even a tiny
 # ensemble would need minutes
 MAX_STEPS = 1_000_000
+# most candidates one step may expect; each costs about 100 bytes of draws,
+# and the runs in use expect a few thousand
+MAX_CANDIDATES = 10_000_000
 
 
 class MajorantViolation(RuntimeError):
@@ -159,11 +162,13 @@ class Ensemble:
 
     def internal_temperature(self) -> float:
         """Species-wise inversion of the mean internal energy, combined with
-        internal-degree-of-freedom weights; nan without internal structure."""
+        internal-degree-of-freedom weights; nan without internal structure
+        (monatomic species and one-level spectra have none)."""
         temps, weights = [], []
         for s, sp in enumerate(self.spec.species):
             mask = self.species == s
-            if not np.any(mask) or isinstance(sp.energy, Monatomic):
+            if (not np.any(mask) or isinstance(sp.energy, Monatomic)
+                    or isinstance(sp.energy, DiscreteLevels) and sp.energy.n_levels == 1):
                 continue
             mean_i = float(np.mean(self.internal[mask]))
             t = internal_temperature(sp.energy, mean_i, self.units)
@@ -309,6 +314,10 @@ def _pair_types(ensemble: Ensemble, config: RelaxConfig) -> list[_PairType]:
             pt = _PairType(i=i, j=j, idx_i=idx_i, idx_j=idx_j, law=pair_law(spec, i, j),
                            C=C, zeta=zeta, n_pairs=n_pairs)
             b_maj = config.b_maj if config.b_maj is not None else _sampled_majorant(ensemble, pt)
+            x = n_pairs * b_maj * config.dt / ensemble.n_particles
+            if not math.isfinite(x) or x > MAX_CANDIDATES:
+                raise ValueError(f"b_maj: {b_maj:.6g} gives {x:.6g} expected candidates per "
+                                 f"step; at most {MAX_CANDIDATES} are allowed")
             out.append(replace(pt, b_maj=b_maj))
     ensemble._pair_types = out
     return out
@@ -317,15 +326,7 @@ def _pair_types(ensemble: Ensemble, config: RelaxConfig) -> list[_PairType]:
 def _sampled_majorant(ensemble: Ensemble, pt: _PairType) -> float:
     """A high quantile of the rates of sampled pairs times a safety factor."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([8231, pt.i, pt.j])))
-    m = min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs))
-    if pt.i == pt.j:
-        a = rng.integers(0, pt.idx_i.size, m)
-        k = rng.integers(1, pt.idx_i.size, m)
-        ii = pt.idx_i[a]
-        jj = pt.idx_i[(a + k) % pt.idx_i.size]
-    else:
-        ii = pt.idx_i[rng.integers(0, pt.idx_i.size, m)]
-        jj = pt.idx_j[rng.integers(0, pt.idx_j.size, m)]
+    ii, jj = _draw_pairs(rng, pt, min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs)))
     vals = _rates(ensemble, pt, ii, jj)
     if vals.size == 0:
         top = 0.0
@@ -336,10 +337,30 @@ def _sampled_majorant(ensemble: Ensemble, pt: _PairType) -> float:
     return _MAJORANT_SAFETY * top
 
 
+def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
+    """``m`` candidate pairs of distinct particles, uniform over the pair type."""
+    if pt.i == pt.j:
+        a = rng.integers(0, pt.idx_i.size, m)
+        k = rng.integers(1, pt.idx_i.size, m)
+        return pt.idx_i[a], pt.idx_i[(a + k) % pt.idx_i.size]
+    return (pt.idx_i[rng.integers(0, pt.idx_i.size, m)],
+            pt.idx_j[rng.integers(0, pt.idx_j.size, m)])
+
+
 def _level_table(spec: MixtureSpec, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Level energies and degeneracies of discrete species ``s``."""
     energy = spec.species[s].energy
     return np.asarray(energy.energies), np.asarray(energy.degeneracies)
+
+
+def _channel_weights(ensemble: Ensemble, pt: _PairType, g2: np.ndarray,
+                     pre: np.ndarray) -> np.ndarray:
+    """Weight g_k' g_l' |V'| of each post-level channel (k', l'), one row per
+    pair in (k', l') order, from |V|^2 ``g2`` and the internal energy ``pre``."""
+    li, gi = _level_table(ensemble.spec, pt.i)
+    lj, gj = _level_table(ensemble.spec, pt.j)
+    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / pt.law.mu
+    return (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(g2.size, -1)
 
 
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -349,11 +370,7 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
-    li, gi = _level_table(ensemble.spec, pt.i)
-    lj, gj = _level_table(ensemble.spec, pt.j)
-    pre = ensemble.internal[ii] + ensemble.internal[jj]
-    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / pt.law.mu
-    terms = (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(len(ii), -1)
+    terms = _channel_weights(ensemble, pt, g2, ensemble.internal[ii] + ensemble.internal[jj])
     # summed channel by channel, in (k', l') order
     total = np.cumsum(terms, axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -411,16 +428,14 @@ def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.nd
                       u_channel: np.ndarray, sigma: np.ndarray) -> int:
     """Pick each pair's post levels (k', l') with probability proportional to
     the channel weight, then apply the jumps the relative motion admits."""
-    li, gi = _level_table(ensemble.spec, pt.i)
-    lj, gj = _level_table(ensemble.spec, pt.j)
+    li, _ = _level_table(ensemble.spec, pt.i)
+    lj, _ = _level_table(ensemble.spec, pt.j)
     v, I = ensemble.v, ensemble.internal
     dv = v[a] - v[b]
     pre = I[a] + I[b]
     # |V|^2 as a BLAS dot product per row (np.sum in _rates): seeded channel
     # choices depend on it bit for bit
-    g2 = (dv[:, None, :] @ dv[:, :, None])[:, 0, 0]
-    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / pt.law.mu
-    w = (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(a.size, -1)
+    w = _channel_weights(ensemble, pt, (dv[:, None, :] @ dv[:, :, None])[:, 0, 0], pre)
     total = w.sum(axis=1)
     below = np.cumsum(w, axis=1) <= (u_channel * total)[:, None]
     pick = np.minimum(np.count_nonzero(below, axis=1), w.shape[1] - 1)
@@ -454,17 +469,9 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
             continue
         step_candidates += m
         # all candidate randomness drawn up front, in a fixed order
-        if pt.i == pt.j:
-            a_loc = rng.integers(0, pt.idx_i.size, m)
-            k_loc = rng.integers(1, pt.idx_i.size, m)
-            ii = pt.idx_i[a_loc]
-            jj = pt.idx_i[(a_loc + k_loc) % pt.idx_i.size]
-        else:
-            ii = pt.idx_i[rng.integers(0, pt.idx_i.size, m)]
-            jj = pt.idx_j[rng.integers(0, pt.idx_j.size, m)]
+        ii, jj = _draw_pairs(rng, pt, m)
         u_acc = rng.random(m)
-        z = rng.uniform(-1.0, 1.0, m)
-        phi = rng.uniform(0.0, 2.0 * np.pi, m)
+        sigma = unit_sphere(rng, m)
         if pt.law.beta_r is not None:
             r_draw = rng.beta(*pt.law.beta_r, m)
         elif pt.law.kind is PairKind.DISC_DISC:
@@ -472,8 +479,6 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         else:
             r_draw = np.zeros(m)
         R_draw = rng.beta(*pt.law.beta_R, m) if pt.law.beta_R is not None else np.zeros(m)
-        s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        sigma = np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
         # candidates of one level commute; later levels see their results
         for lev in _dependency_levels(ii, jj):
             rates = _rates(ensemble, pt, ii[lev], jj[lev])

@@ -1,13 +1,16 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import polykin
 from polykin import cli, fitlab
 from polykin.hypotheses import TABLE1
 
@@ -101,10 +104,13 @@ class TestCheckCommand:
         assert first == second
 
     def test_module_entry_point(self):
+        # the child imports the same polykin as this process
+        src = str(Path(polykin.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "polykin.cli", "check", "--delta", "3",
              "--zeta", "0.5", "--hyp", "H3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["satisfied"] is True
 
@@ -241,6 +247,29 @@ class TestRelaxCommand:
         assert code == 2
         assert f"relax.{field}" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("b_maj", [1e12, 1e300, 1e308])
+    def test_unbounded_majorant_exits_2(self, tmp_path, capsys, b_maj):
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, dt=0.01,
+                                 b_maj=b_maj)
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: relax.b_maj:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("levels", [[[0.0, 1.0], [10.0, 1.0]], [[0.0, 1.0]]])
+    def test_cold_discrete_gas_exits_0(self, tmp_path, capsys, levels):
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=300, T_int0=0.1,
+                                 t_end=0.2)
+        doc = json.loads(cfg.read_text())
+        doc["species"][0]["energy"] = {"kind": "discrete", "levels": levels}
+        cfg.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(["relax", "--config", str(cfg),
+                                     "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 0, err
+        jsonschema.validate(json.loads(stdout), schema("relax_summary.schema.json"))
 
     def test_missing_config_exits_3(self, capsys):
         code, _, _ = run_cli(["relax", "--config", "no_such_config.json"], capsys)

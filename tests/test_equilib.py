@@ -240,3 +240,10 @@ class TestMoments:
     def test_internal_temperature_saturation(self):
         e = DiscreteLevels((0.0, 1.0), (1.0, 1.0))
         assert internal_temperature(e, 0.5) == np.inf
+
+    def test_internal_temperature_at_the_ground_level_is_zero(self):
+        e = DiscreteLevels((0.2, 1.0), (1.0, 3.0))
+        assert internal_temperature(e, 0.2) == 0.0
+        assert internal_temperature(DiscreteLevels((0.0,), (1.0,)), 0.0) == 0.0
+        with pytest.raises(ValueError, match="below the ground level"):
+            internal_temperature(e, 0.2 - 1e-12)

@@ -1,13 +1,14 @@
 """Tests for the stochastic relaxation simulator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polykin import relax
 from polykin.collide import pair_law
-from polykin.equilib import mean_internal_energy
+from polykin.equilib import internal_temperature, mean_internal_energy
 from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -425,6 +426,51 @@ class TestFailureModes:
         ens = relax.init_ensemble(bl_spec(), 1000, 2.0, 1.0, seed=1)
         relax.step(ens, cfg)
         assert ens.majorant_violations == 0
+
+    @pytest.mark.parametrize("b_maj", [1e12, 1e300, 1e308])
+    def test_unbounded_majorant_rejected_before_any_draw(self, b_maj):
+        cfg = relax.RelaxConfig(dt=0.01, n_particles=2000, seed=1, b_maj=b_maj)
+        ens = relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1)
+        state = ens.rng.bit_generator.state
+        with pytest.raises(ValueError, match="^b_maj: .*candidates per step"):
+            relax.step(ens, cfg)
+        assert ens.rng.bit_generator.state == state
+        assert ens.collisions == 0 and ens.time == 0.0
+
+    def test_largest_majorant_accepted(self):
+        # n_pairs * b_maj * dt / n = 999.5 * b_maj * dt expected candidates
+        b_maj = relax.MAX_CANDIDATES / (999.5 * 0.01)
+        cfg = relax.RelaxConfig(dt=0.01, n_particles=2000, seed=1, b_maj=0.999 * b_maj)
+        ens = relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1)
+        assert relax._pair_types(ens, cfg)[0].b_maj == 0.999 * b_maj
+        with pytest.raises(ValueError, match="b_maj"):
+            relax._pair_types(relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1),
+                              replace(cfg, b_maj=1.001 * b_maj))
+
+    def test_cold_discrete_gas_runs(self):
+        # every particle starts in the ground level: the internal temperature is 0
+        spec = discrete_spec(energies=(0.0, 10.0), degeneracies=(1.0, 1.0))
+        cfg = relax.RelaxConfig(dt=0.05, n_particles=500, seed=3, cadence=2)
+        series = relax.run(spec, cfg, 1.0, 0.1, t_end=0.2)
+        assert series.T_int[0] == 0.0
+        assert np.all(np.isfinite(series.T_int))
+
+    def test_one_level_spectrum_has_no_internal_temperature(self):
+        spec = discrete_spec(energies=(0.0,), degeneracies=(1.0,))
+        cfg = relax.RelaxConfig(dt=0.05, n_particles=500, seed=3, cadence=2)
+        series = relax.run(spec, cfg, 1.0, 1.0, t_end=0.2)
+        assert np.all(np.isnan(series.T_int))
+        assert np.all(series.mean_I == 0.0)
+        ker = PowerLawE(C=1.0, zeta=0.0)
+        mix = MixtureSpec(
+            species=(Species(label="a", mass=1.0, energy=DiscreteLevels((0.0,), (1.0,))),
+                     Species(label="b", mass=2.0, energy=DiscreteLevels((0.0, 0.4), (1.0, 1.0)))),
+            kernels=((ker, ker), (ker, ker)),
+        )
+        # only the two-level species carries an internal temperature
+        ens = relax.init_ensemble(mix, 4000, 1.0, 0.8, seed=4)
+        mean_b = float(np.mean(ens.internal[ens.species == 1]))
+        assert ens.internal_temperature() == internal_temperature(mix.species[1].energy, mean_b)
 
     def test_resonant_kernel_rejected(self):
         ens = relax.init_ensemble(resonant_spec(), 100, 1.0, 1.0, seed=0)

@@ -1,0 +1,230 @@
+"""The transition samplers against one hand-written sampler per family.
+
+The samplers below each draw their own partner state and derive their own
+weight exponents from the species' delta, with mono-poly as a separate copy
+of poly-mono that swaps the slots by hand.  ``sample_transition`` draws the
+partner once through ``sample_state``, takes the exponents from the pair
+law and runs both poly-mono slot orders through one sampler; every array
+of every batch must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from polykin.collide import (
+    PairKind,
+    bl_poly_mono,
+    bl_poly_poly,
+    discrete_rule,
+    monatomic_rule,
+    pair_law,
+    resonant_rule,
+    unit_sphere,
+)
+from polykin.equilib import EquilibriumParams, Maxwellian
+from polykin.model import CollisionContext, Monatomic, PowerLawE, ResonantTensored, single_species
+from polykin.operator.mc import QuadratureConfig
+from polykin.operator.transitions import (
+    _LOG_4PI,
+    _TINY,
+    _beta_draw,
+    _gamma_partner,
+    _gaussian_partner,
+    _gibbs_partner,
+    _log_b,
+    _pow_log,
+    make_proposal,
+    sample_state,
+    sample_transition,
+)
+
+from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec
+
+FIELDS = ("v", "i_pre", "v_star", "i_star", "v_post", "i_post", "v_post_star",
+          "i_post_star", "log_phi", "log_aq", "diagnostics")
+
+
+def _bl_pair(spec, pair, law, kernel, v, I, prop, rng, n):
+    i, j = pair
+    di = spec.species[i].energy.delta
+    dj = spec.species[j].energy.delta
+    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+    I_star, lq_I = _gamma_partner(prop, rng, n, j)
+    r, lq_r = _beta_draw(prop.beta_r, rng, n)
+    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+    sigma = unit_sphere(rng, n)
+    vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
+    log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
+    log_a = (
+        log_b
+        + _pow_log(r, 0.5 * di - 1.0)
+        + _pow_log(1.0 - r, 0.5 * dj - 1.0)
+        + _pow_log(1.0 - R, 0.5 * (di + dj) - 1.0)
+        + 0.5 * np.log(R)
+    )
+    log_q = lq_v + lq_I + lq_r + lq_R - _LOG_4PI
+    log_phi = _pow_log(I, 0.5 * di - 1.0) - _pow_log(Ip, 0.5 * di - 1.0)
+    log_phi = log_phi + _pow_log(I_star, 0.5 * dj - 1.0) - _pow_log(Isp, 0.5 * dj - 1.0)
+    return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
+
+
+def _resonant_pair(spec, pair, kernel, v, I, prop, rng, n):
+    delta = spec.species[0].energy.delta
+    v_star, lq_v = _gaussian_partner(prop, rng, n, 0)
+    I_star, lq_I = _gamma_partner(prop, rng, n, 0)
+    Z = I + I_star
+    I_prime = rng.uniform(0.0, 1.0, n) * Z
+    lq_ip = -np.log(np.maximum(Z, _TINY))
+    sigma = unit_sphere(rng, n)
+    vp, vsp, Ip, Isp = resonant_rule(v, v_star, I, I_star, I_prime, sigma)
+    V = v - v_star
+    g = np.sqrt(np.sum(V * V, -1))
+    vhat = V / np.maximum(g, _TINY)[..., None]
+    ctx = CollisionContext(rel_speed=g, cos_theta=np.sum(sigma * vhat, -1), I=I,
+                           I_star=I_star, I_prime=I_prime, delta=delta)
+    log_b = _log_b(kernel, ctx, False)
+    p = 0.5 * delta - 1.0
+    log_a = log_b + _pow_log(Ip, p) + _pow_log(Z - Ip, p) - _pow_log(Z, delta - 1.0)
+    log_q = lq_v + lq_I + lq_ip - _LOG_4PI
+    log_phi = _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
+    return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
+
+
+def _poly_mono_pair(spec, pair, law, kernel, v, I, prop, rng, n):
+    i, j = pair
+    di = spec.species[i].energy.delta
+    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+    sigma = unit_sphere(rng, n)
+    vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
+    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
+    p = 0.5 * di - 1.0
+    log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
+    log_q = lq_v + lq_R - _LOG_4PI
+    log_phi = _pow_log(I, p) - _pow_log(Ip, p)
+    return (v, I, v_star, None, vp, Ip, vsp, None, log_phi, log_a - log_q, {})
+
+
+def _mono_poly_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
+    j = pair[1]
+    dj = spec.species[j].energy.delta
+    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+    I_star, lq_I = _gamma_partner(prop, rng, n, j)
+    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+    sigma = unit_sphere(rng, n)
+    # the internal energy rides with the second (polyatomic) particle
+    vsp_in_first_slot, vp_in_second_slot, Isp, E = bl_poly_mono(
+        v_star, v, I_star, R, sigma, law.m_j, law.m_i
+    )
+    vp, vsp = vp_in_second_slot, vsp_in_first_slot
+    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
+    p = 0.5 * dj - 1.0
+    log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
+    log_q = lq_v + lq_I + lq_R - _LOG_4PI
+    log_phi = _pow_log(I_star, p) - _pow_log(Isp, p)
+    return (v, None, v_star, I_star, vp, None, vsp, Isp, log_phi, log_a - log_q, {})
+
+
+def _mono_mono_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
+    j = pair[1]
+    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+    sigma = unit_sphere(rng, n)
+    vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
+    V = v - v_star
+    E = 0.5 * law.mu * np.sum(V * V, -1)
+    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
+    log_q = lq_v - _LOG_4PI
+    return (v, None, v_star, None, vp, None, vsp, None, np.zeros(n), log_b - log_q, {})
+
+
+def _discrete_pair(spec, pair, law, kernel, v, lev, prop, rng, n):
+    i, j = pair
+    ei, ej = spec.species[i].energy, spec.species[j].energy
+    Ei, Ej = np.asarray(ei.energies), np.asarray(ej.energies)
+    gi, gj = np.asarray(ei.degeneracies), np.asarray(ej.degeneracies)
+    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+    lev_star, lq_lev = _gibbs_partner(prop, rng, n, j)
+    k_post = rng.integers(0, Ei.size, n)
+    l_post = rng.integers(0, Ej.size, n)
+    lq_ch = -np.log(float(Ei.size * Ej.size))
+    sigma = unit_sphere(rng, n)
+    delta_I = Ei[k_post] + Ej[l_post] - Ei[lev] - Ej[lev_star]
+    vp, vsp, ok = discrete_rule(v, v_star, delta_I, sigma, law.m_i, law.m_j)
+    V = v - v_star
+    g2 = np.sum(V * V, -1)
+    E = 0.5 * law.mu * g2 + Ei[lev] + Ej[lev_star]
+    g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
+    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
+    with np.errstate(divide="ignore"):
+        log_a = (log_b + np.log(gi[k_post] * gj[l_post]) + np.log(np.maximum(g_post, 0.0))
+                 - 0.5 * np.log(np.maximum(E, _TINY)))
+    log_aq = np.where(ok, log_a - (lq_v + lq_lev + lq_ch - _LOG_4PI), -np.inf)
+    log_phi = np.log(gi[lev] * gj[lev_star]) - np.log(gi[k_post] * gj[l_post])
+    diag = {"inadmissible": int(np.sum(~ok))}
+    return (v, lev, v_star, lev_star, vp, k_post, vsp, l_post, log_phi, log_aq, diag)
+
+
+_REFERENCE = {
+    PairKind.CONT_CONT: _bl_pair,
+    PairKind.POLY_MONO: _poly_mono_pair,
+    PairKind.MONO_POLY: _mono_poly_pair,
+    PairKind.MONO_MONO: _mono_mono_pair,
+    PairKind.DISC_DISC: _discrete_pair,
+}
+
+
+def _reference_transition(spec, pair, kernel, v, internal, prop, rng, n):
+    law = pair_law(spec, *pair)
+    if isinstance(kernel, ResonantTensored):
+        return _resonant_pair(spec, pair, kernel, v, internal, prop, rng, n)
+    return _REFERENCE[law.kind](spec, pair, law, kernel, v, internal, prop, rng, n)
+
+
+PAIRS = {
+    "cont-cont": (bl_spec(delta=2.5, zeta=0.6), (0, 0)),
+    "cont-cont-masses": (mixture_cont_spec(), (0, 1)),
+    "poly-mono": (mixture_cont_spec(delta_b=None), (0, 1)),
+    "mono-poly": (mixture_cont_spec(delta_b=None), (1, 0)),
+    "mono-mono": (single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.4), mass=1.5), (0, 0)),
+    "disc-disc": (mixture_disc_spec(), (0, 1)),
+    "disc-disc-single": (discrete_spec(), (0, 0)),
+    "resonant": (resonant_spec(delta=3.0), (0, 0)),
+}
+
+PROPOSALS = {
+    "default": {},
+    "beta_r": {"beta_r": (1.2, 1.7)},
+    "beta_R": {"beta_R": (1.1, 2.3)},
+    "gamma_shape": {"gamma_shape": 1.4},
+    "proposal_temperature": {"proposal_temperature": 1.3},
+    "i_truncation": {"i_truncation": 6.0},
+}
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, dict):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("override", list(PROPOSALS))
+@pytest.mark.parametrize("case", list(PAIRS))
+def test_batch_matches_the_family_samplers(case, override, seed):
+    spec, (i, j) = PAIRS[case]
+    params = EquilibriumParams(n=tuple(1.0 for _ in spec.species), u=np.array([0.1, 0.0, -0.2]),
+                               T_kin=1.1, T_int=0.9)
+    M = Maxwellian(spec, params)
+    prop = make_proposal(M, (i, j), QuadratureConfig(n_samples=1, **PROPOSALS[override]))
+    n = 500
+    v, internal, _ = sample_state(prop, i, np.random.default_rng(100 + seed), n)
+    kernel = spec.kernel(i, j)
+    got = sample_transition(spec, (i, j), kernel, v, internal, prop,
+                            np.random.default_rng(seed), n)
+    want = _reference_transition(spec, (i, j), kernel, v, internal, prop,
+                                 np.random.default_rng(seed), n)
+    for name, ref in zip(FIELDS, want):
+        assert _same(getattr(got, name), ref), name
