@@ -13,7 +13,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    UnitSystem,
     Monatomic,
     ContinuousEnergy,
     DiscreteLevels,

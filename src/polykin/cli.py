@@ -70,6 +70,18 @@ def _require_finite(**flags) -> None:
             raise ValueError(f"--{name} must be finite")
 
 
+def _non_finite(doc, path: str = ""):
+    """Path of the first NaN or infinite number in a parsed JSON document
+    (``json`` accepts them), or None."""
+    if isinstance(doc, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in doc.items()]
+    elif isinstance(doc, list):
+        items = [(f"{path}[{k}]", v) for k, v in enumerate(doc)]
+    else:
+        return path if isinstance(doc, float) and not math.isfinite(doc) else None
+    return next(filter(None, (_non_finite(v, sub) for sub, v in items)), None)
+
+
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -159,6 +171,9 @@ def _cmd_diag(args) -> int:
 
 def _cmd_relax(args) -> int:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    bad = _non_finite(doc)
+    if bad:
+        raise ValueError(f"{bad}: must be a finite number")
     jsonschema.validate(doc, _load_schema("relax_config.schema.json"))
     spec = spec_from_json(json.dumps(doc))
     rc = doc["relax"]
@@ -166,19 +181,20 @@ def _cmd_relax(args) -> int:
         relax.step_count(rc["t_end"], rc["dt"])
     except ValueError as exc:
         raise ValueError(f"relax.t_end, relax.dt: {exc}") from None
-    config = relax.RelaxConfig(
-        dt=rc["dt"],
-        n_particles=rc["n_particles"],
-        seed=rc.get("seed", 0),
-        cadence=rc.get("cadence", 10),
-        b_maj=rc.get("b_maj"),
-        violation_tol=rc.get("violation_tol", 1e-3),
-    )
     try:
+        config = relax.RelaxConfig(
+            dt=rc["dt"],
+            # the schema's integers may arrive as integral floats such as 2e3
+            n_particles=int(rc["n_particles"]),
+            seed=int(rc.get("seed", 0)),
+            cadence=int(rc.get("cadence", 10)),
+            b_maj=rc.get("b_maj"),
+            violation_tol=rc.get("violation_tol", 1e-3),
+        )
         series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
                            u0=rc.get("u0"))
     except ValueError as exc:
-        if not str(exc).startswith("b_maj:"):
+        if not str(exc).startswith(("b_maj:", "n_particles:")):
             raise
         raise ValueError(f"relax.{exc}") from None
     out = args.out or "relax_series.csv"

@@ -69,13 +69,15 @@ __all__ = [
 ]
 
 _SIGMA_TOL = 1e-12
+# relative conservation defect inverse_parameters accepts between its pairs
+_SHELL_TOL = 1e-10
 
 
-def unit_vector(sigma, tol: float = _SIGMA_TOL) -> np.ndarray:
-    """Check that sigma is unit length within ``tol`` and renormalize it."""
+def unit_vector(sigma) -> np.ndarray:
+    """Check that sigma is unit length within ``_SIGMA_TOL`` and renormalize it."""
     sigma = np.asarray(sigma, dtype=float)
     norm = np.sqrt(np.sum(sigma**2, axis=-1))
-    if np.any(np.abs(norm - 1.0) > tol):
+    if np.any(np.abs(norm - 1.0) > _SIGMA_TOL):
         raise ValueError("sigma must be a unit vector (|sigma| - 1 beyond tolerance)")
     return sigma / norm[..., None]
 
@@ -578,14 +580,13 @@ def inverse_parameters(
     spec: MixtureSpec,
     pre: tuple[ParticleState, ParticleState],
     post: tuple[ParticleState, ParticleState],
-    shell_tol: float = 1e-10,
 ) -> InverseParams:
     """Parameters (r', R', sigma') of the collision taking ``post`` back to ``pre``.
 
     Computed from the pre pair: R' is its kinetic energy fraction
     (mu/2)|V|^2 / E, r' its internal split I/(I + I_*), sigma' its relative
     direction V/|V|.  Both pairs must sit on the same conservation shell
-    within ``shell_tol`` (relative), else ValueError.  Degenerate
+    within ``_SHELL_TOL`` (relative), else ValueError.  Degenerate
     configurations come back flagged instead of inventing values.
     """
     d = invariant_defect(spec, pre, post)
@@ -595,7 +596,7 @@ def inverse_parameters(
         float(np.max(np.abs(spec.species[a.species].mass * a.v))),
         1e-300,
     )
-    if abs(d.energy) > shell_tol * scale or np.any(np.abs(d.momentum) > shell_tol * scale):
+    if abs(d.energy) > _SHELL_TOL * scale or np.any(np.abs(d.momentum) > _SHELL_TOL * scale):
         raise ValueError("pre and post pairs are not on the same conservation shell")
 
     mu = spec.reduced_mass(a.species, b.species)

@@ -2,11 +2,10 @@
 
 The product form
 
-    M(v, I) = n * (m / (2 pi k_B T_kin))^(3/2) exp(-m|v-u|^2 / (2 k_B T_kin))
-                * g(I; T_int)
+    M(v, I) = n * (m / (2 pi T_kin))^(3/2) exp(-m|v-u|^2 / (2 T_kin)) * g(I; T_int)
 
 covers every family: g is the normalized continuous internal-energy law
-I^(delta/2-1) exp(-I/(k_B T_int)) / (Gamma(delta/2) (k_B T_int)^(delta/2)),
+I^(delta/2-1) exp(-I/T_int) / (Gamma(delta/2) T_int^(delta/2)),
 the Gibbs law over discrete levels, or 1 for monatomic species.  With
 T_kin = T_int this is the single-temperature equilibrium of the exchange and
 discrete families; with distinct temperatures it is the resonant-family
@@ -20,7 +19,8 @@ relative error near machine precision even deep in the tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,15 +28,7 @@ from scipy import special
 from scipy.optimize import brentq
 
 from .collide import ParticleState
-from .model import (
-    ContinuousEnergy,
-    DiscreteLevels,
-    EnergyModel,
-    MixtureSpec,
-    Monatomic,
-    UnitSystem,
-    phi_weight,
-)
+from .model import ContinuousEnergy, DiscreteLevels, EnergyModel, MixtureSpec, Monatomic
 
 __all__ = [
     "EquilibriumParams",
@@ -72,10 +64,12 @@ class EquilibriumParams:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.shape != (3,):
             raise ValueError("drift velocity must be a 3-vector")
-        if any(x < 0 for x in self.n):
-            raise ValueError("densities must be nonnegative")
-        if self.T_kin <= 0 or self.T_int <= 0:
-            raise ValueError("temperatures must be positive")
+        if not np.all(np.isfinite(self.u)):
+            raise ValueError("drift velocity must be finite")
+        if not all(0 <= x < math.inf for x in self.n):
+            raise ValueError("densities must be finite and nonnegative")
+        if not (0 < self.T_kin < math.inf and 0 < self.T_int < math.inf):
+            raise ValueError("temperatures must be finite and positive")
 
     @classmethod
     def single(cls, n, u, T: float) -> "EquilibriumParams":
@@ -88,21 +82,20 @@ class EquilibriumParams:
         return self.T_kin
 
 
-def partition_function(energy: EnergyModel, T: float, units: UnitSystem = UnitSystem()) -> float:
+def partition_function(energy: EnergyModel, T: float) -> float:
     """Internal-energy partition function at temperature T.
 
-    Continuous: Gamma(delta/2) (k_B T)^(delta/2); discrete: the weighted
-    Gibbs sum; monatomic: 1.
+    Continuous: Gamma(delta/2) T^(delta/2); discrete: the weighted Gibbs
+    sum; monatomic: 1.
     """
-    kT = units.k_B * T
     if isinstance(energy, Monatomic):
         return 1.0
     if isinstance(energy, ContinuousEnergy):
-        return float(special.gamma(0.5 * energy.delta) * kT ** (0.5 * energy.delta))
+        return float(special.gamma(0.5 * energy.delta) * T ** (0.5 * energy.delta))
     if isinstance(energy, DiscreteLevels):
         E = np.asarray(energy.energies)
         g = np.asarray(energy.degeneracies)
-        return float(np.sum(g * np.exp(-E / kT)))
+        return float(np.sum(g * np.exp(-E / T)))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
 
@@ -132,7 +125,6 @@ class Maxwellian:
 
     spec: MixtureSpec
     params: EquilibriumParams
-    units: UnitSystem = field(default_factory=UnitSystem)
 
     def __post_init__(self) -> None:
         if len(self.params.n) != self.spec.n_species:
@@ -140,13 +132,13 @@ class Maxwellian:
 
     def _kin_log(self, v, species: int):
         m = self.spec.species[species].mass
-        kT = self.units.k_B * self.params.T_kin
+        T = self.params.T_kin
         dv = np.asarray(v, dtype=float) - self.params.u
-        return 1.5 * np.log(m / (2.0 * np.pi * kT)) - 0.5 * m * np.sum(dv * dv, axis=-1) / kT
+        return 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * np.sum(dv * dv, axis=-1) / T
 
     def _int_log(self, internal, species: int):
         e = self.spec.species[species].energy
-        kT = self.units.k_B * self.params.T_int
+        T = self.params.T_int
         if isinstance(e, Monatomic):
             if internal is not None:
                 raise ValueError("monatomic species carries no internal state")
@@ -160,13 +152,13 @@ class Maxwellian:
                 )
                 if d < 2.0 and np.any(I == 0.0):
                     raise ValueError("I = 0 requires delta >= 2")
-            return lphi - I / kT - special.gammaln(0.5 * d) - 0.5 * d * np.log(kT)
+            return lphi - I / T - special.gammaln(0.5 * d) - 0.5 * d * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)
             E = np.asarray(e.energies)[k]
             g = np.asarray(e.degeneracies)[k]
-            q = partition_function(e, self.params.T_int, self.units)
-            return np.log(g) - E / kT - np.log(q)
+            q = partition_function(e, T)
+            return np.log(g) - E / T - np.log(q)
         raise TypeError(f"unknown energy model {type(e).__name__}")
 
     def log_density(self, v, internal=None, species: int = 0):
@@ -187,15 +179,14 @@ class Maxwellian:
         """Draw n states: returns (velocities, internal) where internal is an
         energy array, a level-index array, or None."""
         sp = self.spec.species[species]
-        kTk = self.units.k_B * self.params.T_kin
-        v = self.params.u + rng.normal(0.0, np.sqrt(kTk / sp.mass), (n, 3))
+        v = self.params.u + rng.normal(0.0, np.sqrt(self.params.T_kin / sp.mass), (n, 3))
         e = sp.energy
         if isinstance(e, Monatomic):
             return v, None
-        kTi = self.units.k_B * self.params.T_int
+        T = self.params.T_int
         if isinstance(e, ContinuousEnergy):
-            return v, rng.gamma(0.5 * e.delta, kTi, n)
-        weights = np.asarray(e.degeneracies) * np.exp(-np.asarray(e.energies) / kTi)
+            return v, rng.gamma(0.5 * e.delta, T, n)
+        weights = np.asarray(e.degeneracies) * np.exp(-np.asarray(e.energies) / T)
         weights = weights / weights.sum()
         return v, rng.choice(len(weights), size=n, p=weights)
 
@@ -270,24 +261,21 @@ class MomentSummary:
     mean_internal: float
 
 
-def mean_internal_energy(energy: EnergyModel, T: float, units: UnitSystem = UnitSystem()) -> float:
+def mean_internal_energy(energy: EnergyModel, T: float) -> float:
     """Equilibrium mean internal energy per particle at temperature T."""
-    kT = units.k_B * T
     if isinstance(energy, Monatomic):
         return 0.0
     if isinstance(energy, ContinuousEnergy):
-        return 0.5 * energy.delta * kT
+        return 0.5 * energy.delta * T
     if isinstance(energy, DiscreteLevels):
         E = np.asarray(energy.energies)
         g = np.asarray(energy.degeneracies)
-        w = g * np.exp(-E / kT)
+        w = g * np.exp(-E / T)
         return float(np.sum(w * E) / np.sum(w))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
 
-def internal_temperature(
-    energy: EnergyModel, mean_I: float, units: UnitSystem = UnitSystem()
-) -> float:
+def internal_temperature(energy: EnergyModel, mean_I: float) -> float:
     """Invert the equilibrium mean internal energy for the temperature.
 
     Closed form for the continuous law; bracketed root solve for discrete
@@ -300,7 +288,7 @@ def internal_temperature(
     if isinstance(energy, ContinuousEnergy):
         if mean_I <= 0:
             raise ValueError("mean internal energy must be positive")
-        return 2.0 * mean_I / (energy.delta * units.k_B)
+        return 2.0 * mean_I / energy.delta
     if isinstance(energy, DiscreteLevels):
         E = np.asarray(energy.energies)
         g = np.asarray(energy.degeneracies)
@@ -312,23 +300,17 @@ def internal_temperature(
         if mean_I >= limit:
             return np.inf
         scale = E[-1] - E[0]
-        f = lambda T: mean_internal_energy(energy, T, units) - mean_I
-        lo, hi = 1e-8 * scale / units.k_B, 1e12 * scale / units.k_B
+        f = lambda T: mean_internal_energy(energy, T) - mean_I
+        lo, hi = 1e-8 * scale, 1e12 * scale
         return float(brentq(f, lo, hi, xtol=1e-14, rtol=1e-14))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
 
-def equilibrium_moments(
-    params: EquilibriumParams,
-    energy: EnergyModel,
-    units: UnitSystem = UnitSystem(),
-    species_density: float | None = None,
-) -> MomentSummary:
-    """Closed-form moments of the product equilibrium for one species."""
-    n = params.n[0] if species_density is None else species_density
+def equilibrium_moments(params: EquilibriumParams, energy: EnergyModel) -> MomentSummary:
+    """Closed-form moments of the product equilibrium for the first species."""
     return MomentSummary(
-        n=n,
+        n=params.n[0],
         u=params.u.copy(),
         T_velocity=params.T_kin,
-        mean_internal=mean_internal_energy(energy, params.T_int, units),
+        mean_internal=mean_internal_energy(energy, params.T_int),
     )

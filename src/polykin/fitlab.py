@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,6 +44,8 @@ __all__ = [
 # a gas counts as polytropic when c_hat_v moves less than this across the
 # temperature interval
 POLYTROPIC_SPREAD = 0.05
+# sample points of each synthetic dataset
+_SYNTHETIC_POINTS = 16
 
 
 def _validate_series(T: np.ndarray, values: np.ndarray, value_name: str) -> None:
@@ -184,17 +186,15 @@ class GasDataset:
     reference: Optional[TableEntry] = None
 
 
-def synthetic_dataset(entry: TableEntry, n_points: int = 16) -> GasDataset:
+def synthetic_dataset(entry: TableEntry) -> GasDataset:
     """Power-law dataset that reproduces a reference table row exactly.
 
     The specific heat is the constant (delta + 3)/2 and the viscosity
     follows (T/T0)^(1 - zeta/2) over the row's temperature interval.
     """
-    if n_points < 2:
-        raise ValueError("need at least two sample points")
     t_lo, t_hi = entry.t_interval
-    T = np.linspace(t_lo, t_hi, n_points)
-    c = np.full(n_points, (entry.delta + 3.0) / 2.0)
+    T = np.linspace(t_lo, t_hi, _SYNTHETIC_POINTS)
+    c = np.full(_SYNTHETIC_POINTS, (entry.delta + 3.0) / 2.0)
     s = 1.0 - 0.5 * entry.zeta
     mu = (T / t_lo) ** s
     return GasDataset(

@@ -3,21 +3,20 @@
 A :class:`MixtureSpec` bundles the species list with an N x N table of
 collision kernels and is the single source of truth handed to the collision
 rules, equilibrium closed forms, operator estimators and the relaxation
-simulator.  Everything here is nondimensional by default; a
-:class:`UnitSystem` carrying Boltzmann's constant can be threaded through for
-SI work.
+simulator.  Everything in the package is nondimensional with Boltzmann's
+constant k_B = 1: temperatures are energies, and no unit system is carried.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "UnitSystem",
     "Monatomic",
     "ContinuousEnergy",
     "DiscreteLevels",
@@ -36,17 +35,6 @@ __all__ = [
     "spec_from_json",
     "single_species",
 ]
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Scaling layer.  The default is the nondimensional convention k_B = 1."""
-
-    k_B: float = 1.0
-
-
-#: SI units, for callers that feed in Kelvin and Joules.
-SI = UnitSystem(k_B=1.380649e-23)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +295,12 @@ def validate(spec: MixtureSpec) -> list[str]:
     for k, s in enumerate(spec.species):
         if not s.label:
             errs.append(f"species[{k}]: empty label")
-        if not s.mass > 0:
-            errs.append(f"species[{k}]: mass must be positive")
+        if not 0 < s.mass < math.inf:
+            errs.append(f"species[{k}]: mass must be positive and finite")
         e = s.energy
         if isinstance(e, ContinuousEnergy):
-            if not e.delta > 0:
-                errs.append(f"species[{k}]: delta must be positive")
+            if not 0 < e.delta < math.inf:
+                errs.append(f"species[{k}]: delta must be positive and finite")
         elif isinstance(e, DiscreteLevels):
             if len(e.energies) != len(e.degeneracies) or not e.energies:
                 errs.append(f"species[{k}]: levels and degeneracies must align, nonempty")
@@ -331,8 +319,10 @@ def validate(spec: MixtureSpec) -> list[str]:
     for i in range(n):
         for j in range(n):
             ker = spec.kernels[i][j]
-            if ker.C < 0:
-                errs.append(f"kernels[{i}][{j}]: prefactor C must be nonnegative")
+            if not 0 <= ker.C < math.inf:
+                errs.append(f"kernels[{i}][{j}]: prefactor C must be nonnegative and finite")
+            if not math.isfinite(ker.zeta):
+                errs.append(f"kernels[{i}][{j}]: zeta must be finite")
             if i < j and ker != spec.kernels[j][i]:
                 errs.append(f"kernels[{i}][{j}]: kernel table must be symmetric")
             if isinstance(ker, ResonantTensored):
@@ -411,6 +401,8 @@ def _kernel_to_obj(k: KernelModel) -> dict:
             raise ValueError("custom psi weights are not JSON-serializable")
         return {"kind": "psi_weighted", "C": k.C, "zeta": k.zeta}
     if isinstance(k, ResonantTensored):
+        if k.kin_terms != ResonantTensored.kin_terms:
+            raise ValueError("kinetic terms other than the default are not JSON-serializable")
         return {
             "kind": "resonant_tensored",
             "C": k.C,

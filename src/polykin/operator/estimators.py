@@ -61,10 +61,6 @@ class DistributionFn:
         with np.errstate(divide="ignore"):
             return np.log(val)
 
-    def eval(self, v, internal):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_eval(v, internal))
-
 
 def _abs_finite(x):
     return np.where(np.isfinite(x), np.abs(x), 0.0)

@@ -23,6 +23,8 @@ from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted, singl
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
 _BLOCK = 512
+# Gauss-Jacobi nodes per axis for a split weight psi(r, R)
+_PSI_NODES = 40
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class GridSpec:
         return GridSpec(self.n_velocity + 1, self.n_internal + 2)
 
 
-def reduced_kernel_coefficient(kernel: KernelModel, delta: float, nq: int = 40) -> float:
+def reduced_kernel_coefficient(kernel: KernelModel, delta: float) -> float:
     """Coefficient of E^(zeta/2) after integrating the transition weight.
 
     For a plain energy-power kernel this is C times the pair-law weight
@@ -55,14 +57,14 @@ def reduced_kernel_coefficient(kernel: KernelModel, delta: float, nq: int = 40) 
         return float(kernel.C * law.weight)
     if isinstance(kernel, PsiWeighted):
         a = 0.5 * delta - 1.0
-        xr, wr = special.roots_jacobi(nq, a, a)
+        xr, wr = special.roots_jacobi(_PSI_NODES, a, a)
         r = 0.5 * (1.0 + xr)
         cr = 4.0 ** (1.0 - 0.5 * delta) * 0.5
-        xR, wR = special.roots_jacobi(nq, delta - 1.0, 0.5)
+        xR, wR = special.roots_jacobi(_PSI_NODES, delta - 1.0, 0.5)
         R = 0.5 * (1.0 + xR)
         cR = 0.5 ** (delta - 1.0) * 0.5**0.5 * 0.5
         vals = np.broadcast_to(
-            np.asarray(kernel.psi(r[:, None], R[None, :]), dtype=float), (nq, nq)
+            np.asarray(kernel.psi(r[:, None], R[None, :]), dtype=float), (r.size, R.size)
         )
         q2d = cr * cR * float(wr @ vals @ wR)
         return float(4.0 * np.pi * kernel.C * q2d)
@@ -131,17 +133,15 @@ def assemble_k1(
         kernel = spec.kernel(0, 0)
     sp = spec.species[0]
     delta = sp.energy.delta
-    kT_kin = M.units.k_B * M.params.T_kin
-    kT_int = M.units.k_B * M.params.T_int
 
     x, wx = np.polynomial.hermite.hermgauss(grid.n_velocity)
     t, wt = special.roots_genlaguerre(grid.n_internal, 0.5 * delta - 1.0)
-    scale_v = np.sqrt(2.0 * kT_kin / sp.mass)
+    scale_v = np.sqrt(2.0 * M.params.T_kin / sp.mass)
     ax1, ax2, ax3, axi = np.meshgrid(x, x, x, t, indexing="ij")
     nodes_v = M.params.u + scale_v * np.stack(
         [ax1.ravel(), ax2.ravel(), ax3.ravel()], axis=-1
     )
-    nodes_i = kT_int * axi.ravel()
+    nodes_i = M.params.T_int * axi.ravel()
     w1, w2, w3, wi = np.meshgrid(wx, wx, wx, wt, indexing="ij")
     weights = (
         M.params.n[0]

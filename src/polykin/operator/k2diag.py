@@ -25,7 +25,10 @@ import numpy as np
 
 __all__ = ["K2Diagnostic", "k2_integrability_diagnostic"]
 
-DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# nested squares (eps, 1-eps)^2, shrinking; the Cauchy test compares the
+# last two partial integrals
+_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_CAUCHY_TOL = 0.01
 _GL_POINTS = 16
 _PANELS_PER_DECADE = 6
 
@@ -113,14 +116,12 @@ def k2_integrability_diagnostic(
     delta: float,
     zeta: float,
     psi: Callable | None = None,
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS,
-    cauchy_tol: float = 0.01,
 ) -> K2Diagnostic:
     """Decide integrability of the reduced kernel-norm integrand.
 
     Partial integrals are computed over (eps, 1-eps)^2 for each epsilon;
     the verdict is "integrable" only when the last two partials agree
-    within ``cauchy_tol`` relative AND all corner exponents exceed -1.
+    within ``_CAUCHY_TOL`` relative AND all corner exponents exceed -1.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -128,15 +129,12 @@ def k2_integrability_diagnostic(
         raise ValueError("zeta must exceed -1")
     if psi is not None:
         _check_symmetry(psi)
-    epsilons = tuple(sorted(epsilons, reverse=True))
-    if len(epsilons) < 2:
-        raise ValueError("need at least two epsilon values")
 
     g = _integrand(delta, zeta, psi)
-    partials = tuple(_partial_integral(g, eps) for eps in epsilons)
+    partials = tuple(_partial_integral(g, eps) for eps in _EPSILONS)
     ref = max(abs(partials[-1]), 1e-300)
     cauchy_change = abs(partials[-1] - partials[-2]) / ref
-    numeric = cauchy_change < cauchy_tol
+    numeric = cauchy_change < _CAUCHY_TOL
 
     if psi is None:
         exps = {
@@ -159,7 +157,7 @@ def k2_integrability_diagnostic(
     return K2Diagnostic(
         delta=float(delta),
         zeta=float(zeta),
-        epsilons=epsilons,
+        epsilons=_EPSILONS,
         partials=partials,
         cauchy_change=float(cauchy_change),
         corner_exponents=exps,

@@ -86,9 +86,7 @@ def make_proposal(
     prop_m = m_ref
     if cfg.proposal_temperature is not None:
         t = cfg.proposal_temperature
-        prop_m = Maxwellian(
-            spec, replace(m_ref.params, T_kin=t, T_int=t), m_ref.units
-        )
+        prop_m = Maxwellian(spec, replace(m_ref.params, T_kin=t, T_int=t))
 
     beta_r = law.beta_r if cfg.beta_r is None else cfg.beta_r
     beta_R = law.beta_R if cfg.beta_R is None else cfg.beta_R
@@ -119,31 +117,31 @@ class TransitionBatch:
 
 def _gaussian_partner(prop: Proposal, rng, n: int, j: int):
     m = prop.maxwellian.spec.species[j].mass
-    kT = prop.maxwellian.units.k_B * prop.maxwellian.params.T_kin
+    T = prop.maxwellian.params.T_kin
     u = prop.maxwellian.params.u
-    v = u + rng.normal(0.0, np.sqrt(kT / m), (n, 3))
+    v = u + rng.normal(0.0, np.sqrt(T / m), (n, 3))
     dv = v - u
-    log_q = 1.5 * np.log(m / (2.0 * np.pi * kT)) - 0.5 * m * np.sum(dv * dv, -1) / kT
+    log_q = 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * np.sum(dv * dv, -1) / T
     return v, log_q
 
 
 def _gamma_partner(prop: Proposal, rng, n: int, j: int):
     delta = prop.maxwellian.spec.species[j].energy.delta
     a = prop.gamma_shape if prop.gamma_shape is not None else 0.5 * delta
-    kT = prop.maxwellian.units.k_B * prop.maxwellian.params.T_int
+    T = prop.maxwellian.params.T_int
     if prop.i_truncation is None:
-        I = rng.gamma(a, kT, n)
+        I = rng.gamma(a, T, n)
         log_norm = 0.0
     else:
         # inverse-CDF draw restricted to [0, i_truncation]
-        frac = special.gammainc(a, prop.i_truncation / kT)
-        I = kT * special.gammaincinv(a, rng.uniform(0.0, 1.0, n) * frac)
+        frac = special.gammainc(a, prop.i_truncation / T)
+        I = T * special.gammaincinv(a, rng.uniform(0.0, 1.0, n) * frac)
         log_norm = np.log(frac)
     log_q = (
         _pow_log(I, a - 1.0)
-        - I / kT
+        - I / T
         - special.gammaln(a)
-        - a * np.log(kT)
+        - a * np.log(T)
         - log_norm
     )
     return I, log_q
@@ -162,8 +160,8 @@ def _beta_draw(shapes, rng, n: int):
 
 def _gibbs_partner(prop: Proposal, rng, n: int, j: int):
     e = prop.maxwellian.spec.species[j].energy
-    kT = prop.maxwellian.units.k_B * prop.maxwellian.params.T_int
-    w = np.asarray(e.degeneracies) * np.exp(-np.asarray(e.energies) / kT)
+    T = prop.maxwellian.params.T_int
+    w = np.asarray(e.degeneracies) * np.exp(-np.asarray(e.energies) / T)
     p = w / w.sum()
     lev = rng.choice(p.size, size=n, p=p)
     return lev, np.log(p)[lev]

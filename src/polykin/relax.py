@@ -26,7 +26,7 @@ Monte Carlo estimators instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,6 @@ from .model import (
     Monatomic,
     PowerLawE,
     PsiWeighted,
-    UnitSystem,
     validate,
 )
 
@@ -66,9 +65,16 @@ _MAJORANT_PROBE_PAIRS = 4096
 # longest run accepted; at tens of microseconds per step even a tiny
 # ensemble would need minutes
 MAX_STEPS = 1_000_000
+# largest ensemble accepted; a run peaks at about 150 bytes per particle
+# (48 of them state), so this one needs about 1.5 GB
+MAX_PARTICLES = 10_000_000
 # most candidates one step may expect; each costs about 100 bytes of draws,
 # and the runs in use expect a few thousand
 MAX_CANDIDATES = 10_000_000
+# h_estimate's speed and internal-energy bins when the sample fills them
+_SPEED_BINS, _INTERNAL_BINS = 64, 32
+# nonincreasing_trend allows a positive slope this many standard errors wide
+_TREND_Z = 3.0
 
 
 class MajorantViolation(RuntimeError):
@@ -127,7 +133,6 @@ class Ensemble:
     time: float = 0.0
     collisions: int = 0
     majorant_violations: int = 0
-    units: UnitSystem = field(default_factory=UnitSystem)
     _pair_types: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -158,7 +163,7 @@ class Ensemble:
     def kinetic_temperature(self) -> float:
         du = self.v - self.bulk_velocity()
         m = self.masses
-        return float(np.sum(m * np.sum(du * du, axis=1)) / (3.0 * self.n_particles * self.units.k_B))
+        return float(np.sum(m * np.sum(du * du, axis=1)) / (3.0 * self.n_particles))
 
     def internal_temperature(self) -> float:
         """Species-wise inversion of the mean internal energy, combined with
@@ -171,7 +176,7 @@ class Ensemble:
                     or isinstance(sp.energy, DiscreteLevels) and sp.energy.n_levels == 1):
                 continue
             mean_i = float(np.mean(self.internal[mask]))
-            t = internal_temperature(sp.energy, mean_i, self.units)
+            t = internal_temperature(sp.energy, mean_i)
             w = sp.energy.delta if isinstance(sp.energy, ContinuousEnergy) else 2.0
             temps.append(t)
             weights.append(w * np.count_nonzero(mask))
@@ -219,7 +224,6 @@ def init_ensemble(
     T_int0: float,
     u0=None,
     seed: int = 0,
-    units: UnitSystem = UnitSystem(),
 ) -> Ensemble:
     """Factorized two-temperature initial data.
 
@@ -233,6 +237,8 @@ def init_ensemble(
         raise ValueError("; ".join(problems))
     if n < 2:
         raise ValueError("need at least two particles")
+    if n > MAX_PARTICLES:
+        raise ValueError(f"n_particles: {n:.6g} particles; at most {MAX_PARTICLES} are allowed")
     if T_kin0 <= 0 or T_int0 <= 0:
         raise ValueError("temperatures must be positive")
     u0 = np.zeros(3) if u0 is None else np.asarray(u0, dtype=float)
@@ -240,7 +246,7 @@ def init_ensemble(
     counts = [n // ns + (1 if k < n % ns else 0) for k in range(ns)]
     params = EquilibriumParams(n=tuple(1.0 for _ in range(ns)), u=u0,
                                T_kin=T_kin0, T_int=T_int0)
-    M = Maxwellian(spec, params, units)
+    M = Maxwellian(spec, params)
     rng = np.random.Generator(np.random.PCG64(seed))
     v = np.empty((n, 3))
     internal = np.zeros(n)
@@ -260,7 +266,7 @@ def init_ensemble(
             internal[start:stop] = np.asarray(energy.energies)[extra]
         start = stop
     return Ensemble(spec=spec, v=v, internal=internal, levels=levels,
-                    species=species, rng=rng, units=units)
+                    species=species, rng=rng)
 
 
 def _kernel_parameters(kernel) -> tuple[float, float]:
@@ -274,10 +280,10 @@ def _kernel_parameters(kernel) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _PairType:
-    """Static per-species-pair data for candidate generation, with the pair's
-    majorant rate bound."""
+    """Per-species-pair data for candidate generation, fixed by the species;
+    ``sampled_b_maj`` is probed when first needed."""
 
     i: int
     j: int
@@ -287,13 +293,12 @@ class _PairType:
     C: float
     zeta: float
     n_pairs: float
-    b_maj: float = 0.0
+    sampled_b_maj: Optional[float] = None
 
 
-def _pair_types(ensemble: Ensemble, config: RelaxConfig) -> list[_PairType]:
-    """The ensemble's pair types with their majorants (``config.b_maj`` or the
-    sampled one), resolved at the first step and cached on the ensemble:
-    species never change."""
+def _pair_types(ensemble: Ensemble) -> list[_PairType]:
+    """The ensemble's pair types, resolved at the first step and cached on
+    the ensemble: species never change."""
     if ensemble._pair_types is not None:
         return ensemble._pair_types
     spec = ensemble.spec
@@ -311,15 +316,29 @@ def _pair_types(ensemble: Ensemble, config: RelaxConfig) -> list[_PairType]:
             )
             if n_pairs <= 0:
                 continue
-            pt = _PairType(i=i, j=j, idx_i=idx_i, idx_j=idx_j, law=pair_law(spec, i, j),
-                           C=C, zeta=zeta, n_pairs=n_pairs)
-            b_maj = config.b_maj if config.b_maj is not None else _sampled_majorant(ensemble, pt)
-            x = n_pairs * b_maj * config.dt / ensemble.n_particles
-            if not math.isfinite(x) or x > MAX_CANDIDATES:
-                raise ValueError(f"b_maj: {b_maj:.6g} gives {x:.6g} expected candidates per "
-                                 f"step; at most {MAX_CANDIDATES} are allowed")
-            out.append(replace(pt, b_maj=b_maj))
+            out.append(_PairType(i=i, j=j, idx_i=idx_i, idx_j=idx_j,
+                                 law=pair_law(spec, i, j), C=C, zeta=zeta, n_pairs=n_pairs))
     ensemble._pair_types = out
+    return out
+
+
+def _majorants(ensemble: Ensemble, config: RelaxConfig) -> list[tuple[_PairType, float, float]]:
+    """Each pair type with its majorant and expected candidates per step;
+    ValueError naming the majorant's source if any count is not finite or
+    exceeds ``MAX_CANDIDATES``."""
+    out = []
+    for pt in _pair_types(ensemble):
+        if config.b_maj is not None:
+            b_maj, source = config.b_maj, "b_maj: "
+        else:
+            if pt.sampled_b_maj is None:
+                pt.sampled_b_maj = _sampled_majorant(ensemble, pt)
+            b_maj, source = pt.sampled_b_maj, f"kernels[{pt.i}][{pt.j}]: sampled majorant "
+        x = pt.n_pairs * b_maj * config.dt / ensemble.n_particles
+        if not math.isfinite(x) or x > MAX_CANDIDATES:
+            raise ValueError(f"{source}{b_maj:.6g} gives {x:.6g} expected candidates per "
+                             f"step; at most {MAX_CANDIDATES} are allowed")
+        out.append((pt, b_maj, x))
     return out
 
 
@@ -455,13 +474,11 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
     if ensemble.n_particles < 2:
         raise ValueError("need at least two particles to step")
     rng = ensemble.rng
-    n_total = ensemble.n_particles
     step_candidates = step_violations = 0
-    for pt in _pair_types(ensemble, config):
-        b_maj = pt.b_maj
+    majorants = _majorants(ensemble, config)
+    for pt, b_maj, x in majorants:
         if b_maj <= 0.0:
             continue
-        x = pt.n_pairs * b_maj * config.dt / n_total
         m = int(x)
         if rng.random() < x - m:
             m += 1
@@ -496,7 +513,7 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
                 "step_candidates": step_candidates,
                 "step_violations": step_violations,
                 "violation_fraction": step_violations / step_candidates,
-                "majorants": {f"{pt.i}-{pt.j}": pt.b_maj for pt in ensemble._pair_types},
+                "majorants": {f"{pt.i}-{pt.j}": b_maj for pt, b_maj, _ in majorants},
                 "time": ensemble.time,
             },
         )
@@ -523,15 +540,14 @@ def _bins(x: np.ndarray, cap: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, np.clip(np.searchsorted(edges, x, side="right") - 1, 0, nb - 1)
 
 
-def _log_cell_density(n: int, c: np.ndarray, n_speed: int,
-                      I: Optional[np.ndarray] = None, n_internal: int = 0) -> np.ndarray:
+def _log_cell_density(n: int, c: np.ndarray, I: Optional[np.ndarray] = None) -> np.ndarray:
     """Log of the isotropic histogram density of speeds ``c`` (and internal
     energies ``I`` when given), normalized by ``n`` particles, at each
     sample's own cell."""
-    c_edges, cell = _bins(c, n_speed, 8)
+    c_edges, cell = _bins(c, _SPEED_BINS, 8)
     size = np.diff(c_edges)[:, None]
     if I is not None:
-        i_edges, ki = _bins(I, n_internal, 4)
+        i_edges, ki = _bins(I, _INTERNAL_BINS, 4)
         size = size * np.diff(i_edges)[None, :]
         cell = cell * (i_edges.size - 1) + ki
     counts = np.bincount(cell, minlength=size.size).reshape(size.shape)
@@ -546,7 +562,7 @@ def _log_cell_density(n: int, c: np.ndarray, n_speed: int,
     return log_f.ravel()[cell]
 
 
-def h_estimate(ensemble: Ensemble, n_speed: int = 64, n_internal: int = 32) -> float:
+def h_estimate(ensemble: Ensemble) -> float:
     """Histogram estimate of the entropy functional.
 
     Continuous species contribute the mean of log f + (1 - delta/2) log I,
@@ -572,7 +588,7 @@ def h_estimate(ensemble: Ensemble, n_speed: int = 64, n_internal: int = 32) -> f
         if isinstance(energy, ContinuousEnergy):
             I = ensemble.internal[mask]
             weight = (1.0 - 0.5 * energy.delta) * np.log(np.maximum(I, 1e-300))
-            log_f = _log_cell_density(n, c, n_speed, I, n_internal)
+            log_f = _log_cell_density(n, c, I)
             total += (ns / n) * float(np.mean(log_f + weight))
             continue
         if isinstance(energy, DiscreteLevels):
@@ -582,7 +598,7 @@ def h_estimate(ensemble: Ensemble, n_speed: int = 64, n_internal: int = 32) -> f
             groups = [(c, 1.0)]
         for ck, g in groups:
             if ck.size:
-                log_f = _log_cell_density(n, ck, n_speed)
+                log_f = _log_cell_density(n, ck)
                 total += (ck.size / n) * float(np.mean(log_f) - math.log(g))
     return total
 
@@ -594,7 +610,6 @@ def equilibrium_temperature(ensemble: Ensemble) -> float:
     du = ensemble.v - u
     e_com = 0.5 * float(np.sum(ensemble.masses * np.sum(du * du, axis=1)))
     e_com += ensemble.internal_energy()
-    k_B = ensemble.units.k_B
     counts = [int(np.count_nonzero(ensemble.species == s))
               for s in range(ensemble.spec.n_species)]
     if all(not isinstance(sp.energy, DiscreteLevels) for sp in ensemble.spec.species):
@@ -602,20 +617,21 @@ def equilibrium_temperature(ensemble: Ensemble) -> float:
         for sp, ns in zip(ensemble.spec.species, counts):
             d = sp.energy.delta if isinstance(sp.energy, ContinuousEnergy) else 0.0
             dof += ns * (3.0 + d)
-        return 2.0 * e_com / (k_B * dof)
+        return 2.0 * e_com / dof
 
     def gap(T: float) -> float:
         tot = 0.0
         for sp, ns in zip(ensemble.spec.species, counts):
-            tot += ns * (1.5 * k_B * T + mean_internal_energy(sp.energy, T, ensemble.units))
+            tot += ns * (1.5 * T + mean_internal_energy(sp.energy, T))
         return tot - e_com
 
-    hi = 2.0 * e_com / (1.5 * k_B * n)
+    hi = 2.0 * e_com / (1.5 * n)
     return float(optimize.brentq(gap, 1e-12, max(hi, 1e-9), xtol=1e-12, rtol=1e-12))
 
 
-def nonincreasing_trend(t: np.ndarray, values: np.ndarray, z: float = 3.0) -> bool:
-    """True when the least-squares slope is nonpositive within noise."""
+def nonincreasing_trend(t: np.ndarray, values: np.ndarray) -> bool:
+    """True when the least-squares slope is at most ``_TREND_Z`` standard
+    errors above zero."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(t) < 3:
@@ -628,7 +644,7 @@ def nonincreasing_trend(t: np.ndarray, values: np.ndarray, z: float = 3.0) -> bo
         return slope <= 0.0
     s2 = float(res[0]) / dof
     var = s2 / float(np.sum((t - t.mean()) ** 2))
-    return slope <= z * math.sqrt(var) + 1e-12
+    return slope <= _TREND_Z * math.sqrt(var) + 1e-12
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -647,7 +663,6 @@ def run(
     T_int0: float,
     t_end: float,
     u0=None,
-    units: UnitSystem = UnitSystem(),
 ) -> TimeSeries:
     """Relax a fresh two-temperature ensemble to ``t_end``.
 
@@ -658,8 +673,7 @@ def run(
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     n_steps = step_count(t_end, config.dt)
-    ens = init_ensemble(spec, config.n_particles, T_kin0, T_int0, u0,
-                        seed=config.seed, units=units)
+    ens = init_ensemble(spec, config.n_particles, T_kin0, T_int0, u0, seed=config.seed)
     e0 = ens.total_energy()
     p0 = ens.momentum()
     t_eq = equilibrium_temperature(ens)

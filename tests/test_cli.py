@@ -271,6 +271,61 @@ class TestRelaxCommand:
         assert code == 0, err
         jsonschema.validate(json.loads(stdout), schema("relax_summary.schema.json"))
 
+    @pytest.mark.parametrize("path, set_value", [
+        ("relax.T_kin0", lambda doc: doc["relax"].update(T_kin0=float("nan"))),
+        ("relax.T_int0", lambda doc: doc["relax"].update(T_int0=float("inf"))),
+        ("relax.u0[0]", lambda doc: doc["relax"].update(u0=[float("nan"), 0.0, 0.0])),
+        ("relax.dt", lambda doc: doc["relax"].update(dt=float("nan"))),
+        ("relax.t_end", lambda doc: doc["relax"].update(t_end=float("inf"))),
+        ("relax.violation_tol", lambda doc: doc["relax"].update(violation_tol=float("nan"))),
+        ("species[0].mass", lambda doc: doc["species"][0].update(mass=float("inf"))),
+        ("species[0].energy.delta",
+         lambda doc: doc["species"][0]["energy"].update(delta=float("nan"))),
+        ("kernels[0][0].C", lambda doc: doc["kernels"][0][0].update(C=float("inf"))),
+        ("kernels[0][0].zeta", lambda doc: doc["kernels"][0][0].update(zeta=float("nan"))),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, path, set_value):
+        # json reads NaN and Infinity, and the schema's bounds let them through
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        set_value(doc)
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_particle_count_bound_exits_2(self, tmp_path, capsys):
+        # checked before the ensemble's 48 TB of state are allocated
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=10**12)
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: relax.n_particles:")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_integral_float_counts_run(self, tmp_path, capsys):
+        # the schema accepts 500.0 as an integer
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=500.0, seed=3.0,
+                                 cadence=2.0, t_end=0.1)
+        code, stdout, err = run_cli(["relax", "--config", str(cfg),
+                                     "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["seed"] == 3
+
+    @pytest.mark.parametrize("key", ["C", "zeta"])
+    def test_sampled_majorant_fault_names_the_kernel(self, tmp_path, capsys, key):
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, dt=0.01)
+        doc = json.loads(cfg.read_text())
+        doc["kernels"][0][0][key] = 1e300
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: kernels[0][0]: sampled majorant")
+        assert "b_maj" not in err
+
     def test_missing_config_exits_3(self, capsys):
         code, _, _ = run_cli(["relax", "--config", "no_such_config.json"], capsys)
         assert code == 3

@@ -49,6 +49,21 @@ class TestPartitionFunction:
         assert partition_function(Monatomic(), 3.0) == 1.0
 
 
+class TestEquilibriumParams:
+    @pytest.mark.parametrize("kwargs, word", [
+        ({"T_kin": np.nan}, "temperatures"),
+        ({"T_int": np.inf}, "temperatures"),
+        ({"n": (np.nan,)}, "densities"),
+        ({"n": (np.inf,)}, "densities"),
+        ({"u": np.array([np.nan, 0.0, 0.0])}, "drift"),
+        ({"u": np.array([0.0, -np.inf, 0.0])}, "drift"),
+    ])
+    def test_non_finite_values_rejected(self, kwargs, word):
+        args = {"n": (1.0,), "u": U0, "T_kin": 1.0, "T_int": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=word):
+            EquilibriumParams(**args)
+
+
 class TestPsiRes:
     def test_frozen_value(self):
         # delta = 4, Z = 1: integral of I(Z - I) over [0, 1] = 1/6

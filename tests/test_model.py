@@ -119,6 +119,18 @@ class TestValidate:
         spec = single_species(ContinuousEnergy(2.0), PowerLawE(1.0, 0.0), mass=-1.0)
         assert any("mass" in e for e in validate(spec))
 
+    @pytest.mark.parametrize("make, word", [
+        (lambda: bl_spec(mass=np.inf), "mass"),
+        (lambda: bl_spec(delta=np.inf), "delta"),
+        (lambda: bl_spec(C=np.nan), "prefactor C"),
+        (lambda: bl_spec(C=np.inf), "prefactor C"),
+        (lambda: bl_spec(zeta=np.nan), "zeta"),
+        (lambda: bl_spec(zeta=-np.inf), "zeta"),
+    ])
+    def test_non_finite_values_rejected(self, make, word):
+        errs = validate(make())
+        assert any(word in e and "finite" in e for e in errs), errs
+
     def test_asymmetric_kernels(self):
         ka, kb = PowerLawE(1.0, 0.0), PowerLawE(2.0, 0.0)
         spec = MixtureSpec(
@@ -181,6 +193,12 @@ class TestJsonRoundTrip:
             ContinuousEnergy(3.0), PsiWeighted(C=1.0, zeta=0.5, psi=lambda r, R: r)
         )
         with pytest.raises(ValueError):
+            spec_to_json(spec)
+
+    def test_optional_kinetic_terms_not_serializable(self):
+        spec = single_species(ContinuousEnergy(2.0),
+                              ResonantTensored(C=1.0, kin_terms=("speed", "sin_neg")))
+        with pytest.raises(ValueError, match="kinetic terms"):
             spec_to_json(spec)
 
     def test_field_names(self):

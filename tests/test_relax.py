@@ -17,7 +17,6 @@ from polykin.model import (
     PowerLawE,
     PsiWeighted,
     Species,
-    UnitSystem,
     single_species,
 )
 
@@ -292,10 +291,7 @@ class TestDiagnostics:
         u = ens.bulk_velocity()
         du = ens.v - u
         e_com = 0.5 * np.sum(ens.masses * np.sum(du * du, axis=1)) + ens.internal_energy()
-        units = UnitSystem()
-        per_particle = 1.5 * units.k_B * t_eq + mean_internal_energy(
-            spec.species[0].energy, t_eq, units
-        )
+        per_particle = 1.5 * t_eq + mean_internal_energy(spec.species[0].energy, t_eq)
         assert per_particle * ens.n_particles == pytest.approx(e_com, rel=1e-9)
 
 
@@ -437,15 +433,52 @@ class TestFailureModes:
         assert ens.rng.bit_generator.state == state
         assert ens.collisions == 0 and ens.time == 0.0
 
+    def test_majorant_follows_a_later_config(self):
+        ens = relax.init_ensemble(bl_spec(), 1000, 2.0, 1.0, seed=1)
+        relax.step(ens, relax.RelaxConfig(dt=0.01, n_particles=1000, b_maj=50.0))
+        assert ens.majorant_violations == 0
+        # the rate is C * 16 pi / 15 > 0.5 for every pair
+        with pytest.raises(relax.MajorantViolation) as err:
+            relax.step(ens, relax.RelaxConfig(dt=0.01, n_particles=1000, b_maj=0.5,
+                                              violation_tol=0.0))
+        assert err.value.diagnostics["majorants"] == {"0-0": 0.5}
+
+    @pytest.mark.parametrize("later", [{"b_maj": 1e12}, {"dt": 1e300}])
+    def test_candidate_bound_checked_every_step(self, later):
+        cfg = relax.RelaxConfig(dt=0.01, n_particles=2000, seed=1, b_maj=50.0)
+        ens = relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1)
+        relax.step(ens, cfg)
+        state = ens.rng.bit_generator.state
+        with pytest.raises(ValueError, match="^b_maj: .*candidates per step"):
+            relax.step(ens, replace(cfg, **later))
+        assert ens.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("key", ["C", "zeta"])
+    def test_sampled_majorant_fault_names_the_kernel(self, key):
+        # only the cross pair is at fault; no pair type draws before the check
+        cross = replace(PowerLawE(C=1.0, zeta=0.0), **{key: 1e300})
+        spec = replace(mixture_cont_spec(), kernels=(
+            (PowerLawE(C=1.0, zeta=0.0), cross), (cross, PowerLawE(C=1.0, zeta=0.0))))
+        ens = relax.init_ensemble(spec, 2000, 2.0, 1.0, seed=1)
+        state = ens.rng.bit_generator.state
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=r"^kernels\[0\]\[1\]: sampled majorant"):
+            relax.step(ens, relax.RelaxConfig(dt=0.01, n_particles=2000))
+        assert ens.rng.bit_generator.state == state
+
+    def test_particle_count_bound(self):
+        with pytest.raises(ValueError, match="^n_particles: "):
+            relax.init_ensemble(bl_spec(), relax.MAX_PARTICLES + 1, 2.0, 1.0)
+
     def test_largest_majorant_accepted(self):
         # n_pairs * b_maj * dt / n = 999.5 * b_maj * dt expected candidates
         b_maj = relax.MAX_CANDIDATES / (999.5 * 0.01)
         cfg = relax.RelaxConfig(dt=0.01, n_particles=2000, seed=1, b_maj=0.999 * b_maj)
         ens = relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1)
-        assert relax._pair_types(ens, cfg)[0].b_maj == 0.999 * b_maj
+        assert relax._majorants(ens, cfg)[0][1] == 0.999 * b_maj
         with pytest.raises(ValueError, match="b_maj"):
-            relax._pair_types(relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1),
-                              replace(cfg, b_maj=1.001 * b_maj))
+            relax._majorants(relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=1),
+                             replace(cfg, b_maj=1.001 * b_maj))
 
     def test_cold_discrete_gas_runs(self):
         # every particle starts in the ground level: the internal temperature is 0

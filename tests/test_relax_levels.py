@@ -96,8 +96,7 @@ def _sequential_step(ensemble, config):
     rng = ensemble.rng
     n_total = ensemble.n_particles
     step_candidates = step_violations = 0
-    for pt in relax._pair_types(ensemble, config):
-        b_maj = pt.b_maj
+    for pt, b_maj, _ in relax._majorants(ensemble, config):
         if b_maj <= 0.0:
             continue
         x = pt.n_pairs * b_maj * config.dt / n_total
