@@ -28,6 +28,7 @@ import jsonschema
 import numpy as np
 
 from . import fitlab, relax
+from .collide import sq_norm
 from .equilib import EquilibriumParams, Maxwellian
 from .hypotheses import HypothesisId, check
 from .model import ContinuousEnergy, PowerLawE, single_species, spec_from_json
@@ -146,7 +147,7 @@ def _cmd_diag(args) -> int:
         grid = GridSpec() if args.grid is None else GridSpec(
             n_velocity=args.grid, n_internal=args.grid)
         k1 = assemble_k1(grid, M)
-        speeds = np.sqrt(np.sum(k1.nodes_v**2, axis=1))
+        speeds = np.sqrt(sq_norm(k1.nodes_v))
         norms = k1.row_norms()
         lines = [f"# seed={args.seed}", "node_index,v,I,k1_row_norm"]
         lines += [
@@ -288,7 +289,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        # stderr carries only the error line: floating-point warnings are
+        # silenced (the values are the same)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except relax.MajorantViolation as exc:
         print(json.dumps({"error": str(exc), **exc.diagnostics}),
               file=sys.stderr)

@@ -50,6 +50,7 @@ __all__ = [
     "CollisionOutcome",
     "InverseParams",
     "DefectReport",
+    "sq_norm",
     "unit_vector",
     "unit_sphere",
     "com_energy",
@@ -73,10 +74,20 @@ _SIGMA_TOL = 1e-12
 _SHELL_TOL = 1e-10
 
 
+def sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared length of each 3-vector along the last axis.
+
+    Bit for bit ``np.sum(x * x, axis=-1)``, which adds the three squares
+    left to right from +0.0 (a square is never -0.0), at about a quarter of
+    its cost on (n, 3) arrays.
+    """
+    return x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2]
+
+
 def unit_vector(sigma) -> np.ndarray:
     """Check that sigma is unit length within ``_SIGMA_TOL`` and renormalize it."""
     sigma = np.asarray(sigma, dtype=float)
-    norm = np.sqrt(np.sum(sigma**2, axis=-1))
+    norm = np.sqrt(sq_norm(sigma))
     if np.any(np.abs(norm - 1.0) > _SIGMA_TOL):
         raise ValueError("sigma must be a unit vector (|sigma| - 1 beyond tolerance)")
     return sigma / norm[..., None]
@@ -168,16 +179,12 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
 # ---------------------------------------------------------------------------
 
 
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
-
-
 def com_energy(mu, v, v_star, internal=0.0, internal_star=0.0):
     """Conserved pair energy (mu/2)|v - v_*|^2 + internal + internal_star."""
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
     V = v - v_star
-    return 0.5 * np.asarray(mu) * _dot(V, V) + np.asarray(internal) + np.asarray(
+    return 0.5 * np.asarray(mu) * sq_norm(V) + np.asarray(internal) + np.asarray(
         internal_star
     )
 
@@ -200,7 +207,7 @@ def monatomic_rule(v, v_star, sigma, m: float = 1.0, m_star: float | None = None
     sigma = np.asarray(sigma, dtype=float)
     if m_star is None:
         m_star = m
-    g = np.sqrt(_dot(v - v_star, v - v_star))
+    g = np.sqrt(sq_norm(v - v_star))
     center = _mass_center(v, v_star, m, m_star)
     return _post_velocities(center, g, sigma, m, m_star)
 
@@ -272,7 +279,7 @@ def discrete_rule(v, v_star, delta_I, sigma, m: float, m_star: float | None = No
     mu = m * m_star / (m + m_star)
     delta_I = np.asarray(delta_I, dtype=float)
     V = v - v_star
-    g2_post = _dot(V, V) - 2.0 * delta_I / mu
+    g2_post = sq_norm(V) - 2.0 * delta_I / mu
     ok = g2_post >= 0.0
     gprime = np.sqrt(np.where(ok, g2_post, 0.0))
     center = _mass_center(v, v_star, m, m_star)
@@ -564,8 +571,8 @@ def invariant_defect(
     (a, b), (c, d) = pre, post
     ma, mb = spec.species[a.species].mass, spec.species[b.species].mass
     mom = ma * c.v + mb * d.v - (ma * a.v + mb * b.v)
-    kin_pre = 0.5 * ma * float(_dot(a.v, a.v)) + 0.5 * mb * float(_dot(b.v, b.v))
-    kin_post = 0.5 * ma * float(_dot(c.v, c.v)) + 0.5 * mb * float(_dot(d.v, d.v))
+    kin_pre = 0.5 * ma * float(sq_norm(a.v)) + 0.5 * mb * float(sq_norm(b.v))
+    kin_post = 0.5 * ma * float(sq_norm(c.v)) + 0.5 * mb * float(sq_norm(d.v))
     int_pre = _internal_of(spec, a) + _internal_of(spec, b)
     int_post = _internal_of(spec, c) + _internal_of(spec, d)
     return DefectReport(
@@ -601,7 +608,7 @@ def inverse_parameters(
 
     mu = spec.reduced_mass(a.species, b.species)
     V = a.v - b.v
-    g2 = float(_dot(V, V))
+    g2 = float(sq_norm(V))
     E = total_energy(spec, a, b)
     degenerate: list[str] = []
 

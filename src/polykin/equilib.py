@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
-from .collide import ParticleState
+from .collide import ParticleState, sq_norm
 from .model import ContinuousEnergy, DiscreteLevels, EnergyModel, MixtureSpec, Monatomic
 
 __all__ = [
@@ -134,7 +134,7 @@ class Maxwellian:
         m = self.spec.species[species].mass
         T = self.params.T_kin
         dv = np.asarray(v, dtype=float) - self.params.u
-        return 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * np.sum(dv * dv, axis=-1) / T
+        return 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * sq_norm(dv) / T
 
     def _int_log(self, internal, species: int):
         e = self.spec.species[species].energy
@@ -186,7 +186,8 @@ class Maxwellian:
         T = self.params.T_int
         if isinstance(e, ContinuousEnergy):
             return v, rng.gamma(0.5 * e.delta, T, n)
-        weights = np.asarray(e.degeneracies) * np.exp(-np.asarray(e.energies) / T)
+        E = np.asarray(e.energies)
+        weights = np.asarray(e.degeneracies) * np.exp(-(E - E.min()) / T)
         weights = weights / weights.sum()
         return v, rng.choice(len(weights), size=n, p=weights)
 
@@ -262,7 +263,12 @@ class MomentSummary:
 
 
 def mean_internal_energy(energy: EnergyModel, T: float) -> float:
-    """Equilibrium mean internal energy per particle at temperature T."""
+    """Equilibrium mean internal energy per particle at temperature T.
+
+    Discrete levels are weighted relative to the lowest one,
+    g exp(-(E - E_min)/T), so the ground weight never underflows however
+    cold T is.
+    """
     if isinstance(energy, Monatomic):
         return 0.0
     if isinstance(energy, ContinuousEnergy):
@@ -270,7 +276,7 @@ def mean_internal_energy(energy: EnergyModel, T: float) -> float:
     if isinstance(energy, DiscreteLevels):
         E = np.asarray(energy.energies)
         g = np.asarray(energy.degeneracies)
-        w = g * np.exp(-E / T)
+        w = g * np.exp(-(E - E.min()) / T)
         return float(np.sum(w * E) / np.sum(w))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ..collide import pair_law
+from ..collide import pair_law, sq_norm
 from ..equilib import Maxwellian
 from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted, single_species
 
@@ -158,7 +158,7 @@ def assemble_k1(
     matrix = np.empty((n, n))
     for i0 in range(0, n, _BLOCK):
         dv = nodes_v[i0 : i0 + _BLOCK, None, :] - nodes_v[None, :, :]
-        E = 0.25 * sp.mass * np.sum(dv * dv, axis=-1) + (
+        E = 0.25 * sp.mass * sq_norm(dv) + (
             nodes_i[i0 : i0 + _BLOCK, None] + nodes_i[None, :]
         )
         # association chosen so entries (i, j) and (j, i) run through

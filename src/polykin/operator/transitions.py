@@ -32,6 +32,7 @@ from ..collide import (
     monatomic_rule,
     pair_law,
     resonant_rule,
+    sq_norm,
     unit_sphere,
 )
 from ..equilib import Maxwellian
@@ -121,7 +122,7 @@ def _gaussian_partner(prop: Proposal, rng, n: int, j: int):
     u = prop.maxwellian.params.u
     v = u + rng.normal(0.0, np.sqrt(T / m), (n, 3))
     dv = v - u
-    log_q = 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * np.sum(dv * dv, -1) / T
+    log_q = 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * sq_norm(dv) / T
     return v, log_q
 
 
@@ -205,7 +206,7 @@ def _resonant_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, r
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp = resonant_rule(v, v_star, I, I_star, I_prime, sigma)
     V = v - v_star
-    g = np.sqrt(np.sum(V * V, -1))
+    g = np.sqrt(sq_norm(V))
     vhat = V / np.maximum(g, _TINY)[..., None]
     ctx = CollisionContext(
         rel_speed=g,
@@ -249,7 +250,7 @@ def _mono_mono_pair(spec, pair, law, kernel, v, _I, v_star, _I_star, log_q, prop
     sigma = unit_sphere(rng, n)
     vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
     V = v - v_star
-    E = 0.5 * law.mu * np.sum(V * V, -1)
+    E = 0.5 * law.mu * sq_norm(V)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
     zeros = np.zeros(n)
     return TransitionBatch(
@@ -271,7 +272,7 @@ def _discrete_pair(spec, pair, law, kernel, v, lev, v_star, lev_star, log_q, pro
     delta_I = Ei[k_post] + Ej[l_post] - Ei[lev] - Ej[lev_star]
     vp, vsp, ok = discrete_rule(v, v_star, delta_I, sigma, law.m_i, law.m_j)
     V = v - v_star
-    g2 = np.sum(V * V, -1)
+    g2 = sq_norm(V)
     E = 0.5 * law.mu * g2 + Ei[lev] + Ej[lev_star]
     g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
     log_b = _log_b(

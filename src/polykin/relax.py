@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize
 
 from .collide import (PairKind, PairLaw, bl_poly_mono, bl_poly_poly, discrete_rule,
-                      monatomic_rule, pair_law, unit_sphere)
+                      monatomic_rule, pair_law, sq_norm, unit_sphere)
 from .equilib import EquilibriumParams, Maxwellian, internal_temperature, mean_internal_energy
 from .model import (
     ContinuousEnergy,
@@ -148,7 +148,7 @@ class Ensemble:
         return np.sum(self.masses[:, None] * self.v, axis=0)
 
     def kinetic_energy(self) -> float:
-        return float(0.5 * np.sum(self.masses * np.sum(self.v * self.v, axis=1)))
+        return float(0.5 * np.sum(self.masses * sq_norm(self.v)))
 
     def internal_energy(self) -> float:
         return float(np.sum(self.internal))
@@ -163,7 +163,7 @@ class Ensemble:
     def kinetic_temperature(self) -> float:
         du = self.v - self.bulk_velocity()
         m = self.masses
-        return float(np.sum(m * np.sum(du * du, axis=1)) / (3.0 * self.n_particles))
+        return float(np.sum(m * sq_norm(du)) / (3.0 * self.n_particles))
 
     def internal_temperature(self) -> float:
         """Species-wise inversion of the mean internal energy, combined with
@@ -384,8 +384,10 @@ def _channel_weights(ensemble: Ensemble, pt: _PairType, g2: np.ndarray,
 
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Total transition rate for the given particle pairs."""
-    dv = ensemble.v[ii] - ensemble.v[jj]
-    g2 = np.sum(dv * dv, axis=-1)
+    if pt.zeta == 0.0 and pt.law.kind is not PairKind.DISC_DISC:
+        # C * weight * E ** 0.0 is C * weight for every E, even 0, inf and nan
+        return np.full(ii.size, pt.C * pt.law.weight)
+    g2 = sq_norm(ensemble.v[ii] - ensemble.v[jj])
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
@@ -406,8 +408,11 @@ def _dependency_levels(ii: np.ndarray, jj: np.ndarray):
     """
     m = ii.size
     ends = np.column_stack((ii, jj)).ravel()
-    order = np.argsort(ends, kind="stable")
-    same = ends[order[1:]] == ends[order[:-1]]
+    # the ends in order, ties by position: a stable argsort, as one sort of
+    # the unique keys end * 2m + position (below 2e14 for MAX_PARTICLES
+    # particles and MAX_CANDIDATES candidates)
+    end, order = np.divmod(np.sort(ends * (2 * m) + np.arange(2 * m)), 2 * m)
+    same = end[1:] == end[:-1]
     prev = np.full(2 * m, -1)
     prev[order[1:][same]] = order[:-1][same] // 2
     prev_a, prev_b = prev[0::2], prev[1::2]
@@ -452,7 +457,7 @@ def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.nd
     v, I = ensemble.v, ensemble.internal
     dv = v[a] - v[b]
     pre = I[a] + I[b]
-    # |V|^2 as a BLAS dot product per row (np.sum in _rates): seeded channel
+    # |V|^2 as a BLAS dot product per row (sq_norm in _rates): seeded channel
     # choices depend on it bit for bit
     w = _channel_weights(ensemble, pt, (dv[:, None, :] @ dv[:, :, None])[:, 0, 0], pre)
     total = w.sum(axis=1)
@@ -536,8 +541,16 @@ def _bins(x: np.ndarray, cap: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
     """Edges over [0, max x] and each sample's bin: ``cap`` bins when the
     sample fills them, else Scott's rule but at least ``floor``."""
     nb = cap if x.size >= 20 * cap else max(floor, _scott_bins(x, cap))
-    edges = np.linspace(0.0, float(x.max()) * (1.0 + 1e-9), nb + 1)
-    return edges, np.clip(np.searchsorted(edges, x, side="right") - 1, 0, nb - 1)
+    top = float(x.max()) * (1.0 + 1e-9)
+    edges = np.linspace(0.0, top, nb + 1)
+    if top == 0.0:                      # an all-zero sample: every edge is 0
+        return edges, np.full(x.size, nb - 1)
+    # floor(x nb / top) is at most one bin from the last edge <= x, which
+    # one comparison on each side finds
+    k = np.clip((x / top * nb).astype(np.intp), 0, nb - 1)
+    k -= edges[k] > x
+    k += edges[k + 1] <= x
+    return edges, np.clip(k, 0, nb - 1)
 
 
 def _log_cell_density(n: int, c: np.ndarray, I: Optional[np.ndarray] = None) -> np.ndarray:
@@ -583,7 +596,7 @@ def h_estimate(ensemble: Ensemble) -> float:
         if ns == 0:
             continue
         dv = ensemble.v[mask] - u
-        c = np.sqrt(np.sum(dv * dv, axis=1))
+        c = np.sqrt(sq_norm(dv))
         energy = sp.energy
         if isinstance(energy, ContinuousEnergy):
             I = ensemble.internal[mask]
@@ -608,7 +621,7 @@ def equilibrium_temperature(ensemble: Ensemble) -> float:
     n = ensemble.n_particles
     u = ensemble.bulk_velocity()
     du = ensemble.v - u
-    e_com = 0.5 * float(np.sum(ensemble.masses * np.sum(du * du, axis=1)))
+    e_com = 0.5 * float(np.sum(ensemble.masses * sq_norm(du)))
     e_com += ensemble.internal_energy()
     counts = [int(np.count_nonzero(ensemble.species == s))
               for s in range(ensemble.spec.n_species)]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,15 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(argv):
+    """Run the CLI in a child process, which imports the same polykin as
+    this one; its stderr is what a user sees, warnings included."""
+    src = str(Path(polykin.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "polykin.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def schema(name):
@@ -104,13 +114,7 @@ class TestCheckCommand:
         assert first == second
 
     def test_module_entry_point(self):
-        # the child imports the same polykin as this process
-        src = str(Path(polykin.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "polykin.cli", "check", "--delta", "3",
-             "--zeta", "0.5", "--hyp", "H3"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = run_cli_process(["check", "--delta", "3", "--zeta", "0.5", "--hyp", "H3"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["satisfied"] is True
 
@@ -270,6 +274,31 @@ class TestRelaxCommand:
                                      "--out", str(tmp_path / "s.csv")], capsys)
         assert code == 0, err
         jsonschema.validate(json.loads(stdout), schema("relax_summary.schema.json"))
+
+    @pytest.mark.parametrize("levels", [[[0.1, 2.0], [1.1, 3.0]], [[1000.0, 2.0], [1001.1, 3.0]]])
+    def test_raised_ground_level_runs(self, tmp_path, levels):
+        # every g exp(-E/T) underflows at the cold end of the temperature solves
+        cfg = write_relax_config(tmp_path / "run.json", t_end=0.1)
+        doc = json.loads(cfg.read_text())
+        doc["species"][0]["energy"] = {"kind": "discrete", "levels": levels}
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli_process(["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert math.isfinite(json.loads(proc.stdout)["T_int_final"])
+
+    @pytest.mark.parametrize("zeta", [1e300, -1e300])
+    def test_failing_run_prints_one_error_line(self, tmp_path, zeta):
+        # E ** (zeta / 2) overflows in the majorant probe
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, dt=0.01)
+        doc = json.loads(cfg.read_text())
+        doc["kernels"][0][0]["zeta"] = zeta
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli_process(["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: kernels[0][0]: sampled majorant")
 
     @pytest.mark.parametrize("path, set_value", [
         ("relax.T_kin0", lambda doc: doc["relax"].update(T_kin0=float("nan"))),

@@ -252,6 +252,19 @@ class TestMoments:
         got = internal_temperature(e, mean_internal_energy(e, T))
         assert got == pytest.approx(T, rel=1e-9)
 
+    @pytest.mark.parametrize("T", [0.05, 1.0, 20.0])
+    def test_internal_temperature_round_trip_above_a_raised_ground(self, T):
+        # every g exp(-E/T) underflows at the root bracket's cold end
+        e = DiscreteLevels((0.1, 1.1), (2.0, 3.0))
+        got = internal_temperature(e, mean_internal_energy(e, T))
+        assert got == pytest.approx(T, rel=1e-9)
+
+    def test_cold_sample_above_a_raised_ground(self):
+        spec = discrete_spec(energies=(1000.0, 1001.1), degeneracies=(2.0, 3.0))
+        M = Maxwellian(spec, EquilibriumParams.single((1.0,), U0, 1e-4))
+        _, levels = M.sample(np.random.default_rng(0), 1000)
+        assert np.all(levels == 0)
+
     def test_internal_temperature_saturation(self):
         e = DiscreteLevels((0.0, 1.0), (1.0, 1.0))
         assert internal_temperature(e, 0.5) == np.inf

@@ -1,0 +1,209 @@
+"""Fast paths against the numpy expressions they replace, bit for bit.
+
+Each reference below is the expression a fast path stands in for; results
+are compared as their uint64 bit patterns, so a sign of zero or a NaN
+payload counts.
+"""
+
+import numpy as np
+import pytest
+
+from polykin import relax
+from polykin.collide import sq_norm
+from polykin.model import ContinuousEnergy, MixtureSpec, Monatomic, PowerLawE, Species
+
+from support import bl_spec, mixture_cont_spec
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# squared row norms
+# ---------------------------------------------------------------------------
+
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1e200, -1.5])
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (1000, 3), (7, 11, 3)])
+def test_sq_norm_matches_sum_of_squares(shape):
+    scale = 10.0 ** np.random.default_rng(2).integers(-300, 300, shape)
+    x = np.random.default_rng(1).standard_normal(shape) * scale
+    with np.errstate(over="ignore"):
+        assert np.array_equal(bits(sq_norm(x)), bits(np.sum(x * x, axis=-1)))
+
+
+def test_sq_norm_special_entries():
+    # every ordered triple of signed zeros, subnormals and infinities
+    x = np.stack(np.meshgrid(SPECIAL, SPECIAL, SPECIAL, indexing="ij"), axis=-1).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(bits(sq_norm(x)), bits(np.sum(x * x, axis=-1)))
+        assert np.array_equal(bits(sq_norm(-x[::-1])), bits(np.sum(x[::-1] * x[::-1], axis=-1)))
+
+
+def test_sq_norm_on_a_k1_block():
+    # the (64, 3430, 3) node differences of K1's refined grid, and the same
+    # block with its vector axis strided
+    rng = np.random.default_rng(3)
+    nodes = rng.standard_normal((3430, 3))
+    dv = nodes[:64, None, :] - nodes[None, :, :]
+    strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(dv, -1, 0)), 0, -1)
+    assert not strided.flags.c_contiguous
+    ref = np.sum(dv * dv, axis=-1)
+    assert np.array_equal(bits(sq_norm(dv)), bits(ref))
+    assert np.array_equal(bits(sq_norm(strided)), bits(ref))
+
+
+# ---------------------------------------------------------------------------
+# histogram bins
+# ---------------------------------------------------------------------------
+
+
+def bins_reference(x, cap, floor):
+    nb = cap if x.size >= 20 * cap else max(floor, relax._scott_bins(x, cap))
+    edges = np.linspace(0.0, float(x.max()) * (1.0 + 1e-9), nb + 1)
+    return edges, np.clip(np.searchsorted(edges, x, side="right") - 1, 0, nb - 1)
+
+
+def assert_same_bins(x, cap, floor):
+    edges, k = relax._bins(x, cap, floor)
+    ref_edges, ref_k = bins_reference(x, cap, floor)
+    assert np.array_equal(bits(edges), bits(ref_edges))
+    assert k.dtype == ref_k.dtype
+    assert np.array_equal(k, ref_k)
+
+
+def thermal_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    speeds = np.sqrt(np.sum(rng.normal(0.0, 1.3, (n, 3)) ** 2, axis=1))
+    return speeds, rng.gamma(1.0, 0.9, n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bins_on_thermal_samples(seed):
+    c, I = thermal_samples(50_000, seed)
+    assert_same_bins(c, relax._SPEED_BINS, 8)
+    assert_same_bins(I, relax._INTERNAL_BINS, 4)
+
+
+@pytest.mark.parametrize("cap, floor", [(relax._SPEED_BINS, 8), (relax._INTERNAL_BINS, 4)])
+def test_bins_at_every_edge_and_its_neighbours(cap, floor):
+    # below the sample maximum, so the edges stay those of the sample
+    c, _ = thermal_samples(50_000, 4)
+    edges, _ = bins_reference(c, cap, floor)
+    inner = edges[:-1]
+    x = np.concatenate([c, inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)])
+    assert x.max() == c.max()
+    assert_same_bins(x, cap, floor)
+    # a sample of only edges and neighbours, topped by its maximum
+    assert_same_bins(x[c.size:], cap, floor)
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 300, 1000, 1279])
+def test_bins_under_scotts_rule(n):
+    c, I = thermal_samples(n, n)
+    assert_same_bins(c, relax._SPEED_BINS, 8)
+    assert_same_bins(I, relax._INTERNAL_BINS, 4)
+
+
+@pytest.mark.parametrize("n", [1, 40, 5000])
+def test_bins_of_an_all_zero_sample(n):
+    assert_same_bins(np.zeros(n), relax._SPEED_BINS, 8)
+    assert_same_bins(np.zeros(n), relax._INTERNAL_BINS, 4)
+
+
+def test_bins_of_tiny_and_huge_samples():
+    c, _ = thermal_samples(5000, 5)
+    for scale in (1e-300, 5e-320, 1e300):
+        assert_same_bins(c * scale, relax._SPEED_BINS, 8)
+
+
+# ---------------------------------------------------------------------------
+# dependency levels
+# ---------------------------------------------------------------------------
+
+
+def levels_reference(ii, jj):
+    """The schedule with the candidate ends ordered by a stable argsort."""
+    m = ii.size
+    ends = np.column_stack((ii, jj)).ravel()
+    order = np.argsort(ends, kind="stable")
+    same = ends[order[1:]] == ends[order[:-1]]
+    prev = np.full(2 * m, -1)
+    prev[order[1:][same]] = order[:-1][same] // 2
+    prev_a, prev_b = prev[0::2], prev[1::2]
+    waiting = np.ones(m + 1, dtype=bool)
+    waiting[-1] = False
+    rest = np.arange(m)
+    while rest.size:
+        free = ~(waiting[prev_a[rest]] | waiting[prev_b[rest]])
+        level = rest[free]
+        yield level
+        waiting[level] = False
+        rest = rest[~free]
+
+
+def random_candidates(rng, n, m):
+    a = rng.integers(0, n, m)
+    return a, (a + rng.integers(1, n, m)) % n
+
+
+@pytest.mark.parametrize("n, m", [(50_000, 1680), (50_000, 1), (2, 1), (2, 50), (6, 400),
+                                  (1000, 5000)])
+def test_dependency_levels_match_the_stable_argsort(n, m):
+    rng = np.random.default_rng(n + m)
+    for _ in range(5):
+        ii, jj = random_candidates(rng, n, m)
+        got = list(relax._dependency_levels(ii, jj))
+        ref = list(levels_reference(ii, jj))
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
+
+
+# ---------------------------------------------------------------------------
+# constant rates at zeta = 0
+# ---------------------------------------------------------------------------
+
+
+def rates_reference(ensemble, pt, ii, jj):
+    with np.errstate(invalid="ignore"):
+        dv = ensemble.v[ii] - ensemble.v[jj]
+        E = (0.5 * pt.law.mu * np.sum(dv * dv, axis=-1)
+             + ensemble.internal[ii] + ensemble.internal[jj])
+        return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
+
+
+MONO_MONO = MixtureSpec(
+    species=(Species("a", 1.0, Monatomic()), Species("b", 3.0, Monatomic())),
+    kernels=((PowerLawE(C=0.7, zeta=0.0),) * 2,) * 2,
+)
+MONO_FIRST = MixtureSpec(
+    species=(Species("a", 1.0, Monatomic()), Species("b", 2.0, ContinuousEnergy(2.5))),
+    kernels=((PowerLawE(C=1.3, zeta=0.0),) * 2,) * 2,
+)
+
+
+@pytest.mark.parametrize("spec", [bl_spec(C=2.5), mixture_cont_spec(C=1.7),
+                                  mixture_cont_spec(delta_b=None, C=0.3), MONO_MONO, MONO_FIRST],
+                         ids=["bl", "cont_mixture", "poly_mono", "mono_mono", "mono_first"])
+def test_zeta_zero_rates_are_the_constant(spec):
+    ens = relax.init_ensemble(spec, 400, 2.0, 1.0, seed=9)
+    # pairs with E = 0, E = inf and E = nan
+    ens.v[:4] = ens.v[4]
+    ens.internal[:5] = 0.0
+    ens.v[5] = np.inf
+    ens.v[6] = [np.inf, -np.inf, 0.0]
+    rng = np.random.default_rng(0)
+    for pt in relax._pair_types(ens):
+        assert pt.zeta == 0.0
+        ii, jj = relax._draw_pairs(rng, pt, 300)
+        ii = np.concatenate([ii, pt.idx_i[:7]])
+        jj = np.concatenate([jj, np.roll(pt.idx_j[:7], 1)])
+        assert np.array_equal(bits(relax._rates(ens, pt, ii, jj)),
+                              bits(rates_reference(ens, pt, ii, jj)))
+    same = relax._pair_types(ens)[0]
+    zero = relax._rates(ens, same, same.idx_i[:2], same.idx_i[1:3])
+    assert np.array_equal(bits(zero), bits(np.full(2, same.C * same.law.weight)))
