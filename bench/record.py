@@ -1,7 +1,7 @@
 """Record a performance trajectory: the benchmark on a base revision and on
 this checkout, in alternating pairs.
 
-    python3 bench/record.py --base d3aef72 --label pr7 --pairs 10
+    python3 bench/record.py --base HEAD~1 --label next --pairs 10
 
 runs the unchanged ``perfbench/run.py`` on every workload of
 ``BENCHMARK.json`` at seed 1 for 45 s per run.  The base side runs from a
