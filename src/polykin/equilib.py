@@ -41,6 +41,7 @@ __all__ = [
     "equilibrium_moments",
     "mean_internal_energy",
     "internal_temperature",
+    "level_weights",
 ]
 
 
@@ -99,6 +100,16 @@ def partition_function(energy: EnergyModel, T: float) -> float:
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
 
+def level_weights(energy: DiscreteLevels, T: float):
+    """Unnormalised Gibbs weights g exp(-(E - E_min)/T) of a discrete spectrum.
+
+    Taken relative to the lowest level, so the ground weight is g_0 however
+    cold T is and the weights never all underflow.
+    """
+    E = np.asarray(energy.energies)
+    return np.asarray(energy.degeneracies) * np.exp(-(E - E.min()) / T)
+
+
 def psi_res(Z, delta: float):
     """Self-convolution of the internal-energy weight at total energy Z.
 
@@ -155,10 +166,10 @@ class Maxwellian:
             return lphi - I / T - special.gammaln(0.5 * d) - 0.5 * d * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)
-            E = np.asarray(e.energies)[k]
+            E = np.asarray(e.energies)
             g = np.asarray(e.degeneracies)[k]
-            q = partition_function(e, T)
-            return np.log(g) - E / T - np.log(q)
+            q = np.sum(level_weights(e, T))
+            return np.log(g) - (E[k] - E.min()) / T - np.log(q)
         raise TypeError(f"unknown energy model {type(e).__name__}")
 
     def log_density(self, v, internal=None, species: int = 0):
@@ -186,8 +197,7 @@ class Maxwellian:
         T = self.params.T_int
         if isinstance(e, ContinuousEnergy):
             return v, rng.gamma(0.5 * e.delta, T, n)
-        E = np.asarray(e.energies)
-        weights = np.asarray(e.degeneracies) * np.exp(-(E - E.min()) / T)
+        weights = level_weights(e, T)
         weights = weights / weights.sum()
         return v, rng.choice(len(weights), size=n, p=weights)
 
@@ -265,19 +275,16 @@ class MomentSummary:
 def mean_internal_energy(energy: EnergyModel, T: float) -> float:
     """Equilibrium mean internal energy per particle at temperature T.
 
-    Discrete levels are weighted relative to the lowest one,
-    g exp(-(E - E_min)/T), so the ground weight never underflows however
-    cold T is.
+    Discrete levels are weighted by ``level_weights``, relative to the
+    lowest one, so the mean stays finite however cold T is.
     """
     if isinstance(energy, Monatomic):
         return 0.0
     if isinstance(energy, ContinuousEnergy):
         return 0.5 * energy.delta * T
     if isinstance(energy, DiscreteLevels):
-        E = np.asarray(energy.energies)
-        g = np.asarray(energy.degeneracies)
-        w = g * np.exp(-(E - E.min()) / T)
-        return float(np.sum(w * E) / np.sum(w))
+        w = level_weights(energy, T)
+        return float(np.sum(w * np.asarray(energy.energies)) / np.sum(w))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
 

@@ -35,7 +35,7 @@ from ..collide import (
     sq_norm,
     unit_sphere,
 )
-from ..equilib import Maxwellian
+from ..equilib import Maxwellian, level_weights
 from ..model import (
     CollisionContext,
     ContinuousEnergy,
@@ -162,7 +162,7 @@ def _beta_draw(shapes, rng, n: int):
 def _gibbs_partner(prop: Proposal, rng, n: int, j: int):
     e = prop.maxwellian.spec.species[j].energy
     T = prop.maxwellian.params.T_int
-    w = np.asarray(e.degeneracies) * np.exp(-np.asarray(e.energies) / T)
+    w = level_weights(e, T)
     p = w / w.sum()
     lev = rng.choice(p.size, size=n, p=p)
     return lev, np.log(p)[lev]

@@ -21,7 +21,7 @@ def test_write_bench_round_trips(tmp_path):
              "metrics": {"wall_s": {"value": 0.64, "unit": "s"}}}
     runs = {"relax-bl": [final, final], "operator-diag": []}
     path = tmp_path / "BENCH_x.json"
-    record.write_bench(path, "x", "0123abc", machine, runs)
+    record.write_bench(path, "x", "0123abc", 45, machine, runs)
     doc = json.loads(path.read_text())
     assert doc == {"label": "x", "commit": "0123abc", "seed": 1, "seconds": 45,
                    "machine": machine, "runs": runs}

@@ -265,6 +265,15 @@ class TestMoments:
         _, levels = M.sample(np.random.default_rng(0), 1000)
         assert np.all(levels == 0)
 
+    def test_log_density_above_a_raised_ground(self):
+        # the partition function itself underflows to 0 here
+        spec = discrete_spec(energies=(1000.0, 1001.1), degeneracies=(2.0, 3.0))
+        M = Maxwellian(spec, EquilibriumParams.single((1.0,), U0, 1.0))
+        got = M.log_density(np.zeros((2, 3)), np.array([0, 1]))
+        want = (1.5 * np.log(1.0 / (2.0 * np.pi)) + np.log([2.0, 3.0]) - np.array([0.0, 1.1])
+                - np.log(2.0 + 3.0 * np.exp(-1.1)))
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
     def test_internal_temperature_saturation(self):
         e = DiscreteLevels((0.0, 1.0), (1.0, 1.0))
         assert internal_temperature(e, 0.5) == np.inf

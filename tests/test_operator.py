@@ -19,6 +19,7 @@ from polykin.operator import (
     eval_q,
     weak_moment,
 )
+from polykin.operator.transitions import make_proposal, sample_state
 from support import bl_spec, discrete_spec, mixture_cont_spec, resonant_spec
 
 W_BL = ParticleState(v=np.array([0.4, -0.1, 0.2]), I=0.9)
@@ -370,3 +371,14 @@ class TestScopeAndErrors:
         est = eval_q(f, f, W_BL, QuadratureConfig(n_samples=150_000, seed=9))
         assert est.stderr > 0.0
         assert np.isfinite(est.value)
+
+
+def test_partner_levels_above_a_raised_ground():
+    # every g exp(-E/T_int) underflows; the draw weights levels from the lowest
+    spec = discrete_spec(energies=(1000.0, 1001.1), degeneracies=(2.0, 3.0))
+    M = equilibrium(spec)
+    prop = make_proposal(M, (0, 0), QuadratureConfig(n_samples=1))
+    v, lev, log_q = sample_state(prop, 0, np.random.default_rng(3), 4000)
+    p1 = 3.0 * np.exp(-1.1) / (2.0 + 3.0 * np.exp(-1.1))
+    assert abs(np.mean(lev == 1) - p1) < 0.03
+    np.testing.assert_allclose(log_q, M.log_density(v, lev), rtol=1e-13)
