@@ -8,8 +8,7 @@ gas table from the bundled synthetic datasets).
 Exit codes: 0 success, 2 argument or schema error, 3 I/O error,
 4 numerical abort.  Output files are written atomically (temp file plus
 rename), and commands with random state echo their seed as a `# seed=`
-header line.  The environment variable POLYKIN_THREADS caps worker counts
-in the Monte Carlo estimators.
+header line.
 """
 
 from __future__ import annotations

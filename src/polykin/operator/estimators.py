@@ -161,7 +161,7 @@ def eval_q(
         raise ValueError("w must belong to f's species")
     pair = (f.species, g.species)
     kern = kernel if kernel is not None else spec.kernel(*pair)
-    prop = make_proposal(g.maxwellian, pair, cfg)
+    prop = make_proposal(g.maxwellian, pair)
     v0, i0 = _state_arrays(spec, w)
 
     def sampler(rng, n):
@@ -199,7 +199,7 @@ def collision_frequency(
     diagnostics: dict = {}
     for j in range(spec.n_species):
         kern = kernel if kernel is not None else spec.kernel(i, j)
-        prop = make_proposal(M, (i, j), cfg)
+        prop = make_proposal(M, (i, j))
 
         def sampler(rng, n, j=j, kern=kern, prop=prop):
             v, internal = _tile(v0, i0, n)
@@ -244,7 +244,7 @@ def eval_k(
     if spec.n_species != 1:
         raise ValueError("the linearized-part estimator covers single species")
     kern = kernel if kernel is not None else spec.kernel(0, 0)
-    prop = make_proposal(M, (0, 0), cfg)
+    prop = make_proposal(M, (0, 0))
     v0, i0 = _state_arrays(spec, w)
     log_m_w = float(np.asarray(M.log_density(v0, i0, 0), dtype=float))
 
@@ -272,12 +272,12 @@ def eval_k(
     return accumulate(sampler, cfg)
 
 
-def _joint_sampler_parts(f: DistributionFn, cfg: QuadratureConfig, kernel):
+def _joint_sampler_parts(f: DistributionFn, kernel):
     spec = f.maxwellian.spec
     if spec.n_species != 1:
         raise ValueError("weak-form estimators cover single-species models")
     kern = kernel if kernel is not None else spec.kernel(0, 0)
-    prop = make_proposal(f.maxwellian, (0, 0), cfg)
+    prop = make_proposal(f.maxwellian, (0, 0))
     return spec, kern, prop
 
 
@@ -294,7 +294,7 @@ def weak_moment(
     For collision invariants the defect is snapped to zero samplewise, so
     the estimate is exactly 0 +/- 0.
     """
-    spec, kern, prop = _joint_sampler_parts(f, cfg, kernel)
+    spec, kern, prop = _joint_sampler_parts(f, kernel)
 
     def sampler(rng, n):
         v, i_w, log_q_w = sample_state(prop, 0, rng, n)
@@ -332,7 +332,7 @@ def entropy_production(
     product and b the loss product; it vanishes exactly at equilibrium.
     Raises if f is not strictly positive on the sampled states.
     """
-    spec, kern, prop = _joint_sampler_parts(f, cfg, kernel)
+    spec, kern, prop = _joint_sampler_parts(f, kernel)
 
     def sampler(rng, n):
         v, i_w, log_q_w = sample_state(prop, 0, rng, n)

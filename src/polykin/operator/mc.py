@@ -9,7 +9,6 @@ chunk size) and not on how many worker threads executed the chunks.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,41 +25,27 @@ SNAP_RTOL = 64.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Sample budget, seed, and proposal overrides for the MC estimators.
+    """Sample budget, seed, chunk size and worker threads for the MC
+    estimators.
 
-    The proposal defaults (partner velocity Gaussian at the reference
-    temperature, internal energy Gamma with the equilibrium shape, Beta
-    draws matching the transition-weight powers, uniform scattering
-    direction) are derived per call; the optional fields below override
-    them.  ``i_truncation`` caps proposed internal energies, restricting
-    the integration domain to [0, i_truncation].
+    Every estimator samples from the proposal of its species pair, the
+    pair's equilibrium and Borgnakke-Larsen Beta laws, so nothing here
+    selects a distribution.  ``threads`` worker threads run the chunks; their
+    number does not change the result.
     """
 
     n_samples: int
     seed: int = 0
     chunk_size: int = 250_000
-    beta_r: tuple[float, float] | None = None
-    beta_R: tuple[float, float] | None = None
-    gamma_shape: float | None = None
-    proposal_temperature: float | None = None
-    i_truncation: float | None = None
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        for name in ("beta_r", "beta_R"):
-            shapes = getattr(self, name)
-            if shapes is not None and (shapes[0] <= 0 or shapes[1] <= 0):
-                raise ValueError(f"{name} shapes must be positive")
-        if self.gamma_shape is not None and self.gamma_shape <= 0:
-            raise ValueError("gamma_shape must be positive")
-        if self.proposal_temperature is not None and self.proposal_temperature <= 0:
-            raise ValueError("proposal_temperature must be positive")
-        if self.i_truncation is not None and self.i_truncation <= 0:
-            raise ValueError("i_truncation must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -76,14 +61,6 @@ class MCEstimate:
     def __post_init__(self) -> None:
         if self.stderr < 0:
             raise ValueError("standard error must be nonnegative")
-
-
-def _worker_count(cfg: QuadratureConfig) -> int:
-    want = cfg.threads if cfg.threads is not None else 1
-    cap = os.environ.get("POLYKIN_THREADS")
-    if cap is not None:
-        want = min(want, max(1, int(cap)))
-    return max(1, want)
 
 
 def _chunk_stats(values: np.ndarray) -> tuple[int, float, float]:
@@ -134,11 +111,10 @@ def accumulate(
             )
         return _chunk_stats(values), diag
 
-    workers = _worker_count(cfg)
-    if workers == 1 or n_chunks == 1:
+    if cfg.threads == 1 or n_chunks == 1:
         results = [run_chunk(k) for k in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(run_chunk, range(n_chunks)))
 
     acc = (0, 0.0, 0.0)

@@ -7,25 +7,27 @@ combine: ``log_phi`` (the degeneracy ratio entering the gain term) and
 density of everything that was drawn.  Rows with zero weight (inadmissible
 discrete channels, vanishing kernel) carry ``log_aq`` = -inf.
 
-:func:`sample_transition` resolves the pair law once and draws the partner
-state once, with :func:`sample_state` (Gaussian velocity, then the Gamma or
-Gibbs internal state).  It then hands over to the sampler of the pair's
-family: Borgnakke-Larsen exchange, poly-mono in either slot order,
-monatomic, discrete levels or resonant.  The family sampler draws the
-exchange parameters and then the scattering direction, and takes the
-exponents of the transition weight from the law's Beta shapes.  The draw
-order is fixed, so results reproduce for a fixed seed.
+:func:`make_proposal` resolves the pair law once per estimator call.
+:func:`sample_transition` draws the partner state once, with
+:func:`sample_state` (Gaussian velocity, then the Gamma or Gibbs internal
+state), and hands over to the sampler of the pair's family:
+Borgnakke-Larsen exchange, poly-mono in either slot order, monatomic,
+discrete levels or resonant.  The family sampler draws the exchange
+parameters and then the scattering direction, from the Beta shapes of the
+proposal's law, which also give the exponents of the transition weight.
+The draw order is fixed, so results reproduce for a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from ..collide import (
     PairKind,
+    PairLaw,
     bl_poly_mono,
     bl_poly_poly,
     discrete_rule,
@@ -46,7 +48,6 @@ from ..model import (
     ResonantTensored,
     eval_kernel,
 )
-from .mc import QuadratureConfig
 
 __all__ = ["Proposal", "TransitionBatch", "make_proposal", "sample_transition"]
 
@@ -63,35 +64,21 @@ def _pow_log(x, p: float):
 
 @dataclass(frozen=True)
 class Proposal:
-    """Resolved proposal distributions for one species pair.
+    """The proposal of one species pair: its reference equilibrium and law.
 
-    ``maxwellian`` supplies the partner-state draws (Gaussian velocity and
-    Gamma/Gibbs internal state at its temperatures); the Beta shapes cover
-    the energy-exchange parameters where the family has them.
+    ``maxwellian`` supplies the state draws (Gaussian velocity, then the
+    Gamma or Gibbs internal state at its temperatures); ``law`` is the
+    pair's :class:`~polykin.collide.PairLaw`, whose Beta shapes give both
+    the exchange-parameter draws and the transition-weight exponents.
     """
 
     maxwellian: Maxwellian
-    beta_r: tuple[float, float] | None
-    beta_R: tuple[float, float] | None
-    gamma_shape: float | None
-    i_truncation: float | None
+    law: PairLaw
 
 
-def make_proposal(
-    m_ref: Maxwellian, pair: tuple[int, int], cfg: QuadratureConfig
-) -> Proposal:
-    """Derive the proposal for ``pair`` from a reference equilibrium."""
-    spec = m_ref.spec
-    i, j = pair
-    law = pair_law(spec, i, j)
-    prop_m = m_ref
-    if cfg.proposal_temperature is not None:
-        t = cfg.proposal_temperature
-        prop_m = Maxwellian(spec, replace(m_ref.params, T_kin=t, T_int=t))
-
-    beta_r = law.beta_r if cfg.beta_r is None else cfg.beta_r
-    beta_R = law.beta_R if cfg.beta_R is None else cfg.beta_R
-    return Proposal(prop_m, beta_r, beta_R, cfg.gamma_shape, cfg.i_truncation)
+def make_proposal(m_ref: Maxwellian, pair: tuple[int, int]) -> Proposal:
+    """The proposal for ``pair`` around the reference equilibrium ``m_ref``."""
+    return Proposal(m_ref, pair_law(m_ref.spec, *pair))
 
 
 @dataclass
@@ -127,24 +114,10 @@ def _gaussian_partner(prop: Proposal, rng, n: int, j: int):
 
 
 def _gamma_partner(prop: Proposal, rng, n: int, j: int):
-    delta = prop.maxwellian.spec.species[j].energy.delta
-    a = prop.gamma_shape if prop.gamma_shape is not None else 0.5 * delta
+    a = 0.5 * prop.maxwellian.spec.species[j].energy.delta
     T = prop.maxwellian.params.T_int
-    if prop.i_truncation is None:
-        I = rng.gamma(a, T, n)
-        log_norm = 0.0
-    else:
-        # inverse-CDF draw restricted to [0, i_truncation]
-        frac = special.gammainc(a, prop.i_truncation / T)
-        I = T * special.gammaincinv(a, rng.uniform(0.0, 1.0, n) * frac)
-        log_norm = np.log(frac)
-    log_q = (
-        _pow_log(I, a - 1.0)
-        - I / T
-        - special.gammaln(a)
-        - a * np.log(T)
-        - log_norm
-    )
+    I = rng.gamma(a, T, n)
+    log_q = _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
     return I, log_q
 
 
@@ -179,9 +152,10 @@ def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
         return np.log(np.asarray(b, dtype=float))
 
 
-def _bl_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
-    r, lq_r = _beta_draw(prop.beta_r, rng, n)
-    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+def _bl_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+    law = prop.law
+    r, lq_r = _beta_draw(law.beta_r, rng, n)
+    R, lq_R = _beta_draw(law.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
@@ -199,7 +173,8 @@ def _bl_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n)
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _resonant_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+def _resonant_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+    law = prop.law
     Z = I + I_star
     I_prime = rng.uniform(0.0, 1.0, n) * Z
     lq_ip = -np.log(np.maximum(Z, _TINY))
@@ -227,8 +202,9 @@ def _resonant_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, r
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _poly_mono_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
-    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+def _poly_mono_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+    law = prop.law
+    R, lq_R = _beta_draw(law.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
     # the rule takes the polyatomic particle first: for mono-poly that is the
     # partner, so the slots swap on the way in and on the way out
@@ -246,7 +222,8 @@ def _poly_mono_pair(spec, pair, law, kernel, v, I, v_star, I_star, log_q, prop, 
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _mono_mono_pair(spec, pair, law, kernel, v, _I, v_star, _I_star, log_q, prop, rng, n):
+def _mono_mono_pair(spec, pair, kernel, v, _I, v_star, _I_star, log_q, prop, rng, n):
+    law = prop.law
     sigma = unit_sphere(rng, n)
     vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
     V = v - v_star
@@ -258,7 +235,8 @@ def _mono_mono_pair(spec, pair, law, kernel, v, _I, v_star, _I_star, log_q, prop
     )
 
 
-def _discrete_pair(spec, pair, law, kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
+def _discrete_pair(spec, pair, kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
+    law = prop.law
     i, j = pair
     ei, ej = spec.species[i].energy, spec.species[j].energy
     Ei = np.asarray(ei.energies)
@@ -314,14 +292,14 @@ def sample_transition(
 ) -> TransitionBatch:
     """Draw ``n`` transitions from states (v, internal) of species pair."""
     i, j = pair
-    law = pair_law(spec, i, j)
-    sampler = _SAMPLERS[law.kind]
+    kind = prop.law.kind
+    sampler = _SAMPLERS[kind]
     if isinstance(kernel, ResonantTensored):
-        if not (i == j and law.kind is PairKind.CONT_CONT and spec.n_species == 1):
+        if not (i == j and kind is PairKind.CONT_CONT and spec.n_species == 1):
             raise ValueError("resonant kernels require a single continuous species")
         sampler = _resonant_pair
     v_star, i_star, log_q = sample_state(prop, j, rng, n)
-    return sampler(spec, pair, law, kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
+    return sampler(spec, pair, kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
 
 
 def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int):

@@ -175,7 +175,11 @@ class Ensemble:
             if (not np.any(mask) or isinstance(sp.energy, Monatomic)
                     or isinstance(sp.energy, DiscreteLevels) and sp.energy.n_levels == 1):
                 continue
-            mean_i = float(np.mean(self.internal[mask]))
+            # a discrete mean is taken over the excess above the ground, which
+            # is exactly 0 there: a mean of many ground energies can round below
+            # the ground itself
+            e0 = sp.energy.energies[0] if isinstance(sp.energy, DiscreteLevels) else 0.0
+            mean_i = float(np.mean(self.internal[mask] - e0)) + e0
             t = internal_temperature(sp.energy, mean_i)
             w = sp.energy.delta if isinstance(sp.energy, ContinuousEnergy) else 2.0
             temps.append(t)

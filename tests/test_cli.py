@@ -275,10 +275,15 @@ class TestRelaxCommand:
         assert code == 0, err
         jsonschema.validate(json.loads(stdout), schema("relax_summary.schema.json"))
 
-    @pytest.mark.parametrize("levels", [[[0.1, 2.0], [1.1, 3.0]], [[1000.0, 2.0], [1001.1, 3.0]]])
-    def test_raised_ground_level_runs(self, tmp_path, levels):
+    @pytest.mark.parametrize("levels, relax", [
+        ([[0.1, 2.0], [1.1, 3.0]], {}),
+        ([[1000.0, 2.0], [1001.1, 3.0]], {}),
+        # the mean of 1048 copies of 0.1 rounds below 0.1
+        ([[0.1, 1.0], [1.1, 1.0]], {"T_int0": 0.01, "n_particles": 1048}),
+    ])
+    def test_raised_ground_level_runs(self, tmp_path, levels, relax):
         # every g exp(-E/T) underflows at the cold end of the temperature solves
-        cfg = write_relax_config(tmp_path / "run.json", t_end=0.1)
+        cfg = write_relax_config(tmp_path / "run.json", t_end=0.1, **relax)
         doc = json.loads(cfg.read_text())
         doc["species"][0]["energy"] = {"kind": "discrete", "levels": levels}
         cfg.write_text(json.dumps(doc))

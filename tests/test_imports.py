@@ -1,8 +1,11 @@
-"""Every import in the package is used.
+"""Every import and every private module-level name in the package is used.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module or be listed
-in its ``__all__``.  Re-exports marked ``# noqa: F401`` are exempt.
+in its ``__all__``.  Re-exports marked ``# noqa: F401`` are exempt.  A
+private name (``_name``) bound at module level by a function, a class or an
+assignment must be read somewhere in the package: as a name, an attribute
+or an import.
 """
 
 from __future__ import annotations
@@ -43,4 +46,47 @@ def test_package_has_no_unused_imports():
         names = unused_imports(path.read_text(encoding="utf-8"))
         if names:
             found[str(path.relative_to(PACKAGE))] = names
+    assert found == {}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_package_reads_every_private_name():
+    trees = {
+        str(path.relative_to(PACKAGE)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    read = set().union(*(_names_read(tree) for tree in trees.values()))
+    found = {}
+    for module, tree in trees.items():
+        names = [f"{name} (line {line})"
+                 for name, line in _private_definitions(tree).items() if name not in read]
+        if names:
+            found[module] = names
     assert found == {}

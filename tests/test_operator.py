@@ -52,11 +52,6 @@ class TestEngine:
             c = self._run(threads=threads)
             assert c.value == a.value and c.stderr == a.stderr
 
-    def test_env_var_caps_workers_without_changing_values(self, monkeypatch):
-        a = self._run()
-        monkeypatch.setenv("POLYKIN_THREADS", "1")
-        assert self._run(threads=8).value == a.value
-
     def test_chunked_estimate_combines_all_samples(self):
         est = self._run()
         assert est.n_samples == 60_000
@@ -65,10 +60,9 @@ class TestEngine:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(n_samples=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(n_samples=10, beta_r=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            QuadratureConfig(n_samples=10, i_truncation=-1.0)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                QuadratureConfig(n_samples=10, threads=threads)
 
 
 class TestDetailedBalance:
@@ -201,22 +195,6 @@ class TestCollisionFrequency:
         w = ParticleState(v=np.array([0.1, 0.5, 0.0]), species=0, I=0.8)
         est = collision_frequency(w, M, None, QuadratureConfig(n_samples=60_000, seed=6))
         assert est.value > 0.0 and np.isfinite(est.stderr)
-
-    def test_proposal_overrides_agree(self):
-        M = equilibrium(bl_spec(delta=2.5, zeta=0.6))
-        base = collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=150_000, seed=1))
-        overrides = [
-            dict(beta_r=(1.0, 1.0), beta_R=(1.0, 1.0)),
-            dict(gamma_shape=2.0),
-            dict(proposal_temperature=1.5),
-            dict(i_truncation=30.0),
-        ]
-        for i, kw in enumerate(overrides):
-            est = collision_frequency(
-                W_BL, M, None, QuadratureConfig(n_samples=150_000, seed=10 + i, **kw)
-            )
-            z = (est.value - base.value) / np.hypot(est.stderr, base.stderr)
-            assert abs(z) < 5.0, kw
 
 
 class TestWeakMoments:
@@ -377,7 +355,7 @@ def test_partner_levels_above_a_raised_ground():
     # every g exp(-E/T_int) underflows; the draw weights levels from the lowest
     spec = discrete_spec(energies=(1000.0, 1001.1), degeneracies=(2.0, 3.0))
     M = equilibrium(spec)
-    prop = make_proposal(M, (0, 0), QuadratureConfig(n_samples=1))
+    prop = make_proposal(M, (0, 0))
     v, lev, log_q = sample_state(prop, 0, np.random.default_rng(3), 4000)
     p1 = 3.0 * np.exp(-1.1) / (2.0 + 3.0 * np.exp(-1.1))
     assert abs(np.mean(lev == 1) - p1) < 0.03

@@ -1,15 +1,19 @@
 """The transition samplers against one hand-written sampler per family.
 
-The samplers below each draw their own partner state and derive their own
-weight exponents from the species' delta, with mono-poly as a separate copy
-of poly-mono that swaps the slots by hand.  ``sample_transition`` draws the
-partner once through ``sample_state``, takes the exponents from the pair
-law and runs both poly-mono slot orders through one sampler; every array
-of every batch must agree bit for bit.
+The samplers below each draw their own partner state with their own copies
+of the proposal draws and derive their own Beta shapes and weight exponents
+from the species' delta, with mono-poly as a separate copy of poly-mono that
+swaps the slots by hand.  ``sample_transition`` draws the partner once
+through ``sample_state``, takes the shapes and exponents from the pair law
+of its proposal and runs both poly-mono slot orders through one sampler;
+every array of every batch must agree bit for bit, at each of several
+reference equilibria the proposal is built on.
 """
 
 import numpy as np
 import pytest
+
+from scipy import special
 
 from polykin.collide import (
     PairKind,
@@ -22,36 +26,76 @@ from polykin.collide import (
     unit_sphere,
 )
 from polykin.equilib import EquilibriumParams, Maxwellian
-from polykin.model import CollisionContext, Monatomic, PowerLawE, ResonantTensored, single_species
-from polykin.operator.mc import QuadratureConfig
-from polykin.operator.transitions import (
-    _LOG_4PI,
-    _TINY,
-    _beta_draw,
-    _gamma_partner,
-    _gaussian_partner,
-    _gibbs_partner,
-    _log_b,
-    _pow_log,
-    make_proposal,
-    sample_state,
-    sample_transition,
+from polykin.model import (
+    CollisionContext,
+    Monatomic,
+    PowerLawE,
+    PsiWeighted,
+    ResonantTensored,
+    eval_kernel,
+    single_species,
 )
+from polykin.operator.transitions import make_proposal, sample_state, sample_transition
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec
 
 FIELDS = ("v", "i_pre", "v_star", "i_star", "v_post", "i_post", "v_post_star",
           "i_post_star", "log_phi", "log_aq", "diagnostics")
 
+_TINY = 1e-300
+_LOG_4PI = np.log(4.0 * np.pi)
 
-def _bl_pair(spec, pair, law, kernel, v, I, prop, rng, n):
+
+def _pow_log(x, p):
+    if p == 0.0:
+        return np.zeros(np.shape(x))
+    return p * np.log(np.maximum(x, _TINY))
+
+
+def _log_b(kernel, ctx, pair_has_split):
+    if isinstance(kernel, PsiWeighted) and kernel.psi is not None and not pair_has_split:
+        raise ValueError("a psi-weighted kernel needs an energy-split variable")
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(eval_kernel(kernel, ctx), dtype=float))
+
+
+def _gaussian_partner(M, rng, n, j):
+    m = M.spec.species[j].mass
+    T, u = M.params.T_kin, M.params.u
+    v = u + rng.normal(0.0, np.sqrt(T / m), (n, 3))
+    dv = v - u
+    return v, 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * np.sum(dv * dv, -1) / T
+
+
+def _gamma_partner(M, rng, n, j):
+    a = 0.5 * M.spec.species[j].energy.delta
+    T = M.params.T_int
+    I = rng.gamma(a, T, n)
+    return I, _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
+
+
+def _beta_draw(a, b, rng, n):
+    x = np.clip(rng.beta(a, b, n), _TINY, 1.0 - 2**-53)
+    return x, _pow_log(x, a - 1.0) + _pow_log(1.0 - x, b - 1.0) - special.betaln(a, b)
+
+
+def _gibbs_partner(M, rng, n, j):
+    e = M.spec.species[j].energy
+    E = np.asarray(e.energies)
+    w = np.asarray(e.degeneracies) * np.exp(-(E - E.min()) / M.params.T_int)
+    p = w / w.sum()
+    lev = rng.choice(p.size, size=n, p=p)
+    return lev, np.log(p)[lev]
+
+
+def _bl_pair(spec, pair, law, kernel, v, I, M, rng, n):
     i, j = pair
     di = spec.species[i].energy.delta
     dj = spec.species[j].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    I_star, lq_I = _gamma_partner(prop, rng, n, j)
-    r, lq_r = _beta_draw(prop.beta_r, rng, n)
-    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+    v_star, lq_v = _gaussian_partner(M, rng, n, j)
+    I_star, lq_I = _gamma_partner(M, rng, n, j)
+    r, lq_r = _beta_draw(0.5 * di, 0.5 * dj, rng, n)
+    R, lq_R = _beta_draw(1.5, 0.5 * (di + dj), rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
@@ -68,10 +112,10 @@ def _bl_pair(spec, pair, law, kernel, v, I, prop, rng, n):
     return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _resonant_pair(spec, pair, kernel, v, I, prop, rng, n):
+def _resonant_pair(spec, pair, kernel, v, I, M, rng, n):
     delta = spec.species[0].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, 0)
-    I_star, lq_I = _gamma_partner(prop, rng, n, 0)
+    v_star, lq_v = _gaussian_partner(M, rng, n, 0)
+    I_star, lq_I = _gamma_partner(M, rng, n, 0)
     Z = I + I_star
     I_prime = rng.uniform(0.0, 1.0, n) * Z
     lq_ip = -np.log(np.maximum(Z, _TINY))
@@ -90,11 +134,11 @@ def _resonant_pair(spec, pair, kernel, v, I, prop, rng, n):
     return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _poly_mono_pair(spec, pair, law, kernel, v, I, prop, rng, n):
+def _poly_mono_pair(spec, pair, law, kernel, v, I, M, rng, n):
     i, j = pair
     di = spec.species[i].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+    v_star, lq_v = _gaussian_partner(M, rng, n, j)
+    R, lq_R = _beta_draw(1.5, 0.5 * di, rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
@@ -105,12 +149,12 @@ def _poly_mono_pair(spec, pair, law, kernel, v, I, prop, rng, n):
     return (v, I, v_star, None, vp, Ip, vsp, None, log_phi, log_a - log_q, {})
 
 
-def _mono_poly_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
+def _mono_poly_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     j = pair[1]
     dj = spec.species[j].energy.delta
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    I_star, lq_I = _gamma_partner(prop, rng, n, j)
-    R, lq_R = _beta_draw(prop.beta_R, rng, n)
+    v_star, lq_v = _gaussian_partner(M, rng, n, j)
+    I_star, lq_I = _gamma_partner(M, rng, n, j)
+    R, lq_R = _beta_draw(1.5, 0.5 * dj, rng, n)
     sigma = unit_sphere(rng, n)
     # the internal energy rides with the second (polyatomic) particle
     vsp_in_first_slot, vp_in_second_slot, Isp, E = bl_poly_mono(
@@ -125,9 +169,9 @@ def _mono_poly_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
     return (v, None, v_star, I_star, vp, None, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _mono_mono_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
+def _mono_mono_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     j = pair[1]
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
+    v_star, lq_v = _gaussian_partner(M, rng, n, j)
     sigma = unit_sphere(rng, n)
     vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
     V = v - v_star
@@ -137,13 +181,13 @@ def _mono_mono_pair(spec, pair, law, kernel, v, _unused, prop, rng, n):
     return (v, None, v_star, None, vp, None, vsp, None, np.zeros(n), log_b - log_q, {})
 
 
-def _discrete_pair(spec, pair, law, kernel, v, lev, prop, rng, n):
+def _discrete_pair(spec, pair, law, kernel, v, lev, M, rng, n):
     i, j = pair
     ei, ej = spec.species[i].energy, spec.species[j].energy
     Ei, Ej = np.asarray(ei.energies), np.asarray(ej.energies)
     gi, gj = np.asarray(ei.degeneracies), np.asarray(ej.degeneracies)
-    v_star, lq_v = _gaussian_partner(prop, rng, n, j)
-    lev_star, lq_lev = _gibbs_partner(prop, rng, n, j)
+    v_star, lq_v = _gaussian_partner(M, rng, n, j)
+    lev_star, lq_lev = _gibbs_partner(M, rng, n, j)
     k_post = rng.integers(0, Ei.size, n)
     l_post = rng.integers(0, Ej.size, n)
     lq_ch = -np.log(float(Ei.size * Ej.size))
@@ -173,11 +217,11 @@ _REFERENCE = {
 }
 
 
-def _reference_transition(spec, pair, kernel, v, internal, prop, rng, n):
+def _reference_transition(spec, pair, kernel, v, internal, M, rng, n):
     law = pair_law(spec, *pair)
     if isinstance(kernel, ResonantTensored):
-        return _resonant_pair(spec, pair, kernel, v, internal, prop, rng, n)
-    return _REFERENCE[law.kind](spec, pair, law, kernel, v, internal, prop, rng, n)
+        return _resonant_pair(spec, pair, kernel, v, internal, M, rng, n)
+    return _REFERENCE[law.kind](spec, pair, law, kernel, v, internal, M, rng, n)
 
 
 PAIRS = {
@@ -191,15 +235,15 @@ PAIRS = {
     "resonant": (resonant_spec(delta=3.0), (0, 0)),
 }
 
-PROPOSALS = {
-    "default": {},
-    "beta_r": {"beta_r": (1.2, 1.7)},
-    "beta_R": {"beta_R": (1.1, 2.3)},
-    "gamma_shape": {"gamma_shape": 1.4},
-    "proposal_temperature": {"proposal_temperature": 1.3},
-    "i_truncation": {"i_truncation": 6.0},
+# reference equilibria (drift, T_kin, T_int, densities) the proposal is built on
+STATES = {
+    "default": ((0.1, 0.0, -0.2), 1.1, 0.9, (1.0, 1.0)),
+    "at-rest": ((0.0, 0.0, 0.0), 1.0, 1.0, (1.0, 1.0)),
+    "cold-internal": ((0.1, 0.0, -0.2), 1.1, 0.05, (1.0, 1.0)),
+    "hot-internal": ((0.1, 0.0, -0.2), 0.8, 6.0, (1.0, 1.0)),
+    "fast-drift": ((2.5, -1.0, 0.5), 0.4, 0.4, (1.0, 1.0)),
+    "unequal-densities": ((0.1, 0.0, -0.2), 1.1, 0.9, (0.3, 2.5)),
 }
-
 
 def _same(a, b) -> bool:
     if a is None or b is None:
@@ -211,20 +255,21 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("override", list(PROPOSALS))
+@pytest.mark.parametrize("state", list(STATES))
 @pytest.mark.parametrize("case", list(PAIRS))
-def test_batch_matches_the_family_samplers(case, override, seed):
+def test_batch_matches_the_family_samplers(case, state, seed):
     spec, (i, j) = PAIRS[case]
-    params = EquilibriumParams(n=tuple(1.0 for _ in spec.species), u=np.array([0.1, 0.0, -0.2]),
-                               T_kin=1.1, T_int=0.9)
+    u, T_kin, T_int, n_species = STATES[state]
+    params = EquilibriumParams(n=n_species[:len(spec.species)], u=np.array(u),
+                               T_kin=T_kin, T_int=T_int)
     M = Maxwellian(spec, params)
-    prop = make_proposal(M, (i, j), QuadratureConfig(n_samples=1, **PROPOSALS[override]))
+    prop = make_proposal(M, (i, j))
     n = 500
     v, internal, _ = sample_state(prop, i, np.random.default_rng(100 + seed), n)
     kernel = spec.kernel(i, j)
     got = sample_transition(spec, (i, j), kernel, v, internal, prop,
                             np.random.default_rng(seed), n)
-    want = _reference_transition(spec, (i, j), kernel, v, internal, prop,
+    want = _reference_transition(spec, (i, j), kernel, v, internal, M,
                                  np.random.default_rng(seed), n)
     for name, ref in zip(FIELDS, want):
         assert _same(getattr(got, name), ref), name
