@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .collide import ParticleState, sq_norm
 from .model import ContinuousEnergy, DiscreteLevels, EnergyModel, MixtureSpec, Monatomic
@@ -312,6 +311,8 @@ def internal_temperature(energy: EnergyModel, mean_I: float) -> float:
         limit = float(np.sum(g * E) / np.sum(g))
         if mean_I >= limit:
             return np.inf
+        from scipy.optimize import brentq
+
         scale = E[-1] - E[0]
         f = lambda T: mean_internal_energy(energy, T) - mean_I
         lo, hi = 1e-8 * scale, 1e12 * scale

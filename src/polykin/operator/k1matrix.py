@@ -22,6 +22,9 @@ from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted, singl
 
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
+# most grid nodes accepted; the dense matrix takes 8 bytes per node pair,
+# so this one needs 800 MB
+MAX_NODES = 10_000
 _BLOCK = 512
 # Gauss-Jacobi nodes per axis for a split weight psi(r, R)
 _PSI_NODES = 40
@@ -37,6 +40,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_velocity < 1 or self.n_internal < 1:
             raise ValueError("grid sizes must be positive")
+        n = self.n_velocity**3 * self.n_internal
+        if n > MAX_NODES:
+            raise ValueError(f"{n:.6g} nodes; at most {MAX_NODES} are allowed")
 
     def refined(self) -> "GridSpec":
         return GridSpec(self.n_velocity + 1, self.n_internal + 2)

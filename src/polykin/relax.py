@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .collide import (PairKind, PairLaw, bl_poly_mono, bl_poly_poly, discrete_rule,
                       monatomic_rule, pair_law, sq_norm, unit_sphere)
@@ -635,6 +634,8 @@ def equilibrium_temperature(ensemble: Ensemble) -> float:
             d = sp.energy.delta if isinstance(sp.energy, ContinuousEnergy) else 0.0
             dof += ns * (3.0 + d)
         return 2.0 * e_com / dof
+
+    from scipy import optimize
 
     def gap(T: float) -> float:
         tot = 0.0

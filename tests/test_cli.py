@@ -22,13 +22,25 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_cli_process(argv):
-    """Run the CLI in a child process, which imports the same polykin as
-    this one; its stderr is what a user sees, warnings included."""
+def run_python(*args):
+    """Run a fresh interpreter that imports the same polykin as this one."""
     src = str(Path(polykin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "polykin.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli_process(argv):
+    """Run the CLI in a child process; its stderr is what a user sees,
+    warnings included."""
+    return run_python("-m", "polykin.cli", *argv)
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity that ``json`` accepts."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def schema(name):
@@ -179,6 +191,40 @@ class TestDiagCommand:
     def test_missing_kind_exits_2(self, capsys):
         code, _, _ = run_cli(["diag", "--delta", "3", "--zeta", "0.5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("delta", ["0", "-1"])
+    def test_k1norm_nonpositive_delta_exits_2(self, tmp_path, capsys, delta):
+        out = tmp_path / "k1.csv"
+        code, stdout, err = run_cli(
+            ["diag", "--kind", "k1norm", "--delta", delta, "--zeta", "0",
+             "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: --delta must be positive\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_k1norm_oversized_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "k1.csv"
+        code, _, err = run_cli(
+            ["diag", "--kind", "k1norm", "--delta", "2", "--zeta", "0",
+             "--grid", "100000", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: --grid:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, delta, zeta, fields", [
+        ("k2", "2", "1e300", ("final_partial", "cauchy_change")),
+        ("k1norm", "2", "1e300", ("hs_norm", "symmetry_defect")),
+        ("k1norm", "1e300", "0", ("hs_norm", "symmetry_defect")),
+    ])
+    def test_overflowing_summary_is_strict_json(self, tmp_path, kind, delta, zeta, fields):
+        proc = run_cli_process(["diag", "--kind", kind, "--delta", delta, "--zeta", zeta,
+                                "--out", str(tmp_path / "diag.csv")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        summary = strict_json(proc.stdout)
+        jsonschema.validate(summary, schema("diag_summary.schema.json"))
+        assert [summary[f] for f in fields] == [None, None]
 
 
 class TestRelaxCommand:
@@ -381,6 +427,27 @@ class TestRelaxCommand:
             capsys)
         assert code == 0
         assert json.loads(stdout)["energy_drift"] <= 1e-10
+
+
+class TestColdStart:
+    DEFERRED = ("scipy.optimize", "polykin.operator", "polykin.fitlab",
+                "polykin.hypotheses")
+
+    def test_relax_loads_no_deferred_module(self, tmp_path):
+        # 20 steps on a continuous species; only discrete levels need a root solve
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.4)
+        argv = ["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        proc = run_python("-c", f"""
+import contextlib, io, json, sys
+import polykin.cli
+deferred = {self.DEFERRED!r}
+after_import = [m for m in deferred if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = polykin.cli.main({argv!r})
+print(json.dumps([after_import, code, [m for m in deferred if m in sys.modules]]))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], 0, []]
 
 
 class TestFitAndTable1:

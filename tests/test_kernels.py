@@ -21,7 +21,7 @@ from polykin.operator import (
     eval_k,
     k2_integrability_diagnostic,
 )
-from polykin.operator.k1matrix import reduced_kernel_coefficient
+from polykin.operator.k1matrix import MAX_NODES, reduced_kernel_coefficient
 from support import bl_spec, discrete_spec
 
 
@@ -108,6 +108,13 @@ class TestK1Assembly:
         rate = 4.0 * np.pi * special.beta(1.5, 1.5) * special.beta(1.5, 3.0)
         got = k1.apply(np.sqrt(k1.m_values))
         np.testing.assert_allclose(got, -rate * np.sqrt(k1.m_values), rtol=1e-12)
+
+    def test_grid_node_bound(self):
+        GridSpec().refined()        # 3430 nodes
+        GridSpec(10, 10)            # exactly MAX_NODES nodes
+        for sizes in [(11, 10), (22, 1), (100_000, 100_000)]:
+            with pytest.raises(ValueError, match=f"at most {MAX_NODES}"):
+                GridSpec(*sizes)
 
     def test_apply_validates_shape(self):
         k1 = assemble_k1(GridSpec(2, 2), self.M)
