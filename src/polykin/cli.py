@@ -134,34 +134,33 @@ def _cmd_diag(args) -> int:
     lines = [f"# seed={args.seed}"]
     # extreme exponents overflow to inf or nan, which the summary prints as
     # null; silencing the floating-point warnings keeps stderr empty
-    if args.kind == "k2":
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if args.kind == "k2":
             diag = k2_integrability_diagnostic(args.delta, args.zeta)
-        lines.append("epsilon,partial_integral")
-        lines += [f"{eps:.17g},{val:.17g}" for eps, val in diag.rows()]
-        summary.update(verdict=diag.verdict, final_partial=diag.partials[-1],
-                       cauchy_change=diag.cauchy_change, inconsistent=diag.inconsistent)
-    else:
-        try:
-            grid = GridSpec() if args.grid is None else GridSpec(
-                n_velocity=args.grid, n_internal=args.grid)
-        except ValueError as exc:
-            raise ValueError(f"--grid: {exc}") from None
-        spec = single_species(ContinuousEnergy(delta=args.delta),
-                              PowerLawE(C=1.0, zeta=args.zeta))
-        M = Maxwellian(spec, EquilibriumParams(
-            n=(1.0,), u=np.zeros(3), T_kin=1.0, T_int=1.0))
-        with np.errstate(all="ignore"):
+            lines.append("epsilon,partial_integral")
+            lines += [f"{eps:.17g},{val:.17g}" for eps, val in diag.rows()]
+            summary.update(verdict=diag.verdict, final_partial=diag.partials[-1],
+                           cauchy_change=diag.cauchy_change, inconsistent=diag.inconsistent)
+        else:
+            try:
+                grid = GridSpec() if args.grid is None else GridSpec(
+                    n_velocity=args.grid, n_internal=args.grid)
+            except ValueError as exc:
+                raise ValueError(f"--grid: {exc}") from None
+            spec = single_species(ContinuousEnergy(delta=args.delta),
+                                  PowerLawE(C=1.0, zeta=args.zeta))
+            M = Maxwellian(spec, EquilibriumParams(
+                n=(1.0,), u=np.zeros(3), T_kin=1.0, T_int=1.0))
             k1 = assemble_k1(grid, M)
             speeds = np.sqrt(sq_norm(k1.nodes_v))
             norms = k1.row_norms()
+            lines.append("node_index,v,I,k1_row_norm")
+            lines += [
+                f"{idx},{speeds[idx]:.17g},{k1.nodes_i[idx]:.17g},{norms[idx]:.17g}"
+                for idx in range(k1.n_nodes)
+            ]
             summary.update(hs_norm=k1.hs_norm(), symmetry_defect=k1.symmetry_defect(),
                            n_nodes=k1.n_nodes)
-        lines.append("node_index,v,I,k1_row_norm")
-        lines += [
-            f"{idx},{speeds[idx]:.17g},{k1.nodes_i[idx]:.17g},{norms[idx]:.17g}"
-            for idx in range(k1.n_nodes)
-        ]
     with _atomic_write(out) as tmp:
         Path(tmp).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(json.dumps({k: _json_safe(v) for k, v in summary.items()}))
