@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -39,6 +40,20 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+# argparse reads a separate -1e3 as an option (only -1 and -1.5 pass its
+# number test), so main joins it to its flag as --zeta=-1e3
+_FLOAT_FLAGS = ("--delta", "--zeta", "--zeta1", "--zeta2")
+_EXPONENT_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+# library errors open with the parameter they concern; by command, each
+# opening and the prefix that names the parameter as the user wrote it
+_NAMED_ERRORS = {
+    "check": {"delta ": "--", "zeta ": "--"},
+    "diag": {"delta ": "--", "zeta ": "--"},
+    "relax": {"b_maj:": "relax.", "n_particles:": "relax.",
+              "t_end / dt": "relax.t_end, relax.dt: "},
+}
 
 
 def _load_schema(name: str) -> dict:
@@ -72,16 +87,22 @@ def _require_finite(**flags) -> None:
             raise ValueError(f"--{name} must be finite")
 
 
-def _non_finite(doc, path: str = ""):
+def _json_path(keys) -> str:
+    """A JSON document path in ``species[0].mass`` form."""
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    return path.removeprefix(".")
+
+
+def _non_finite(doc, keys=()):
     """Path of the first NaN or infinite number in a parsed JSON document
     (``json`` accepts them), or None."""
     if isinstance(doc, dict):
-        items = [(f"{path}.{k}" if path else k, v) for k, v in doc.items()]
+        items = doc.items()
     elif isinstance(doc, list):
-        items = [(f"{path}[{k}]", v) for k, v in enumerate(doc)]
+        items = enumerate(doc)
     else:
-        return path if isinstance(doc, float) and not math.isfinite(doc) else None
-    return next(filter(None, (_non_finite(v, sub) for sub, v in items)), None)
+        return _json_path(keys) if isinstance(doc, float) and not math.isfinite(doc) else None
+    return next(filter(None, (_non_finite(v, (*keys, k)) for k, v in items)), None)
 
 
 def _json_safe(value):
@@ -93,13 +114,9 @@ def _json_safe(value):
 def _cmd_check(args) -> int:
     from .hypotheses import HypothesisId, check
 
-    # which flags each hypothesis id consumes
-    needs_delta = {
-        HypothesisId.H2_single_BL, HypothesisId.H3_single_Psi,
-        HypothesisId.H4_resonant, HypothesisId.H6_mixture_BL,
-        HypothesisId.H7_mixture_Psi,
-    }
-    needs_zeta = needs_delta | {HypothesisId.H5_discrete}
+    # H1 reads no flag, H5 only --zeta, every other hypothesis both
+    needs_zeta = set(HypothesisId) - {HypothesisId.H1_monatomic}
+    needs_delta = needs_zeta - {HypothesisId.H5_discrete}
     _require_finite(delta=args.delta, zeta=args.zeta,
                     zeta1=args.zeta1, zeta2=args.zeta2)
     tokens = [tok.strip() for tok in args.hyp.split(",") if tok.strip()]
@@ -175,30 +192,22 @@ def _cmd_relax(args) -> int:
     jsonschema.validate(doc, _load_schema("relax_config.schema.json"))
     spec = spec_from_json(json.dumps(doc))
     rc = doc["relax"]
-    try:
-        relax.step_count(rc["t_end"], rc["dt"])
-    except ValueError as exc:
-        raise ValueError(f"relax.t_end, relax.dt: {exc}") from None
-    try:
-        config = relax.RelaxConfig(
-            dt=rc["dt"],
-            # the schema's integers may arrive as integral floats such as 2e3
-            n_particles=int(rc["n_particles"]),
-            seed=int(rc.get("seed", 0)),
-            cadence=int(rc.get("cadence", 10)),
-            b_maj=rc.get("b_maj"),
-            violation_tol=rc.get("violation_tol", 1e-3),
-        )
-        # extreme kernels overflow on the way to their error; silencing the
-        # floating-point warnings keeps stderr to the one error line (the
-        # values are the same; relax runs on this thread only)
-        with np.errstate(all="ignore"):
-            series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
-                               u0=rc.get("u0"))
-    except ValueError as exc:
-        if not str(exc).startswith(("b_maj:", "n_particles:")):
-            raise
-        raise ValueError(f"relax.{exc}") from None
+    relax.step_count(rc["t_end"], rc["dt"])
+    config = relax.RelaxConfig(
+        dt=rc["dt"],
+        # the schema's integers may arrive as integral floats such as 2e3
+        n_particles=int(rc["n_particles"]),
+        seed=int(rc.get("seed", 0)),
+        cadence=int(rc.get("cadence", 10)),
+        b_maj=rc.get("b_maj"),
+        violation_tol=rc.get("violation_tol", 1e-3),
+    )
+    # extreme kernels overflow on the way to their error; silencing the
+    # floating-point warnings keeps stderr to the one error line (the
+    # values are the same; relax runs on this thread only)
+    with np.errstate(all="ignore"):
+        series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
+                           u0=rc.get("u0"))
     out = args.out or "relax_series.csv"
     with _atomic_write(out) as tmp:
         series.to_csv(tmp)
@@ -291,6 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] in _FLOAT_FLAGS and _EXPONENT_NUMBER.fullmatch(argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -302,10 +315,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_NUMERIC
     except jsonschema.ValidationError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        where = _json_path(exc.absolute_path)
+        print(f"error: {where + ': ' if where else ''}{exc.message}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        prefix = next((p for start, p in _NAMED_ERRORS.get(args.command, {}).items()
+                       if message.startswith(start)), "")
+        print(f"error: {prefix}{message}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

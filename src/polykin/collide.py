@@ -9,7 +9,8 @@ on numpy arrays with leading batch dimensions and is what the Monte Carlo
 estimators and the relaxation simulator call.  The object layer
 (:func:`collide_borgnakke_larsen` and friends) wraps single collisions in
 :class:`ParticleState` / :class:`CollisionOutcome` records and validates its
-inputs.
+inputs; :func:`internal_variable` is the one reader of a state's internal
+variable, for every layer that takes a :class:`ParticleState`.
 
 Conventions: the pre-collision pair is (v, I) and (v_*, I_*); V = v - v_* is
 the relative velocity; E is the conserved pair energy in the center-of-mass
@@ -41,6 +42,7 @@ __all__ = [
     "PairLaw",
     "pair_law",
     "ParticleState",
+    "internal_variable",
     "MonatomicParams",
     "BorgnakkeLarsenParams",
     "PolyMonoParams",
@@ -328,6 +330,26 @@ class ParticleState:
             raise ValueError("internal energy must be nonnegative")
 
 
+def internal_variable(spec: MixtureSpec, state: ParticleState) -> float | int | None:
+    """None (monatomic), ``float(I)`` (continuous) or ``int(level)``
+    (discrete levels) by the species of ``state``; a state missing its
+    variable, or a monatomic state carrying one, raises ValueError."""
+    e = spec.species[state.species].energy
+    if isinstance(e, Monatomic):
+        if state.I is not None or state.level is not None:
+            raise ValueError("monatomic states carry no internal variable")
+        return None
+    if isinstance(e, ContinuousEnergy):
+        if state.I is None:
+            raise ValueError("continuous-energy states need I")
+        return float(state.I)
+    if isinstance(e, DiscreteLevels):
+        if state.level is None:
+            raise ValueError("discrete states need a level index")
+        return int(state.level)
+    raise TypeError(f"unknown energy model {type(e).__name__}")
+
+
 @dataclass(frozen=True)
 class MonatomicParams:
     sigma: np.ndarray
@@ -396,18 +418,12 @@ class CollisionOutcome:
 
 
 def _internal_of(spec: MixtureSpec, s: ParticleState) -> float:
-    kind = spec.species[s.species].energy
-    if isinstance(kind, Monatomic):
-        return 0.0
-    if isinstance(kind, ContinuousEnergy):
-        if s.I is None:
-            raise ValueError("continuous-energy particle is missing I")
-        return float(s.I)
-    if isinstance(kind, DiscreteLevels):
-        if s.level is None:
-            raise ValueError("discrete-level particle is missing its level")
-        return kind.energies[s.level]
-    raise TypeError(f"unknown energy model {type(kind).__name__}")
+    """Internal energy of ``s``: its I, its level's energy, or 0 if monatomic."""
+    x = internal_variable(spec, s)
+    e = spec.species[s.species].energy
+    if isinstance(e, DiscreteLevels):
+        return e.energies[x]
+    return 0.0 if x is None else x
 
 
 def total_energy(spec: MixtureSpec, s1: ParticleState, s2: ParticleState) -> float:
@@ -440,12 +456,13 @@ def collide_borgnakke_larsen(
     m1, m2 = law.m_i, law.m_j
     if law.kind is PairKind.DISC_DISC:
         raise ValueError("exchange collisions need continuous or monatomic species")
+    I1, I2 = internal_variable(spec, s1), internal_variable(spec, s2)
 
     if law.kind is PairKind.CONT_CONT:
         if not isinstance(params, BorgnakkeLarsenParams):
             raise ValueError("two polyatomic particles need BorgnakkeLarsenParams")
         vp, vsp, Ip, Isp, E = bl_poly_poly(
-            s1.v, s2.v, s1.I, s2.I, params.r, params.R, params.sigma, m1, m2
+            s1.v, s2.v, I1, I2, params.r, params.R, params.sigma, m1, m2
         )
         jac = jacobian_bl(params.r, params.R) if (m1 == m2 and params.r < 1 and params.R < 1) else None
         post = (
@@ -458,8 +475,9 @@ def collide_borgnakke_larsen(
         if not isinstance(params, PolyMonoParams):
             raise ValueError("a polyatomic-monatomic pair needs PolyMonoParams")
         poly1 = law.kind is PairKind.POLY_MONO
-        I = s1.I if poly1 else s2.I
-        vp, vsp, I_post, E = bl_poly_mono(s1.v, s2.v, I, params.R, params.sigma, m1, m2)
+        vp, vsp, I_post, E = bl_poly_mono(
+            s1.v, s2.v, I1 if poly1 else I2, params.R, params.sigma, m1, m2
+        )
         post = (
             ParticleState(v=vp, species=s1.species, I=float(I_post) if poly1 else None),
             ParticleState(v=vsp, species=s2.species, I=None if poly1 else float(I_post)),
@@ -487,12 +505,10 @@ def collide_resonant(
     sp = spec.species[s1.species]
     if s1.species != s2.species or not isinstance(sp.energy, ContinuousEnergy):
         raise ValueError("resonant collisions need a single continuous-energy species")
-    if s1.I is None or s2.I is None:
-        raise ValueError("resonant collision needs both internal energies")
-    Z = s1.I + s2.I
-    if not 0.0 <= params.I_prime <= Z:
+    I1, I2 = internal_variable(spec, s1), internal_variable(spec, s2)
+    if not 0.0 <= params.I_prime <= I1 + I2:
         raise ValueError("I_prime must lie in [0, I + I_*]")
-    vp, vsp, Ip, Isp = resonant_rule(s1.v, s2.v, s1.I, s2.I, params.I_prime, params.sigma)
+    vp, vsp, Ip, Isp = resonant_rule(s1.v, s2.v, I1, I2, params.I_prime, params.sigma)
     E = total_energy(spec, s1, s2)
     post = (
         ParticleState(v=vp, species=s1.species, I=float(Ip)),
@@ -512,14 +528,13 @@ def collide_discrete(
     e1, e2 = spec.species[s1.species].energy, spec.species[s2.species].energy
     if not (isinstance(e1, DiscreteLevels) and isinstance(e2, DiscreteLevels)):
         raise ValueError("discrete collisions need discrete-level species")
-    if s1.level is None or s2.level is None:
-        raise ValueError("discrete collision needs both levels")
+    k, l = internal_variable(spec, s1), internal_variable(spec, s2)
     m1, m2 = spec.species[s1.species].mass, spec.species[s2.species].mass
     delta_I = (
         e1.energies[params.k_prime]
         + e2.energies[params.l_prime]
-        - e1.energies[s1.level]
-        - e2.energies[s2.level]
+        - e1.energies[k]
+        - e2.energies[l]
     )
     vp, vsp, ok = discrete_rule(s1.v, s2.v, delta_I, params.sigma, m1, m2)
     E = total_energy(spec, s1, s2)
@@ -618,21 +633,18 @@ def inverse_parameters(
         R = None
         degenerate.append("R: zero pair energy")
 
-    Ia = a.I if spec.species[a.species].polyatomic else None
-    Ib = b.I if spec.species[b.species].polyatomic else None
-    if Ia is not None and Ib is not None:
-        Z = Ia + Ib
-        if Z > 0.0:
-            r = Ia / Z
-        else:
-            r = None
-            degenerate.append("r: zero internal energy")
+    # r splits continuous internal energies only; a level index has no split
+    Ia, Ib = (x if isinstance(x, float) else None
+              for x in (internal_variable(spec, a), internal_variable(spec, b)))
+    r = None
+    if Ia is None and Ib is None:
+        degenerate.append("r: no internal degrees of freedom")
+    elif Ia is None or Ib is None:
+        degenerate.append("r: single-sided internal energy")
+    elif Ia + Ib > 0.0:
+        r = Ia / (Ia + Ib)
     else:
-        r = None
-        if Ia is None and Ib is None:
-            degenerate.append("r: no internal degrees of freedom")
-        else:
-            degenerate.append("r: single-sided internal energy")
+        degenerate.append("r: zero internal energy")
 
     if g2 > 0.0:
         sigma = V / np.sqrt(g2)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .collide import ParticleState, sq_norm
+from .collide import ParticleState, internal_variable, sq_norm
 from .model import ContinuousEnergy, DiscreteLevels, EnergyModel, MixtureSpec, Monatomic
 
 __all__ = [
@@ -109,6 +109,13 @@ def level_weights(energy: DiscreteLevels, T: float):
     return np.asarray(energy.degeneracies) * np.exp(-(E - E.min()) / T)
 
 
+def _pow_log(x, p: float):
+    """p * log(x), with the convention 0 * log(0) = 0."""
+    if p == 0.0:
+        return np.zeros(np.shape(x))
+    return p * np.log(np.maximum(x, 1e-300))
+
+
 def psi_res(Z, delta: float):
     """Self-convolution of the internal-energy weight at total energy Z.
 
@@ -155,14 +162,10 @@ class Maxwellian:
             return 0.0
         if isinstance(e, ContinuousEnergy):
             I = np.asarray(internal, dtype=float)
-            d = e.delta
-            with np.errstate(divide="ignore"):
-                lphi = np.where(
-                    0.5 * d - 1.0 == 0.0, 0.0, (0.5 * d - 1.0) * np.log(np.maximum(I, 1e-300))
-                )
-                if d < 2.0 and np.any(I == 0.0):
-                    raise ValueError("I = 0 requires delta >= 2")
-            return lphi - I / T - special.gammaln(0.5 * d) - 0.5 * d * np.log(T)
+            a = 0.5 * e.delta
+            if a < 1.0 and np.any(I == 0.0):
+                raise ValueError("I = 0 requires delta >= 2")
+            return _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)
             E = np.asarray(e.energies)
@@ -174,8 +177,7 @@ class Maxwellian:
     def log_density(self, v, internal=None, species: int = 0):
         n = self.params.n[species]
         if n == 0.0:
-            shape = np.broadcast_shapes(np.shape(v)[:-1] or (1,))
-            return np.full(shape, -np.inf)
+            return np.full(np.shape(v)[:-1] or (1,), -np.inf)
         return np.log(n) + self._kin_log(v, species) + self._int_log(internal, species)
 
     def density(self, v, internal=None, species: int = 0):
@@ -203,9 +205,7 @@ class Maxwellian:
 
 def maxwellian_eval(M: Maxwellian, state: ParticleState) -> float:
     """Evaluate a Maxwellian at one particle state."""
-    sp = M.spec.species[state.species]
-    internal = state.level if isinstance(sp.energy, DiscreteLevels) else state.I
-    return float(M.density(state.v, internal, state.species))
+    return float(M.density(state.v, internal_variable(M.spec, state), state.species))
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,9 @@ def _verdict(hyp: HypothesisId, conditions) -> Verdict:
     return Verdict(hyp, satisfied, binding, margins)
 
 
-def check_monatomic(kernel=None) -> Verdict:
+def check_monatomic() -> Verdict:
     """H1 bounds kernels in the relative speed |V|; the energy-power family
     is bounded in the pair energy E instead, so no verdict is derivable."""
-    del kernel
     return Verdict(
         hypothesis=HypothesisId.H1_monatomic,
         satisfied=False,

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..collide import ParticleState
+from ..collide import ParticleState, internal_variable
 from ..equilib import Maxwellian
-from ..model import ContinuousEnergy, DiscreteLevels, KernelModel, Monatomic
+from ..model import KernelModel
 from .mc import MCEstimate, QuadratureConfig, SNAP_RTOL, accumulate
 from .transitions import make_proposal, sample_state, sample_transition
 
@@ -108,32 +108,9 @@ def _gain_loss(f: DistributionFn, g: DistributionFn, batch):
     return log_a, log_b, scale
 
 
-def _state_arrays(spec, w: ParticleState):
-    """Pin down the (velocity, internal) representation of a fixed state."""
-    e = spec.species[w.species].energy
-    v = np.asarray(w.v, dtype=float)
-    if isinstance(e, Monatomic):
-        if w.I is not None or w.level is not None:
-            raise ValueError("monatomic states carry no internal variable")
-        return v, None
-    if isinstance(e, ContinuousEnergy):
-        if w.I is None:
-            raise ValueError("continuous-energy states need I")
-        return v, float(w.I)
-    if isinstance(e, DiscreteLevels):
-        if w.level is None:
-            raise ValueError("discrete states need a level index")
-        return v, int(w.level)
-    raise TypeError(f"unknown energy model {type(e).__name__}")
-
-
 def _tile(v, internal, n):
-    vt = np.broadcast_to(v, (n, 3))
-    if internal is None:
-        return vt, None
-    if isinstance(internal, int):
-        return vt, np.full(n, internal, dtype=np.intp)
-    return vt, np.full(n, internal, dtype=float)
+    """``n`` copies of a fixed state; a level index tiles as integers."""
+    return np.broadcast_to(v, (n, 3)), None if internal is None else np.full(n, internal)
 
 
 def _check_specs(f: DistributionFn, g: DistributionFn):
@@ -162,7 +139,7 @@ def eval_q(
     pair = (f.species, g.species)
     kern = kernel if kernel is not None else spec.kernel(*pair)
     prop = make_proposal(g.maxwellian, pair)
-    v0, i0 = _state_arrays(spec, w)
+    v0, i0 = w.v, internal_variable(spec, w)
 
     def sampler(rng, n):
         v, internal = _tile(v0, i0, n)
@@ -191,7 +168,7 @@ def collision_frequency(
         raise ValueError("a QuadratureConfig is required")
     spec = M.spec
     i = w.species
-    v0, i0 = _state_arrays(spec, w)
+    v0, i0 = w.v, internal_variable(spec, w)
     parent = np.random.SeedSequence(cfg.seed)
     streams = [parent] if spec.n_species == 1 else parent.spawn(spec.n_species)
 
@@ -245,7 +222,7 @@ def eval_k(
         raise ValueError("the linearized-part estimator covers single species")
     kern = kernel if kernel is not None else spec.kernel(0, 0)
     prop = make_proposal(M, (0, 0))
-    v0, i0 = _state_arrays(spec, w)
+    v0, i0 = w.v, internal_variable(spec, w)
     log_m_w = float(np.asarray(M.log_density(v0, i0, 0), dtype=float))
 
     def sampler(rng, n):

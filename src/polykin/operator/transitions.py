@@ -8,9 +8,9 @@ density of everything that was drawn.  Rows with zero weight (inadmissible
 discrete channels, vanishing kernel) carry ``log_aq`` = -inf.
 
 :func:`make_proposal` resolves the pair law once per estimator call.
-:func:`sample_transition` draws the partner state once, with
-:func:`sample_state` (Gaussian velocity, then the Gamma or Gibbs internal
-state), and hands over to the sampler of the pair's family:
+:func:`sample_transition` draws the partner state once with
+:func:`sample_state` (through the proposal's Maxwellian, which also gives
+its density) and hands over to the sampler of the pair's family:
 Borgnakke-Larsen exchange, poly-mono in either slot order, monatomic,
 discrete levels or resonant.  The family sampler draws the exchange
 parameters and then the scattering direction, from the Beta shapes of the
@@ -37,13 +37,12 @@ from ..collide import (
     sq_norm,
     unit_sphere,
 )
-from ..equilib import Maxwellian, level_weights
+from ..equilib import Maxwellian, _pow_log, level_weights
 from ..model import (
     CollisionContext,
-    ContinuousEnergy,
+    DiscreteLevels,
     KernelModel,
     MixtureSpec,
-    Monatomic,
     PsiWeighted,
     ResonantTensored,
     eval_kernel,
@@ -55,21 +54,14 @@ _TINY = 1e-300
 _LOG_4PI = np.log(4.0 * np.pi)
 
 
-def _pow_log(x, p: float):
-    """p * log(x), with the convention 0 * log(0) = 0."""
-    if p == 0.0:
-        return np.zeros(np.shape(x))
-    return p * np.log(np.maximum(x, _TINY))
-
-
 @dataclass(frozen=True)
 class Proposal:
     """The proposal of one species pair: its reference equilibrium and law.
 
-    ``maxwellian`` supplies the state draws (Gaussian velocity, then the
-    Gamma or Gibbs internal state at its temperatures); ``law`` is the
-    pair's :class:`~polykin.collide.PairLaw`, whose Beta shapes give both
-    the exchange-parameter draws and the transition-weight exponents.
+    ``maxwellian`` draws the partner states and gives their density;
+    ``law`` is the pair's :class:`~polykin.collide.PairLaw`, whose Beta
+    shapes give both the exchange-parameter draws and the transition-weight
+    exponents.
     """
 
     maxwellian: Maxwellian
@@ -103,24 +95,6 @@ class TransitionBatch:
     diagnostics: dict
 
 
-def _gaussian_partner(prop: Proposal, rng, n: int, j: int):
-    m = prop.maxwellian.spec.species[j].mass
-    T = prop.maxwellian.params.T_kin
-    u = prop.maxwellian.params.u
-    v = u + rng.normal(0.0, np.sqrt(T / m), (n, 3))
-    dv = v - u
-    log_q = 1.5 * np.log(m / (2.0 * np.pi * T)) - 0.5 * m * sq_norm(dv) / T
-    return v, log_q
-
-
-def _gamma_partner(prop: Proposal, rng, n: int, j: int):
-    a = 0.5 * prop.maxwellian.spec.species[j].energy.delta
-    T = prop.maxwellian.params.T_int
-    I = rng.gamma(a, T, n)
-    log_q = _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
-    return I, log_q
-
-
 def _beta_draw(shapes, rng, n: int):
     a, b = shapes
     x = np.clip(rng.beta(a, b, n), _TINY, 1.0 - 2**-53)
@@ -130,15 +104,6 @@ def _beta_draw(shapes, rng, n: int):
         - special.betaln(a, b)
     )
     return x, log_q
-
-
-def _gibbs_partner(prop: Proposal, rng, n: int, j: int):
-    e = prop.maxwellian.spec.species[j].energy
-    T = prop.maxwellian.params.T_int
-    w = level_weights(e, T)
-    p = w / w.sum()
-    lev = rng.choice(p.size, size=n, p=p)
-    return lev, np.log(p)[lev]
 
 
 def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
@@ -308,12 +273,12 @@ def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int)
     Returns (v, internal, log_q) where log_q is the per-state proposal
     density (the equilibrium density divided by the species number density).
     """
-    energy = prop.maxwellian.spec.species[species].energy
-    v, lq_v = _gaussian_partner(prop, rng, n, species)
-    if isinstance(energy, Monatomic):
-        return v, None, lq_v
-    if isinstance(energy, ContinuousEnergy):
-        I, lq_i = _gamma_partner(prop, rng, n, species)
-        return v, I, lq_v + lq_i
-    lev, lq_lev = _gibbs_partner(prop, rng, n, species)
-    return v, lev, lq_v + lq_lev
+    M = prop.maxwellian
+    v, internal = M.sample(rng, n, species)
+    energy = M.spec.species[species].energy
+    if isinstance(energy, DiscreteLevels):
+        # the probability the level was drawn with, which differs from
+        # _int_log's closed form in the last bits
+        w = level_weights(energy, M.params.T_int)
+        return v, internal, M._kin_log(v, species) + np.log(w / w.sum())[internal]
+    return v, internal, M._kin_log(v, species) + M._int_log(internal, species)

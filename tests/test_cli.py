@@ -119,6 +119,25 @@ class TestCheckCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_negative_exponent_notation_value(self, capsys):
+        # argparse alone reads a separate -1e3 as an option, not a number
+        split = run_cli(["check", "--delta", "2", "--zeta", "-1e3", "--hyp", "H2"], capsys)
+        joined = run_cli(["check", "--delta", "2", "--zeta=-1e3", "--hyp", "H2"], capsys)
+        assert split[0] == 0
+        assert split == joined
+
+    def test_nonpositive_delta_names_the_flag(self, capsys):
+        code, out, err = run_cli(["check", "--delta", "0", "--zeta", "1", "--hyp", "H2"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --delta must be positive\n"
+
+    def test_discrete_window_reads_no_delta(self, capsys):
+        code, out, _ = run_cli(["check", "--delta", "-1e3", "--zeta", "0.5", "--hyp", "H5"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["satisfied"] is True
+
     def test_output_is_deterministic(self, capsys):
         argv = ["check", "--delta", "2.5", "--zeta", "1.0", "--hyp", "H2,H3,H5"]
         _, first, _ = run_cli(argv, capsys)
@@ -203,6 +222,26 @@ class TestDiagCommand:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("zeta", ["-1", "-1e3"])
+    def test_k2_zeta_at_or_below_minus_one_names_the_flag(self, tmp_path, capsys, zeta):
+        out = tmp_path / "k2.csv"
+        code, stdout, err = run_cli(
+            ["diag", "--kind", "k2", "--delta", "2", "--zeta", zeta, "--out", str(out)],
+            capsys)
+        assert code == 2 and stdout == ""
+        assert err == "error: --zeta must exceed -1\n"
+        assert not out.exists()
+
+    def test_negative_exponent_notation_value(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["diag", "--kind", "k2", "--delta", "2"]
+        split = run_cli([*argv, "--zeta", "-5e-1", "--out", str(a)], capsys)
+        joined = run_cli([*argv, "--zeta=-5e-1", "--out", str(a)], capsys)
+        assert split[0] == 0
+        assert split == joined
+        assert run_cli([*argv, "--zeta", "-0.5", "--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_k1norm_oversized_grid_exits_2(self, tmp_path, capsys):
         out = tmp_path / "k1.csv"
         code, _, err = run_cli(
@@ -264,6 +303,21 @@ class TestRelaxCommand:
         code, _, err = run_cli(["relax", "--config", str(cfg)], capsys)
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("path, mutate", [
+        ("relax.n_particles", lambda doc: doc["relax"].update(n_particles=1)),
+        ("relax", lambda doc: doc["relax"].update(bogus=1)),
+        ("species[0].mass", lambda doc: doc["species"][0].update(mass=-1.0)),
+        ("kernels[0][0].C", lambda doc: doc["kernels"][0][0].update(C="one")),
+    ])
+    def test_schema_error_names_its_path(self, tmp_path, capsys, path, mutate):
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        mutate(doc)
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
 
     def test_kernel_table_size_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_relax_config(tmp_path / "run.json")
@@ -497,6 +551,12 @@ class TestFitAndTable1:
         assert run_cli(["fit", "--manifest", str(bad)], capsys)[0] == 2
         bad.write_text(json.dumps({"datasets": "nope"}))
         assert run_cli(["fit", "--manifest", str(bad)], capsys)[0] == 2
+
+    def test_schema_error_names_its_path(self, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, pressure=-1.0)
+        code, _, err = run_cli(["fit", "--manifest", str(manifest)], capsys)
+        assert code == 2
+        assert err.startswith("error: datasets[0].pressure_bar: ")
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path)

@@ -110,6 +110,15 @@ class TestEnergies:
         E = total_energy(spec, _state(2 * EX, 0, I=0.0), _state(-2 * EX, 1, I=0.0))
         assert E == pytest.approx(6.0, abs=1e-15)
 
+    def test_monatomic_state_carrying_I_is_rejected(self):
+        spec = mixture_cont_spec(delta_b=None)
+        a, b = _state(EX, 0, I=1.0), _state(-EX, 1, I=0.5)
+        for read in (lambda: total_energy(spec, a, b),
+                     lambda: invariant_defect(spec, (a, b), (a, b)),
+                     lambda: inverse_parameters(spec, (a, b), (a, b))):
+            with pytest.raises(ValueError, match="monatomic"):
+                read()
+
     def test_com_energy_array(self):
         v = np.array([[1.0, 0, 0], [2.0, 0, 0]])
         vs = -v

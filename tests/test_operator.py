@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from polykin.collide import ParticleState
-from polykin.equilib import EquilibriumParams, Maxwellian
-from polykin.model import PowerLawE, PsiWeighted
+from polykin.equilib import EquilibriumParams, Maxwellian, level_weights, maxwellian_eval
+from polykin.model import Monatomic, PowerLawE, PsiWeighted, single_species
 from polykin.operator import (
     DistributionFn,
     QuadratureConfig,
@@ -360,3 +360,54 @@ def test_partner_levels_above_a_raised_ground():
     p1 = 3.0 * np.exp(-1.1) / (2.0 + 3.0 * np.exp(-1.1))
     assert abs(np.mean(lev == 1) - p1) < 0.03
     np.testing.assert_allclose(log_q, M.log_density(v, lev), rtol=1e-13)
+
+
+class TestOneSamplerOneReader:
+    """The proposal draws through ``Maxwellian.sample``, and every estimator
+    reads a fixed state through ``collide.internal_variable``."""
+
+    specs = {
+        "monatomic": single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0), mass=1.5),
+        "continuous": bl_spec(delta=2.5),
+        "discrete": discrete_spec(),
+    }
+
+    @pytest.mark.parametrize("kind", ["monatomic", "continuous", "discrete"])
+    def test_sample_state_draws_through_the_maxwellian(self, kind):
+        M = two_temperature(self.specs[kind], 1.3, 0.8)
+        prop = make_proposal(M, (0, 0))
+        v, internal, log_q = sample_state(prop, 0, np.random.default_rng(5), 500)
+        v_ref, internal_ref = M.sample(np.random.default_rng(5), 500, 0)
+        np.testing.assert_array_equal(v, v_ref)
+        expected = M._kin_log(v, 0)
+        if kind == "monatomic":
+            assert internal is None and internal_ref is None
+        else:
+            np.testing.assert_array_equal(internal, internal_ref)
+        if kind == "continuous":
+            expected = expected + M._int_log(internal, 0)
+        if kind == "discrete":
+            w = level_weights(M.spec.species[0].energy, M.params.T_int)
+            expected = expected + np.log(w / w.sum())[internal]
+        np.testing.assert_array_equal(log_q, expected)
+
+    @pytest.mark.parametrize("kind, state", [
+        ("continuous", ParticleState(v=np.zeros(3))),
+        ("discrete", ParticleState(v=np.zeros(3))),
+        ("monatomic", ParticleState(v=np.zeros(3), I=0.5)),
+    ])
+    def test_every_reader_rejects_a_mismatched_state(self, kind, state):
+        M = equilibrium(self.specs[kind])
+        f = DistributionFn(M)
+        cfg = QuadratureConfig(n_samples=100, seed=0)
+        readers = [
+            lambda: maxwellian_eval(M, state),
+            lambda: eval_q(f, f, state, cfg),
+            lambda: collision_frequency(state, M, cfg=cfg),
+        ]
+        messages = set()
+        for read in readers:
+            with pytest.raises(ValueError) as info:
+                read()
+            messages.add(str(info.value))
+        assert len(messages) == 1
