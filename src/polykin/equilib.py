@@ -176,14 +176,11 @@ class Maxwellian:
 
     def log_density(self, v, internal=None, species: int = 0):
         n = self.params.n[species]
-        if n == 0.0:
-            return np.full(np.shape(v)[:-1] or (1,), -np.inf)
-        return np.log(n) + self._kin_log(v, species) + self._int_log(internal, species)
+        # at zero density: -inf after the same checks, in the same shape
+        log_n = np.log(n) if n > 0.0 else -np.inf
+        return log_n + self._kin_log(v, species) + self._int_log(internal, species)
 
     def density(self, v, internal=None, species: int = 0):
-        if self.params.n[species] == 0.0:
-            out = np.zeros(np.shape(v)[:-1])
-            return out if out.ndim else float(out)
         out = np.exp(self.log_density(v, internal, species))
         return out if np.ndim(out) else float(out)
 
@@ -197,7 +194,13 @@ class Maxwellian:
             return v, None
         T = self.params.T_int
         if isinstance(e, ContinuousEnergy):
-            return v, rng.gamma(0.5 * e.delta, T, n)
+            I = rng.gamma(0.5 * e.delta, T, n)
+            if e.delta < 2.0:
+                # a draw below the smallest positive double underflows to 0,
+                # where the density of I is infinite for delta < 2; it is
+                # kept at that double instead
+                I = np.maximum(I, np.finfo(float).smallest_subnormal)
+            return v, I
         weights = level_weights(e, T)
         weights = weights / weights.sum()
         return v, rng.choice(len(weights), size=n, p=weights)

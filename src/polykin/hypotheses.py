@@ -232,6 +232,8 @@ def check_mixture(
     ds = [float(d) for d in deltas]
     if not ds:
         raise ValueError("need at least one species")
+    if not all(d > 0 for d in ds):
+        raise ValueError("delta must be positive")
     n = len(ds)
     z = _zeta_matrix(zetas, n)
     if hyp not in (HypothesisId.H6_mixture_BL, HypothesisId.H7_mixture_Psi):

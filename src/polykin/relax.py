@@ -133,6 +133,7 @@ class Ensemble:
     collisions: int = 0
     majorant_violations: int = 0
     _pair_types: Optional[list] = field(default=None, repr=False)
+    _masses: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_particles(self) -> int:
@@ -140,8 +141,14 @@ class Ensemble:
 
     @property
     def masses(self) -> np.ndarray:
-        m = np.array([sp.mass for sp in self.spec.species])
-        return m[self.species]
+        """Each particle's mass.  Built on first use and cached, since
+        species never change; the array is read-only and every call returns
+        the same object."""
+        if self._masses is None:
+            m = np.array([sp.mass for sp in self.spec.species])[self.species]
+            m.flags.writeable = False
+            self._masses = m
+        return self._masses
 
     def momentum(self) -> np.ndarray:
         return np.sum(self.masses[:, None] * self.v, axis=0)
@@ -159,10 +166,25 @@ class Ensemble:
         m = self.masses
         return np.sum(m[:, None] * self.v, axis=0) / np.sum(m)
 
-    def kinetic_temperature(self) -> float:
-        du = self.v - self.bulk_velocity()
-        m = self.masses
-        return float(np.sum(m * sq_norm(du)) / (3.0 * self.n_particles))
+    def peculiar_sq(self) -> np.ndarray:
+        """Each particle's squared peculiar speed |v - u|^2 about the bulk
+        velocity u."""
+        return sq_norm(self.v - self.bulk_velocity())
+
+    def kinetic_temperature(self, c2: Optional[np.ndarray] = None) -> float:
+        """Translational temperature; ``c2`` is ``peculiar_sq()`` of the
+        current state when the caller has already formed it."""
+        if c2 is None:
+            c2 = self.peculiar_sq()
+        return float(np.sum(self.masses * c2) / (3.0 * self.n_particles))
+
+    def _species_rows(self, s: int) -> tuple:
+        """An index selecting species ``s``'s particles, and their count.
+        The index is a full slice, which copies nothing, when the species
+        fills the ensemble."""
+        mask = self.species == s
+        ns = int(np.count_nonzero(mask))
+        return (slice(None) if ns == self.n_particles else mask), ns
 
     def internal_temperature(self) -> float:
         """Species-wise inversion of the mean internal energy, combined with
@@ -170,19 +192,19 @@ class Ensemble:
         (monatomic species and one-level spectra have none)."""
         temps, weights = [], []
         for s, sp in enumerate(self.spec.species):
-            mask = self.species == s
-            if (not np.any(mask) or isinstance(sp.energy, Monatomic)
+            rows, ns = self._species_rows(s)
+            if (ns == 0 or isinstance(sp.energy, Monatomic)
                     or isinstance(sp.energy, DiscreteLevels) and sp.energy.n_levels == 1):
                 continue
             # a discrete mean is taken over the excess above the ground, which
             # is exactly 0 there: a mean of many ground energies can round below
             # the ground itself
             e0 = sp.energy.energies[0] if isinstance(sp.energy, DiscreteLevels) else 0.0
-            mean_i = float(np.mean(self.internal[mask] - e0)) + e0
+            mean_i = float(np.mean(self.internal[rows] - e0)) + e0
             t = internal_temperature(sp.energy, mean_i)
             w = sp.energy.delta if isinstance(sp.energy, ContinuousEnergy) else 2.0
             temps.append(t)
-            weights.append(w * np.count_nonzero(mask))
+            weights.append(w * ns)
         if not temps:
             return float("nan")
         return float(np.average(temps, weights=weights))
@@ -578,7 +600,7 @@ def _log_cell_density(n: int, c: np.ndarray, I: Optional[np.ndarray] = None) -> 
     return log_f.ravel()[cell]
 
 
-def h_estimate(ensemble: Ensemble) -> float:
+def h_estimate(ensemble: Ensemble, c2: Optional[np.ndarray] = None) -> float:
     """Histogram estimate of the entropy functional.
 
     Continuous species contribute the mean of log f + (1 - delta/2) log I,
@@ -586,29 +608,30 @@ def h_estimate(ensemble: Ensemble) -> float:
     histogram; discrete species contribute log of the per-level velocity
     density relative to the level's degeneracy, and a monatomic species
     counts as one level of degeneracy 1.  Bin counts fall back to Scott's
-    rule when the sample is too small to fill the default grid.
+    rule when the sample is too small to fill the default grid.  ``c2`` is
+    ``ensemble.peculiar_sq()`` when the caller has already formed it.
     """
     n = ensemble.n_particles
     if n < 1000:
         raise ValueError("need at least 1000 particles for a stable histogram")
-    u = ensemble.bulk_velocity()
+    if c2 is None:
+        c2 = ensemble.peculiar_sq()
+    speeds = np.sqrt(c2)
     total = 0.0
     for s, sp in enumerate(ensemble.spec.species):
-        mask = ensemble.species == s
-        ns = int(np.count_nonzero(mask))
+        rows, ns = ensemble._species_rows(s)
         if ns == 0:
             continue
-        dv = ensemble.v[mask] - u
-        c = np.sqrt(sq_norm(dv))
+        c = speeds[rows]
         energy = sp.energy
         if isinstance(energy, ContinuousEnergy):
-            I = ensemble.internal[mask]
+            I = ensemble.internal[rows]
             weight = (1.0 - 0.5 * energy.delta) * np.log(np.maximum(I, 1e-300))
             log_f = _log_cell_density(n, c, I)
             total += (ns / n) * float(np.mean(log_f + weight))
             continue
         if isinstance(energy, DiscreteLevels):
-            lev = ensemble.levels[mask]
+            lev = ensemble.levels[rows]
             groups = [(c[lev == k], g) for k, g in enumerate(energy.degeneracies)]
         else:
             groups = [(c, 1.0)]
@@ -622,9 +645,7 @@ def h_estimate(ensemble: Ensemble) -> float:
 def equilibrium_temperature(ensemble: Ensemble) -> float:
     """Temperature implied by the conserved center-of-momentum energy."""
     n = ensemble.n_particles
-    u = ensemble.bulk_velocity()
-    du = ensemble.v - u
-    e_com = 0.5 * float(np.sum(ensemble.masses * sq_norm(du)))
+    e_com = 0.5 * float(np.sum(ensemble.masses * ensemble.peculiar_sq()))
     e_com += ensemble.internal_energy()
     counts = [int(np.count_nonzero(ensemble.species == s))
               for s in range(ensemble.spec.n_species)]
@@ -665,6 +686,22 @@ def nonincreasing_trend(t: np.ndarray, values: np.ndarray) -> bool:
     return slope <= _TREND_Z * math.sqrt(var) + 1e-12
 
 
+def _moments(ensemble: Ensemble) -> tuple:
+    """One recorded row: time, T_kin, T_int, mean I, H (nan below 1000
+    particles) and collisions.  The squared peculiar speeds are formed once
+    and shared by T_kin and H."""
+    c2 = ensemble.peculiar_sq()
+    return (
+        ensemble.time,
+        ensemble.kinetic_temperature(c2),
+        ensemble.internal_temperature(),
+        ensemble.mean_internal(),
+        # a module-global lookup, so a wrapper set on relax.h_estimate sees each row
+        h_estimate(ensemble, c2) if ensemble.n_particles >= 1000 else float("nan"),
+        ensemble.collisions,
+    )
+
+
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps of length ``dt`` that reach ``t_end``; ValueError when
     it is not finite or exceeds ``MAX_STEPS``."""
@@ -695,23 +732,11 @@ def run(
     e0 = ens.total_energy()
     p0 = ens.momentum()
     t_eq = equilibrium_temperature(ens)
-    rows = []
-
-    def record() -> None:
-        rows.append((
-            ens.time,
-            ens.kinetic_temperature(),
-            ens.internal_temperature(),
-            ens.mean_internal(),
-            h_estimate(ens) if ens.n_particles >= 1000 else float("nan"),
-            ens.collisions,
-        ))
-
-    record()
+    rows = [_moments(ens)]
     for k in range(n_steps):
         step(ens, config)
         if (k + 1) % config.cadence == 0 or k + 1 == n_steps:
-            record()
+            rows.append(_moments(ens))
     e1 = ens.total_energy()
     p1 = ens.momentum()
     cols = list(zip(*rows))
@@ -723,9 +748,10 @@ def run(
         "energy_drift": abs(e1 - e0) / max(abs(e0), 1e-300),
         "momentum_drift": float(np.max(np.abs(p1 - p0))) / scale_p,
         "majorant_violations": ens.majorant_violations,
-        "T_kin_final": ens.kinetic_temperature(),
-        "T_int_final": ens.internal_temperature(),
-        "mean_I_final": ens.mean_internal(),
+        # the last row records the final state
+        "T_kin_final": cols[1][-1],
+        "T_int_final": cols[2][-1],
+        "mean_I_final": cols[3][-1],
     }
     return TimeSeries(
         t=np.asarray(cols[0]),

@@ -132,6 +132,14 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err == "error: --delta must be positive\n"
 
+    @pytest.mark.parametrize("hyp", ["H6", "H7"])
+    @pytest.mark.parametrize("delta", ["0", "-1.5"])
+    def test_mixture_hypotheses_reject_nonpositive_delta(self, hyp, delta, capsys):
+        code, out, err = run_cli(["check", "--delta", delta, "--zeta", "0.5", "--hyp", hyp],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --delta must be positive\n"
+
     def test_discrete_window_reads_no_delta(self, capsys):
         code, out, _ = run_cli(["check", "--delta", "-1e3", "--zeta", "0.5", "--hyp", "H5"],
                                capsys)

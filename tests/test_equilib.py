@@ -284,3 +284,40 @@ class TestMoments:
         assert internal_temperature(DiscreteLevels((0.0,), (1.0,)), 0.0) == 0.0
         with pytest.raises(ValueError, match="below the ground level"):
             internal_temperature(e, 0.2 - 1e-12)
+
+
+class TestZeroDensityAndSmallDelta:
+    @pytest.mark.parametrize("v, internal", [(U0, 0.5), (np.zeros((4, 3)), np.full(4, 0.5))])
+    def test_zero_density_log_density_has_the_positive_density_shape(self, v, internal):
+        spec = mixture_cont_spec(delta_b=None)
+        M0 = Maxwellian(spec, EquilibriumParams(n=(0.0, 1.0), u=U0, T_kin=1.0, T_int=1.0))
+        M1 = Maxwellian(spec, EquilibriumParams(n=(1.0, 1.0), u=U0, T_kin=1.0, T_int=1.0))
+        got, ref = M0.log_density(v, internal), M1.log_density(v, internal)
+        assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
+        assert np.all(np.isneginf(got))
+        assert np.all(M0.density(v, internal) == 0.0)
+
+    def test_zero_density_runs_the_internal_state_checks(self):
+        spec = mixture_cont_spec(delta_b=None)
+        M = Maxwellian(spec, EquilibriumParams(n=(1.0, 0.0), u=U0, T_kin=1.0, T_int=1.0))
+        with pytest.raises(ValueError, match="monatomic species carries no internal state"):
+            M.log_density(U0, 0.5, species=1)
+        with pytest.raises(ValueError, match="monatomic species carries no internal state"):
+            M.density(U0, 0.5, species=1)
+        assert np.isneginf(M.log_density(U0, None, species=1))
+
+    def test_small_delta_draws_are_positive(self):
+        # gamma(0.01) underflows to exactly 0 in about 0.06% of draws
+        M = Maxwellian(bl_spec(delta=0.02), EquilibriumParams.single(1.0, U0, 1.0))
+        _, I = M.sample(np.random.default_rng(1), 100_000)
+        assert np.all(I > 0.0)
+        assert np.count_nonzero(I == np.finfo(float).smallest_subnormal) > 10
+        assert np.all(np.isfinite(M.log_density(np.zeros((I.size, 3)), I)))
+
+    @pytest.mark.parametrize("delta", [2.0, 3.0])
+    def test_draws_at_delta_two_and_above_are_the_gamma_draws(self, delta):
+        M = Maxwellian(bl_spec(delta=delta), EquilibriumParams.single(1.0, U0, 1.3))
+        _, I = M.sample(np.random.default_rng(2), 10_000)
+        rng = np.random.default_rng(2)
+        rng.normal(0.0, 1.0, (10_000, 3))
+        assert np.array_equal(I.view(np.uint64), rng.gamma(0.5 * delta, 1.3, 10_000).view(np.uint64))

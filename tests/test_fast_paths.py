@@ -10,7 +10,8 @@ import pytest
 
 from polykin import relax
 from polykin.collide import sq_norm
-from polykin.model import ContinuousEnergy, MixtureSpec, Monatomic, PowerLawE, Species
+from polykin.model import (ContinuousEnergy, DiscreteLevels, MixtureSpec, Monatomic, PowerLawE,
+                           Species, single_species)
 
 from support import bl_spec, mixture_cont_spec
 
@@ -207,3 +208,86 @@ def test_zeta_zero_rates_are_the_constant(spec):
     same = relax._pair_types(ens)[0]
     zero = relax._rates(ens, same, same.idx_i[:2], same.idx_i[1:3])
     assert np.array_equal(bits(zero), bits(np.full(2, same.C * same.law.weight)))
+
+
+# ---------------------------------------------------------------------------
+# recorded moment rows
+# ---------------------------------------------------------------------------
+
+
+def masses_reference(ens):
+    return np.array([sp.mass for sp in ens.spec.species])[ens.species]
+
+
+def peculiar_sq_reference(ens):
+    m = masses_reference(ens)
+    du = ens.v - np.sum(m[:, None] * ens.v, axis=0) / np.sum(m)
+    return np.sum(du * du, axis=-1)
+
+
+def kinetic_temperature_reference(ens):
+    m = masses_reference(ens)
+    return float(np.sum(m * peculiar_sq_reference(ens)) / (3.0 * ens.n_particles))
+
+
+def h_estimate_reference(ens):
+    """The entropy estimate with the bulk velocity and speeds formed per
+    species, on masked copies."""
+    n = ens.n_particles
+    m = masses_reference(ens)
+    u = np.sum(m[:, None] * ens.v, axis=0) / np.sum(m)
+    total = 0.0
+    for s, sp in enumerate(ens.spec.species):
+        mask = ens.species == s
+        dv = ens.v[mask] - u
+        c = np.sqrt(np.sum(dv * dv, axis=-1))
+        if isinstance(sp.energy, ContinuousEnergy):
+            I = ens.internal[mask]
+            weight = (1.0 - 0.5 * sp.energy.delta) * np.log(np.maximum(I, 1e-300))
+            log_f = relax._log_cell_density(n, c, I)
+            total += (int(np.count_nonzero(mask)) / n) * float(np.mean(log_f + weight))
+            continue
+        if isinstance(sp.energy, DiscreteLevels):
+            lev = ens.levels[mask]
+            groups = [(c[lev == k], g) for k, g in enumerate(sp.energy.degeneracies)]
+        else:
+            groups = [(c, 1.0)]
+        for ck, g in groups:
+            if ck.size:
+                total += (ck.size / n) * float(np.mean(relax._log_cell_density(n, ck))
+                                               - np.log(g))
+    return total
+
+
+THREE_LEVELS = single_species(DiscreteLevels((0.0, 0.7, 1.5), (1.0, 3.0, 5.0)),
+                              PowerLawE(C=1.0, zeta=0.0))
+
+
+@pytest.mark.parametrize("spec, u0", [
+    (bl_spec(), None),
+    (mixture_cont_spec(delta_b=None, m_b=3.0), (0.4, -0.3, 0.2)),
+    (THREE_LEVELS, None),
+], ids=["bl", "cont_mono_drift", "three_levels"])
+def test_moment_row_matches_the_per_quantity_calls(spec, u0):
+    cfg = relax.RelaxConfig(dt=0.02, n_particles=2000, seed=11)
+    ens = relax.init_ensemble(spec, cfg.n_particles, 2.0, 1.0, u0=u0, seed=cfg.seed)
+    for _ in range(3):
+        relax.step(ens, cfg)
+    row = relax._moments(ens)
+    calls = (ens.time, ens.kinetic_temperature(), ens.internal_temperature(),
+             ens.mean_internal(), relax.h_estimate(ens))
+    assert np.array_equal(bits(row[:5]), bits(calls))
+    assert row[5] == ens.collisions
+    assert np.array_equal(bits(ens.peculiar_sq()), bits(peculiar_sq_reference(ens)))
+    assert np.array_equal(bits(row[1]), bits(kinetic_temperature_reference(ens)))
+    assert np.array_equal(bits(row[4]), bits(h_estimate_reference(ens)))
+
+
+def test_masses_are_cached_and_read_only():
+    ens = relax.init_ensemble(mixture_cont_spec(delta_b=None, m_b=3.0), 101, 1.0, 1.0, seed=0)
+    m = ens.masses
+    assert ens.masses is m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0] = 2.0
+    assert np.array_equal(bits(m), bits(masses_reference(ens)))

@@ -187,6 +187,12 @@ class TestMixture:
         with pytest.raises(ValueError):
             check_mixture([], 0.5, H.H6_mixture_BL)
 
+    @pytest.mark.parametrize("hyp", [H.H6_mixture_BL, H.H7_mixture_Psi])
+    @pytest.mark.parametrize("deltas", [[0.0], [2.0, -1.0], [2.0, float("nan")]])
+    def test_nonpositive_delta_rejected(self, hyp, deltas):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            check_mixture(deltas, 0.5, hyp)
+
 
 class TestDispatchAndSerialization:
     def test_dispatcher_routes_every_id(self):

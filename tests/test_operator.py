@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from polykin.collide import ParticleState
+from polykin.collide import ParticleState, pair_law
 from polykin.equilib import EquilibriumParams, Maxwellian, level_weights, maxwellian_eval
 from polykin.model import Monatomic, PowerLawE, PsiWeighted, single_species
 from polykin.operator import (
@@ -188,6 +188,16 @@ class TestCollisionFrequency:
         M = equilibrium(bl_spec(delta=2.7, zeta=0.8), n=0.3)
         est = collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=20_000, seed=5))
         assert est.value > 0.0
+
+    def test_small_delta_partners_drawn_at_zero_energy(self):
+        # at delta = 0.02 some partner draws underflow to I = 0, where the
+        # density of I is infinite; at zeta = 0 the rate is the pair weight
+        spec = bl_spec(delta=0.02)
+        M = equilibrium(spec)
+        est = collision_frequency(ParticleState(np.zeros(3), I=0.5), M,
+                                  cfg=QuadratureConfig(10_000, seed=1))
+        assert np.isfinite(est.value) and np.isfinite(est.stderr)
+        assert est.value == pytest.approx(pair_law(spec, 0, 0).weight, rel=1e-12)
 
     def test_mixture_rate_sums_partner_species(self):
         spec = mixture_cont_spec(delta_a=2.4, delta_b=None, m_a=2.0, m_b=1.0, zeta=0.0)

@@ -404,6 +404,21 @@ class TestRunAndSeries:
         assert series.collisions[-1] > 0
         assert calls == [(0, 0), (0, 1), (1, 1)]
 
+    def test_h_estimate_called_once_per_recorded_row(self, monkeypatch):
+        # a traced run wraps relax.h_estimate at this attribute
+        calls = []
+        h_estimate = relax.h_estimate
+
+        def counted(ensemble, *args):
+            calls.append(ensemble.time)
+            return h_estimate(ensemble, *args)
+
+        monkeypatch.setattr(relax, "h_estimate", counted)
+        cfg = relax.RelaxConfig(dt=0.02, n_particles=1000, seed=0, cadence=10)
+        series = relax.run(bl_spec(), cfg, 2.0, 1.0, t_end=0.6)
+        assert len(series.t) == 4
+        assert calls == list(series.t)
+
 
 class TestFailureModes:
     def test_majorant_violation_aborts(self):
