@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -45,6 +46,14 @@ def strict_json(text):
 
 def schema(name):
     return cli._load_schema(name)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in resources.files("polykin.schemas").iterdir() if p.name.endswith(".json")))
+def test_shipped_schemas_are_valid(name):
+    # the CLI validates documents without checking the schema itself
+    doc = schema(name)
+    jsonschema.validators.validator_for(doc).check_schema(doc)
 
 
 def write_relax_config(path, **overrides):
