@@ -65,7 +65,7 @@ def _validate(doc, name: str) -> None:
     """Raise the best-matching ValidationError of ``doc`` against the shipped
     schema ``name``, as ``jsonschema.validate`` does.  The shipped schemas
     are checked against their metaschema by the test suite rather than on
-    every run, where that check took about 10 ms."""
+    every run."""
     schema = _load_schema(name)
     validator = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
