@@ -7,6 +7,9 @@ direction.  Nodes are a tensor grid of Gauss-Hermite velocities and
 generalized Gauss-Laguerre internal energies whose weights absorb the
 equilibrium density, so sums against the weights approximate integrals
 against M.
+
+The matrix is the one n-by-n array; assembly and every check on it work in
+bounded memory, row block by row block through (``_BLOCK``, n) buffers.
 """
 
 from __future__ import annotations
@@ -16,15 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ..collide import pair_law, sq_norm
+from ..collide import pair_law
 from ..equilib import Maxwellian
 from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted, single_species
 
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
 # most grid nodes accepted; the dense matrix takes 8 bytes per node pair,
-# so this one needs 800 MB
+# so this one needs 800 MB, and assembly peaks at that plus two
+# (_BLOCK, n) buffers
 MAX_NODES = 10_000
+# rows per block of the assembly and of the row-wise checks
 _BLOCK = 512
 # Gauss-Jacobi nodes per axis for a split weight psi(r, R)
 _PSI_NODES = 40
@@ -92,27 +97,44 @@ class K1Matrix:
         return self.weights.size
 
     def symmetry_defect(self) -> float:
-        scale = float(np.max(np.abs(self.matrix)))
+        """max |K - K^T| / max |K|, one pass over row blocks."""
+        n = self.n_nodes
+        buf = np.empty((min(_BLOCK, n), n))
+        scales, defects = [], []
+        for i0 in range(0, n, _BLOCK):
+            rows = self.matrix[i0 : i0 + _BLOCK]
+            out = buf[: rows.shape[0]]
+            scales.append(np.max(np.abs(rows, out=out)))
+            np.subtract(rows, self.matrix[:, i0 : i0 + _BLOCK].T, out=out)
+            defects.append(np.max(np.abs(out, out=out)))
+        # np.max, unlike max(), returns nan whenever any block maximum is nan
+        scale = float(np.max(scales))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(self.matrix - self.matrix.T))) / scale
+        return float(np.max(defects)) / scale
+
+    def _weighted_row_sums(self, w_over_m: np.ndarray) -> np.ndarray:
+        """sum_j K_ij^2 w_j / M_j for every row i."""
+        n = self.n_nodes
+        buf = np.empty((min(_BLOCK, n), n))
+        out = np.empty(n)
+        for i0 in range(0, n, _BLOCK):
+            rows = self.matrix[i0 : i0 + _BLOCK]
+            sq = np.multiply(rows, rows, out=buf[: rows.shape[0]])
+            out[i0 : i0 + _BLOCK] = sq @ w_over_m
+        return out
 
     def hs_norm(self) -> float:
         """Quadrature-weighted Frobenius norm approximating the L2 kernel norm."""
         w_over_m = self.weights / self.m_values
+        rowsq = self._weighted_row_sums(w_over_m)
         total = 0.0
         for i0 in range(0, self.n_nodes, _BLOCK):
-            block = self.matrix[i0 : i0 + _BLOCK]
-            total += float(w_over_m[i0 : i0 + _BLOCK] @ ((block * block) @ w_over_m))
+            total += float(w_over_m[i0 : i0 + _BLOCK] @ rowsq[i0 : i0 + _BLOCK])
         return float(np.sqrt(total))
 
     def row_norms(self) -> np.ndarray:
-        w_over_m = self.weights / self.m_values
-        out = np.empty(self.n_nodes)
-        for i0 in range(0, self.n_nodes, _BLOCK):
-            block = self.matrix[i0 : i0 + _BLOCK]
-            out[i0 : i0 + _BLOCK] = np.sqrt((block * block) @ w_over_m)
-        return out
+        return np.sqrt(self._weighted_row_sums(self.weights / self.m_values))
 
     def apply(self, h_values: np.ndarray) -> np.ndarray:
         """Apply the discretized operator to node values of a function."""
@@ -162,14 +184,29 @@ def assemble_k1(
     n = weights.size
     s = np.sqrt(m_values)
     matrix = np.empty((n, n))
+    # every entry runs through the operations of
+    #   ((s_i*s_j) * (0.25*m*sq_norm(v_i - v_j) + (I_i + I_j)) ** (zeta/2)) * -coef
+    # in that order, so entries (i, j) and (j, i) are bitwise identical; the
+    # two buffers hold one row block's energies and density products
+    axes = [np.ascontiguousarray(nodes_v[:, k]) for k in range(3)]
+    energy = np.empty((min(_BLOCK, n), n))
+    other = np.empty_like(energy)
+    quarter_m = 0.25 * sp.mass
+    power = 0.5 * zeta
     for i0 in range(0, n, _BLOCK):
-        dv = nodes_v[i0 : i0 + _BLOCK, None, :] - nodes_v[None, :, :]
-        E = 0.25 * sp.mass * sq_norm(dv) + (
-            nodes_i[i0 : i0 + _BLOCK, None] + nodes_i[None, :]
-        )
-        # association chosen so entries (i, j) and (j, i) run through
-        # bitwise-identical operations
-        matrix[i0 : i0 + _BLOCK] = (
-            (s[i0 : i0 + _BLOCK, None] * s[None, :]) * E ** (0.5 * zeta)
-        ) * (-coef)
+        i1 = min(i0 + _BLOCK, n)
+        E = energy[: i1 - i0]
+        tmp = other[: i1 - i0]
+        x, y, z = axes
+        np.subtract(x[i0:i1, None], x, out=E)
+        np.multiply(E, E, out=E)
+        for c in (y, z):
+            np.subtract(c[i0:i1, None], c, out=tmp)
+            np.add(E, np.multiply(tmp, tmp, out=tmp), out=E)
+        np.multiply(E, quarter_m, out=E)
+        np.add(E, np.add(nodes_i[i0:i1, None], nodes_i, out=tmp), out=E)
+        # in-place ** takes numpy's scalar-power fast paths just as E ** power
+        E **= power
+        np.multiply(s[i0:i1, None], s, out=tmp)
+        np.multiply(np.multiply(tmp, E, out=tmp), -coef, out=matrix[i0:i1])
     return K1Matrix(nodes_v, nodes_i, weights, m_values, matrix)

@@ -19,6 +19,7 @@ post-collisional internal energies swap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -60,8 +61,12 @@ def _check_symmetry(psi: Callable) -> None:
         raise ValueError("psi must be symmetric under r <-> 1-r")
 
 
+@cache
 def _edge_nodes(eps: float):
-    """Gauss-Legendre nodes on (eps, 1-eps), panels geometric near both ends."""
+    """Gauss-Legendre nodes on (eps, 1-eps), panels geometric near both ends.
+
+    Built on first use for each epsilon and shared (read-only) afterwards.
+    """
     n_panels = max(2, int(np.ceil(_PANELS_PER_DECADE * np.log10(0.5 / eps))))
     edges = eps * (0.5 / eps) ** np.linspace(0.0, 1.0, n_panels + 1)
     x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
@@ -72,6 +77,7 @@ def _edge_nodes(eps: float):
     wl = (half[:, None] * w[None, :]).ravel()
     nodes = np.concatenate([left, 1.0 - left])
     weights = np.concatenate([wl, wl])
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -90,10 +96,10 @@ def _integrand(delta: float, zeta: float, psi: Callable | None):
 
 
 def _partial_integral(g, eps: float) -> float:
-    r, wr = _edge_nodes(eps)
-    R, wR = _edge_nodes(eps)
-    vals = g(r[:, None], R[None, :])
-    return float(wr @ vals @ wR)
+    # the same nodes serve both axes
+    x, w = _edge_nodes(eps)
+    vals = g(x[:, None], x[None, :])
+    return float(w @ vals @ w)
 
 
 def _edge_slope(g, which: str) -> float:

@@ -626,9 +626,13 @@ def h_estimate(ensemble: Ensemble, c2: Optional[np.ndarray] = None) -> float:
         energy = sp.energy
         if isinstance(energy, ContinuousEnergy):
             I = ensemble.internal[rows]
-            weight = (1.0 - 0.5 * energy.delta) * np.log(np.maximum(I, 1e-300))
             log_f = _log_cell_density(n, c, I)
-            total += (ns / n) * float(np.mean(log_f + weight))
+            factor = 1.0 - 0.5 * energy.delta
+            # at delta = 2 the term is 0 * log(I), which adds a signed zero
+            # (no change to the mean) unless some I is inf or nan
+            if factor != 0.0 or not np.all(np.isfinite(I)):
+                log_f = log_f + factor * np.log(np.maximum(I, 1e-300))
+            total += (ns / n) * float(np.mean(log_f))
             continue
         if isinstance(energy, DiscreteLevels):
             lev = ensemble.levels[rows]

@@ -5,13 +5,18 @@ are compared as their uint64 bit patterns, so a sign of zero or a NaN
 payload counts.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polykin import relax
 from polykin.collide import sq_norm
+from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (ContinuousEnergy, DiscreteLevels, MixtureSpec, Monatomic, PowerLawE,
                            Species, single_species)
+from polykin.operator import k1matrix, k2diag
+from polykin.operator.k1matrix import GridSpec, K1Matrix, assemble_k1
 
 from support import bl_spec, mixture_cont_spec
 
@@ -291,3 +296,185 @@ def test_masses_are_cached_and_read_only():
     with pytest.raises(ValueError):
         m[0] = 2.0
     assert np.array_equal(bits(m), bits(masses_reference(ens)))
+
+
+def test_h_estimate_at_delta_two_with_non_finite_energies():
+    # the (1 - delta/2) log I term is skipped at delta = 2 only while every
+    # I is finite; an inf or nan I still makes the estimate nan
+    ens = relax.init_ensemble(bl_spec(), 2000, 2.0, 1.0, seed=4)
+    assert np.array_equal(bits(relax.h_estimate(ens)), bits(h_estimate_reference(ens)))
+    for bad in (np.inf, np.nan):
+        ens.internal[17] = bad
+        with np.errstate(invalid="ignore"):
+            got, want = relax.h_estimate(ens), h_estimate_reference(ens)
+        assert np.isnan(want)
+        assert np.array_equal(bits(got), bits(want))
+
+
+# ---------------------------------------------------------------------------
+# K1 matrix in row blocks
+# ---------------------------------------------------------------------------
+
+
+def k1_matrix_reference(k1, mass, kernel, delta):
+    """The block loop that built the matrix from (_BLOCK, n, 3) differences."""
+    _BLOCK = k1matrix._BLOCK
+    nodes_v, nodes_i = k1.nodes_v, k1.nodes_i
+    coef = k1matrix.reduced_kernel_coefficient(kernel, delta)
+    zeta = kernel.zeta
+    n = k1.n_nodes
+    s = np.sqrt(k1.m_values)
+    matrix = np.empty((n, n))
+    for i0 in range(0, n, _BLOCK):
+        dv = nodes_v[i0 : i0 + _BLOCK, None, :] - nodes_v[None, :, :]
+        E = 0.25 * mass * sq_norm(dv) + (
+            nodes_i[i0 : i0 + _BLOCK, None] + nodes_i[None, :]
+        )
+        matrix[i0 : i0 + _BLOCK] = (
+            (s[i0 : i0 + _BLOCK, None] * s[None, :]) * E ** (0.5 * zeta)
+        ) * (-coef)
+    return matrix
+
+
+def symmetry_defect_reference(k1):
+    scale = float(np.max(np.abs(k1.matrix)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(k1.matrix - k1.matrix.T))) / scale
+
+
+def hs_norm_reference(k1):
+    _BLOCK = k1matrix._BLOCK
+    w_over_m = k1.weights / k1.m_values
+    total = 0.0
+    for i0 in range(0, k1.n_nodes, _BLOCK):
+        block = k1.matrix[i0 : i0 + _BLOCK]
+        total += float(w_over_m[i0 : i0 + _BLOCK] @ ((block * block) @ w_over_m))
+    return float(np.sqrt(total))
+
+
+def row_norms_reference(k1):
+    _BLOCK = k1matrix._BLOCK
+    w_over_m = k1.weights / k1.m_values
+    out = np.empty(k1.n_nodes)
+    for i0 in range(0, k1.n_nodes, _BLOCK):
+        block = k1.matrix[i0 : i0 + _BLOCK]
+        out[i0 : i0 + _BLOCK] = np.sqrt((block * block) @ w_over_m)
+    return out
+
+
+def unit_maxwellian(delta=2.0, zeta=0.5, C=1.0, mass=1.0, u=(0.0, 0.0, 0.0), T=1.0):
+    spec = single_species(ContinuousEnergy(delta=delta), PowerLawE(C=C, zeta=zeta), mass=mass)
+    return Maxwellian(spec, EquilibriumParams(n=(1.0,), u=np.array(u), T_kin=T, T_int=T))
+
+
+K1_CASES = {
+    "default": (GridSpec(), {}),
+    "refined": (GridSpec().refined(), {}),
+    "under_one_block": (GridSpec(5, 3), {"delta": 3.0}),
+    "drift_mass_temperature": (GridSpec(5, 4), {"u": (0.3, -0.2, 0.1), "mass": 1.5, "T": 0.7}),
+    "negative_zeta": (GridSpec(6, 3), {"delta": 3.0, "zeta": -0.5}),
+    "zero_C": (GridSpec(4, 3), {"C": 0.0}),
+    "zeta_overflow": (GridSpec(4, 4), {"zeta": 1e300}),
+    "delta_overflow": (GridSpec(4, 4), {"delta": 1e300, "zeta": 0.0}),
+}
+
+
+@pytest.mark.parametrize("case", list(K1_CASES))
+def test_k1_blocks_match_the_full_block_expressions(case):
+    grid, params = K1_CASES[case]
+    M = unit_maxwellian(**params)
+    sp = M.spec.species[0]
+    with np.errstate(all="ignore"):
+        k1 = assemble_k1(grid, M)
+        ref = k1_matrix_reference(k1, sp.mass, M.spec.kernel(0, 0), sp.energy.delta)
+        assert np.array_equal(bits(k1.matrix), bits(ref))
+        assert np.array_equal(bits(k1.symmetry_defect()), bits(symmetry_defect_reference(k1)))
+        assert np.array_equal(bits(k1.hs_norm()), bits(hs_norm_reference(k1)))
+        assert np.array_equal(bits(k1.row_norms()), bits(row_norms_reference(k1)))
+        if case == "zero_C":
+            assert k1.symmetry_defect() == 0.0
+        if case.endswith("overflow"):
+            assert np.isnan(k1.symmetry_defect())
+
+
+def k1_with_matrix(matrix):
+    n = matrix.shape[0]
+    return K1Matrix(np.zeros((n, 3)), np.zeros(n), np.ones(n), np.ones(n), matrix)
+
+
+@pytest.mark.parametrize("n", [3, 512, 700, 1100])
+def test_symmetry_defect_of_unsymmetric_and_non_finite_matrices(n):
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((n, n))
+    variants = [base, base + base.T, np.zeros((n, n)), -np.zeros((n, n))]
+    for i, j, value in [(n - 1, 0, np.inf), (0, n - 1, -np.inf), (n // 2, 1, np.nan)]:
+        bad = base + base.T
+        bad[i, j] = value
+        variants.append(bad)
+    both = base + base.T
+    both[1, n - 1] = both[n - 1, 1] = np.inf
+    variants.append(both)
+    with np.errstate(invalid="ignore"):
+        for matrix in variants:
+            k1 = k1_with_matrix(matrix)
+            assert np.array_equal(bits(k1.symmetry_defect()), bits(symmetry_defect_reference(k1)))
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of fn(), beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bounded_memory_case():
+    """GridSpec() on the unit Maxwellian, and 3 (_BLOCK, n) float64 buffers."""
+    grid = GridSpec()
+    n = grid.n_velocity**3 * grid.n_internal
+    assert n > k1matrix._BLOCK
+    return grid, unit_maxwellian(), n, 3 * k1matrix._BLOCK * n * 8
+
+
+# numpy reports its data buffers to tracemalloc
+def test_k1_assembly_peaks_at_the_matrix_plus_block_buffers():
+    grid, M, n, blocks = bounded_memory_case()
+    assert traced_peak(lambda: assemble_k1(grid, M)) < n * n * 8 + blocks
+
+
+def test_symmetry_defect_peaks_below_three_block_buffers():
+    grid, M, n, blocks = bounded_memory_case()
+    k1 = assemble_k1(grid, M)
+    assert traced_peak(k1.symmetry_defect) < blocks
+
+
+# ---------------------------------------------------------------------------
+# K2 edge nodes
+# ---------------------------------------------------------------------------
+
+
+def partial_integral_reference(g, eps):
+    """Fresh nodes for each axis, as before the nodes were cached."""
+    r, wr = k2diag._edge_nodes.__wrapped__(eps)
+    R, wR = k2diag._edge_nodes.__wrapped__(eps)
+    vals = g(r[:, None], R[None, :])
+    return float(wr @ vals @ wR)
+
+
+@pytest.mark.parametrize("delta, zeta, psi", [
+    (3.0, 0.5, None),
+    (2.017, 0.537, None),
+    (2.0, 0.0, None),
+    (5.0, -0.5, lambda r, R: 1.0 + r * (1.0 - r) * R),
+])
+def test_k2_partials_with_cached_edge_nodes(delta, zeta, psi):
+    diag = k2diag.k2_integrability_diagnostic(delta, zeta, psi)
+    g = k2diag._integrand(delta, zeta, psi)
+    want = [partial_integral_reference(g, eps) for eps in k2diag._EPSILONS]
+    assert np.array_equal(bits(diag.partials), bits(want))
+    nodes, weights = k2diag._edge_nodes(k2diag._EPSILONS[0])
+    assert k2diag._edge_nodes(k2diag._EPSILONS[0])[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
