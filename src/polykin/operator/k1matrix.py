@@ -188,7 +188,7 @@ def assemble_k1(
     #   ((s_i*s_j) * (0.25*m*sq_norm(v_i - v_j) + (I_i + I_j)) ** (zeta/2)) * -coef
     # in that order, so entries (i, j) and (j, i) are bitwise identical; the
     # two buffers hold one row block's energies and density products
-    axes = [np.ascontiguousarray(nodes_v[:, k]) for k in range(3)]
+    x, y, z = np.ascontiguousarray(nodes_v.T)
     energy = np.empty((min(_BLOCK, n), n))
     other = np.empty_like(energy)
     quarter_m = 0.25 * sp.mass
@@ -197,7 +197,6 @@ def assemble_k1(
         i1 = min(i0 + _BLOCK, n)
         E = energy[: i1 - i0]
         tmp = other[: i1 - i0]
-        x, y, z = axes
         np.subtract(x[i0:i1, None], x, out=E)
         np.multiply(E, E, out=E)
         for c in (y, z):

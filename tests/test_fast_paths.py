@@ -423,12 +423,17 @@ def test_symmetry_defect_of_unsymmetric_and_non_finite_matrices(n):
 
 def traced_peak(fn):
     """Bytes allocated at the peak of fn(), beyond what was live before."""
-    tracemalloc.start()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
 
 
 def bounded_memory_case():
