@@ -126,24 +126,17 @@ def _json_safe(value):
 def _cmd_check(args) -> int:
     from .hypotheses import HypothesisId, check
 
-    # H1 reads no flag, H5 only --zeta, every other hypothesis both
-    needs_zeta = set(HypothesisId) - {HypothesisId.H1_monatomic}
-    needs_delta = needs_zeta - {HypothesisId.H5_discrete}
     _require_finite(delta=args.delta, zeta=args.zeta,
                     zeta1=args.zeta1, zeta2=args.zeta2)
     tokens = [tok.strip() for tok in args.hyp.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("--hyp needs at least one hypothesis id")
     ids = [HypothesisId.parse(tok) for tok in tokens]
-    for hid in ids:
-        if hid in needs_delta and args.delta is None:
-            raise ValueError(f"--delta is required for {hid.value}")
-        if hid in needs_zeta and args.zeta is None:
-            raise ValueError(f"--zeta is required for {hid.value}")
-    for hid in ids:
-        verdict = check(hid, delta=args.delta, zeta=args.zeta,
-                        zeta1=args.zeta1, zeta2=args.zeta2,
-                        extended=args.extended)
+    # every verdict is formed before any is printed, so a missing or bad flag
+    # leaves stdout empty
+    verdicts = [check(hid, delta=args.delta, zeta=args.zeta, zeta1=args.zeta1,
+                      zeta2=args.zeta2, extended=args.extended) for hid in ids]
+    for verdict in verdicts:
         if isinstance(verdict, dict):
             # scalar inputs collapse the mixture check to its only pair
             verdict = verdict[(0, 0)]

@@ -2,11 +2,12 @@
 
 Three layers live here.  The pair-law table (:func:`pair_law`) resolves,
 once per species pair, which exchange law the pair follows: its
-Borgnakke-Larsen Beta shapes and the closed-form weight integral.  The
-array layer (:func:`monatomic_rule`,
-:func:`bl_poly_poly`, :func:`resonant_rule`, :func:`discrete_rule`, ...) works
-on numpy arrays with leading batch dimensions and is what the Monte Carlo
-estimators and the relaxation simulator call.  The object layer
+Borgnakke-Larsen Beta shapes, the closed-form weight integral and, for two
+discrete species, their level tables.  The array layer
+(:func:`monatomic_rule`, :func:`bl_poly_poly`, :func:`resonant_rule`,
+:func:`discrete_rule`, ...) works on numpy arrays with leading batch
+dimensions and is what the Monte Carlo estimators and the relaxation
+simulator call.  The object layer
 (:func:`collide_borgnakke_larsen` and friends) wraps single collisions in
 :class:`ParticleState` / :class:`CollisionOutcome` records and validates its
 inputs; :func:`internal_variable` is the one reader of a state's internal
@@ -23,7 +24,7 @@ the level jump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -131,6 +132,9 @@ class PairLaw:
     transition weight over the exchange parameters and the scattering
     direction without the kernel prefactor C: 4 pi B(beta_r) B(beta_R),
     which is 16 pi/15 for two continuous species at delta = 2.
+    ``levels_i`` and ``levels_j`` are the level tables of a disc-disc pair,
+    each species' (energies, degeneracies) as read-only arrays, and None for
+    every other family; they take no part in comparison.
     """
 
     kind: PairKind
@@ -140,6 +144,15 @@ class PairLaw:
     beta_r: tuple[float, float] | None
     beta_R: tuple[float, float] | None
     weight: float
+    levels_i: tuple | None = field(default=None, compare=False, repr=False)
+    levels_j: tuple | None = field(default=None, compare=False, repr=False)
+
+
+def _level_table(energy: DiscreteLevels) -> tuple[np.ndarray, np.ndarray]:
+    table = np.array(energy.energies), np.array(energy.degeneracies)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
@@ -149,7 +162,7 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
     with a continuous or monatomic one).
     """
     ei, ej = spec.species[i].energy, spec.species[j].energy
-    beta_r = beta_R = None
+    beta_r = beta_R = levels_i = levels_j = None
     if isinstance(ei, ContinuousEnergy) and isinstance(ej, ContinuousEnergy):
         kind = PairKind.CONT_CONT
         beta_r = (0.5 * ei.delta, 0.5 * ej.delta)
@@ -164,6 +177,7 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
         kind = PairKind.MONO_MONO
     elif isinstance(ei, DiscreteLevels) and isinstance(ej, DiscreteLevels):
         kind = PairKind.DISC_DISC
+        levels_i, levels_j = _level_table(ei), _level_table(ej)
     else:
         raise ValueError(f"no collision rule couples species {i} and {j}")
     weight = 4.0 * np.pi
@@ -173,7 +187,8 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
         weight *= special.beta(*beta_R)
     mi, mj = spec.species[i].mass, spec.species[j].mass
     return PairLaw(kind=kind, m_i=mi, m_j=mj, mu=mi * mj / (mi + mj),
-                   beta_r=beta_r, beta_R=beta_R, weight=float(weight))
+                   beta_r=beta_r, beta_R=beta_R, weight=float(weight),
+                   levels_i=levels_i, levels_j=levels_j)
 
 
 # ---------------------------------------------------------------------------

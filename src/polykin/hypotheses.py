@@ -298,10 +298,16 @@ def check(hyp: HypothesisId, *, delta=None, zeta=None, zeta1: float = 0.0,
 
     ``delta`` may be a sequence for the mixture hypotheses, in which case a
     scalar ``zeta`` is broadcast to all pairs.  Returns a Verdict, or a dict
-    of per-pair Verdicts for H6/H7.
+    of per-pair Verdicts for H6/H7.  H1 reads neither ``delta`` nor
+    ``zeta``, H5 only ``zeta`` and every other hypothesis both; a missing
+    one raises ValueError, delta first, before any range check.
     """
     if hyp == HypothesisId.H1_monatomic:
         return check_monatomic()
+    if hyp != HypothesisId.H5_discrete and delta is None:
+        raise ValueError(f"delta is required for {hyp.value}")
+    if zeta is None:
+        raise ValueError(f"zeta is required for {hyp.value}")
     if hyp in (HypothesisId.H2_single_BL, HypothesisId.H3_single_Psi):
         return check_single(float(delta), float(zeta), hyp, psi=psi, extended=extended)
     if hyp == HypothesisId.H4_resonant:

@@ -7,6 +7,12 @@ summed magnitudes of the log terms) is treated as an exact zero.  This
 makes identities that hold samplewise, detailed balance at equilibrium and
 collision-invariant defects, produce estimates of exactly 0 +/- 0 instead
 of rounding noise.
+
+Every estimator samples through one path, ``_estimate``: it builds the
+pair's proposal once, fills the first slot per chunk (a fixed state tiled,
+or equilibrium draws with their density), samples the transitions and
+accumulates the per-sample values the estimator computes from the batch.
+An estimator keeps only its argument checks and those values.
 """
 
 from __future__ import annotations
@@ -108,14 +114,34 @@ def _gain_loss(f: DistributionFn, g: DistributionFn, batch):
     return log_a, log_b, scale
 
 
-def _tile(v, internal, n):
-    """``n`` copies of a fixed state; a level index tiles as integers."""
-    return np.broadcast_to(v, (n, 3)), None if internal is None else np.full(n, internal)
+def _estimate(M: Maxwellian, pair, kernel, cfg, values, w=None, seed_seq=None):
+    """Accumulate ``values(batch, log_q_w)`` over transitions of species
+    ``pair`` drawn from the proposal around ``M``.
 
+    The first slot is the fixed state ``w`` tiled over each chunk (log_q_w is
+    then None) or, without ``w``, states drawn from the proposal with their
+    log density log_q_w.  ``values`` returns the per-sample values and a dict
+    of diagnostic counters added to the batch's.  ``seed_seq`` overrides the
+    seed stream of ``cfg``.
+    """
+    spec = M.spec
+    kern = kernel if kernel is not None else spec.kernel(*pair)
+    prop = make_proposal(M, pair)
+    if w is not None:
+        v0, i0 = w.v, internal_variable(spec, w)
 
-def _check_specs(f: DistributionFn, g: DistributionFn):
-    if f.maxwellian.spec is not g.maxwellian.spec and f.maxwellian.spec != g.maxwellian.spec:
-        raise ValueError("f and g must share one mixture description")
+    def sampler(rng, n):
+        if w is None:
+            v, internal, log_q_w = sample_state(prop, pair[0], rng, n)
+        else:
+            # n copies of the state; a level index tiles as integers
+            v, log_q_w = np.broadcast_to(v0, (n, 3)), None
+            internal = None if i0 is None else np.full(n, i0)
+        batch = sample_transition(spec, pair, kern, v, internal, prop, rng, n)
+        vals, extra = values(batch, log_q_w)
+        return vals, {**batch.diagnostics, **extra}
+
+    return accumulate(sampler, cfg, seed_seq)
 
 
 def eval_q(
@@ -132,25 +158,17 @@ def eval_q(
     (f = g = the base Maxwellian) every sample cancels exactly and the
     result is 0 +/- 0.
     """
-    _check_specs(f, g)
-    spec = f.maxwellian.spec
+    if f.maxwellian.spec is not g.maxwellian.spec and f.maxwellian.spec != g.maxwellian.spec:
+        raise ValueError("f and g must share one mixture description")
     if w.species != f.species:
         raise ValueError("w must belong to f's species")
-    pair = (f.species, g.species)
-    kern = kernel if kernel is not None else spec.kernel(*pair)
-    prop = make_proposal(g.maxwellian, pair)
-    v0, i0 = w.v, internal_variable(spec, w)
 
-    def sampler(rng, n):
-        v, internal = _tile(v0, i0, n)
-        batch = sample_transition(spec, pair, kern, v, internal, prop, rng, n)
+    def values(batch, _):
         log_a, log_b, scale = _gain_loss(f, g, batch)
         vals, snapped = _signed_difference(log_a, log_b, batch.log_aq, scale)
-        diag = dict(batch.diagnostics)
-        diag["snapped"] = snapped
-        return vals, diag
+        return vals, {"snapped": snapped}
 
-    return accumulate(sampler, cfg)
+    return _estimate(g.maxwellian, (f.species, g.species), kernel, cfg, values, w)
 
 
 def collision_frequency(
@@ -166,29 +184,20 @@ def collision_frequency(
     """
     if cfg is None:
         raise ValueError("a QuadratureConfig is required")
-    spec = M.spec
-    i = w.species
-    v0, i0 = w.v, internal_variable(spec, w)
+    n_species = M.spec.n_species
     parent = np.random.SeedSequence(cfg.seed)
-    streams = [parent] if spec.n_species == 1 else parent.spawn(spec.n_species)
+    streams = [parent] if n_species == 1 else parent.spawn(n_species)
 
     total, var, count = 0.0, 0.0, 0
     diagnostics: dict = {}
-    for j in range(spec.n_species):
-        kern = kernel if kernel is not None else spec.kernel(i, j)
-        prop = make_proposal(M, (i, j))
+    for j in range(n_species):
 
-        def sampler(rng, n, j=j, kern=kern, prop=prop):
-            v, internal = _tile(v0, i0, n)
-            batch = sample_transition(spec, (i, j), kern, v, internal, prop, rng, n)
-            log_m = np.asarray(
-                M.log_density(batch.v_star, batch.i_star, j), dtype=float
-            )
+        def values(batch, _, j=j):
+            log_m = np.asarray(M.log_density(batch.v_star, batch.i_star, j), dtype=float)
             with np.errstate(over="ignore"):
-                vals = np.exp(log_m + batch.log_aq)
-            return vals, dict(batch.diagnostics)
+                return np.exp(log_m + batch.log_aq), {}
 
-        est = accumulate(sampler, cfg, seed_seq=streams[j])
+        est = _estimate(M, (w.species, j), kernel, cfg, values, w, streams[j])
         total += est.value
         var += est.stderr**2
         count += est.n_samples
@@ -217,17 +226,11 @@ def eval_k(
         raise ValueError("part must be 1, 2, or 3")
     if cfg is None:
         raise ValueError("a QuadratureConfig is required")
-    spec = M.spec
-    if spec.n_species != 1:
+    if M.spec.n_species != 1:
         raise ValueError("the linearized-part estimator covers single species")
-    kern = kernel if kernel is not None else spec.kernel(0, 0)
-    prop = make_proposal(M, (0, 0))
-    v0, i0 = w.v, internal_variable(spec, w)
-    log_m_w = float(np.asarray(M.log_density(v0, i0, 0), dtype=float))
+    log_m_w = float(np.asarray(M.log_density(w.v, internal_variable(M.spec, w), 0), dtype=float))
 
-    def sampler(rng, n):
-        v, internal = _tile(v0, i0, n)
-        batch = sample_transition(spec, (0, 0), kern, v, internal, prop, rng, n)
+    def values(batch, _):
         log_m_star = np.asarray(M.log_density(batch.v_star, batch.i_star, 0), float)
         if part == 1:
             expo = 0.5 * log_m_w + 0.5 * log_m_star + batch.log_aq
@@ -242,20 +245,9 @@ def eval_k(
         clipped = int(np.sum(expo > 700.0))
         with np.errstate(over="ignore"):
             vals = np.where(dead, 0.0, hval * np.exp(np.minimum(expo, 700.0)))
-        diag = dict(batch.diagnostics)
-        diag["clipped"] = clipped
-        return vals, diag
+        return vals, {"clipped": clipped}
 
-    return accumulate(sampler, cfg)
-
-
-def _joint_sampler_parts(f: DistributionFn, kernel):
-    spec = f.maxwellian.spec
-    if spec.n_species != 1:
-        raise ValueError("weak-form estimators cover single-species models")
-    kern = kernel if kernel is not None else spec.kernel(0, 0)
-    prop = make_proposal(f.maxwellian, (0, 0))
-    return spec, kern, prop
+    return _estimate(M, (0, 0), kernel, cfg, values, w)
 
 
 def weak_moment(
@@ -271,11 +263,10 @@ def weak_moment(
     For collision invariants the defect is snapped to zero samplewise, so
     the estimate is exactly 0 +/- 0.
     """
-    spec, kern, prop = _joint_sampler_parts(f, kernel)
+    if f.maxwellian.spec.n_species != 1:
+        raise ValueError("weak-form estimators cover single-species models")
 
-    def sampler(rng, n):
-        v, i_w, log_q_w = sample_state(prop, 0, rng, n)
-        batch = sample_transition(spec, (0, 0), kern, v, i_w, prop, rng, n)
+    def values(batch, log_q_w):
         p_pre = np.asarray(psi(batch.v, batch.i_pre), dtype=float)
         p_star = np.asarray(psi(batch.v_star, batch.i_star), dtype=float)
         p_post = np.asarray(psi(batch.v_post, batch.i_post), dtype=float)
@@ -290,12 +281,9 @@ def weak_moment(
             log_a, log_b, batch.log_aq - log_q_w, scale
         )
         vals = np.where(defect == 0.0, 0.0, 0.25 * defect * diff)
-        diag = dict(batch.diagnostics)
-        diag["snapped"] = snapped
-        diag["defect_zero"] = int(np.sum(zero))
-        return vals, diag
+        return vals, {"snapped": snapped, "defect_zero": int(np.sum(zero))}
 
-    return accumulate(sampler, cfg)
+    return _estimate(f.maxwellian, (0, 0), kernel, cfg, values)
 
 
 def entropy_production(
@@ -309,11 +297,10 @@ def entropy_production(
     product and b the loss product; it vanishes exactly at equilibrium.
     Raises if f is not strictly positive on the sampled states.
     """
-    spec, kern, prop = _joint_sampler_parts(f, kernel)
+    if f.maxwellian.spec.n_species != 1:
+        raise ValueError("weak-form estimators cover single-species models")
 
-    def sampler(rng, n):
-        v, i_w, log_q_w = sample_state(prop, 0, rng, n)
-        batch = sample_transition(spec, (0, 0), kern, v, i_w, prop, rng, n)
+    def values(batch, log_q_w):
         log_a, log_b, scale = _gain_loss(f, f, batch)
         live = ~np.isneginf(batch.log_aq)
         if np.any(~np.isfinite(log_a[live])) or np.any(~np.isfinite(log_b[live])):
@@ -332,9 +319,7 @@ def entropy_production(
                 * delta,
                 0.0,
             )
-        diag = dict(batch.diagnostics)
-        diag["snapped"] = int(np.sum(live & ~keep))
-        diag["negative_terms"] = int(np.sum(vals < 0.0))
-        return vals, diag
+        return vals, {"snapped": int(np.sum(live & ~keep)),
+                      "negative_terms": int(np.sum(vals < 0.0))}
 
-    return accumulate(sampler, cfg)
+    return _estimate(f.maxwellian, (0, 0), kernel, cfg, values)

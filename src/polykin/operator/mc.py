@@ -1,9 +1,10 @@
 """Chunked, reproducible Monte Carlo accumulation.
 
-Estimators in this package draw samples in fixed-size chunks, each with its
-own child RNG stream spawned from the configured seed.  Chunk statistics are
-merged in chunk-index order, so a result depends only on (inputs, seed,
-chunk size) and not on how many worker threads executed the chunks.
+Estimators in this package draw samples in chunks of a fixed size
+(``_CHUNK_SIZE``), each with its own child RNG stream spawned from the
+configured seed.  Chunk statistics are merged in chunk-index order, so a
+result depends only on the inputs and the seed, not on how many worker
+threads executed the chunks.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ __all__ = ["MCEstimate", "QuadratureConfig", "accumulate"]
 # as exact zeros by the estimators.
 SNAP_RTOL = 64.0 * np.finfo(float).eps
 
+# Samples per chunk: each chunk draws its own RNG stream and is one unit of
+# work for the thread pool.
+_CHUNK_SIZE = 250_000
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Sample budget, seed, chunk size and worker threads for the MC
-    estimators.
+    """Sample budget, seed and worker threads for the MC estimators.
 
     Every estimator samples from the proposal of its species pair, the
     pair's equilibrium and Borgnakke-Larsen Beta laws, so nothing here
@@ -36,14 +40,11 @@ class QuadratureConfig:
 
     n_samples: int
     seed: int = 0
-    chunk_size: int = 250_000
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -93,9 +94,9 @@ def accumulate(
     """
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(cfg.seed)
-    n_chunks = math.ceil(cfg.n_samples / cfg.chunk_size)
-    sizes = [cfg.chunk_size] * (n_chunks - 1)
-    sizes.append(cfg.n_samples - cfg.chunk_size * (n_chunks - 1))
+    n_chunks = math.ceil(cfg.n_samples / _CHUNK_SIZE)
+    sizes = [_CHUNK_SIZE] * (n_chunks - 1)
+    sizes.append(cfg.n_samples - _CHUNK_SIZE * (n_chunks - 1))
     children = seed_seq.spawn(n_chunks)
 
     def run_chunk(k: int):

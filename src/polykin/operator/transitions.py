@@ -12,10 +12,12 @@ discrete channels, vanishing kernel) carry ``log_aq`` = -inf.
 :func:`sample_state` (through the proposal's Maxwellian, which also gives
 its density) and hands over to the sampler of the pair's family:
 Borgnakke-Larsen exchange, poly-mono in either slot order, monatomic,
-discrete levels or resonant.  The family sampler draws the exchange
-parameters and then the scattering direction, from the Beta shapes of the
-proposal's law, which also give the exponents of the transition weight.
-The draw order is fixed, so results reproduce for a fixed seed.
+discrete levels or resonant.  A family sampler reads everything it needs
+from the kernel and the proposal: the masses, the Beta shapes of the
+exchange-parameter draws and of the transition-weight exponents, and a
+disc-disc pair's level tables all come from the proposal's law.  It draws
+the exchange parameters and then the scattering direction.  The draw order
+is fixed, so results reproduce for a fixed seed.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class Proposal:
     ``maxwellian`` draws the partner states and gives their density;
     ``law`` is the pair's :class:`~polykin.collide.PairLaw`, whose Beta
     shapes give both the exchange-parameter draws and the transition-weight
-    exponents.
+    exponents, and whose level tables give a disc-disc pair's channels.
     """
 
     maxwellian: Maxwellian
@@ -117,7 +119,7 @@ def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
         return np.log(np.asarray(b, dtype=float))
 
 
-def _bl_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+def _bl_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     r, lq_r = _beta_draw(law.beta_r, rng, n)
     R, lq_R = _beta_draw(law.beta_R, rng, n)
@@ -138,7 +140,7 @@ def _bl_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _resonant_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     Z = I + I_star
     I_prime = rng.uniform(0.0, 1.0, n) * Z
@@ -154,7 +156,7 @@ def _resonant_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n
         I=I,
         I_star=I_star,
         I_prime=I_prime,
-        delta=spec.species[0].energy.delta,
+        delta=prop.maxwellian.spec.species[0].energy.delta,
     )
     log_b = _log_b(kernel, ctx, False)
     # I' and Z - I' carry delta/2 - 1 each; Z carries delta - 1
@@ -167,7 +169,7 @@ def _resonant_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _poly_mono_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+def _poly_mono_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     R, lq_R = _beta_draw(law.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
@@ -187,7 +189,7 @@ def _poly_mono_pair(spec, pair, kernel, v, I, v_star, I_star, log_q, prop, rng, 
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
 
 
-def _mono_mono_pair(spec, pair, kernel, v, _I, v_star, _I_star, log_q, prop, rng, n):
+def _mono_mono_pair(kernel, v, _I, v_star, _I_star, log_q, prop, rng, n):
     law = prop.law
     sigma = unit_sphere(rng, n)
     vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
@@ -200,14 +202,9 @@ def _mono_mono_pair(spec, pair, kernel, v, _I, v_star, _I_star, log_q, prop, rng
     )
 
 
-def _discrete_pair(spec, pair, kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
+def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     law = prop.law
-    i, j = pair
-    ei, ej = spec.species[i].energy, spec.species[j].energy
-    Ei = np.asarray(ei.energies)
-    Ej = np.asarray(ej.energies)
-    gi = np.asarray(ei.degeneracies)
-    gj = np.asarray(ej.degeneracies)
+    (Ei, gi), (Ej, gj) = law.levels_i, law.levels_j
     k_post = rng.integers(0, Ei.size, n)
     l_post = rng.integers(0, Ej.size, n)
     lq_ch = -np.log(float(Ei.size * Ej.size))
@@ -264,7 +261,7 @@ def sample_transition(
             raise ValueError("resonant kernels require a single continuous species")
         sampler = _resonant_pair
     v_star, i_star, log_q = sample_state(prop, j, rng, n)
-    return sampler(spec, pair, kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
+    return sampler(kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
 
 
 def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int):

@@ -163,8 +163,7 @@ class Ensemble:
         return self.kinetic_energy() + self.internal_energy()
 
     def bulk_velocity(self) -> np.ndarray:
-        m = self.masses
-        return np.sum(m[:, None] * self.v, axis=0) / np.sum(m)
+        return self.momentum() / np.sum(self.masses)
 
     def peculiar_sq(self) -> np.ndarray:
         """Each particle's squared peculiar speed |v - u|^2 about the bulk
@@ -391,19 +390,12 @@ def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
             pt.idx_j[rng.integers(0, pt.idx_j.size, m)])
 
 
-def _level_table(spec: MixtureSpec, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level energies and degeneracies of discrete species ``s``."""
-    energy = spec.species[s].energy
-    return np.asarray(energy.energies), np.asarray(energy.degeneracies)
-
-
-def _channel_weights(ensemble: Ensemble, pt: _PairType, g2: np.ndarray,
-                     pre: np.ndarray) -> np.ndarray:
-    """Weight g_k' g_l' |V'| of each post-level channel (k', l'), one row per
-    pair in (k', l') order, from |V|^2 ``g2`` and the internal energy ``pre``."""
-    li, gi = _level_table(ensemble.spec, pt.i)
-    lj, gj = _level_table(ensemble.spec, pt.j)
-    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / pt.law.mu
+def _channel_weights(law: PairLaw, g2: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Weight g_k' g_l' |V'| of each post-level channel (k', l') of a
+    disc-disc pair, one row per pair in (k', l') order, from |V|^2 ``g2`` and
+    the internal energy ``pre``."""
+    (li, gi), (lj, gj) = law.levels_i, law.levels_j
+    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / law.mu
     return (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(g2.size, -1)
 
 
@@ -416,7 +408,7 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
-    terms = _channel_weights(ensemble, pt, g2, ensemble.internal[ii] + ensemble.internal[jj])
+    terms = _channel_weights(pt.law, g2, ensemble.internal[ii] + ensemble.internal[jj])
     # summed channel by channel, in (k', l') order
     total = np.cumsum(terms, axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -477,20 +469,19 @@ def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.nd
                       u_channel: np.ndarray, sigma: np.ndarray) -> int:
     """Pick each pair's post levels (k', l') with probability proportional to
     the channel weight, then apply the jumps the relative motion admits."""
-    li, _ = _level_table(ensemble.spec, pt.i)
-    lj, _ = _level_table(ensemble.spec, pt.j)
+    law = pt.law
+    li, lj = law.levels_i[0], law.levels_j[0]
     v, I = ensemble.v, ensemble.internal
     dv = v[a] - v[b]
     pre = I[a] + I[b]
     # |V|^2 as a BLAS dot product per row (sq_norm in _rates): seeded channel
     # choices depend on it bit for bit
-    w = _channel_weights(ensemble, pt, (dv[:, None, :] @ dv[:, :, None])[:, 0, 0], pre)
+    w = _channel_weights(law, (dv[:, None, :] @ dv[:, :, None])[:, 0, 0], pre)
     total = w.sum(axis=1)
     below = np.cumsum(w, axis=1) <= (u_channel * total)[:, None]
     pick = np.minimum(np.count_nonzero(below, axis=1), w.shape[1] - 1)
     kp, lp = np.divmod(pick, lj.size)
-    w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - pre, sigma,
-                               pt.law.m_i, pt.law.m_j)
+    w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - pre, sigma, law.m_i, law.m_j)
     ok &= total > 0.0
     a, b, kp, lp = a[ok], b[ok], kp[ok], lp[ok]
     v[a], v[b] = w1[ok], w2[ok]

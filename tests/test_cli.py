@@ -149,6 +149,18 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err == "error: --delta must be positive\n"
 
+    @pytest.mark.parametrize("hyp, failing", [("H1,H2", "H2"), ("H5,H6", "H6"),
+                                              ("H2,H5", "H2")])
+    def test_an_error_prints_no_verdict(self, hyp, failing, capsys):
+        # every verdict is formed before the first is printed
+        code, out, err = run_cli(["check", "--delta", "0", "--zeta", "0.5", "--hyp", hyp],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --delta must be positive\n"
+        code, out, err = run_cli(["check", "--zeta", "0.5", "--hyp", hyp], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --delta is required for {failing}\n"
+
     def test_discrete_window_reads_no_delta(self, capsys):
         code, out, _ = run_cli(["check", "--delta", "-1e3", "--zeta", "0.5", "--hyp", "H5"],
                                capsys)

@@ -416,6 +416,33 @@ class TestPairLaw:
         assert pair_law(mono, 0, 0).weight == 4 * np.pi
         assert pair_law(discrete_spec(), 0, 0).weight == 4 * np.pi
 
+    def test_disc_disc_level_tables(self):
+        spec = mixture_disc_spec()
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            law = pair_law(spec, i, j)
+            for table, s in ((law.levels_i, i), (law.levels_j, j)):
+                energy = spec.species[s].energy
+                E, g = table
+                assert E.tolist() == list(energy.energies) and E.dtype == float
+                assert g.tolist() == list(energy.degeneracies) and g.dtype == float
+                for a in table:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 1.0
+
+    def test_level_tables_are_none_for_other_families(self):
+        mixed = mixture_cont_spec(delta_b=None)
+        mono = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))
+        for law in (pair_law(bl_spec(), 0, 0), pair_law(mixed, 0, 1),
+                    pair_law(mixed, 1, 0), pair_law(mono, 0, 0)):
+            assert law.levels_i is None and law.levels_j is None
+
+    def test_level_tables_take_no_part_in_comparison(self):
+        a, b = pair_law(mixture_disc_spec(), 0, 1), pair_law(mixture_disc_spec(), 0, 1)
+        assert a.levels_i is not b.levels_i
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "levels" not in repr(a)
+
     def test_weight_is_free_of_the_kernel_prefactor(self):
         assert pair_law(bl_spec(C=2.5, zeta=0.5), 0, 0).weight == pair_law(bl_spec(), 0, 0).weight
 

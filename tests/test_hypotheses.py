@@ -204,6 +204,22 @@ class TestDispatchAndSerialization:
         out = check(H.H6_mixture_BL, delta=[2.0, 2.0], zeta=0.5)
         assert all(v.satisfied for v in out.values())
 
+    @pytest.mark.parametrize("hyp", [h for h in H if h not in (H.H1_monatomic, H.H5_discrete)])
+    def test_missing_parameters_named_delta_first(self, hyp):
+        # the missing parameter is named before any range check runs
+        for kw in ({}, {"zeta": 0.5}, {"delta": None, "zeta": None}):
+            with pytest.raises(ValueError, match=f"^delta is required for {hyp.value}$"):
+                check(hyp, **kw)
+        for delta in (2.5, -1.0, [2.0, 0.0]):
+            with pytest.raises(ValueError, match=f"^zeta is required for {hyp.value}$"):
+                check(hyp, delta=delta)
+
+    def test_discrete_window_needs_only_zeta(self):
+        with pytest.raises(ValueError, match="^zeta is required for H5$"):
+            check(H.H5_discrete, delta=2.0)
+        assert check(H.H5_discrete, zeta=0.5) == check_discrete(0.5)
+        assert check(H.H1_monatomic, delta=None, zeta=None) == check_monatomic()
+
     def test_monatomic_bound_is_not_applicable_here(self):
         v = check_monatomic()
         assert not v.satisfied

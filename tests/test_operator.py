@@ -19,6 +19,7 @@ from polykin.operator import (
     eval_q,
     weak_moment,
 )
+from polykin.operator import mc
 from polykin.operator.transitions import make_proposal, sample_state
 from support import bl_spec, discrete_spec, mixture_cont_spec, resonant_spec
 
@@ -38,8 +39,13 @@ class TestEngine:
     spec = bl_spec(delta=2.5, zeta=0.6)
     M = two_temperature(spec, 1.0, 1.4)
 
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        # six chunks of 10k samples, so the thread pool has work to share
+        monkeypatch.setattr(mc, "_CHUNK_SIZE", 10_000)
+
     def _run(self, **kw):
-        cfg = QuadratureConfig(n_samples=60_000, seed=7, chunk_size=10_000, **kw)
+        cfg = QuadratureConfig(n_samples=60_000, seed=7, **kw)
         return eval_q(DistributionFn(self.M), DistributionFn(self.M), W_BL, cfg)
 
     def test_rerun_is_bitwise_identical(self):
