@@ -18,6 +18,7 @@ so a one-shot ``polykin relax`` does not pay for loading them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -42,8 +43,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 # argparse reads a separate -1e3 as an option (only -1 and -1.5 pass its
-# number test), so main joins it to its flag as --zeta=-1e3
-_FLOAT_FLAGS = ("--delta", "--zeta", "--zeta1", "--zeta2")
+# number test), so main joins it to the flag before it as --zeta=-1e3
 _EXPONENT_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 # library errors open with the parameter they concern; by command, each
@@ -93,12 +93,6 @@ def _atomic_write(path):
         raise
 
 
-def _require_finite(**flags) -> None:
-    for name, value in flags.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name} must be finite")
-
-
 def _json_path(keys) -> str:
     """A JSON document path in ``species[0].mass`` form."""
     path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
@@ -106,8 +100,9 @@ def _json_path(keys) -> str:
 
 
 def _non_finite(doc, keys=()):
-    """Path of the first NaN or infinite number in a parsed JSON document
-    (``json`` accepts them), or None."""
+    """Path of the first NaN or infinite number in a parsed JSON document or
+    in ``vars`` of the parsed flags (``json`` and ``float`` accept them), or
+    None."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
@@ -123,11 +118,18 @@ def _json_safe(value):
     return value
 
 
+def _emit(out, write, summary) -> int:
+    """Write a command's table to ``out`` atomically through ``write(tmp)``,
+    then print its summary as one JSON line, an overflowed number as null."""
+    with _atomic_write(out) as tmp:
+        write(tmp)
+    print(json.dumps({k: _json_safe(v) for k, v in summary.items()}))
+    return EXIT_OK
+
+
 def _cmd_check(args) -> int:
     from .hypotheses import HypothesisId, check
 
-    _require_finite(delta=args.delta, zeta=args.zeta,
-                    zeta1=args.zeta1, zeta2=args.zeta2)
     tokens = [tok.strip() for tok in args.hyp.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("--hyp needs at least one hypothesis id")
@@ -147,46 +149,40 @@ def _cmd_check(args) -> int:
 def _cmd_diag(args) -> int:
     from .operator import GridSpec, assemble_k1, k2_integrability_diagnostic
 
-    _require_finite(delta=args.delta, zeta=args.zeta)
     if args.delta <= 0:
         raise ValueError("--delta must be positive")
     out = args.out or f"diag_{args.kind}.csv"
     summary = {"kind": args.kind, "delta": args.delta, "zeta": args.zeta,
                "seed": args.seed, "out": str(out)}
     lines = [f"# seed={args.seed}"]
-    # extreme exponents overflow to inf or nan, which the summary prints as
-    # null; silencing the floating-point warnings keeps stderr empty
-    with np.errstate(all="ignore"):
-        if args.kind == "k2":
-            diag = k2_integrability_diagnostic(args.delta, args.zeta)
-            lines.append("epsilon,partial_integral")
-            lines += [f"{eps:.17g},{val:.17g}" for eps, val in diag.rows()]
-            summary.update(verdict=diag.verdict, final_partial=diag.partials[-1],
-                           cauchy_change=diag.cauchy_change, inconsistent=diag.inconsistent)
-        else:
-            try:
-                grid = GridSpec() if args.grid is None else GridSpec(
-                    n_velocity=args.grid, n_internal=args.grid)
-            except ValueError as exc:
-                raise ValueError(f"--grid: {exc}") from None
-            spec = single_species(ContinuousEnergy(delta=args.delta),
-                                  PowerLawE(C=1.0, zeta=args.zeta))
-            M = Maxwellian(spec, EquilibriumParams(
-                n=(1.0,), u=np.zeros(3), T_kin=1.0, T_int=1.0))
-            k1 = assemble_k1(grid, M)
-            speeds = np.sqrt(sq_norm(k1.nodes_v))
-            norms = k1.row_norms()
-            lines.append("node_index,v,I,k1_row_norm")
-            lines += [
-                f"{idx},{speeds[idx]:.17g},{k1.nodes_i[idx]:.17g},{norms[idx]:.17g}"
-                for idx in range(k1.n_nodes)
-            ]
-            summary.update(hs_norm=k1.hs_norm(), symmetry_defect=k1.symmetry_defect(),
-                           n_nodes=k1.n_nodes)
-    with _atomic_write(out) as tmp:
-        Path(tmp).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(json.dumps({k: _json_safe(v) for k, v in summary.items()}))
-    return EXIT_OK
+    if args.kind == "k2":
+        diag = k2_integrability_diagnostic(args.delta, args.zeta)
+        lines.append("epsilon,partial_integral")
+        lines += [f"{eps:.17g},{val:.17g}" for eps, val in diag.rows()]
+        summary.update(verdict=diag.verdict, final_partial=diag.partials[-1],
+                       cauchy_change=diag.cauchy_change, inconsistent=diag.inconsistent)
+    else:
+        try:
+            grid = GridSpec() if args.grid is None else GridSpec(
+                n_velocity=args.grid, n_internal=args.grid)
+        except ValueError as exc:
+            raise ValueError(f"--grid: {exc}") from None
+        spec = single_species(ContinuousEnergy(delta=args.delta),
+                              PowerLawE(C=1.0, zeta=args.zeta))
+        M = Maxwellian(spec, EquilibriumParams(
+            n=(1.0,), u=np.zeros(3), T_kin=1.0, T_int=1.0))
+        k1 = assemble_k1(grid, M)
+        speeds = np.sqrt(sq_norm(k1.nodes_v))
+        norms = k1.row_norms()
+        lines.append("node_index,v,I,k1_row_norm")
+        lines += [
+            f"{idx},{speeds[idx]:.17g},{k1.nodes_i[idx]:.17g},{norms[idx]:.17g}"
+            for idx in range(k1.n_nodes)
+        ]
+        summary.update(hs_norm=k1.hs_norm(), symmetry_defect=k1.symmetry_defect(),
+                       n_nodes=k1.n_nodes)
+    text = "\n".join(lines) + "\n"
+    return _emit(out, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"), summary)
 
 
 def _cmd_relax(args) -> int:
@@ -198,63 +194,33 @@ def _cmd_relax(args) -> int:
     spec = spec_from_json(json.dumps(doc))
     rc = doc["relax"]
     relax.step_count(rc["t_end"], rc["dt"])
-    config = relax.RelaxConfig(
-        dt=rc["dt"],
-        # the schema's integers may arrive as integral floats such as 2e3
-        n_particles=int(rc["n_particles"]),
-        seed=int(rc.get("seed", 0)),
-        cadence=int(rc.get("cadence", 10)),
-        b_maj=rc.get("b_maj"),
-        violation_tol=rc.get("violation_tol", 1e-3),
-    )
-    # extreme kernels overflow on the way to their error; silencing the
-    # floating-point warnings keeps stderr to the one error line (the
-    # values are the same; relax runs on this thread only)
-    with np.errstate(all="ignore"):
-        series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
-                           u0=rc.get("u0"))
+    fields = {f.name: f.type for f in dataclasses.fields(relax.RelaxConfig)}
+    # the schema's integers may arrive as integral floats such as 2e3
+    config = relax.RelaxConfig(**{k: int(v) if fields[k] == "int" else v
+                                  for k, v in rc.items() if k in fields})
+    series = relax.run(spec, config, rc["T_kin0"], rc["T_int0"], rc["t_end"],
+                       u0=rc.get("u0"))
     out = args.out or "relax_series.csv"
-    with _atomic_write(out) as tmp:
-        series.to_csv(tmp)
-    summary = relax.relax_summary(series)
-    summary["out"] = str(out)
-    summary = {k: _json_safe(v) for k, v in summary.items()}
-    if summary["equipartition_gap"] is None:
-        summary["equipartition_within_2pct"] = None
-    print(json.dumps(summary))
-    return EXIT_OK
+    return _emit(out, series.to_csv, {**relax.relax_summary(series), "out": str(out)})
 
 
-def _write_report(rows, out) -> dict:
+def _cmd_fit(args) -> int:
+    """``fit`` fits the datasets of a manifest, ``table1`` the bundled ones."""
     from . import fitlab
 
-    with _atomic_write(out) as tmp:
-        fitlab.report_to_csv(rows, tmp)
-    return {
+    datasets = None
+    if args.command == "fit":
+        _validate(json.loads(Path(args.manifest).read_text(encoding="utf-8")),
+                  "fit_manifest.schema.json")
+        datasets = fitlab.load_manifest(args.manifest)
+    rows = fitlab.reproduce_table1(datasets)
+    out = args.out or f"{args.command}_report.csv"
+    return _emit(out, lambda tmp: fitlab.report_to_csv(rows, tmp), {
         "rows": len(rows),
         "out": str(out),
         "max_abs_delta_gap": max(abs(r.delta_gap) for r in rows),
         "max_abs_zeta_gap": max(abs(r.zeta_gap) for r in rows),
-    }
-
-
-def _cmd_fit(args) -> int:
-    from . import fitlab
-
-    doc = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    _validate(doc, "fit_manifest.schema.json")
-    datasets = fitlab.load_manifest(args.manifest)
-    rows = fitlab.reproduce_table1(datasets)
-    print(json.dumps(_write_report(rows, args.out or "fit_report.csv")))
-    return EXIT_OK
-
-
-def _cmd_table1(args) -> int:
-    from . import fitlab
-
-    rows = fitlab.reproduce_table1()
-    print(json.dumps(_write_report(rows, args.out or "table1_report.csv")))
-    return EXIT_OK
+    })
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="reproduce the reference gas table")
     p.add_argument("--out", help="report CSV path")
-    p.set_defaults(func=_cmd_table1)
+    p.set_defaults(func=_cmd_fit)
 
     return parser
 
@@ -307,14 +273,24 @@ def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] in _FLOAT_FLAGS and _EXPONENT_NUMBER.fullmatch(argv[k]):
-            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
+        flag = argv[k - 1]
+        if flag[:2] == "--" and "=" not in flag and _EXPONENT_NUMBER.fullmatch(argv[k]):
+            argv[k - 1:k + 1] = [f"{flag}={argv[k]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        # flags in parser order, so check names --delta before --zeta
+        bad = _non_finite(vars(args))
+        if bad:
+            raise ValueError(f"--{bad} must be finite")
+        # extreme inputs overflow to inf or nan, which a summary prints as
+        # null or an error line reports; silencing numpy's floating-point
+        # warnings keeps stderr empty or to that one line.  It changes no
+        # value, and it holds on this thread, where every command runs.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except relax.MajorantViolation as exc:
         print(json.dumps({"error": str(exc), **exc.diagnostics}),
               file=sys.stderr)

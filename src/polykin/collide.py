@@ -133,8 +133,8 @@ class PairLaw:
     direction without the kernel prefactor C: 4 pi B(beta_r) B(beta_R),
     which is 16 pi/15 for two continuous species at delta = 2.
     ``levels_i`` and ``levels_j`` are the level tables of a disc-disc pair,
-    each species' (energies, degeneracies) as read-only arrays, and None for
-    every other family; they take no part in comparison.
+    each species' ``DiscreteLevels.table``, and None for every other family;
+    they take no part in comparison.
     """
 
     kind: PairKind
@@ -146,13 +146,6 @@ class PairLaw:
     weight: float
     levels_i: tuple | None = field(default=None, compare=False, repr=False)
     levels_j: tuple | None = field(default=None, compare=False, repr=False)
-
-
-def _level_table(energy: DiscreteLevels) -> tuple[np.ndarray, np.ndarray]:
-    table = np.array(energy.energies), np.array(energy.degeneracies)
-    for a in table:
-        a.flags.writeable = False
-    return table
 
 
 def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
@@ -177,7 +170,7 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
         kind = PairKind.MONO_MONO
     elif isinstance(ei, DiscreteLevels) and isinstance(ej, DiscreteLevels):
         kind = PairKind.DISC_DISC
-        levels_i, levels_j = _level_table(ei), _level_table(ej)
+        levels_i, levels_j = ei.table, ej.table
     else:
         raise ValueError(f"no collision rule couples species {i} and {j}")
     weight = 4.0 * np.pi

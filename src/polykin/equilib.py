@@ -93,8 +93,7 @@ def partition_function(energy: EnergyModel, T: float) -> float:
     if isinstance(energy, ContinuousEnergy):
         return float(special.gamma(0.5 * energy.delta) * T ** (0.5 * energy.delta))
     if isinstance(energy, DiscreteLevels):
-        E = np.asarray(energy.energies)
-        g = np.asarray(energy.degeneracies)
+        E, g = energy.table
         return float(np.sum(g * np.exp(-E / T)))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
@@ -105,8 +104,8 @@ def level_weights(energy: DiscreteLevels, T: float):
     Taken relative to the lowest level, so the ground weight is g_0 however
     cold T is and the weights never all underflow.
     """
-    E = np.asarray(energy.energies)
-    return np.asarray(energy.degeneracies) * np.exp(-(E - E.min()) / T)
+    E, g = energy.table
+    return g * np.exp(-(E - E.min()) / T)
 
 
 def _pow_log(x, p: float):
@@ -168,10 +167,9 @@ class Maxwellian:
             return _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)
-            E = np.asarray(e.energies)
-            g = np.asarray(e.degeneracies)[k]
+            E, g = e.table
             q = np.sum(level_weights(e, T))
-            return np.log(g) - (E[k] - E.min()) / T - np.log(q)
+            return np.log(g[k]) - (E[k] - E.min()) / T - np.log(q)
         raise TypeError(f"unknown energy model {type(e).__name__}")
 
     def log_density(self, v, internal=None, species: int = 0):
@@ -228,7 +226,7 @@ def _log_phi_side(energy: EnergyModel, pre_internal, post_internal):
         I1 = np.asarray(post_internal, dtype=float)
         return c * (np.log(I0) - np.log(I1))
     if isinstance(energy, DiscreteLevels):
-        g = np.asarray(energy.degeneracies)
+        g = energy.table[1]
         return np.log(g[np.asarray(pre_internal)]) - np.log(g[np.asarray(post_internal)])
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
@@ -286,7 +284,7 @@ def mean_internal_energy(energy: EnergyModel, T: float) -> float:
         return 0.5 * energy.delta * T
     if isinstance(energy, DiscreteLevels):
         w = level_weights(energy, T)
-        return float(np.sum(w * np.asarray(energy.energies)) / np.sum(w))
+        return float(np.sum(w * energy.table[0]) / np.sum(w))
     raise TypeError(f"unknown energy model {type(energy).__name__}")
 
 
@@ -305,8 +303,7 @@ def internal_temperature(energy: EnergyModel, mean_I: float) -> float:
             raise ValueError("mean internal energy must be positive")
         return 2.0 * mean_I / energy.delta
     if isinstance(energy, DiscreteLevels):
-        E = np.asarray(energy.energies)
-        g = np.asarray(energy.degeneracies)
+        E, g = energy.table
         if mean_I == E[0]:
             return 0.0
         if mean_I < E[0]:

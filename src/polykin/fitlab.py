@@ -53,6 +53,8 @@ def _validate_series(T: np.ndarray, values: np.ndarray, value_name: str) -> None
         raise ValueError("series columns must be one-dimensional and aligned")
     if T.size == 0:
         raise ValueError("series is empty")
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(values))):
+        raise ValueError(f"T and {value_name} must be finite")
     if np.any(np.diff(T) <= 0):
         raise ValueError("temperatures must be strictly increasing")
     if np.any(T <= 0) or np.any(values <= 0):
@@ -303,6 +305,10 @@ def _read_two_columns(path, expected_header: str) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"{path}: malformed numeric row ({err})") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"{path}: expected exactly two columns")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = body[1 + int(np.argmin(finite))].strip()
+        raise ValueError(f"{path}: non-finite numeric row {row!r}")
     return data[:, 0], data[:, 1]
 
 

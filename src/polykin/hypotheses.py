@@ -299,23 +299,29 @@ def check(hyp: HypothesisId, *, delta=None, zeta=None, zeta1: float = 0.0,
     ``delta`` may be a sequence for the mixture hypotheses, in which case a
     scalar ``zeta`` is broadcast to all pairs.  Returns a Verdict, or a dict
     of per-pair Verdicts for H6/H7.  H1 reads neither ``delta`` nor
-    ``zeta``, H5 only ``zeta`` and every other hypothesis both; a missing
-    one raises ValueError, delta first, before any range check.
+    ``zeta``, H5 only ``zeta`` and every other hypothesis both.  A missing
+    one, or a sequence given to H2-H5, raises ValueError before any range
+    check: missing before sequence, delta before zeta.
     """
     if hyp == HypothesisId.H1_monatomic:
         return check_monatomic()
-    if hyp != HypothesisId.H5_discrete and delta is None:
-        raise ValueError(f"delta is required for {hyp.value}")
-    if zeta is None:
-        raise ValueError(f"zeta is required for {hyp.value}")
+    given = {"delta": delta, "zeta": zeta}
+    if hyp == HypothesisId.H5_discrete:
+        del given["delta"]
+    for name, value in given.items():
+        if value is None:
+            raise ValueError(f"{name} is required for {hyp.value}")
+    if hyp in (HypothesisId.H6_mixture_BL, HypothesisId.H7_mixture_Psi):
+        deltas = np.atleast_1d(np.asarray(delta, dtype=float))
+        return check_mixture(list(deltas), zeta, hyp)
+    for name, value in given.items():
+        if np.ndim(value):
+            raise ValueError(f"{name} must be one number for {hyp.value}, not a sequence")
     if hyp in (HypothesisId.H2_single_BL, HypothesisId.H3_single_Psi):
         return check_single(float(delta), float(zeta), hyp, psi=psi, extended=extended)
     if hyp == HypothesisId.H4_resonant:
         return check_resonant(float(delta), float(zeta), zeta1, zeta2)
-    if hyp == HypothesisId.H5_discrete:
-        return check_discrete(float(zeta))
-    deltas = np.atleast_1d(np.asarray(delta, dtype=float))
-    return check_mixture(list(deltas), zeta, hyp)
+    return check_discrete(float(zeta))
 
 
 @dataclass(frozen=True)

@@ -64,16 +64,23 @@ class DiscreteLevels:
 
     ``energies`` must be strictly increasing and nonnegative;
     ``degeneracies`` are the positive statistical weights of each level.
+    ``table`` holds both as read-only float arrays, built once; it takes no
+    part in comparison.
     """
 
     energies: tuple[float, ...]
     degeneracies: tuple[float, ...]
+    table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(
             self, "degeneracies", tuple(float(g) for g in self.degeneracies)
         )
+        table = np.array(self.energies), np.array(self.degeneracies)
+        for a in table:
+            a.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @property
     def n_levels(self) -> int:

@@ -287,7 +287,7 @@ def init_ensemble(
             internal[start:stop] = extra
         elif isinstance(energy, DiscreteLevels):
             levels[start:stop] = extra
-            internal[start:stop] = np.asarray(energy.energies)[extra]
+            internal[start:stop] = energy.table[0][extra]
         start = stop
     return Ensemble(spec=spec, v=v, internal=internal, levels=levels,
                     species=species, rng=rng)
@@ -773,7 +773,7 @@ def relax_summary(series: TimeSeries) -> dict:
         "T_kin_final": series.meta["T_kin_final"],
         "T_int_final": series.meta["T_int_final"],
         "equipartition_gap": gap,
-        "equipartition_within_2pct": bool(gap <= 0.02),
+        "equipartition_within_2pct": bool(gap <= 0.02) if math.isfinite(gap) else None,
         "mean_I_final": series.meta["mean_I_final"],
         "energy_drift": series.meta["energy_drift"],
         "momentum_drift": series.meta["momentum_drift"],

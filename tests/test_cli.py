@@ -56,6 +56,18 @@ def test_shipped_schemas_are_valid(name):
     jsonschema.validators.validator_for(doc).check_schema(doc)
 
 
+def write_manifest(directory, cv_rows, mu_rows):
+    """A one-dataset fit manifest for N2 at 1 bar, with its two CSV files."""
+    (directory / "cv.csv").write_text(
+        "T,c_hat_v\n" + "".join(f"{t},{c}\n" for t, c in cv_rows))
+    (directory / "mu.csv").write_text(
+        "T,mu\n" + "".join(f"{t},{m}\n" for t, m in mu_rows))
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"gas": "N2", "pressure_bar": 1.0, "cv": "cv.csv", "mu": "mu.csv"}]}))
+    return manifest
+
+
 def write_relax_config(path, **overrides):
     cfg = {
         "species": [{"label": "gas", "mass": 1.0,
@@ -67,6 +79,98 @@ def write_relax_config(path, **overrides):
     cfg["relax"].update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+class TestOnePath:
+    """Framing that every subcommand shares: the finiteness check of its
+    flags, the silenced floating-point warnings and the summary line."""
+
+    MU = [(300, 1.0), (400, 1.2), (600, 1.5)]
+
+    @pytest.mark.parametrize("name", ["k2", "k1norm", "relax", "table1", "fit"])
+    def test_summary_is_one_strict_json_line(self, tmp_path, name):
+        # each input overflows a summary value, or runs clean
+        argv, schema_name = {
+            "k2": (["diag", "--kind", "k2", "--delta", "2", "--zeta", "1e300"],
+                   "diag_summary.schema.json"),
+            "k1norm": (["diag", "--kind", "k1norm", "--delta", "1e300", "--zeta", "0",
+                        "--grid", "4"], "diag_summary.schema.json"),
+            "relax": (["relax", "--config", str(write_relax_config(tmp_path / "run.json"))],
+                      "relax_summary.schema.json"),
+            "table1": (["table1"], "fit_summary.schema.json"),
+            "fit": (["fit", "--manifest", str(write_manifest(
+                tmp_path, [(300, 1e308), (400, 1e308), (600, 1e308)], self.MU))],
+                "fit_summary.schema.json"),
+        }[name]
+        out = tmp_path / "out.csv"
+        proc = run_cli_process([*argv, "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        (line,) = proc.stdout.splitlines()
+        summary = strict_json(line)
+        jsonschema.validate(summary, schema(schema_name))
+        assert summary["out"] == str(out) and out.exists()
+        if name == "fit":
+            assert summary["max_abs_delta_gap"] is None
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_fit_rejects_non_finite_data(self, tmp_path, capsys, token):
+        manifest = write_manifest(tmp_path, [(300, 2.5), (400, token), (600, 2.52)],
+                                  self.MU)
+        code, stdout, err = run_cli(["fit", "--manifest", str(manifest),
+                                     "--out", str(tmp_path / "r.csv")], capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"error: {tmp_path / 'cv.csv'}: non-finite numeric row '400,{token}'\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--delta", "2", "--zeta", "nan", "--zeta1=-inf", "--hyp", "H9"], "zeta"),
+        (["check", "--zeta2=inf", "--hyp", "H4"], "zeta2"),
+        (["diag", "--kind", "k2", "--delta", "nan", "--zeta", "inf"], "delta"),
+        (["diag", "--kind", "k1norm", "--delta", "2", "--zeta=-inf", "--grid", "0"], "zeta"),
+    ])
+    def test_first_non_finite_flag_is_named(self, tmp_path, capsys, argv, flag):
+        # checked in parser order, before the command's own checks
+        out = tmp_path / "d.csv"
+        argv = [*argv, "--out", str(out)] if argv[0] == "diag" else argv
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == f"error: --{flag} must be finite\n"
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["diag", "--kind", "k1norm", "--delta", "2", "--zeta", "0", "--grid", "-1e3"],
+         2, "argument --grid: invalid int value: '-1e3'"),
+        (["check", "--delta", "2", "--zeta", "0", "--hyp", "-1e3"],
+         2, "unknown hypothesis '-1e3'"),
+        (["relax", "--config", "-1e3"], 3, "No such file or directory: '-1e3'"),
+    ])
+    def test_exponent_number_joins_any_flag(self, tmp_path, monkeypatch, capsys,
+                                            argv, code, message):
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(argv, capsys)
+        assert result[:2] == (code, "")
+        assert message in result[2]
+
+    def test_relax_config_defaults_come_from_relax_config(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=500.0, t_end=0.1)
+        doc = json.loads(cfg.read_text())
+        for key in ("seed", "cadence"):
+            del doc["relax"][key]
+        cfg.write_text(json.dumps(doc))
+        seen = []
+        run = cli.relax.run
+
+        def spy(spec, config, *args, **kwargs):
+            seen.append(config)
+            return run(spec, config, *args, **kwargs)
+
+        monkeypatch.setattr(cli.relax, "run", spy)
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 0, err
+        assert seen == [cli.relax.RelaxConfig(dt=0.02, n_particles=500)]
+        assert type(seen[0].n_particles) is int
 
 
 class TestCheckCommand:

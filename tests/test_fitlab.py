@@ -42,6 +42,13 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             fitlab.ViscositySeries(T=np.array([300.0, 400.0]), mu=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^T and c_hat_v must be finite$"):
+            fitlab.CvSeries(T=np.array([300.0, 400.0]), c_hat_v=np.array([2.5, bad]))
+        with pytest.raises(ValueError, match="^T and mu must be finite$"):
+            fitlab.ViscositySeries(T=np.array([300.0, bad]), mu=np.array([1.0, 1.2]))
+
     def test_interval_and_reference_point(self):
         series = power_law_mu(0.7, t_lo=250.0, t_hi=900.0, scale=1.8e-5)
         assert series.interval == (250.0, 900.0)
@@ -236,6 +243,14 @@ class TestInputOutput:
         bad.write_text("T,mu\n300,abc\n")
         with pytest.raises(ValueError, match="malformed"):
             fitlab.read_viscosity_csv(bad)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_rows_rejected(self, tmp_path, token):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"T,mu\n300,1.0\n# note\n 400,{token}\n500,1.4\n")
+        with pytest.raises(ValueError) as err:
+            fitlab.read_viscosity_csv(bad)
+        assert str(err.value) == f"{bad}: non-finite numeric row '400,{token}'"
 
     def test_manifest_errors(self, tmp_path):
         not_json = tmp_path / "m.json"

@@ -214,6 +214,27 @@ class TestDispatchAndSerialization:
             with pytest.raises(ValueError, match=f"^zeta is required for {hyp.value}$"):
                 check(hyp, delta=delta)
 
+    @pytest.mark.parametrize("hyp", [H.H2_single_BL, H.H3_single_Psi, H.H4_resonant])
+    def test_sequence_parameter_named(self, hyp):
+        # named before any range check, a missing parameter before a sequence
+        for kw, name in (({"delta": [2.0, 3.0], "zeta": 0.5}, "delta"),
+                         ({"delta": 2.0, "zeta": [0.5]}, "zeta"),
+                         ({"delta": np.array([-1.0]), "zeta": [-5.0]}, "delta")):
+            with pytest.raises(ValueError, match=f"^{name} must be one number for {hyp.value}"):
+                check(hyp, **kw)
+        with pytest.raises(ValueError, match=f"^zeta is required for {hyp.value}$"):
+            check(hyp, delta=[2.0, 3.0])
+
+    def test_discrete_window_rejects_a_sequence_zeta_only(self):
+        with pytest.raises(ValueError, match="^zeta must be one number for H5"):
+            check(H.H5_discrete, zeta=[0.5])
+        assert check(H.H5_discrete, delta=[2.0, 3.0], zeta=0.5) == check_discrete(0.5)
+
+    @pytest.mark.parametrize("hyp", [H.H6_mixture_BL, H.H7_mixture_Psi])
+    def test_mixture_windows_take_a_sequence_delta(self, hyp):
+        out = check(hyp, delta=[2.0, 3.0], zeta=0.5)
+        assert sorted(out) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_discrete_window_needs_only_zeta(self):
         with pytest.raises(ValueError, match="^zeta is required for H5$"):
             check(H.H5_discrete, delta=2.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polykin.collide import pair_law
 from polykin.model import (
     CollisionContext,
     ContinuousEnergy,
@@ -171,6 +172,29 @@ class TestValidate:
             kernels=((ker, ker), (ker, ker)),
         )
         assert any("unique" in e for e in validate(spec))
+
+
+class TestDiscreteLevels:
+    def test_table_is_read_only_float_arrays(self):
+        levels = DiscreteLevels(energies=(0, 0.7, 1.5), degeneracies=(1, 3, 5))
+        E, g = levels.table
+        assert E.tolist() == [0.0, 0.7, 1.5] and E.dtype == float
+        assert g.tolist() == [1.0, 3.0, 5.0] and g.dtype == float
+        for a in levels.table:
+            with pytest.raises(ValueError):
+                a[0] = 2.0
+
+    def test_table_takes_no_part_in_comparison(self):
+        a = DiscreteLevels(energies=(0.0, 1.0), degeneracies=(1.0, 2.0))
+        b = DiscreteLevels(energies=(0, 1), degeneracies=(1, 2))
+        assert a.table is not b.table
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "table" not in repr(a)
+
+    def test_pair_law_reads_the_species_tables(self):
+        spec = discrete_spec()
+        law = pair_law(spec, 0, 0)
+        assert law.levels_i is spec.species[0].energy.table is law.levels_j
 
 
 class TestJsonRoundTrip:

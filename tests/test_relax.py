@@ -348,6 +348,14 @@ class TestRunAndSeries:
         assert summary["h_nonincreasing"] is True
         assert 0.0 <= summary["equipartition_gap"] < 0.2
 
+    def test_summary_of_a_monatomic_gas_has_no_equipartition_verdict(self):
+        # no internal temperature, so the gap is NaN and the verdict None
+        spec = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))
+        cfg = relax.RelaxConfig(dt=0.02, n_particles=500, seed=0)
+        summary = relax.relax_summary(relax.run(spec, cfg, 2.0, 1.0, t_end=0.2))
+        assert math.isnan(summary["equipartition_gap"])
+        assert summary["equipartition_within_2pct"] is None
+
     def test_timeseries_requires_increasing_times(self):
         with pytest.raises(ValueError):
             relax.TimeSeries(
