@@ -7,8 +7,8 @@ gas table from the bundled synthetic datasets).
 
 Exit codes: 0 success, 2 argument or schema error, 3 I/O error,
 4 numerical abort.  Output files are written atomically (temp file plus
-rename), and commands with random state echo their seed as a `# seed=`
-header line.
+rename), and ``relax``, the one command with random state, echoes its seed
+as a `# seed=` header line.
 
 Only what ``relax`` needs is imported at module level: ``hypotheses``,
 ``fitlab`` and ``operator`` are imported by the subcommands that use them,
@@ -42,9 +42,11 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# argparse reads a separate -1e3 as an option (only -1 and -1.5 pass its
-# number test), so main joins it to the flag before it as --zeta=-1e3
-_EXPONENT_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+# argparse reads a separate -1e3 or -inf as an option (only -1 and -1.5
+# pass its number test), so main joins it to the flag before it as
+# --zeta=-1e3; the words are the ones float accepts, in any letter case
+_EXPONENT_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)e[-+]?\d+|inf|infinity|nan)",
+                              re.IGNORECASE)
 
 # library errors open with the parameter they concern; by command, each
 # opening and the prefix that names the parameter as the user wrote it
@@ -152,12 +154,10 @@ def _cmd_diag(args) -> int:
     if args.delta <= 0:
         raise ValueError("--delta must be positive")
     out = args.out or f"diag_{args.kind}.csv"
-    summary = {"kind": args.kind, "delta": args.delta, "zeta": args.zeta,
-               "seed": args.seed, "out": str(out)}
-    lines = [f"# seed={args.seed}"]
+    summary = {"kind": args.kind, "delta": args.delta, "zeta": args.zeta, "out": str(out)}
     if args.kind == "k2":
         diag = k2_integrability_diagnostic(args.delta, args.zeta)
-        lines.append("epsilon,partial_integral")
+        lines = ["epsilon,partial_integral"]
         lines += [f"{eps:.17g},{val:.17g}" for eps, val in diag.rows()]
         summary.update(verdict=diag.verdict, final_partial=diag.partials[-1],
                        cauchy_change=diag.cauchy_change, inconsistent=diag.inconsistent)
@@ -174,7 +174,7 @@ def _cmd_diag(args) -> int:
         k1 = assemble_k1(grid, M)
         speeds = np.sqrt(sq_norm(k1.nodes_v))
         norms = k1.row_norms()
-        lines.append("node_index,v,I,k1_row_norm")
+        lines = ["node_index,v,I,k1_row_norm"]
         lines += [
             f"{idx},{speeds[idx]:.17g},{k1.nodes_i[idx]:.17g},{norms[idx]:.17g}"
             for idx in range(k1.n_nodes)
@@ -248,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--grid", type=int, help="nodes per axis for k1norm")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_diag)
 

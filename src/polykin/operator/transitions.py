@@ -1,4 +1,4 @@
-"""Proposal sampling of collision transitions, one sampler per exchange law.
+"""Proposal sampling of collision transitions: exchange, discrete, resonant.
 
 A transition sample holds the partner state, the exchange parameters, and
 the post-collisional pair, together with two log quantities the estimators
@@ -10,14 +10,17 @@ discrete channels, vanishing kernel) carry ``log_aq`` = -inf.
 :func:`make_proposal` resolves the pair law once per estimator call.
 :func:`sample_transition` draws the partner state once with
 :func:`sample_state` (through the proposal's Maxwellian, which also gives
-its density) and hands over to the sampler of the pair's family:
-Borgnakke-Larsen exchange, poly-mono in either slot order, monatomic,
-discrete levels or resonant.  A family sampler reads everything it needs
-from the kernel and the proposal: the masses, the Beta shapes of the
-exchange-parameter draws and of the transition-weight exponents, and a
-disc-disc pair's level tables all come from the proposal's law.  It draws
-the exchange parameters and then the scattering direction.  The draw order
-is fixed, so results reproduce for a fixed seed.
+its density) and hands over to one of three samplers: discrete levels,
+resonant, or the Borgnakke-Larsen exchange sampler, which serves two
+continuous species, poly-mono in either slot order and two monatomic
+species alike.  The pair's law decides everything the exchange sampler
+does: it draws the internal split r only where ``beta_r`` is set and the
+kinetic fraction R only where ``beta_R`` is set, weights each drawn
+parameter by that law's Beta exponents, and gives each slot that carries a
+continuous energy its degeneracy factor; the masses and a disc-disc pair's
+level tables come from the law too.  Every sampler draws the exchange
+parameters and then the scattering direction.  The draw order is fixed, so
+results reproduce for a fixed seed.
 """
 
 from __future__ import annotations
@@ -119,25 +122,45 @@ def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
         return np.log(np.asarray(b, dtype=float))
 
 
-def _bl_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
+def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
-    r, lq_r = _beta_draw(law.beta_r, rng, n)
-    R, lq_R = _beta_draw(law.beta_R, rng, n)
+    r = R = None
+    if law.beta_r is not None:
+        r, lq_r = _beta_draw(law.beta_r, rng, n)
+        log_q = log_q + lq_r
+    if law.beta_R is not None:
+        R, lq_R = _beta_draw(law.beta_R, rng, n)
+        log_q = log_q + lq_R
     sigma = unit_sphere(rng, n)
-    vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
-    log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
-    pi, pj = law.beta_r[0] - 1.0, law.beta_r[1] - 1.0
-    log_a = (
-        log_b
-        + _pow_log(r, pi)
-        + _pow_log(1.0 - r, pj)
-        + _pow_log(1.0 - R, law.beta_R[1] - 1.0)
-        + _pow_log(R, law.beta_R[0] - 1.0)
-    )
-    log_q = log_q + lq_r + lq_R - _LOG_4PI
-    log_phi = _pow_log(I, pi) - _pow_log(Ip, pi)
-    log_phi = log_phi + _pow_log(I_star, pj) - _pow_log(Isp, pj)
-    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
+    Ip = Isp = None
+    if law.kind is PairKind.CONT_CONT:
+        vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
+    elif law.kind is PairKind.POLY_MONO:
+        vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
+    elif law.kind is PairKind.MONO_POLY:
+        # the rule takes the polyatomic particle first, so the slots swap on
+        # the way in and out and sigma points along v'_* - v'; the slot-order
+        # call in collide_borgnakke_larsen points it along v' - v'_*, which
+        # mirrors the post velocities but is equal in law (sigma is uniform)
+        vsp, vp, Isp, E = bl_poly_mono(v_star, v, I_star, R, sigma, law.m_j, law.m_i)
+    else:
+        vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
+        E = 0.5 * law.mu * sq_norm(v - v_star)
+    ctx = CollisionContext(E=E, r=np.full(n, 0.5) if r is None else r,
+                           R=np.full(n, 0.5) if R is None else R)
+    log_a = _log_b(kernel, ctx, law.beta_r is not None)
+    if r is not None:
+        log_a = log_a + _pow_log(r, law.beta_r[0] - 1.0) + _pow_log(1.0 - r, law.beta_r[1] - 1.0)
+    if R is not None:
+        log_a = log_a + _pow_log(1.0 - R, law.beta_R[1] - 1.0) + _pow_log(R, law.beta_R[0] - 1.0)
+    log_phi = np.zeros(n)
+    for k, (pre, post) in enumerate(((I, Ip), (I_star, Isp))):
+        if post is not None:
+            # the slot's Beta shape: its share of r, or R's internal share
+            p = (law.beta_r[k] if law.beta_r else law.beta_R[1]) - 1.0
+            log_phi = log_phi + _pow_log(pre, p) - _pow_log(post, p)
+    log_aq = log_a - (log_q - _LOG_4PI)
+    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
 
 
 def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
@@ -167,39 +190,6 @@ def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
         _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
     )
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
-
-
-def _poly_mono_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
-    law = prop.law
-    R, lq_R = _beta_draw(law.beta_R, rng, n)
-    sigma = unit_sphere(rng, n)
-    # the rule takes the polyatomic particle first: for mono-poly that is the
-    # partner, so the slots swap on the way in and on the way out
-    if law.kind is PairKind.MONO_POLY:
-        vsp, vp, Isp, E = bl_poly_mono(v_star, v, I_star, R, sigma, law.m_j, law.m_i)
-        I, Ip, I_poly, I_post = None, None, I_star, Isp
-    else:
-        vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
-        Isp, I_poly, I_post = None, I, Ip
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
-    p = law.beta_R[1] - 1.0
-    log_a = log_b + _pow_log(1.0 - R, p) + _pow_log(R, law.beta_R[0] - 1.0)
-    log_q = log_q + lq_R - _LOG_4PI
-    log_phi = _pow_log(I_poly, p) - _pow_log(I_post, p)
-    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
-
-
-def _mono_mono_pair(kernel, v, _I, v_star, _I_star, log_q, prop, rng, n):
-    law = prop.law
-    sigma = unit_sphere(rng, n)
-    vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
-    V = v - v_star
-    E = 0.5 * law.mu * sq_norm(V)
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
-    zeros = np.zeros(n)
-    return TransitionBatch(
-        v, None, v_star, None, vp, None, vsp, None, zeros, log_b - (log_q - _LOG_4PI), {}
-    )
 
 
 def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
@@ -233,15 +223,6 @@ def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     )
 
 
-_SAMPLERS = {
-    PairKind.CONT_CONT: _bl_pair,
-    PairKind.POLY_MONO: _poly_mono_pair,
-    PairKind.MONO_POLY: _poly_mono_pair,
-    PairKind.MONO_MONO: _mono_mono_pair,
-    PairKind.DISC_DISC: _discrete_pair,
-}
-
-
 def sample_transition(
     spec: MixtureSpec,
     pair: tuple[int, int],
@@ -255,7 +236,7 @@ def sample_transition(
     """Draw ``n`` transitions from states (v, internal) of species pair."""
     i, j = pair
     kind = prop.law.kind
-    sampler = _SAMPLERS[kind]
+    sampler = _discrete_pair if kind is PairKind.DISC_DISC else _exchange_pair
     if isinstance(kernel, ResonantTensored):
         if not (i == j and kind is PairKind.CONT_CONT and spec.n_species == 1):
             raise ValueError("resonant kernels require a single continuous species")

@@ -128,6 +128,13 @@ class TestOnePath:
         (["check", "--zeta2=inf", "--hyp", "H4"], "zeta2"),
         (["diag", "--kind", "k2", "--delta", "nan", "--zeta", "inf"], "delta"),
         (["diag", "--kind", "k1norm", "--delta", "2", "--zeta=-inf", "--grid", "0"], "zeta"),
+        # a negative non-finite word after its flag joins it as --flag=-inf
+        (["check", "--zeta2", "-inf", "--hyp", "H4", "--delta", "2", "--zeta", "0.5"],
+         "zeta2"),
+        (["diag", "--kind", "k2", "--delta", "2", "--zeta", "-inf"], "zeta"),
+        (["diag", "--kind", "k2", "--delta", "2", "--zeta", "-nan"], "zeta"),
+        (["diag", "--kind", "k2", "--delta", "2", "--zeta", "-Infinity"], "zeta"),
+        (["diag", "--kind", "k2", "--delta", "-NaN", "--zeta", "-INF"], "delta"),
     ])
     def test_first_non_finite_flag_is_named(self, tmp_path, capsys, argv, flag):
         # checked in parser order, before the command's own checks
@@ -294,9 +301,8 @@ class TestDiagCommand:
         jsonschema.validate(summary, schema("diag_summary.schema.json"))
         assert summary["verdict"] == "integrable"
         lines = out.read_text().splitlines()
-        assert lines[0] == "# seed=0"
-        assert lines[1] == "epsilon,partial_integral"
-        data = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert lines[0] == "epsilon,partial_integral"
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape[1] == 2
         assert np.all(np.diff(data[:, 0]) < 0)
 
@@ -307,10 +313,9 @@ class TestDiagCommand:
         assert code == 0
         assert json.loads(stdout)["verdict"] == "divergent"
 
-    def test_k2_same_seed_bitwise_identical(self, tmp_path, capsys):
+    def test_k2_same_arguments_same_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["diag", "--kind", "k2", "--delta", "2.4", "--zeta", "0.8",
-                "--seed", "5"]
+        argv = ["diag", "--kind", "k2", "--delta", "2.4", "--zeta", "0.8"]
         assert run_cli(argv + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(argv + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
@@ -319,7 +324,7 @@ class TestDiagCommand:
         out = tmp_path / "k1.csv"
         code, stdout, _ = run_cli(
             ["diag", "--kind", "k1norm", "--delta", "2", "--zeta", "0",
-             "--grid", "4", "--seed", "3", "--out", str(out)], capsys)
+             "--grid", "4", "--out", str(out)], capsys)
         assert code == 0
         summary = json.loads(stdout)
         jsonschema.validate(summary, schema("diag_summary.schema.json"))
@@ -329,9 +334,8 @@ class TestDiagCommand:
         # collision frequency of the constant kernel
         assert summary["hs_norm"] == pytest.approx(16.0 * np.pi / 15.0, rel=1e-10)
         lines = out.read_text().splitlines()
-        assert lines[0] == "# seed=3"
-        assert lines[1] == "node_index,v,I,k1_row_norm"
-        assert len(lines) == 2 + summary["n_nodes"]
+        assert lines[0] == "node_index,v,I,k1_row_norm"
+        assert len(lines) == 1 + summary["n_nodes"]
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -339,6 +343,16 @@ class TestDiagCommand:
              "--out", str(tmp_path / "absent" / "k2.csv")], capsys)
         assert code == 3
         assert err
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        # no diagnostic draws at random, so there is no seed to take
+        out = tmp_path / "k2.csv"
+        code, stdout, err = run_cli(
+            ["diag", "--kind", "k2", "--delta", "3", "--zeta", "0.5", "--seed", "1",
+             "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert "unrecognized arguments: --seed 1" in err
+        assert not out.exists()
 
     def test_missing_kind_exits_2(self, capsys):
         code, _, _ = run_cli(["diag", "--delta", "3", "--zeta", "0.5"], capsys)

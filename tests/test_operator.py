@@ -335,18 +335,24 @@ class TestScopeAndErrors:
             eval_q(DistributionFn(M, 0), DistributionFn(M, 1), w,
                    QuadratureConfig(n_samples=100, seed=0))
 
-    def test_split_weight_needs_an_energy_split(self):
-        from polykin.model import MixtureSpec, Species
+    @pytest.mark.parametrize("delta_a, delta_b", [(None, None), (2.0, None), (None, 2.5)],
+                             ids=["mono-mono", "poly-mono", "mono-poly"])
+    def test_split_weight_needs_an_energy_split(self, delta_a, delta_b):
+        from polykin.model import ContinuousEnergy, MixtureSpec, Species
+
+        def energy(delta):
+            return Monatomic() if delta is None else ContinuousEnergy(delta)
 
         psi = lambda r, R: np.ones_like(np.asarray(r) * np.asarray(R))
         ker = PsiWeighted(1.0, 0.0, psi=psi)
         spec = MixtureSpec(
-            species=(Species(label="a", mass=1.0), Species(label="b", mass=2.0)),
+            species=(Species(label="a", mass=1.0, energy=energy(delta_a)),
+                     Species(label="b", mass=2.0, energy=energy(delta_b))),
             kernels=((ker, ker), (ker, ker)),
         )
         M = Maxwellian(spec, EquilibriumParams(n=(1.0, 1.0), u=np.zeros(3), T_kin=1.0, T_int=1.0))
-        w = ParticleState(v=np.zeros(3), species=0)
-        with pytest.raises(ValueError):
+        w = ParticleState(v=np.zeros(3), species=0, I=None if delta_a is None else 0.5)
+        with pytest.raises(ValueError, match="needs an energy-split variable"):
             eval_q(DistributionFn(M, 0), DistributionFn(M, 1), w,
                    QuadratureConfig(n_samples=100, seed=0))
 

@@ -5,9 +5,10 @@ of the proposal draws and derive their own Beta shapes and weight exponents
 from the species' delta, with mono-poly as a separate copy of poly-mono that
 swaps the slots by hand.  ``sample_transition`` draws the partner once
 through ``sample_state``, takes the shapes and exponents from the pair law
-of its proposal and runs both poly-mono slot orders through one sampler;
-every array of every batch must agree bit for bit, at each of several
-reference equilibria the proposal is built on.
+of its proposal and runs every exchange pair, two continuous species,
+poly-mono in either slot order and two monatomic species, through one
+sampler; every array of every batch must agree bit for bit, at each of
+several reference equilibria the proposal is built on.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from polykin.collide import (
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (
     CollisionContext,
+    ContinuousEnergy,
     Monatomic,
     PowerLawE,
     PsiWeighted,
@@ -224,9 +226,17 @@ def _reference_transition(spec, pair, kernel, v, internal, M, rng, n):
     return _REFERENCE[law.kind](spec, pair, law, kernel, v, internal, M, rng, n)
 
 
+def _symmetric_psi(r, R):
+    """A parameter weight unchanged under r -> 1 - r, as PsiWeighted requires."""
+    return 1.0 + 2.0 * r * (1.0 - r) * R
+
+
 PAIRS = {
     "cont-cont": (bl_spec(delta=2.5, zeta=0.6), (0, 0)),
     "cont-cont-masses": (mixture_cont_spec(), (0, 1)),
+    "cont-cont-psi": (single_species(ContinuousEnergy(delta=3.0),
+                                     PsiWeighted(C=1.0, zeta=0.4, psi=_symmetric_psi),
+                                     mass=1.2), (0, 0)),
     "poly-mono": (mixture_cont_spec(delta_b=None), (0, 1)),
     "mono-poly": (mixture_cont_spec(delta_b=None), (1, 0)),
     "mono-mono": (single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.4), mass=1.5), (0, 0)),
