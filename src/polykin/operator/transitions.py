@@ -100,15 +100,16 @@ class TransitionBatch:
     diagnostics: dict
 
 
-def _beta_draw(shapes, rng, n: int):
+def _beta_draw(shapes, log_q, rng, n: int):
+    """Draw n Beta(shapes) values; return them and log_q plus their log density."""
     a, b = shapes
     x = np.clip(rng.beta(a, b, n), _TINY, 1.0 - 2**-53)
-    log_q = (
+    lq = (
         _pow_log(x, a - 1.0)
         + _pow_log(1.0 - x, b - 1.0)
         - special.betaln(a, b)
     )
-    return x, log_q
+    return x, log_q + lq
 
 
 def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
@@ -126,11 +127,9 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     r = R = None
     if law.beta_r is not None:
-        r, lq_r = _beta_draw(law.beta_r, rng, n)
-        log_q = log_q + lq_r
+        r, log_q = _beta_draw(law.beta_r, log_q, rng, n)
     if law.beta_R is not None:
-        R, lq_R = _beta_draw(law.beta_R, rng, n)
-        log_q = log_q + lq_R
+        R, log_q = _beta_draw(law.beta_R, log_q, rng, n)
     sigma = unit_sphere(rng, n)
     Ip = Isp = None
     if law.kind is PairKind.CONT_CONT:
