@@ -251,18 +251,13 @@ def bl_poly_mono(v, v_star, I, R, sigma, m: float, m_star: float):
     """Exchange collision where only one particle carries internal energy.
 
     Returns (v', v'_*, I_post, E) with I_post = (1 - R)E attached to
-    whichever particle is polyatomic; the velocity update does not depend
-    on which one that is.
+    whichever particle is polyatomic.  The pair is taken in slot order, so
+    sigma lies along v' - v'_* whichever slot that is: this is
+    :func:`bl_poly_poly` against a partner with no internal energy and the
+    whole internal share on ``I``'s side (r = 1).
     """
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    mu = m * m_star / (m + m_star)
-    R = np.asarray(R, dtype=float)
-    E = com_energy(mu, v, v_star, np.asarray(I, dtype=float))
-    center = _mass_center(v, v_star, m, m_star)
-    gprime = np.sqrt(2.0 * R * E / mu)
-    vp, vsp = _post_velocities(center, gprime, np.asarray(sigma, dtype=float), m, m_star)
-    return vp, vsp, (1.0 - R) * E, E
+    vp, vsp, I_post, _, E = bl_poly_poly(v, v_star, I, 0.0, 1.0, R, sigma, m, m_star)
+    return vp, vsp, I_post, E
 
 
 def resonant_rule(v, v_star, I, I_star, I_prime, sigma):

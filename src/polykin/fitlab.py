@@ -348,8 +348,10 @@ def load_manifest(path) -> list[GasDataset]:
             )
         gas = item["gas"]
         pressure = item["pressure_bar"]
-        if not isinstance(gas, str) or not isinstance(pressure, (int, float)):
-            raise ValueError(f"{path}: datasets[{k}] has malformed gas/pressure")
+        if not isinstance(gas, str):
+            raise ValueError(f"{path}: datasets[{k}].gas: {gas!r} is not a string")
+        if isinstance(pressure, bool) or not isinstance(pressure, (int, float)):
+            raise ValueError(f"{path}: datasets[{k}].pressure_bar: {pressure!r} is not a number")
         cv = read_cv_csv(path.parent / item["cv"], gas=gas)
         mu = read_viscosity_csv(path.parent / item["mu"], gas=gas)
         out.append(GasDataset(gas=gas, pressure_bar=float(pressure),

@@ -167,9 +167,9 @@ class CollisionContext:
     """Evaluation point for :func:`eval_kernel`; fields may be arrays.
 
     Only the fields a given kernel family reads need to be set: ``E`` for the
-    power-law families, additionally ``(r, R)`` for the psi-weighted family,
-    and ``(rel_speed, cos_theta, I, I_star, I_prime, delta)`` for the
-    resonant family.
+    power-law families, additionally ``(r, R)`` for a psi-weighted kernel
+    with a ``psi``, and ``(rel_speed, cos_theta, I, I_star, I_prime, delta)``
+    for the resonant family.
     """
 
     E: np.ndarray | float | None = None
@@ -198,20 +198,15 @@ def eval_kernel(model: KernelModel, ctx: CollisionContext):
 
     Raises ValueError on negative total energy or on missing context fields.
     """
-    if isinstance(model, PowerLawE):
-        (E,) = _require(ctx, ["E"])
+    if isinstance(model, (PowerLawE, PsiWeighted)):
+        # a psi of None is the plain power law, evaluated from E alone
+        split = getattr(model, "psi", None) is not None
+        E, *rR = _require(ctx, ["E", "r", "R"] if split else ["E"])
         if np.any(E < 0):
             raise ValueError("total energy must be nonnegative")
         with np.errstate(divide="ignore"):
-            return model.C * E ** (0.5 * model.zeta)
-
-    if isinstance(model, PsiWeighted):
-        E, r, R = _require(ctx, ["E", "r", "R"])
-        if np.any(E < 0):
-            raise ValueError("total energy must be nonnegative")
-        w = np.ones_like(np.broadcast_arrays(r, R)[0]) if model.psi is None else model.psi(r, R)
-        with np.errstate(divide="ignore"):
-            return model.C * E ** (0.5 * model.zeta) * w
+            b = model.C * E ** (0.5 * model.zeta)
+        return b * model.psi(*rR) if split else b
 
     if isinstance(model, ResonantTensored):
         g, ct, I, I_star, I_prime, delta = _require(
@@ -375,14 +370,29 @@ def _energy_to_obj(e: EnergyModel) -> dict:
     raise TypeError(f"unknown energy model {type(e).__name__}")
 
 
-def _field(obj: dict, key: str, path: str):
+def _path(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _field(obj, key, path: str):
     """``obj[key]``, or a ValueError naming the missing field's path; an
     empty ``path`` is the document's top level."""
     try:
         return obj[key]
-    except KeyError:
-        name = f"{path}.{key}" if path else key
-        raise ValueError(f"{name}: required field is missing") from None
+    except (KeyError, IndexError):
+        raise ValueError(f"{_path(path, key)}: required field is missing") from None
+
+
+def _number(obj, key, path: str, default: float | None = None) -> float:
+    """The JSON number ``obj[key]`` (``default`` if given and the key is
+    absent) as a float; anything else, a boolean or a string included,
+    raises ValueError naming the field's path."""
+    x = default if default is not None and key not in obj else _field(obj, key, path)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{_path(path, key)}: {x!r} is not a number")
+    return float(x)
 
 
 def _energy_from_obj(obj: dict, path: str) -> EnergyModel:
@@ -390,12 +400,12 @@ def _energy_from_obj(obj: dict, path: str) -> EnergyModel:
     if kind == "monatomic":
         return Monatomic()
     if kind == "continuous":
-        return ContinuousEnergy(delta=float(_field(obj, "delta", path)))
+        return ContinuousEnergy(delta=_number(obj, "delta", path))
     if kind == "discrete":
         levels = _field(obj, "levels", path)
         return DiscreteLevels(
-            energies=tuple(float(l[0]) for l in levels),
-            degeneracies=tuple(float(l[1]) for l in levels),
+            energies=tuple(_number(l, 0, f"{path}.levels[{k}]") for k, l in enumerate(levels)),
+            degeneracies=tuple(_number(l, 1, f"{path}.levels[{k}]") for k, l in enumerate(levels)),
         )
     raise ValueError(f"{path}.kind: unknown energy kind {kind!r}")
 
@@ -423,15 +433,15 @@ def _kernel_to_obj(k: KernelModel) -> dict:
 def _kernel_from_obj(obj: dict, path: str) -> KernelModel:
     kind = obj.get("kind")
     if kind == "power_law_e":
-        return PowerLawE(C=float(_field(obj, "C", path)), zeta=float(_field(obj, "zeta", path)))
+        return PowerLawE(C=_number(obj, "C", path), zeta=_number(obj, "zeta", path))
     if kind == "psi_weighted":
-        return PsiWeighted(C=float(_field(obj, "C", path)), zeta=float(_field(obj, "zeta", path)))
+        return PsiWeighted(C=_number(obj, "C", path), zeta=_number(obj, "zeta", path))
     if kind == "resonant_tensored":
         return ResonantTensored(
-            C=float(_field(obj, "C", path)),
-            zeta=float(obj.get("zeta", 0.0)),
-            zeta1=float(obj.get("zeta1", 0.0)),
-            zeta2=float(obj.get("zeta2", 0.0)),
+            C=_number(obj, "C", path),
+            zeta=_number(obj, "zeta", path, 0.0),
+            zeta1=_number(obj, "zeta1", path, 0.0),
+            zeta2=_number(obj, "zeta2", path, 0.0),
         )
     raise ValueError(f"{path}.kind: unknown kernel kind {kind!r}")
 
@@ -448,13 +458,14 @@ def spec_to_json(spec: MixtureSpec, indent: int | None = 2) -> str:
 
 
 def spec_from_json(text: str) -> MixtureSpec:
-    """Parse a spec document; a missing field raises ValueError naming its
-    path, e.g. ``species[0].energy.delta``."""
+    """Parse a spec document; a missing field, or a numeric field that is
+    not a JSON number, raises ValueError naming its path, e.g.
+    ``species[0].energy.delta``."""
     doc = json.loads(text)
     species = tuple(
         Species(
             label=str(_field(s, "label", f"species[{k}]")),
-            mass=float(_field(s, "mass", f"species[{k}]")),
+            mass=_number(s, "mass", f"species[{k}]"),
             energy=_energy_from_obj(_field(s, "energy", f"species[{k}]"),
                                     f"species[{k}].energy"),
         )

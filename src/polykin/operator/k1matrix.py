@@ -58,28 +58,26 @@ def reduced_kernel_coefficient(kernel: KernelModel, delta: float) -> float:
 
     For a plain energy-power kernel this is C times the pair-law weight
     4 pi B(delta/2, delta/2) B(3/2, delta); a split-dependent weight
-    psi(r, R) is integrated with Gauss-Jacobi rules matching the endpoint
-    powers.
+    psi(r, R) is integrated with Gauss-Jacobi rules whose exponents are the
+    pair law's Beta shapes minus one.
     """
-    if isinstance(kernel, PowerLawE) or (
-        isinstance(kernel, PsiWeighted) and kernel.psi is None
-    ):
-        law = pair_law(single_species(ContinuousEnergy(delta), kernel), 0, 0)
+    if not isinstance(kernel, (PowerLawE, PsiWeighted)):
+        raise ValueError("the matrix assembly covers energy-power kernels only")
+    law = pair_law(single_species(ContinuousEnergy(delta), kernel), 0, 0)
+    if getattr(kernel, "psi", None) is None:
         return float(kernel.C * law.weight)
-    if isinstance(kernel, PsiWeighted):
-        a = 0.5 * delta - 1.0
-        xr, wr = special.roots_jacobi(_PSI_NODES, a, a)
-        r = 0.5 * (1.0 + xr)
-        cr = 4.0 ** (1.0 - 0.5 * delta) * 0.5
-        xR, wR = special.roots_jacobi(_PSI_NODES, delta - 1.0, 0.5)
-        R = 0.5 * (1.0 + xR)
-        cR = 0.5 ** (delta - 1.0) * 0.5**0.5 * 0.5
-        vals = np.broadcast_to(
-            np.asarray(kernel.psi(r[:, None], R[None, :]), dtype=float), (r.size, R.size)
-        )
-        q2d = cr * cR * float(wr @ vals @ wR)
-        return float(4.0 * np.pi * kernel.C * q2d)
-    raise ValueError("the matrix assembly covers energy-power kernels only")
+    # x^(a-1) (1-x)^(b-1) on [0, 1] is the Jacobi weight (1-t)^(b-1)
+    # (1+t)^(a-1) on [-1, 1] times 2^-(a+b-1), with x = (1+t)/2
+    rules = []
+    for a, b in (law.beta_r, law.beta_R):
+        t, w = special.roots_jacobi(_PSI_NODES, b - 1.0, a - 1.0)
+        rules.append((0.5 * (1.0 + t), w, 0.5 ** (a + b - 1.0)))
+    (r, wr, cr), (R, wR, cR) = rules
+    vals = np.broadcast_to(
+        np.asarray(kernel.psi(r[:, None], R[None, :]), dtype=float), (r.size, R.size)
+    )
+    q2d = cr * cR * float(wr @ vals @ wR)
+    return float(4.0 * np.pi * kernel.C * q2d)
 
 
 @dataclass

@@ -137,17 +137,11 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     elif law.kind is PairKind.POLY_MONO:
         vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
     elif law.kind is PairKind.MONO_POLY:
-        # the rule takes the polyatomic particle first, so the slots swap on
-        # the way in and out and sigma points along v'_* - v'; the slot-order
-        # call in collide_borgnakke_larsen points it along v' - v'_*, which
-        # mirrors the post velocities but is equal in law (sigma is uniform)
-        vsp, vp, Isp, E = bl_poly_mono(v_star, v, I_star, R, sigma, law.m_j, law.m_i)
+        vp, vsp, Isp, E = bl_poly_mono(v, v_star, I_star, R, sigma, law.m_i, law.m_j)
     else:
         vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
         E = 0.5 * law.mu * sq_norm(v - v_star)
-    ctx = CollisionContext(E=E, r=np.full(n, 0.5) if r is None else r,
-                           R=np.full(n, 0.5) if R is None else R)
-    log_a = _log_b(kernel, ctx, law.beta_r is not None)
+    log_a = _log_b(kernel, CollisionContext(E=E, r=r, R=R), law.beta_r is not None)
     if r is not None:
         log_a = log_a + _pow_log(r, law.beta_r[0] - 1.0) + _pow_log(1.0 - r, law.beta_r[1] - 1.0)
     if R is not None:
@@ -204,9 +198,7 @@ def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     g2 = sq_norm(V)
     E = 0.5 * law.mu * g2 + Ei[lev] + Ej[lev_star]
     g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
-    log_b = _log_b(
-        kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False
-    )
+    log_b = _log_b(kernel, CollisionContext(E=E), False)
     with np.errstate(divide="ignore"):
         log_a = (
             log_b

@@ -454,10 +454,9 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
     if law.kind is PairKind.CONT_CONT:
         v[a], v[b], I[a], I[b], _ = bl_poly_poly(v[a], v[b], I[a], I[b], r, R, sigma,
                                                  law.m_i, law.m_j)
-    elif law.kind is PairKind.POLY_MONO:
-        v[a], v[b], I[a], _ = bl_poly_mono(v[a], v[b], I[a], R, sigma, law.m_i, law.m_j)
-    elif law.kind is PairKind.MONO_POLY:
-        v[b], v[a], I[b], _ = bl_poly_mono(v[b], v[a], I[b], R, sigma, law.m_j, law.m_i)
+    elif law.kind in (PairKind.POLY_MONO, PairKind.MONO_POLY):
+        p = a if law.kind is PairKind.POLY_MONO else b
+        v[a], v[b], I[p], _ = bl_poly_mono(v[a], v[b], I[p], R, sigma, law.m_i, law.m_j)
     elif law.kind is PairKind.MONO_MONO:
         v[a], v[b] = monatomic_rule(v[a], v[b], sigma, law.m_i, law.m_j)
     else:

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import sq_norm
+from polykin.collide import bl_poly_mono, sq_norm, unit_sphere
 from polykin.equilib import EquilibriumParams, Maxwellian
-from polykin.model import (ContinuousEnergy, DiscreteLevels, MixtureSpec, Monatomic, PowerLawE,
-                           Species, single_species)
+from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, MixtureSpec,
+                           Monatomic, PowerLawE, PsiWeighted, Species, eval_kernel,
+                           single_species)
 from polykin.operator import k1matrix, k2diag
 from polykin.operator.k1matrix import GridSpec, K1Matrix, assemble_k1
 
@@ -59,6 +60,65 @@ def test_sq_norm_on_a_k1_block():
     ref = np.sum(dv * dv, axis=-1)
     assert np.array_equal(bits(sq_norm(dv)), bits(ref))
     assert np.array_equal(bits(sq_norm(strided)), bits(ref))
+
+
+# ---------------------------------------------------------------------------
+# the poly-mono exchange rule and the plain split-weighted kernel
+# ---------------------------------------------------------------------------
+
+
+def bl_poly_mono_reference(v, v_star, I, R, sigma, m, m_star):
+    """The poly-mono rule as written before it became bl_poly_poly at r = 1
+    against a partner without internal energy."""
+    v = np.asarray(v, dtype=float)
+    v_star = np.asarray(v_star, dtype=float)
+    mu = m * m_star / (m + m_star)
+    R = np.asarray(R, dtype=float)
+    E = 0.5 * np.asarray(mu) * sq_norm(v - v_star) + np.asarray(I, dtype=float) + np.asarray(0.0)
+    center = (m * v + m_star * v_star) / (m + m_star)
+    gs = np.sqrt(2.0 * R * E / mu)[..., None] * sigma
+    tot = m + m_star
+    return center + (m_star / tot) * gs, center - (m / tot) * gs, (1.0 - R) * E, E
+
+
+def exchange_rows(rng, n):
+    """Velocities of speeds 1e-3 to 1e3, internal energies with exact zeros
+    among them, and kinetic fractions with 0, 1e-300 and 1 among them."""
+    def velocities():
+        return unit_sphere(rng, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)[:, None]
+
+    I = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-6.0, 6.0, n))
+    R = rng.choice([0.0, 1e-300, 1.0], n)
+    R = np.where(rng.random(n) < 0.3, R, rng.random(n))
+    return velocities(), velocities(), I, R, unit_sphere(rng, n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bl_poly_mono_matches_its_own_formula(seed):
+    # 8 mass pairs in [0.1, 5] with 25000 rows each: 2e5 rows
+    rng = np.random.default_rng(seed)
+    m, m_star = 10.0 ** rng.uniform(-1.0, np.log10(5.0), 2)
+    rows = exchange_rows(rng, 25_000)
+    got = bl_poly_mono(*rows, m, m_star)
+    want = bl_poly_mono_reference(*rows, m, m_star)
+    for a, b in zip(got, want):
+        assert np.array_equal(bits(a), bits(b))
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.4, 2.0, -0.7, -3.0])
+@pytest.mark.parametrize("C", [1.0, 0.37])
+def test_plain_split_weighted_kernel_is_the_power_law(C, zeta):
+    rng = np.random.default_rng(5)
+    E = np.concatenate([[0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf],
+                        10.0 ** rng.uniform(-8.0, 8.0, 1000)])
+    r, R = rng.random((2, E.size))
+    with np.errstate(all="ignore"):
+        got = eval_kernel(PsiWeighted(C, zeta), CollisionContext(E=E, r=r, R=R))
+        plain = eval_kernel(PowerLawE(C, zeta), CollisionContext(E=E))
+        # the expression it replaced: the power law times ones shaped like r
+        replaced = C * E ** (0.5 * zeta) * np.ones_like(r)
+    assert np.array_equal(bits(got), bits(plain))
+    assert np.array_equal(bits(got), bits(replaced))
 
 
 # ---------------------------------------------------------------------------

@@ -268,3 +268,17 @@ class TestInputOutput:
         }))
         with pytest.raises(OSError):
             fitlab.load_manifest(missing_file)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pressure_bar", True, "datasets[0].pressure_bar: True is not a number"),
+        ("pressure_bar", "1", "datasets[0].pressure_bar: '1' is not a number"),
+        ("gas", 7, "datasets[0].gas: 7 is not a string"),
+    ])
+    def test_manifest_fields_name_their_path(self, tmp_path, field, value, message):
+        # the data files are never read: the entry is rejected first
+        manifest = tmp_path / "m.json"
+        entry = {"gas": "N2", "pressure_bar": 1.0, "cv": "cv.csv", "mu": "mu.csv"}
+        manifest.write_text(json.dumps({"datasets": [dict(entry, **{field: value})]}))
+        with pytest.raises(ValueError) as err:
+            fitlab.load_manifest(manifest)
+        assert str(err.value) == f"{manifest}: {message}"

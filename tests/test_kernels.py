@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from polykin.collide import ParticleState
+from polykin.collide import ParticleState, pair_law
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (
     ContinuousEnergy,
@@ -62,6 +62,36 @@ class TestReducedCoefficient:
     def test_resonant_kernel_is_rejected(self):
         with pytest.raises(ValueError):
             reduced_kernel_coefficient(ResonantTensored(C=1.0), 2.0)
+
+
+class TestK1Spectrum:
+    """The symmetric Nystrom matrix A = S K1 S, S = diag(sqrt(w/M)), against
+    the finite-rank closed forms of the kernel -nu M^1/2 M_2^1/2 E^(zeta/2).
+
+    At unit mass and temperature E = a(w) + a(w_2) - v.v_2/2 with
+    a = |v|^2/4 + I, so K1 has rank one at zeta = 0 (eigenvalue -nu) and
+    rank five at zeta = 2: -nu (mu_1 +- sqrt(mu_2)) from the a-block, with
+    mu_k = E[a^k], and nu/2 three times from the velocity block.
+    """
+
+    @pytest.mark.parametrize("zeta", [0.0, 2.0])
+    @pytest.mark.parametrize("delta", [2.0, 3.0])
+    def test_eigenvalues_match_the_closed_forms(self, delta, zeta):
+        M = maxwellian(delta, zeta)
+        nu = pair_law(M.spec, 0, 0).weight
+        k1 = assemble_k1(GridSpec(), M)
+        s = np.sqrt(k1.weights / k1.m_values)
+        eig = np.linalg.eigvalsh(s[:, None] * k1.matrix * s[None, :])
+        if zeta == 0.0:
+            want = [-nu]
+        else:
+            mu1 = 0.75 + 0.5 * delta
+            mu2 = mu1**2 + 0.375 + 0.5 * delta
+            want = [-nu * (mu1 + np.sqrt(mu2)), -nu * (mu1 - np.sqrt(mu2))] + [0.5 * nu] * 3
+        by_size = eig[np.argsort(-np.abs(eig))]
+        top, rest = np.sort(by_size[: len(want)]), by_size[len(want):]
+        np.testing.assert_allclose(top, np.sort(want), rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(rest)) <= 1e-12 * nu
 
 
 class TestK1Assembly:

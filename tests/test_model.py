@@ -247,3 +247,25 @@ class TestJsonRoundTrip:
         drop(doc)
         with pytest.raises(ValueError, match="^" + re.escape(path) + ":"):
             spec_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("path, edit", [
+        ("species[0].mass", lambda doc: doc["species"][0].update(mass=True)),
+        ("species[1].mass", lambda doc: doc["species"][1].update(mass="2")),
+        ("species[0].energy.delta", lambda doc: doc["species"][0]["energy"].update(delta="2")),
+        ("kernels[0][1].C", lambda doc: doc["kernels"][0][1].update(C=True)),
+        ("kernels[1][1].zeta", lambda doc: doc["kernels"][1][1].update(zeta=None)),
+        ("kernels[0][0].zeta2", lambda doc: doc["kernels"][0].__setitem__(
+            0, {"kind": "resonant_tensored", "C": 1.0, "zeta2": False})),
+        ("species[0].energy.levels[1][0]", lambda doc: doc["species"][0].update(
+            energy={"kind": "discrete", "levels": [[0.0, 1.0], [True, 2.0]]})),
+        ("species[0].energy.levels[0][1]", lambda doc: doc["species"][0].update(
+            energy={"kind": "discrete", "levels": [[0.0, "1"]]})),
+    ])
+    def test_non_numbers_name_their_path(self, path, edit):
+        # a boolean or a string is not read as a number
+        import json
+
+        doc = json.loads(spec_to_json(mixture_cont_spec()))
+        edit(doc)
+        with pytest.raises(ValueError, match="^" + re.escape(path) + ": .* is not a number$"):
+            spec_from_json(json.dumps(doc))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import pair_law
+from polykin.collide import (PairKind, ParticleState, PolyMonoParams, collide_borgnakke_larsen,
+                             inverse_parameters, pair_law)
 from polykin.equilib import internal_temperature, mean_internal_energy
 from polykin.model import (
     ContinuousEnergy,
@@ -213,6 +214,119 @@ class TestRateAndRelaxation:
         stderr = float(np.std(fits, ddof=1)) / math.sqrt(len(fits))
         assert stderr < 0.02 * lam
         assert abs(mean - lam) <= 3.5 * stderr
+
+
+def _two_species(first, second):
+    """A constant-kernel mixture of two (mass, delta) species, delta None
+    meaning monatomic."""
+    ker = PowerLawE(C=1.0, zeta=0.0)
+    return MixtureSpec(
+        species=tuple(
+            Species(label=label, mass=m, energy=Monatomic() if d is None else ContinuousEnergy(d))
+            for label, (m, d) in zip("ab", (first, second))
+        ),
+        kernels=((ker, ker), (ker, ker)),
+    )
+
+
+def _fitted_decay_rate(spec, rate, start, mode):
+    """Mean and standard error of the log-linear decay rate of ``mode`` over
+    eight seeds: 1e5 particles, dt = 0.2/rate, 7 steps (rate t = 1.4).
+
+    ``start`` edits the arrays of each fresh ensemble; the standard error is
+    over the seeds, so the mean must sit within 3.5 of them of the closed
+    form (the two-sided 1% point of Student's t with 7 degrees of freedom).
+    """
+    n = 100_000
+    fits = []
+    for seed in range(1, 9):
+        cfg = relax.RelaxConfig(dt=0.2 / rate, n_particles=n, seed=seed)
+        ens = relax.init_ensemble(spec, n, 1.0, 1.0, seed=seed)
+        start(ens)
+        t, y = [], []
+        for _ in range(8):
+            t.append(ens.time)
+            y.append(mode(ens))
+            relax.step(ens, cfg)
+        fits.append(-np.polyfit(t, np.log(y), 1)[0])
+    return float(np.mean(fits)), float(np.std(fits, ddof=1)) / math.sqrt(len(fits))
+
+
+class TestRelaxationRates:
+    """Decay rates of the simulator against the operator's closed-form
+    eigenvalues at zeta = 0, where the pair rate is constant."""
+
+    @pytest.mark.parametrize("spec", [bl_spec(delta=2.0),
+                                      single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))],
+                             ids=["delta2", "monatomic"])
+    def test_shear_decays_at_half_the_collision_frequency(self, spec):
+        # sigma is uniform, so a collision forgets the pair's relative
+        # direction and <c_x^2 - c_y^2> decays at nu/2
+        rate = 0.5 * pair_law(spec, 0, 0).weight
+
+        def start(ens):
+            ens.v[:, 0] *= math.sqrt(1.5)
+            ens.v[:, 1] *= math.sqrt(0.5)
+
+        def shear(ens):
+            c = ens.v - ens.bulk_velocity()
+            return float(np.mean(c[:, 0] ** 2) - np.mean(c[:, 1] ** 2))
+
+        mean, stderr = _fitted_decay_rate(spec, rate, start, shear)
+        assert stderr < 0.02 * rate
+        assert abs(mean - rate) <= 3.5 * stderr
+
+    @pytest.mark.parametrize("first, second", [((2.0, None), (1.0, 2.0)),
+                                               ((1.0, 2.0), (2.0, None)),
+                                               ((1.0, None), (3.0, None))],
+                             ids=["monatomic-first", "polyatomic-first", "two-monatomic"])
+    def test_relative_drift_decays_at_the_diffusion_rate(self, first, second):
+        # at a constant rate the post-collision relative velocity has mean 0,
+        # so each cross collision moves mu g of momentum between the species:
+        # lambda_D = C w_01 mu_01 (n_1/m_0 + n_0/m_1) with n_i = N_i/N
+        spec = _two_species(first, second)
+        law = pair_law(spec, 0, 1)
+        rate = law.weight * law.mu * (0.5 / law.m_i + 0.5 / law.m_j)
+
+        def start(ens):
+            # opposite x-drifts one unit apart, total momentum zero
+            m0, m1 = law.m_i, law.m_j
+            for s, drift in ((0, m1 / (m0 + m1)), (1, -m0 / (m0 + m1))):
+                rows = ens.species == s
+                ens.v[rows, 0] += drift - np.mean(ens.v[rows, 0])
+
+        def drift(ens):
+            u = [np.mean(ens.v[ens.species == s, 0]) for s in (0, 1)]
+            return float(u[0] - u[1])
+
+        mean, stderr = _fitted_decay_rate(spec, rate, start, drift)
+        assert stderr < 0.02 * rate
+        assert abs(mean - rate) <= 3.5 * stderr
+
+
+class TestSlotOrder:
+    def test_mono_poly_pair_collides_as_the_object_layer_does(self):
+        # sigma lies along v' - v'_* in slot order in both layers, so one
+        # (R, sigma) gives one post pair, monatomic particle first
+        spec = _two_species((2.0, None), (1.0, 2.0))
+        v, v_star, I_star = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.2]), 0.7
+        R, sigma = 0.4, np.array([0.0, 0.6, 0.8])
+        pre = (ParticleState(v=v, species=0), ParticleState(v=v_star, species=1, I=I_star))
+        out = collide_borgnakke_larsen(spec, *pre, PolyMonoParams(R=R, sigma=sigma))
+
+        ens = relax.init_ensemble(spec, 2, 1.0, 1.0, seed=0)
+        ens.v[:] = v, v_star
+        ens.internal[1] = I_star
+        (pt,) = [pt for pt in relax._pair_types(ens) if pt.i != pt.j]
+        assert pt.law.kind is PairKind.MONO_POLY
+        relax._collide(ens, pt, np.array([0]), np.array([1]), np.zeros(1),
+                       np.array([R]), sigma[None, :])
+        assert ens.v[0].tobytes() == out.post[0].v.tobytes()
+        assert ens.v[1].tobytes() == out.post[1].v.tobytes()
+        assert ens.internal[1] == out.post[1].I
+        # the collision taking the post pair back starts along sigma
+        back = inverse_parameters(spec, out.post, pre)
+        assert np.max(np.abs(back.sigma - sigma)) <= 1e-12
 
 
 class TestDiagnostics:

@@ -55,8 +55,8 @@ def _apply_continuous(ensemble, pt, a, b, r, R, sigma):
                                     np.array([R]), sig, law.m_i, law.m_j)
         ensemble.internal[a] = J[0]
     elif law.kind is PairKind.MONO_POLY:
-        w2, w1, J, _ = bl_poly_mono(v2, v1, ensemble.internal[b:b + 1],
-                                    np.array([R]), sig, law.m_j, law.m_i)
+        w1, w2, J, _ = bl_poly_mono(v1, v2, ensemble.internal[b:b + 1],
+                                    np.array([R]), sig, law.m_i, law.m_j)
         ensemble.internal[b] = J[0]
     else:
         w1, w2 = monatomic_rule(v1, v2, sig, law.m_i, law.m_j)

@@ -3,7 +3,7 @@
 The samplers below each draw their own partner state with their own copies
 of the proposal draws and derive their own Beta shapes and weight exponents
 from the species' delta, with mono-poly as a separate copy of poly-mono that
-swaps the slots by hand.  ``sample_transition`` draws the partner once
+puts the internal energy on the second slot by hand.  ``sample_transition`` draws the partner once
 through ``sample_state``, takes the shapes and exponents from the pair law
 of its proposal and runs every exchange pair, two continuous species,
 poly-mono in either slot order and two monatomic species, through one
@@ -159,10 +159,7 @@ def _mono_poly_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     R, lq_R = _beta_draw(1.5, 0.5 * dj, rng, n)
     sigma = unit_sphere(rng, n)
     # the internal energy rides with the second (polyatomic) particle
-    vsp_in_first_slot, vp_in_second_slot, Isp, E = bl_poly_mono(
-        v_star, v, I_star, R, sigma, law.m_j, law.m_i
-    )
-    vp, vsp = vp_in_second_slot, vsp_in_first_slot
+    vp, vsp, Isp, E = bl_poly_mono(v, v_star, I_star, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
     p = 0.5 * dj - 1.0
     log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
