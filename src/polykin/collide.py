@@ -42,6 +42,7 @@ __all__ = [
     "PairKind",
     "PairLaw",
     "pair_law",
+    "beta_draw",
     "ParticleState",
     "internal_variable",
     "MonatomicParams",
@@ -147,6 +148,32 @@ class PairLaw:
     levels_i: tuple | None = field(default=None, compare=False, repr=False)
     levels_j: tuple | None = field(default=None, compare=False, repr=False)
 
+    def majorant(self, C: float, zeta: float) -> float | None:
+        """An exact bound on the pair's total transition rate under the
+        energy-power kernel C E^(zeta/2), or None where no constant bounds it.
+
+        Only zeta = 0 has one: for zeta > 0, E^(zeta/2) grows without bound,
+        and for zeta < 0 it is unbounded near E = 0.  An exchange pair's rate
+        at zeta = 0 is C * weight for every pair, and this returns that same
+        double.  A disc-disc pair's rate is
+        C * weight * E^(-1/2) * sum_k'l' g_k' g_l' |V'|, and
+        |V'|^2 = 2 (E - E_k' - E_l') / mu <= 2 E / mu while every level
+        energy is nonnegative (as ``validate`` requires), so the rate is at
+        most C * weight * sqrt(2/mu) * (sum g_i)(sum g_j); a spectrum with a
+        negative level gets None.  Rates reach that bound when every level
+        is at 0 or the pair is hot, so it is padded by one ulp (2^-52) for
+        each channel the rate sums plus eight for its other roundings.
+        """
+        if zeta != 0.0:
+            return None
+        if self.kind is not PairKind.DISC_DISC:
+            return C * self.weight
+        (li, gi), (lj, gj) = self.levels_i, self.levels_j
+        if min(li.min(), lj.min()) < 0.0:
+            return None
+        pad = 1.0 + (li.size * lj.size + 8) * 2.0**-52
+        return float(C * self.weight * np.sqrt(2.0 / self.mu) * gi.sum() * gj.sum() * pad)
+
 
 def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
     """Resolve the exchange law of species pair (i, j).
@@ -187,6 +214,24 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
 # ---------------------------------------------------------------------------
 # array layer
 # ---------------------------------------------------------------------------
+
+
+def beta_draw(shapes: tuple[float, float], rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` draws from Beta(a, b), ``shapes`` = (a, b).
+
+    A unit shape has a closed-form inverse distribution function, so those
+    laws are drawn exactly from one uniform U each: U^(1/a) for (a, 1),
+    which is U itself for (1, 1), and 1 - U^(1/b) for (1, b).  numpy's
+    ``beta`` draws (1, 1), the internal split at delta = 2, by rejection at
+    tens of times the cost of a uniform.  Every other pair of shapes goes
+    to ``rng.beta``.
+    """
+    a, b = shapes
+    if b == 1.0:
+        return rng.random(n) ** (1.0 / a)
+    if a == 1.0:
+        return 1.0 - rng.random(n) ** (1.0 / b)
+    return rng.beta(a, b, n)
 
 
 def com_energy(mu, v, v_star, internal=0.0, internal_star=0.0):

@@ -346,14 +346,19 @@ def load_manifest(path) -> list[GasDataset]:
             raise ValueError(
                 f"{path}: datasets[{k}] lacks keys {sorted(missing)}"
             )
+        for key in ("gas", "cv", "mu"):
+            if not isinstance(item[key], str):
+                raise ValueError(f"{path}: datasets[{k}].{key}: {item[key]!r} is not a string")
         gas = item["gas"]
         pressure = item["pressure_bar"]
-        if not isinstance(gas, str):
-            raise ValueError(f"{path}: datasets[{k}].gas: {gas!r} is not a string")
         if isinstance(pressure, bool) or not isinstance(pressure, (int, float)):
             raise ValueError(f"{path}: datasets[{k}].pressure_bar: {pressure!r} is not a number")
+        try:
+            pressure = float(pressure)
+        except OverflowError:
+            raise ValueError(f"{path}: datasets[{k}].pressure_bar: integer too large "
+                             "for a float") from None
         cv = read_cv_csv(path.parent / item["cv"], gas=gas)
         mu = read_viscosity_csv(path.parent / item["mu"], gas=gas)
-        out.append(GasDataset(gas=gas, pressure_bar=float(pressure),
-                              cv=cv, mu=mu))
+        out.append(GasDataset(gas=gas, pressure_bar=pressure, cv=cv, mu=mu))
     return out

@@ -376,6 +376,16 @@ def _path(path: str, key) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _typed(x, kind: type, path: str):
+    """``x`` if it is a JSON object (``dict``) or array (``list``) as ``kind``
+    asks, else a ValueError naming its path; an empty ``path`` is the
+    document's top level."""
+    if not isinstance(x, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{path or 'document'}: {x!r} is not {name}")
+    return x
+
+
 def _field(obj, key, path: str):
     """``obj[key]``, or a ValueError naming the missing field's path; an
     empty ``path`` is the document's top level."""
@@ -387,22 +397,27 @@ def _field(obj, key, path: str):
 
 def _number(obj, key, path: str, default: float | None = None) -> float:
     """The JSON number ``obj[key]`` (``default`` if given and the key is
-    absent) as a float; anything else, a boolean or a string included,
-    raises ValueError naming the field's path."""
+    absent) as a float; anything else, a boolean or a string included, and
+    an integer too large for a float raise ValueError naming the field's
+    path."""
     x = default if default is not None and key not in obj else _field(obj, key, path)
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{_path(path, key)}: {x!r} is not a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{_path(path, key)}: integer too large for a float") from None
 
 
 def _energy_from_obj(obj: dict, path: str) -> EnergyModel:
-    kind = obj.get("kind")
+    kind = _typed(obj, dict, path).get("kind")
     if kind == "monatomic":
         return Monatomic()
     if kind == "continuous":
         return ContinuousEnergy(delta=_number(obj, "delta", path))
     if kind == "discrete":
-        levels = _field(obj, "levels", path)
+        levels = _typed(_field(obj, "levels", path), list, f"{path}.levels")
+        levels = [_typed(l, list, f"{path}.levels[{k}]") for k, l in enumerate(levels)]
         return DiscreteLevels(
             energies=tuple(_number(l, 0, f"{path}.levels[{k}]") for k, l in enumerate(levels)),
             degeneracies=tuple(_number(l, 1, f"{path}.levels[{k}]") for k, l in enumerate(levels)),
@@ -431,7 +446,7 @@ def _kernel_to_obj(k: KernelModel) -> dict:
 
 
 def _kernel_from_obj(obj: dict, path: str) -> KernelModel:
-    kind = obj.get("kind")
+    kind = _typed(obj, dict, path).get("kind")
     if kind == "power_law_e":
         return PowerLawE(C=_number(obj, "C", path), zeta=_number(obj, "zeta", path))
     if kind == "psi_weighted":
@@ -458,21 +473,23 @@ def spec_to_json(spec: MixtureSpec, indent: int | None = 2) -> str:
 
 
 def spec_from_json(text: str) -> MixtureSpec:
-    """Parse a spec document; a missing field, or a numeric field that is
-    not a JSON number, raises ValueError naming its path, e.g.
+    """Parse a spec document; a missing field, a field of the wrong JSON
+    type (an object, a list or a number where another was expected) or a
+    number too large for a float raises ValueError naming its path, e.g.
     ``species[0].energy.delta``."""
-    doc = json.loads(text)
+    doc = _typed(json.loads(text), dict, "")
     species = tuple(
         Species(
-            label=str(_field(s, "label", f"species[{k}]")),
+            label=str(_field(_typed(s, dict, f"species[{k}]"), "label", f"species[{k}]")),
             mass=_number(s, "mass", f"species[{k}]"),
             energy=_energy_from_obj(_field(s, "energy", f"species[{k}]"),
                                     f"species[{k}].energy"),
         )
-        for k, s in enumerate(_field(doc, "species", ""))
+        for k, s in enumerate(_typed(_field(doc, "species", ""), list, "species"))
     )
     kernels = tuple(
-        tuple(_kernel_from_obj(ker, f"kernels[{i}][{j}]") for j, ker in enumerate(row))
-        for i, row in enumerate(_field(doc, "kernels", ""))
+        tuple(_kernel_from_obj(ker, f"kernels[{i}][{j}]")
+              for j, ker in enumerate(_typed(row, list, f"kernels[{i}]")))
+        for i, row in enumerate(_typed(_field(doc, "kernels", ""), list, "kernels"))
     )
     return MixtureSpec(species=species, kernels=kernels)

@@ -9,7 +9,9 @@ equilibrium density, so sums against the weights approximate integrals
 against M.
 
 The matrix is the one n-by-n array; assembly and every check on it work in
-bounded memory, row block by row block through (``_BLOCK``, n) buffers.
+bounded memory, row block by row block through (``_BLOCK``, n) buffers, or
+for the symmetry check tile by tile through one (``_BLOCK``, ``_BLOCK``)
+buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 # so this one needs 800 MB, and assembly peaks at that plus two
 # (_BLOCK, n) buffers
 MAX_NODES = 10_000
-# rows per block of the assembly and of the row-wise checks
+# rows per block of the assembly and of the row-wise checks, and the side
+# of the symmetry check's tiles
 _BLOCK = 512
 # Gauss-Jacobi nodes per axis for a split weight psi(r, R)
 _PSI_NODES = 40
@@ -95,16 +98,26 @@ class K1Matrix:
         return self.weights.size
 
     def symmetry_defect(self) -> float:
-        """max |K - K^T| / max |K|, one pass over row blocks."""
+        """max |K - K^T| / max |K|, one pass over square tiles.
+
+        Tile (I, J) of the upper triangle is compared with tile (J, I)
+        transposed, so both reads stay within two (``_BLOCK``, ``_BLOCK``)
+        tiles; every entry enters the scale once.  A maximum does not depend
+        on the order it is taken in.
+        """
         n = self.n_nodes
-        buf = np.empty((min(_BLOCK, n), n))
+        buf = np.empty((min(_BLOCK, n),) * 2)
         scales, defects = [], []
         for i0 in range(0, n, _BLOCK):
-            rows = self.matrix[i0 : i0 + _BLOCK]
-            out = buf[: rows.shape[0]]
-            scales.append(np.max(np.abs(rows, out=out)))
-            np.subtract(rows, self.matrix[:, i0 : i0 + _BLOCK].T, out=out)
-            defects.append(np.max(np.abs(out, out=out)))
+            for j0 in range(i0, n, _BLOCK):
+                upper = self.matrix[i0 : i0 + _BLOCK, j0 : j0 + _BLOCK]
+                lower_t = self.matrix[j0 : j0 + _BLOCK, i0 : i0 + _BLOCK].T
+                out = buf[: upper.shape[0], : upper.shape[1]]
+                scales.append(np.max(np.abs(upper, out=out)))
+                if j0 > i0:
+                    scales.append(np.max(np.abs(lower_t, out=out)))
+                np.subtract(upper, lower_t, out=out)
+                defects.append(np.max(np.abs(out, out=out)))
         # np.max, unlike max(), returns nan whenever any block maximum is nan
         scale = float(np.max(scales))
         if scale == 0.0:

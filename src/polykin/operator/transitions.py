@@ -33,6 +33,7 @@ from scipy import special
 from ..collide import (
     PairKind,
     PairLaw,
+    beta_draw,
     bl_poly_mono,
     bl_poly_poly,
     discrete_rule,
@@ -103,7 +104,7 @@ class TransitionBatch:
 def _beta_draw(shapes, log_q, rng, n: int):
     """Draw n Beta(shapes) values; return them and log_q plus their log density."""
     a, b = shapes
-    x = np.clip(rng.beta(a, b, n), _TINY, 1.0 - 2**-53)
+    x = np.clip(beta_draw(shapes, rng, n), _TINY, 1.0 - 2**-53)
     lq = (
         _pow_log(x, a - 1.0)
         + _pow_log(1.0 - x, b - 1.0)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .collide import (PairKind, PairLaw, bl_poly_mono, bl_poly_poly, discrete_rule,
+from .collide import (PairKind, PairLaw, beta_draw, bl_poly_mono, bl_poly_poly, discrete_rule,
                       monatomic_rule, pair_law, sq_norm, unit_sphere)
 from .equilib import EquilibriumParams, Maxwellian, internal_temperature, mean_internal_energy
 from .model import (
@@ -88,10 +88,15 @@ class MajorantViolation(RuntimeError):
 class RelaxConfig:
     """Simulation controls.
 
-    ``b_maj`` overrides the automatic majorant (sampled-rate quantile with a
-    safety factor).  ``cadence`` is the number of steps between recorded
-    moment rows.  A step aborts when more than ``violation_tol`` of its
-    candidates exceed the majorant.
+    ``b_maj`` overrides the automatic majorant of every pair type.  That
+    majorant is exact where a constant bounds the pair's rate, which is at
+    zeta = 0 (:meth:`~polykin.collide.PairLaw.majorant`): C times the pair
+    law's weight for exchange pairs, so every candidate is accepted, and
+    C * weight * sqrt(2/mu) * (sum g_i)(sum g_j) for two discrete species.
+    At any other zeta it is a high quantile of probed rates times a safety
+    factor.  ``cadence`` is the number of steps between recorded moment
+    rows.  A step aborts when more than ``violation_tol`` of its candidates
+    exceed the majorant.
     """
 
     dt: float = 0.01
@@ -151,7 +156,13 @@ class Ensemble:
         return self._masses
 
     def momentum(self) -> np.ndarray:
-        return np.sum(self.masses[:, None] * self.v, axis=0)
+        """Total momentum, each component a running sum over the particles
+        in order.  Bit for bit ``np.sum(masses[:, None] * v, axis=0)``, which
+        adds the rows of the C-ordered (n, 3) product one after another to
+        +0.0, at about half its cost.  Adding +0.0 at the end instead changes
+        only a sum of -0.0 terms alone, which is -0.0 and nothing else."""
+        m = self.masses
+        return np.array([np.cumsum(m * self.v[:, k])[-1] for k in range(3)]) + 0.0
 
     def kinetic_energy(self) -> float:
         return float(0.5 * np.sum(self.masses * sq_norm(self.v)))
@@ -352,9 +363,14 @@ def _majorants(ensemble: Ensemble, config: RelaxConfig) -> list[tuple[_PairType,
     exceeds ``MAX_CANDIDATES``."""
     out = []
     for pt in _pair_types(ensemble):
+        exact = pt.law.majorant(pt.C, pt.zeta)
         if config.b_maj is not None:
             b_maj, source = config.b_maj, "b_maj: "
+        elif exact is not None:
+            b_maj, source = exact, f"kernels[{pt.i}][{pt.j}]: exact majorant "
         else:
+            # zeta != 0: E^(zeta/2) is unbounded near E = 0 for zeta < 0 and
+            # at large E for zeta > 0, so the bound is estimated from probes
             if pt.sampled_b_maj is None:
                 pt.sampled_b_maj = _sampled_majorant(ensemble, pt)
             b_maj, source = pt.sampled_b_maj, f"kernels[{pt.i}][{pt.j}]: sampled majorant "
@@ -510,12 +526,12 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         u_acc = rng.random(m)
         sigma = unit_sphere(rng, m)
         if pt.law.beta_r is not None:
-            r_draw = rng.beta(*pt.law.beta_r, m)
+            r_draw = beta_draw(pt.law.beta_r, rng, m)
         elif pt.law.kind is PairKind.DISC_DISC:
             r_draw = rng.random(m)       # channel selector
         else:
             r_draw = np.zeros(m)
-        R_draw = rng.beta(*pt.law.beta_R, m) if pt.law.beta_R is not None else np.zeros(m)
+        R_draw = beta_draw(pt.law.beta_R, rng, m) if pt.law.beta_R is not None else np.zeros(m)
         # candidates of one level commute; later levels see their results
         for lev in _dependency_levels(ii, jj):
             rates = _rates(ensemble, pt, ii[lev], jj[lev])

@@ -597,6 +597,8 @@ class TestRelaxCommand:
 
     @pytest.mark.parametrize("key", ["C", "zeta"])
     def test_sampled_majorant_fault_names_the_kernel(self, tmp_path, capsys, key):
+        # at zeta = 0 the majorant is C times the pair weight, exactly
+        source = {"C": "exact", "zeta": "sampled"}[key]
         cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, dt=0.01)
         doc = json.loads(cfg.read_text())
         doc["kernels"][0][0][key] = 1e300
@@ -604,7 +606,7 @@ class TestRelaxCommand:
         code, _, err = run_cli(["relax", "--config", str(cfg),
                                 "--out", str(tmp_path / "s.csv")], capsys)
         assert code == 2
-        assert err.startswith("error: kernels[0][0]: sampled majorant")
+        assert err.startswith(f"error: kernels[0][0]: {source} majorant ")
         assert "b_maj" not in err
 
     def test_missing_config_exits_3(self, capsys):

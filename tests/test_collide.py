@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from polykin.collide import (
     ParticleState,
     PolyMonoParams,
     ResonantParams,
+    beta_draw,
     bl_poly_poly,
     collide_borgnakke_larsen,
     collide_discrete,
@@ -458,3 +462,82 @@ class TestPairLaw:
         for i, j in ((0, 1), (1, 0)):
             with pytest.raises(ValueError, match="couples"):
                 pair_law(spec, i, j)
+
+
+class _NoBeta:
+    """A generator that draws uniforms but refuses ``beta``."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, n):
+        return self._rng.random(n)
+
+    def beta(self, *args):
+        raise AssertionError("rng.beta called")
+
+
+class TestBetaDraw:
+    @pytest.mark.parametrize("shapes", [(1.0, 1.0), (2.5, 1.0), (1.0, 0.75), (1.5, 2.0)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_law(self, shapes, seed):
+        x = beta_draw(shapes, np.random.default_rng(seed), 100_000)
+        assert x.shape == (100_000,) and np.all((x >= 0.0) & (x <= 1.0))
+        assert stats.kstest(x, stats.beta(*shapes).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shapes", [(1.0, 1.0), (2.5, 1.0), (1.0, 0.75)])
+    def test_unit_shapes_draw_one_uniform_each(self, shapes):
+        # (1, 1) is the uniform itself: u ** 1.0 is u
+        got = beta_draw(shapes, _NoBeta(3), 1000)
+        u = np.random.default_rng(3).random(1000)
+        a, b = shapes
+        want = u ** (1.0 / a) if b == 1.0 else 1.0 - u ** (1.0 / b)
+        assert got.tobytes() == want.tobytes()
+
+    def test_other_shapes_are_numpy_beta(self):
+        want = np.random.default_rng(5).beta(1.5, 2.0, 1000)
+        assert beta_draw((1.5, 2.0), np.random.default_rng(5), 1000).tobytes() == want.tobytes()
+
+
+class TestMajorant:
+    @pytest.mark.parametrize("spec, pair", [
+        (bl_spec(delta=2.0), (0, 0)),
+        (mixture_cont_spec(), (0, 1)),
+        (mixture_cont_spec(delta_b=None), (0, 1)),
+        (mixture_cont_spec(delta_b=None), (1, 0)),
+        (single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0)), (0, 0)),
+    ], ids=["cont-cont", "cont-cont-masses", "poly-mono", "mono-poly", "mono-mono"])
+    def test_exchange_pairs_are_bounded_by_their_constant_rate(self, spec, pair):
+        law = pair_law(spec, *pair)
+        for C in (1.0, 2.5, 1e-300):
+            assert law.majorant(C, 0.0) == C * law.weight
+            assert law.majorant(C, -0.0) == C * law.weight
+
+    @pytest.mark.parametrize("zeta", [0.5, 2.0, -0.7, 1e-300])
+    def test_no_bound_away_from_zeta_zero(self, zeta):
+        for spec, pair in ((bl_spec(), (0, 0)), (mixture_cont_spec(delta_b=None), (1, 0)),
+                           (discrete_spec(), (0, 0)), (mixture_disc_spec(), (0, 1))):
+            assert pair_law(spec, *pair).majorant(1.0, zeta) is None
+
+    @pytest.mark.parametrize("spec, pair, bare", [
+        # C w sqrt(2/mu) (sum g_i)(sum g_j), w = 4 pi
+        (discrete_spec(), (0, 0), 4 * np.pi * 2.0 * 4.0 * 4.0),
+        (discrete_spec(energies=(0.0, 0.7, 1.5), degeneracies=(1.0, 3.0, 5.0)), (0, 0),
+         4 * np.pi * 2.0 * 81.0),
+        (mixture_disc_spec(), (0, 1), None),
+    ], ids=["discrete", "three-level", "mixture"])
+    def test_disc_disc_bound(self, spec, pair, bare):
+        law = pair_law(spec, *pair)
+        (li, gi), (lj, gj) = law.levels_i, law.levels_j
+        if bare is None:
+            bare = 4 * np.pi * np.sqrt(2.0 / law.mu) * gi.sum() * gj.sum()
+        pad = (li.size * lj.size + 8) * 2.0**-52
+        for C in (1.0, 0.3):
+            b = law.majorant(C, 0.0)
+            assert C * bare * (1 + pad - 1e-15) <= b <= C * bare * (1 + pad + 1e-15)
+
+    def test_negative_level_has_no_bound(self):
+        law = pair_law(discrete_spec(), 0, 0)
+        low = (np.array([-0.1, 0.7, 1.8]), law.levels_i[1])
+        assert replace(law, levels_i=low).majorant(1.0, 0.0) is None
+        assert replace(law, levels_j=low).majorant(1.0, 0.0) is None

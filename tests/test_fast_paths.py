@@ -348,6 +348,40 @@ def test_moment_row_matches_the_per_quantity_calls(spec, u0):
     assert np.array_equal(bits(row[4]), bits(h_estimate_reference(ens)))
 
 
+def momentum_reference(ens):
+    return np.sum(masses_reference(ens)[:, None] * ens.v, axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 101, 4097, 50_001])
+def test_momentum_matches_the_row_sum(n):
+    # mass ratios and speeds over many decades, so every partial sum rounds
+    spec = mixture_cont_spec(delta_b=None, m_b=3.7)
+    ens = relax.init_ensemble(spec, n, 1.0, 1.0, u0=(0.3, -0.2, 0.1), seed=n)
+    rng = np.random.default_rng(n)
+    ens.v *= 10.0 ** rng.uniform(-8.0, 8.0, (n, 3))
+    assert np.array_equal(bits(ens.momentum()), bits(momentum_reference(ens)))
+    assert np.array_equal(bits(ens.bulk_velocity()),
+                          bits(momentum_reference(ens) / np.sum(masses_reference(ens))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 31])
+def test_momentum_with_signed_zeros_and_non_finite_rows(n):
+    # each column of each case draws its entries from a different mix of
+    # +-0, +-inf, nan, subnormals and huge values
+    rng = np.random.default_rng(n)
+    special = np.concatenate([SPECIAL, [np.nan, -np.nan, 1e308, -1e308]])
+    ens = relax.init_ensemble(mixture_cont_spec(delta_b=None), n, 1.0, 1.0, seed=n)
+    for _ in range(200):
+        ens.v[:] = rng.choice(special[rng.permutation(special.size)[:rng.integers(1, 6)]],
+                              (n, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(bits(ens.momentum()), bits(momentum_reference(ens)))
+    # the row sum starts from +0.0, so -0.0 rows alone sum to +0.0
+    ens.v[:] = -0.0
+    assert np.array_equal(bits(ens.momentum()), bits(np.zeros(3)))
+    assert np.array_equal(bits(momentum_reference(ens)), bits(np.zeros(3)))
+
+
 def test_masses_are_cached_and_read_only():
     ens = relax.init_ensemble(mixture_cont_spec(delta_b=None, m_b=3.0), 101, 1.0, 1.0, seed=0)
     m = ens.masses
@@ -463,7 +497,8 @@ def k1_with_matrix(matrix):
     return K1Matrix(np.zeros((n, 3)), np.zeros(n), np.ones(n), np.ones(n), matrix)
 
 
-@pytest.mark.parametrize("n", [3, 512, 700, 1100])
+# ragged last tiles: n one short of, one past and between multiples of _BLOCK
+@pytest.mark.parametrize("n", [3, 511, 512, 513, 700, 1023, 1025, 1100, 1537])
 def test_symmetry_defect_of_unsymmetric_and_non_finite_matrices(n):
     rng = np.random.default_rng(n)
     base = rng.standard_normal((n, n))

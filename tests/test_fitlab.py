@@ -268,11 +268,18 @@ class TestInputOutput:
         }))
         with pytest.raises(OSError):
             fitlab.load_manifest(missing_file)
+        top_level_list = tmp_path / "m4.json"
+        top_level_list.write_text(json.dumps([{"datasets": []}]))
+        with pytest.raises(ValueError, match="'datasets' list"):
+            fitlab.load_manifest(top_level_list)
 
     @pytest.mark.parametrize("field, value, message", [
         ("pressure_bar", True, "datasets[0].pressure_bar: True is not a number"),
         ("pressure_bar", "1", "datasets[0].pressure_bar: '1' is not a number"),
         ("gas", 7, "datasets[0].gas: 7 is not a string"),
+        ("cv", 5, "datasets[0].cv: 5 is not a string"),
+        ("mu", ["mu.csv"], "datasets[0].mu: ['mu.csv'] is not a string"),
+        ("pressure_bar", 10**400, "datasets[0].pressure_bar: integer too large for a float"),
     ])
     def test_manifest_fields_name_their_path(self, tmp_path, field, value, message):
         # the data files are never read: the entry is rejected first

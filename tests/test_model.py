@@ -269,3 +269,27 @@ class TestJsonRoundTrip:
         edit(doc)
         with pytest.raises(ValueError, match="^" + re.escape(path) + ": .* is not a number$"):
             spec_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, message", [
+        # structure: every object, list and number where the document needs one
+        ('[]', "document: [] is not an object"),
+        ('{"species": 5, "kernels": []}', "species: 5 is not a list"),
+        ('{"species": [5], "kernels": []}', "species[0]: 5 is not an object"),
+        ('{"species": [{"label": "a", "mass": 1.0, "energy": 5}], "kernels": []}',
+         "species[0].energy: 5 is not an object"),
+        ('{"species": [{"label": "a", "mass": 1.0, "energy": {"kind": "discrete", "levels": 5}}],'
+         ' "kernels": []}', "species[0].energy.levels: 5 is not a list"),
+        ('{"species": [{"label": "a", "mass": 1.0, "energy": {"kind": "discrete",'
+         ' "levels": [[0.0, 1.0], 5]}}], "kernels": []}',
+         "species[0].energy.levels[1]: 5 is not a list"),
+        ('{"species": [{"label": "a", "mass": 1' + "0" * 400 + ', "energy": {"kind": "monatomic"}}],'
+         ' "kernels": []}', "species[0].mass: integer too large for a float"),
+        ('{"species": [], "kernels": 5}', "kernels: 5 is not a list"),
+        ('{"species": [], "kernels": [5]}', "kernels[0]: 5 is not a list"),
+        ('{"species": [], "kernels": [[5]]}', "kernels[0][0]: 5 is not an object"),
+    ], ids=["top-level-list", "species", "species-entry", "energy", "levels", "level",
+            "huge-mass", "kernels", "kernel-row", "kernel"])
+    def test_structure_names_its_path(self, text, message):
+        with pytest.raises(ValueError) as err:
+            spec_from_json(text)
+        assert str(err.value) == message

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import PairKind, bl_poly_mono, bl_poly_poly, discrete_rule, monatomic_rule
+from polykin.collide import (PairKind, beta_draw, bl_poly_mono, bl_poly_poly, discrete_rule,
+                             monatomic_rule)
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec
 
@@ -119,12 +120,12 @@ def _sequential_step(ensemble, config):
         phi = rng.uniform(0.0, 2.0 * np.pi, m)
         discrete = pt.law.kind is PairKind.DISC_DISC
         if pt.law.beta_r is not None:
-            r_draw = rng.beta(*pt.law.beta_r, m)
+            r_draw = beta_draw(pt.law.beta_r, rng, m)
         elif discrete:
             r_draw = rng.random(m)
         else:
             r_draw = np.zeros(m)
-        R_draw = rng.beta(*pt.law.beta_R, m) if pt.law.beta_R is not None else np.zeros(m)
+        R_draw = beta_draw(pt.law.beta_R, rng, m) if pt.law.beta_R is not None else np.zeros(m)
 
         rates = _rates(ensemble, pt, ii, jj)
         dirty = np.zeros(n_total, dtype=bool)

@@ -18,6 +18,7 @@ from scipy import special
 
 from polykin.collide import (
     PairKind,
+    beta_draw,
     bl_poly_mono,
     bl_poly_poly,
     discrete_rule,
@@ -77,7 +78,7 @@ def _gamma_partner(M, rng, n, j):
 
 
 def _beta_draw(a, b, rng, n):
-    x = np.clip(rng.beta(a, b, n), _TINY, 1.0 - 2**-53)
+    x = np.clip(beta_draw((a, b), rng, n), _TINY, 1.0 - 2**-53)
     return x, _pow_log(x, a - 1.0) + _pow_log(1.0 - x, b - 1.0) - special.betaln(a, b)
 
 
