@@ -24,12 +24,12 @@ the level jump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .model import (
     ContinuousEnergy,
@@ -175,6 +175,38 @@ class PairLaw:
         return float(C * self.weight * np.sqrt(2.0 / self.mu) * gi.sum() * gj.sum() * pad)
 
 
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2), from the first
+    three terms of Stirling's series; below 1e-17 absolute error for x >= 85."""
+    x2 = x * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
+
+
+def _beta(a: float, b: float) -> float:
+    """Euler's Beta function B(a, b) for a, b >= 0, inf where it overflows.
+
+    A unit shape gives 1/a or 1/b exactly.  Below a + b = 171, where no
+    Gamma value overflows, it is Gamma(a) / Gamma(a + b) * Gamma(b), the
+    smaller shape first, so the running value stays finite whenever B is.
+    Beyond, it is exp(lgamma(a) + lgamma(b) - lgamma(a + b)) with the last
+    difference taken from Stirling's series instead of two lgamma values,
+    which would cancel: for b >> a, a + b even rounds to b.
+    """
+    a, b = min(a, b), max(a, b)
+    if a == 0.0:                    # half of the least delta rounds to 0
+        return math.inf
+    if a == 1.0 or b == 1.0:
+        return 1.0 / (a * b)
+    try:
+        if a + b < 171.0:
+            return math.gamma(a) / math.gamma(a + b) * math.gamma(b)
+        gap = (-(b - 0.5) * math.log1p(a / b) - a * math.log(a + b) + a
+               + _stirling_tail(b) - _stirling_tail(a + b))
+        return math.exp(math.lgamma(a) + gap)
+    except OverflowError:           # Gamma(a) or B itself, for a near 0
+        return math.inf
+
+
 def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
     """Resolve the exchange law of species pair (i, j).
 
@@ -202,9 +234,9 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
         raise ValueError(f"no collision rule couples species {i} and {j}")
     weight = 4.0 * np.pi
     if beta_r is not None:
-        weight *= special.beta(*beta_r)
+        weight *= _beta(*beta_r)
     if beta_R is not None:
-        weight *= special.beta(*beta_R)
+        weight *= _beta(*beta_R)
     mi, mj = spec.species[i].mass, spec.species[j].mass
     return PairLaw(kind=kind, m_i=mi, m_j=mj, mu=mi * mj / (mi + mj),
                    beta_r=beta_r, beta_R=beta_R, weight=float(weight),

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .collide import ParticleState, internal_variable, sq_norm
 from .model import ContinuousEnergy, DiscreteLevels, EnergyModel, MixtureSpec, Monatomic
@@ -91,6 +90,8 @@ def partition_function(energy: EnergyModel, T: float) -> float:
     if isinstance(energy, Monatomic):
         return 1.0
     if isinstance(energy, ContinuousEnergy):
+        from scipy import special
+
         return float(special.gamma(0.5 * energy.delta) * T ** (0.5 * energy.delta))
     if isinstance(energy, DiscreteLevels):
         E, g = energy.table
@@ -125,6 +126,8 @@ def psi_res(Z, delta: float):
     Z = np.asarray(Z, dtype=float)
     if np.any(Z < 0):
         raise ValueError("total internal energy must be nonnegative")
+    from scipy import special
+
     c = special.gamma(0.5 * delta) ** 2 / special.gamma(delta)
     out = c * Z ** (delta - 1.0)
     return out if out.ndim else float(out)
@@ -164,6 +167,8 @@ class Maxwellian:
             a = 0.5 * e.delta
             if a < 1.0 and np.any(I == 0.0):
                 raise ValueError("I = 0 requires delta >= 2")
+            from scipy import special
+
             return _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ..collide import pair_law
 from ..equilib import Maxwellian
@@ -69,6 +68,8 @@ def reduced_kernel_coefficient(kernel: KernelModel, delta: float) -> float:
     law = pair_law(single_species(ContinuousEnergy(delta), kernel), 0, 0)
     if getattr(kernel, "psi", None) is None:
         return float(kernel.C * law.weight)
+    from scipy import special
+
     # x^(a-1) (1-x)^(b-1) on [0, 1] is the Jacobi weight (1-t)^(b-1)
     # (1+t)^(a-1) on [-1, 1] times 2^-(a+b-1), with x = (1+t)/2
     rules = []
@@ -170,6 +171,8 @@ def assemble_k1(
         raise ValueError("the matrix assembly needs a single continuous species")
     if kernel is None:
         kernel = spec.kernel(0, 0)
+    from scipy import special
+
     sp = spec.species[0]
     delta = sp.energy.delta
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ..collide import (
     PairKind,
@@ -103,6 +102,8 @@ class TransitionBatch:
 
 def _beta_draw(shapes, log_q, rng, n: int):
     """Draw n Beta(shapes) values; return them and log_q plus their log density."""
+    from scipy import special
+
     a, b = shapes
     x = np.clip(beta_draw(shapes, rng, n), _TINY, 1.0 - 2**-53)
     lq = (

@@ -70,6 +70,10 @@ MAX_PARTICLES = 10_000_000
 # most candidates one step may expect; each costs about 100 bytes of draws,
 # and the runs in use expect a few thousand
 MAX_CANDIDATES = 10_000_000
+# largest (pairs, channels) float array a disc-disc pair's rates or channel
+# picks form at once; a level's pairs go through in row blocks of this size,
+# and three or four such arrays are live in a block
+_CHANNEL_BLOCK_BYTES = 1 << 22
 # h_estimate's speed and internal-energy bins when the sample fills them
 _SPEED_BINS, _INTERNAL_BINS = 64, 32
 # nonincreasing_trend allows a positive slope this many standard errors wide
@@ -415,6 +419,14 @@ def _channel_weights(law: PairLaw, g2: np.ndarray, pre: np.ndarray) -> np.ndarra
     return (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(g2.size, -1)
 
 
+def _row_blocks(law: PairLaw, n: int):
+    """Slices covering ``n`` disc-disc pairs whose channel weights fit in
+    ``_CHANNEL_BLOCK_BYTES``, at least one pair each.  Every row of the
+    channel arithmetic is computed on its own, so blocking changes no bit."""
+    step = max(1, _CHANNEL_BLOCK_BYTES // (8 * law.levels_i[0].size * law.levels_j[0].size))
+    return (slice(k, k + step) for k in range(0, n, step))
+
+
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Total transition rate for the given particle pairs."""
     if pt.zeta == 0.0 and pt.law.kind is not PairKind.DISC_DISC:
@@ -424,9 +436,11 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
-    terms = _channel_weights(pt.law, g2, ensemble.internal[ii] + ensemble.internal[jj])
-    # summed channel by channel, in (k', l') order
-    total = np.cumsum(terms, axis=1)[:, -1]
+    pre = ensemble.internal[ii] + ensemble.internal[jj]
+    total = np.empty(ii.size)
+    for rows in _row_blocks(pt.law, ii.size):
+        # summed channel by channel, in (k', l') order
+        total[rows] = np.cumsum(_channel_weights(pt.law, g2[rows], pre[rows]), axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
 
@@ -491,11 +505,15 @@ def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.nd
     pre = I[a] + I[b]
     # |V|^2 as a BLAS dot product per row (sq_norm in _rates): seeded channel
     # choices depend on it bit for bit
-    w = _channel_weights(law, (dv[:, None, :] @ dv[:, :, None])[:, 0, 0], pre)
-    total = w.sum(axis=1)
-    below = np.cumsum(w, axis=1) <= (u_channel * total)[:, None]
-    pick = np.minimum(np.count_nonzero(below, axis=1), w.shape[1] - 1)
-    kp, lp = np.divmod(pick, lj.size)
+    g2 = (dv[:, None, :] @ dv[:, :, None])[:, 0, 0]
+    total = np.empty(a.size)
+    pick = np.empty(a.size, dtype=np.intp)
+    for rows in _row_blocks(law, a.size):
+        w = _channel_weights(law, g2[rows], pre[rows])
+        total[rows] = w.sum(axis=1)
+        below = np.cumsum(w, axis=1) <= (u_channel[rows] * total[rows])[:, None]
+        pick[rows] = np.count_nonzero(below, axis=1)
+    kp, lp = np.divmod(np.minimum(pick, li.size * lj.size - 1), lj.size)
     w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - pre, sigma, law.m_i, law.m_j)
     ok &= total > 0.0
     a, b, kp, lp = a[ok], b[ok], kp[ok], lp[ok]

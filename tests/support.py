@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from polykin.model import (
@@ -14,6 +16,21 @@ from polykin.model import (
     Species,
     single_species,
 )
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of fn(), beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:

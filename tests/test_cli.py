@@ -633,24 +633,99 @@ class TestRelaxCommand:
 
 
 class TestColdStart:
-    DEFERRED = ("scipy.optimize", "polykin.operator", "polykin.fitlab",
-                "polykin.hypotheses")
+    """Each command, run in a fresh interpreter, loads only the modules it
+    uses: scipy only where a scipy routine runs, and the subcommand modules
+    only for their subcommands."""
 
-    def test_relax_loads_no_deferred_module(self, tmp_path):
-        # 20 steps on a continuous species; only discrete levels need a root solve
-        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.4)
-        argv = ["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+    DEFERRED = ("scipy", "polykin.operator", "polykin.fitlab", "polykin.hypotheses")
+
+    def loaded_after(self, argv, deferred):
+        """Exit code of ``polykin.cli.main(argv)`` in a fresh interpreter, with
+        the modules of ``deferred`` loaded after the import and after the run."""
         proc = run_python("-c", f"""
 import contextlib, io, json, sys
 import polykin.cli
-deferred = {self.DEFERRED!r}
+deferred = {deferred!r}
 after_import = [m for m in deferred if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = polykin.cli.main({argv!r})
 print(json.dumps([after_import, code, [m for m in deferred if m in sys.modules]]))
 """)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[], 0, []]
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("species", [
+        [{"label": "gas", "mass": 1.0, "energy": {"kind": "continuous", "delta": 2.0}}],
+        [{"label": "a", "mass": 1.0, "energy": {"kind": "continuous", "delta": 2.5}},
+         {"label": "b", "mass": 2.0, "energy": {"kind": "monatomic"}}],
+        [{"label": "gas", "mass": 1.0, "energy": {"kind": "monatomic"}}],
+    ], ids=["continuous", "poly-mono", "monatomic"])
+    def test_relax_loads_no_deferred_module(self, tmp_path, species):
+        # 20 steps; only discrete levels need a root solve
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.4)
+        doc = json.loads(cfg.read_text())
+        kernel = doc["kernels"][0][0]
+        doc.update(species=species, kernels=[[kernel] * len(species)] * len(species))
+        cfg.write_text(json.dumps(doc))
+        argv = ["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        assert self.loaded_after(argv, self.DEFERRED) == [[], 0, []]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--delta", "3", "--zeta", "0.5", "--hyp", "H1,H2,H3,H4,H5,H6,H7"],
+        ["diag", "--kind", "k2", "--delta", "3", "--zeta", "0.5", "--out"],
+        ["table1", "--out"],
+        ["fit", "--out"],
+    ], ids=["check", "diag-k2", "table1", "fit"])
+    def test_commands_load_no_scipy(self, tmp_path, argv):
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "out.csv")]
+        if argv[0] == "fit":
+            argv += ["--manifest", str(write_manifest(
+                tmp_path, [(300, 2.5), (400, 2.51), (600, 2.52)], TestOnePath.MU))]
+        assert self.loaded_after(argv, ("scipy",)) == [[], 0, []]
+
+    def test_operator_import_loads_no_scipy(self):
+        proc = run_python("-c", "import sys, polykin.operator; "
+                                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_scipy_commands_load_it_when_they_run(self, tmp_path):
+        k1norm = ["diag", "--kind", "k1norm", "--delta", "3", "--zeta", "0.5", "--grid", "4",
+                  "--out", str(tmp_path / "k1.csv")]
+        assert self.loaded_after(k1norm, ("scipy",)) == [[], 0, ["scipy"]]
+        # a mean internal energy between the levels' bounds takes a root solve
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.2)
+        doc = json.loads(cfg.read_text())
+        doc["species"][0]["energy"] = {"kind": "discrete",
+                                       "levels": [[0.0, 1.0], [0.7, 2.0], [1.8, 1.0]]}
+        cfg.write_text(json.dumps(doc))
+        relax_levels = ["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        assert self.loaded_after(relax_levels, ("scipy",)) == [[], 0, ["scipy"]]
+
+    def test_first_scipy_import_on_a_worker_thread(self):
+        # four chunks on two threads: the first Beta log density, in a
+        # worker, imports scipy.special; the estimate matches a serial rerun
+        proc = run_python("-c", """
+import json, sys
+import numpy as np
+from polykin.collide import ParticleState
+from polykin.equilib import EquilibriumParams, Maxwellian
+from polykin.model import ContinuousEnergy, PowerLawE, single_species
+from polykin.operator import QuadratureConfig, collision_frequency, mc
+
+mc._CHUNK_SIZE = 1000
+spec = single_species(ContinuousEnergy(delta=2.5), PowerLawE(C=1.0, zeta=0.6))
+M = Maxwellian(spec, EquilibriumParams(n=(1.0,), u=np.zeros(3), T_kin=1.0, T_int=1.0))
+w = ParticleState(v=np.array([0.4, -0.1, 0.2]), I=0.9)
+before = "scipy" in sys.modules
+est = [collision_frequency(w, M, None, QuadratureConfig(n_samples=4000, seed=3, threads=t))
+       for t in (2, 1)]
+print(json.dumps([before, [(e.value.hex(), e.stderr.hex(), e.n_samples) for e in est]]))
+""")
+        assert proc.returncode == 0, proc.stderr
+        before, (threaded, serial) = json.loads(proc.stdout)
+        assert not before and threaded == serial
 
 
 class TestFitAndTable1:

@@ -1,11 +1,13 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polykin import cli
 from polykin.collide import (
     BorgnakkeLarsenParams,
     DiscreteParams,
@@ -31,6 +33,7 @@ from polykin.collide import (
     total_energy,
     unit_vector,
 )
+from polykin.collide import _beta
 from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -419,6 +422,65 @@ class TestPairLaw:
         assert pair_law(mixed, 1, 0).weight == pair_law(mixed, 0, 1).weight
         assert pair_law(mono, 0, 0).weight == 4 * np.pi
         assert pair_law(discrete_spec(), 0, 0).weight == 4 * np.pi
+
+    @staticmethod
+    def _exchange_laws(delta, other):
+        return (pair_law(bl_spec(delta=delta), 0, 0),
+                pair_law(mixture_cont_spec(delta_a=delta, delta_b=other), 0, 1),
+                pair_law(mixture_cont_spec(delta_a=delta, delta_b=None), 0, 1))
+
+    def test_weight_matches_scipy_beta(self):
+        # each Beta factor within 4e-15 (relative) below a + b = 171 and 1e-11
+        # beyond, for every shape pair the law forms with delta in (0, 700)
+        deltas = np.concatenate([np.linspace(0.01, 699.99, 500), np.geomspace(1e-6, 700.0, 100)])
+        for k, delta in enumerate(deltas):
+            for law in self._exchange_laws(delta, deltas[(7 * k + 3) % deltas.size]):
+                shapes = [s for s in (law.beta_r, law.beta_R) if s is not None]
+                want = 4 * np.pi * np.prod([special.beta(*s) for s in shapes])
+                tol = sum(4e-15 if sum(s) < 171.0 else 1e-11 for s in shapes)
+                if want > 1e-290:
+                    assert law.weight == pytest.approx(want, rel=tol), (delta, shapes)
+                else:
+                    assert law.weight < 1e-280
+
+    def test_unit_shapes_are_exact(self):
+        for x in (1e-300, 0.5, 1.0, 1.5, 2.5, 7.0, 170.5, 400.0, 1e300):
+            assert _beta(1.0, x) == _beta(x, 1.0) == 1.0 / x
+        # delta = 2: the internal split r is uniform, Beta(1, 1)
+        assert pair_law(mixture_cont_spec(delta_a=2.0, delta_b=None), 0, 1).weight == (
+            4 * np.pi * (1.0 / 1.5))
+        law = pair_law(mixture_cont_spec(delta_a=2.0, delta_b=5.0), 0, 1)
+        assert law.weight == 4 * np.pi * (1.0 / 2.5) * _beta(1.5, 3.5)
+
+    def test_weight_at_extreme_shapes(self):
+        # B(3/2, b) ~ Gamma(3/2) b^(-3/2) for large b: 2.5e-6 at delta = 1e4,
+        # below the least double at 1e300, where a + b rounds to b
+        assert pair_law(mixture_cont_spec(delta_a=1e4, delta_b=None), 0, 1).weight == (
+            pytest.approx(4 * np.pi * 2.5064402970913806e-06, rel=1e-13))
+        for law in self._exchange_laws(1e300, 1e300):
+            assert law.weight == 0.0
+        for law in self._exchange_laws(400.0, 1e4):
+            assert 0.0 <= law.weight < 1.0
+        # near delta = 0 the weight passes the largest double; 5e-324 / 2 is 0
+        for delta in (1e-310, 5e-324):
+            assert pair_law(bl_spec(delta=delta), 0, 0).weight == np.inf
+        assert _beta(0.0, 1.0) == _beta(0.0, 2.5) == np.inf
+
+    @pytest.mark.parametrize("delta", [400.0, 1e4, 1e300])
+    @pytest.mark.parametrize("partner", [None, {"kind": "monatomic"}],
+                             ids=["single", "poly-mono"])
+    def test_relax_runs_at_large_delta(self, tmp_path, capsys, delta, partner):
+        species = [{"label": "a", "mass": 1.0, "energy": {"kind": "continuous", "delta": delta}}]
+        if partner is not None:
+            species.append({"label": "b", "mass": 2.0, "energy": partner})
+        kernel = {"kind": "power_law_e", "C": 1.0, "zeta": 0.0}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "species": species, "kernels": [[kernel] * len(species)] * len(species),
+            "relax": {"dt": 0.02, "n_particles": 1000, "seed": 1, "cadence": 5,
+                      "t_end": 0.1, "T_kin0": 2.0, "T_int0": 1.0}}))
+        code = cli.main(["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+        assert code == 0, capsys.readouterr().err
 
     def test_disc_disc_level_tables(self):
         spec = mixture_disc_spec()

@@ -5,7 +5,6 @@ are compared as their uint64 bit patterns, so a sign of zero or a NaN
 payload counts.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, M
 from polykin.operator import k1matrix, k2diag
 from polykin.operator.k1matrix import GridSpec, K1Matrix, assemble_k1
 
-from support import bl_spec, mixture_cont_spec
+from support import bl_spec, mixture_cont_spec, traced_peak
 
 
 def bits(x):
@@ -514,21 +513,6 @@ def test_symmetry_defect_of_unsymmetric_and_non_finite_matrices(n):
         for matrix in variants:
             k1 = k1_with_matrix(matrix)
             assert np.array_equal(bits(k1.symmetry_defect()), bits(symmetry_defect_reference(k1)))
-
-
-def traced_peak(fn):
-    """Bytes allocated at the peak of fn(), beyond what was live before."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def bounded_memory_case():

@@ -1,11 +1,12 @@
-"""Every import and every private module-level name in the package is used.
+"""Every import and every private module-level name in the package is used,
+and no module loads scipy when it is imported.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module or be listed
 in its ``__all__``.  Re-exports marked ``# noqa: F401`` are exempt.  A
 private name (``_name``) bound at module level by a function, a class or an
 assignment must be read somewhere in the package: as a name, an attribute
-or an import.
+or an import.  scipy may only be imported inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -89,4 +90,37 @@ def test_package_reads_every_private_name():
                  for name, line in _private_definitions(tree).items() if name not in read]
         if names:
             found[module] = names
+    assert found == {}
+
+
+def import_time_modules(tree: ast.AST) -> list[str]:
+    """Absolute modules the statements run at import time import: every
+    import outside a function body."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        found += import_time_modules(node)
+    return found
+
+
+def test_import_time_modules_skip_function_bodies():
+    tree = ast.parse("import a.b\nfrom c import d\nfrom . import e\n"
+                     "class K:\n    import f\n"
+                     "def g():\n    import h\n    from i import j\n"
+                     "k = lambda: __import__('l')\n")
+    assert import_time_modules(tree) == ["a.b", "c", "f"]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        names = [name for name in import_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+                 if name == "scipy" or name.startswith("scipy.")]
+        if names:
+            found[str(path.relative_to(PACKAGE))] = names
     assert found == {}

@@ -8,7 +8,7 @@ import pytest
 
 from polykin import relax
 from polykin.collide import (PairKind, ParticleState, PolyMonoParams, collide_borgnakke_larsen,
-                             inverse_parameters, pair_law)
+                             inverse_parameters, pair_law, unit_sphere)
 from polykin.equilib import internal_temperature, mean_internal_energy
 from polykin.model import (
     ContinuousEnergy,
@@ -21,7 +21,8 @@ from polykin.model import (
     single_species,
 )
 
-from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec
+from support import (bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec,
+                     traced_peak)
 
 # collision frequency of the delta=2, zeta=0, C=1 kernel at equilibrium
 NU_REFERENCE = 16.0 * math.pi / 15.0
@@ -362,6 +363,55 @@ class TestExactMajorant:
         series = relax.run(THREE_LEVELS, cfg, 2.0, 1.0, t_end=0.2)
         assert series.meta["majorant_violations"] == 0
         assert series.collisions[-1] > 0
+
+
+FORTY_LEVELS = discrete_spec(energies=tuple(0.05 * k for k in range(40)),
+                             degeneracies=tuple(1.0 + k % 3 for k in range(40)))
+
+
+class TestChannelBlocks:
+    """A disc-disc pair's channel weights are formed a row block at a time:
+    the same bits as calls on small slices, in bounded memory."""
+
+    ROWS = 3000          # 3000 pairs of a 40-level gas: 1600 channels each
+    SLICE = 61
+
+    @pytest.fixture
+    def case(self):
+        ens = relax.init_ensemble(FORTY_LEVELS, 2 * self.ROWS, 2.0, 1.0, seed=5)
+        (pt,) = relax._pair_types(ens)
+        rng = np.random.default_rng(5)
+        ends = rng.permutation(2 * self.ROWS)     # disjoint pairs
+        return (ens, pt, ends[:self.ROWS], ends[self.ROWS:], rng.random(self.ROWS),
+                unit_sphere(rng, self.ROWS))
+
+    def slices(self):
+        return [slice(k, k + self.SLICE) for k in range(0, self.ROWS, self.SLICE)]
+
+    def test_rates_match_small_slices(self, case):
+        ens, pt, a, b, _, _ = case
+        assert len(list(relax._row_blocks(pt.law, self.ROWS))) > 3
+        parts = [relax._rates(ens, pt, a[s], b[s]) for s in self.slices()]
+        assert relax._rates(ens, pt, a, b).tobytes() == np.concatenate(parts).tobytes()
+
+    def test_collisions_match_small_slices(self, case):
+        ens, pt, a, b, u, sigma = case
+        other = replace(ens, v=ens.v.copy(), internal=ens.internal.copy(),
+                        levels=ens.levels.copy())
+        hits = relax._collide_discrete(ens, pt, a, b, u, sigma)
+        parts = [relax._collide_discrete(other, pt, a[s], b[s], u[s], sigma[s])
+                 for s in self.slices()]
+        assert hits == sum(parts) > 0
+        for name in ("v", "internal", "levels"):
+            assert getattr(ens, name).tobytes() == getattr(other, name).tobytes()
+
+    def test_memory_stays_within_a_few_blocks(self, case):
+        ens, pt, a, b, u, sigma = case
+        bound = 5 * relax._CHANNEL_BLOCK_BYTES
+        # one (pairs, channels) float array of all the pairs is past the bound
+        assert self.ROWS * 1600 * 8 > bound
+        assert traced_peak(lambda: relax._rates(ens, pt, a, b)) < bound
+        assert traced_peak(lambda: relax._collide_discrete(ens, pt, a, b, u, sigma)) < bound
 
 
 class TestSlotOrder:
