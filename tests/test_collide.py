@@ -16,6 +16,7 @@ from polykin.collide import (
     ParticleState,
     PolyMonoParams,
     ResonantParams,
+    _beta,
     beta_draw,
     bl_poly_poly,
     collide_borgnakke_larsen,
@@ -33,7 +34,6 @@ from polykin.collide import (
     total_energy,
     unit_vector,
 )
-from polykin.collide import _beta
 from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -446,17 +446,19 @@ class TestPairLaw:
     def test_unit_shapes_are_exact(self):
         for x in (1e-300, 0.5, 1.0, 1.5, 2.5, 7.0, 170.5, 400.0, 1e300):
             assert _beta(1.0, x) == _beta(x, 1.0) == 1.0 / x
-        # delta = 2: the internal split r is uniform, Beta(1, 1)
+        # delta = 2 gives a unit shape: R ~ Beta(3/2, 1) against a monatomic
+        # partner, r ~ Beta(1, 5/2) against delta = 5
         assert pair_law(mixture_cont_spec(delta_a=2.0, delta_b=None), 0, 1).weight == (
             4 * np.pi * (1.0 / 1.5))
         law = pair_law(mixture_cont_spec(delta_a=2.0, delta_b=5.0), 0, 1)
         assert law.weight == 4 * np.pi * (1.0 / 2.5) * _beta(1.5, 3.5)
 
     def test_weight_at_extreme_shapes(self):
-        # B(3/2, b) ~ Gamma(3/2) b^(-3/2) for large b: 2.5e-6 at delta = 1e4,
-        # below the least double at 1e300, where a + b rounds to b
+        # B(3/2, 5000) is 2.5064402970913807e-06 rounded to a double (mpmath); at
+        # delta = 1e300, where a + b rounds to b, B(3/2, b) ~ Gamma(3/2) b^(-3/2)
+        # is below the least double
         assert pair_law(mixture_cont_spec(delta_a=1e4, delta_b=None), 0, 1).weight == (
-            pytest.approx(4 * np.pi * 2.5064402970913806e-06, rel=1e-13))
+            pytest.approx(4 * np.pi * 2.5064402970913807e-06, rel=1e-13))
         for law in self._exchange_laws(1e300, 1e300):
             assert law.weight == 0.0
         for law in self._exchange_laws(400.0, 1e4):
