@@ -167,9 +167,7 @@ class Maxwellian:
             a = 0.5 * e.delta
             if a < 1.0 and np.any(I == 0.0):
                 raise ValueError("I = 0 requires delta >= 2")
-            from scipy import special
-
-            return _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
+            return _pow_log(I, a - 1.0) - I / T - math.lgamma(a) - a * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)
             E, g = e.table

@@ -13,18 +13,20 @@ discrete channels, vanishing kernel) carry ``log_aq`` = -inf.
 its density) and hands over to one of three samplers: discrete levels,
 resonant, or the Borgnakke-Larsen exchange sampler, which serves two
 continuous species, poly-mono in either slot order and two monatomic
-species alike.  The pair's law decides everything the exchange sampler
-does: it draws the internal split r only where ``beta_r`` is set and the
-kinetic fraction R only where ``beta_R`` is set, weights each drawn
-parameter by that law's Beta exponents, and gives each slot that carries a
-continuous energy its degeneracy factor; the masses and a disc-disc pair's
-level tables come from the law too.  Every sampler draws the exchange
-parameters and then the scattering direction.  The draw order is fixed, so
-results reproduce for a fixed seed.
+species alike.  Each sampler draws every continuous split from its Beta
+law (Borgnakke & Larsen, J. Comput. Phys. 18, 1975): r where the law's
+``beta_r`` is set, R where its ``beta_R`` is set, and a resonant pair's
+I' / (I + I_*) from Beta(delta/2, delta/2).  So the weight of those draws
+and the scattering direction over their density is a constant, 4 pi times
+the laws' Beta functions.  The masses, each continuous slot's degeneracy
+factor and a disc-disc pair's level tables come from the law too.  Every
+sampler draws the exchange parameters and then the scattering direction.
+The draw order is fixed, so results reproduce for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ import numpy as np
 from ..collide import (
     PairKind,
     PairLaw,
+    _beta,
     beta_draw,
     bl_poly_mono,
     bl_poly_poly,
@@ -65,8 +68,8 @@ class Proposal:
 
     ``maxwellian`` draws the partner states and gives their density;
     ``law`` is the pair's :class:`~polykin.collide.PairLaw`, whose Beta
-    shapes give both the exchange-parameter draws and the transition-weight
-    exponents, and whose level tables give a disc-disc pair's channels.
+    shapes give the split variables' laws and the weight of their draws,
+    and whose level tables give a disc-disc pair's channels.
     """
 
     maxwellian: Maxwellian
@@ -100,18 +103,14 @@ class TransitionBatch:
     diagnostics: dict
 
 
-def _beta_draw(shapes, log_q, rng, n: int):
-    """Draw n Beta(shapes) values; return them and log_q plus their log density."""
-    from scipy import special
+def _beta_draw(shapes, rng, n: int):
+    """Draw n Beta(shapes) values inside (0, 1)."""
+    return np.clip(beta_draw(shapes, rng, n), _TINY, 1.0 - 2**-53)
 
-    a, b = shapes
-    x = np.clip(beta_draw(shapes, rng, n), _TINY, 1.0 - 2**-53)
-    lq = (
-        _pow_log(x, a - 1.0)
-        + _pow_log(1.0 - x, b - 1.0)
-        - special.betaln(a, b)
-    )
-    return x, log_q + lq
+
+def _log_weight(weight: float) -> float:
+    """log(weight), -inf where the weight integral underflows to 0."""
+    return math.log(weight) if weight > 0.0 else -math.inf
 
 
 def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
@@ -129,9 +128,9 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     r = R = None
     if law.beta_r is not None:
-        r, log_q = _beta_draw(law.beta_r, log_q, rng, n)
+        r = _beta_draw(law.beta_r, rng, n)
     if law.beta_R is not None:
-        R, log_q = _beta_draw(law.beta_R, log_q, rng, n)
+        R = _beta_draw(law.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
     Ip = Isp = None
     if law.kind is PairKind.CONT_CONT:
@@ -143,26 +142,22 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     else:
         vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
         E = 0.5 * law.mu * sq_norm(v - v_star)
-    log_a = _log_b(kernel, CollisionContext(E=E, r=r, R=R), law.beta_r is not None)
-    if r is not None:
-        log_a = log_a + _pow_log(r, law.beta_r[0] - 1.0) + _pow_log(1.0 - r, law.beta_r[1] - 1.0)
-    if R is not None:
-        log_a = log_a + _pow_log(1.0 - R, law.beta_R[1] - 1.0) + _pow_log(R, law.beta_R[0] - 1.0)
+    log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), law.beta_r is not None)
     log_phi = np.zeros(n)
     for k, (pre, post) in enumerate(((I, Ip), (I_star, Isp))):
         if post is not None:
             # the slot's Beta shape: its share of r, or R's internal share
             p = (law.beta_r[k] if law.beta_r else law.beta_R[1]) - 1.0
             log_phi = log_phi + _pow_log(pre, p) - _pow_log(post, p)
-    log_aq = log_a - (log_q - _LOG_4PI)
+    # r and R follow their Beta laws: A/q over (r, R, sigma) is law.weight
+    log_aq = log_b - (log_q - _log_weight(law.weight))
     return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
 
 
 def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     Z = I + I_star
-    I_prime = rng.uniform(0.0, 1.0, n) * Z
-    lq_ip = -np.log(np.maximum(Z, _TINY))
+    I_prime = _beta_draw(law.beta_r, rng, n) * Z
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp = resonant_rule(v, v_star, I, I_star, I_prime, sigma)
     V = v - v_star
@@ -177,14 +172,13 @@ def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
         delta=prop.maxwellian.spec.species[0].energy.delta,
     )
     log_b = _log_b(kernel, ctx, False)
-    # I' and Z - I' carry delta/2 - 1 each; Z carries delta - 1
+    # I' follows Z Beta(delta/2, delta/2): A/q over (I', sigma) is 4 pi B(beta_r)
+    log_aq = log_b - (log_q - _log_weight(4.0 * np.pi * _beta(*law.beta_r)))
     p = law.beta_r[0] - 1.0
-    log_a = log_b + _pow_log(Ip, p) + _pow_log(Z - Ip, p) - _pow_log(Z, law.beta_R[1] - 1.0)
-    log_q = log_q + lq_ip - _LOG_4PI
     log_phi = (
         _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
     )
-    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
+    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
 
 
 def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):

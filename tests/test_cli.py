@@ -703,9 +703,10 @@ print(json.dumps([after_import, code, [m for m in deferred if m in sys.modules]]
         relax_levels = ["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
         assert self.loaded_after(relax_levels, ("scipy",)) == [[], 0, ["scipy"]]
 
-    def test_first_scipy_import_on_a_worker_thread(self):
-        # four chunks on two threads: the first Beta log density, in a
-        # worker, imports scipy.special; the estimate matches a serial rerun
+    def test_threaded_estimate_loads_no_scipy(self):
+        # four chunks on two threads: the continuous estimator's draws and
+        # densities need no scipy routine, and the estimate matches a serial
+        # rerun bit for bit
         proc = run_python("-c", """
 import json, sys
 import numpy as np
@@ -718,14 +719,15 @@ mc._CHUNK_SIZE = 1000
 spec = single_species(ContinuousEnergy(delta=2.5), PowerLawE(C=1.0, zeta=0.6))
 M = Maxwellian(spec, EquilibriumParams(n=(1.0,), u=np.zeros(3), T_kin=1.0, T_int=1.0))
 w = ParticleState(v=np.array([0.4, -0.1, 0.2]), I=0.9)
-before = "scipy" in sys.modules
 est = [collision_frequency(w, M, None, QuadratureConfig(n_samples=4000, seed=3, threads=t))
        for t in (2, 1)]
-print(json.dumps([before, [(e.value.hex(), e.stderr.hex(), e.n_samples) for e in est]]))
+print(json.dumps([[(e.value.hex(), e.stderr.hex(), e.n_samples) for e in est],
+                  sorted(m for m in sys.modules if m.startswith("scipy"))]))
 """)
         assert proc.returncode == 0, proc.stderr
-        before, (threaded, serial) = json.loads(proc.stdout)
-        assert not before and threaded == serial
+        (threaded, serial), scipy_modules = json.loads(proc.stdout)
+        assert threaded == serial and threaded[2] == 4000
+        assert scipy_modules == []
 
 
 class TestFitAndTable1:

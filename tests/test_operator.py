@@ -1,11 +1,13 @@
 """Monte Carlo estimator tests: exact cancellations, closed-form rates,
 linearized-part identities, and reproducibility of the sampling engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from polykin.collide import ParticleState, pair_law
 from polykin.equilib import EquilibriumParams, Maxwellian, level_weights, maxwellian_eval
@@ -211,6 +213,66 @@ class TestCollisionFrequency:
         w = ParticleState(v=np.array([0.1, 0.5, 0.0]), species=0, I=0.8)
         est = collision_frequency(w, M, None, QuadratureConfig(n_samples=60_000, seed=6))
         assert est.value > 0.0 and np.isfinite(est.stderr)
+
+    @pytest.mark.parametrize("make_spec", [bl_spec, resonant_spec], ids=["exchange", "resonant"])
+    @pytest.mark.parametrize("delta", [1e4, 1e300])
+    def test_weight_that_underflows_gives_exact_zero_quietly(self, make_spec, delta):
+        # the split's Beta function underflows to 0, and so does the rate
+        M = equilibrium(make_spec(delta=delta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=2_000, seed=1))
+        assert est.value == 0.0 and est.stderr == 0.0
+
+    def test_weight_that_overflows_is_rejected(self):
+        # at delta = 1e-300 the exchange weight overflows to inf
+        M = equilibrium(bl_spec(delta=1e-300))
+        with pytest.raises(FloatingPointError, match="non-finite estimator values"):
+            collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=2_000, seed=1))
+
+
+class TestResonantClosedForm:
+    """At zeta2 = 0 the resonant rate at a fixed state w against equilibrium
+    partners is 4 pi C B(delta/2, delta/2) n E|v - v_*| E[(I + I_*)^(1 - delta)].
+
+    The split I' / (I + I_*) is drawn from Beta(delta/2, delta/2), so its
+    weight over the proposal is constant; a uniform draw would leave it the
+    weight x^p (1 - x)^p, p = delta/2 - 1, whose variance is infinite at
+    delta <= 1, where the seeds would scatter beyond their standard errors.
+    """
+
+    T_kin, T_int = 1.0, 1.4
+    SEEDS = range(8)
+
+    def closed_form(self, delta):
+        # the mean speed of a unit-mass Maxwellian shifted by w's velocity
+        s = np.linalg.norm(W_BL.v) / np.sqrt(self.T_kin)
+        speed = np.sqrt(self.T_kin) * (np.sqrt(2.0 / np.pi) * np.exp(-0.5 * s * s)
+                                       + (s + 1.0 / s) * special.erf(s / np.sqrt(2.0)))
+        # I_* = T_int y with y ~ Gamma(a); u = y^a takes the density's
+        # singularity at 0 out of the integrand
+        a = 0.5 * delta
+        moment, _ = integrate.quad(
+            lambda u: (W_BL.I + self.T_int * u ** (1.0 / a)) ** (1.0 - delta)
+            * np.exp(-u ** (1.0 / a)), 0.0, np.inf)
+        return 4.0 * np.pi * special.beta(a, a) * speed * moment / special.gamma(a + 1.0)
+
+    def estimates(self, delta):
+        M = two_temperature(resonant_spec(delta=delta), self.T_kin, self.T_int)
+        return [collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=200_000, seed=s))
+                for s in self.SEEDS]
+
+    @pytest.mark.parametrize("delta, rate", [(0.6, 135.880), (1.0, 65.181), (3.0, 1.9465)])
+    def test_every_seed_within_its_standard_error(self, delta, rate):
+        ref = self.closed_form(delta)
+        assert ref == pytest.approx(rate, rel=5e-5)
+        for est in self.estimates(delta):
+            assert abs(est.value - ref) <= 3.5 * est.stderr
+
+    def test_seed_spread_matches_the_standard_error_below_delta_one(self):
+        ests = self.estimates(0.6)
+        spread = np.std([e.value for e in ests], ddof=1)
+        assert spread <= 1.5 * np.median([e.stderr for e in ests])
 
 
 class TestWeakMoments:

@@ -1,23 +1,26 @@
 """The transition samplers against one hand-written sampler per family.
 
 The samplers below each draw their own partner state with their own copies
-of the proposal draws and derive their own Beta shapes and weight exponents
+of the proposal draws and derive their own Beta shapes and weight constants
 from the species' delta, with mono-poly as a separate copy of poly-mono that
-puts the internal energy on the second slot by hand.  ``sample_transition`` draws the partner once
-through ``sample_state``, takes the shapes and exponents from the pair law
-of its proposal and runs every exchange pair, two continuous species,
-poly-mono in either slot order and two monatomic species, through one
-sampler; every array of every batch must agree bit for bit, at each of
+puts the internal energy on the second slot by hand.  Each split variable
+is drawn from its Beta law, so its weight over the proposal is the constant
+4 pi times the Beta functions of its shapes.  ``sample_transition`` draws
+the partner once through ``sample_state``, takes the shapes and weight from
+the pair law of its proposal and runs every exchange pair, two continuous
+species, poly-mono in either slot order and two monatomic species, through
+one sampler; every array of every batch must agree bit for bit, at each of
 several reference equilibria the proposal is built on.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from scipy import special
-
 from polykin.collide import (
     PairKind,
+    _beta,
     beta_draw,
     bl_poly_mono,
     bl_poly_poly,
@@ -74,12 +77,19 @@ def _gamma_partner(M, rng, n, j):
     a = 0.5 * M.spec.species[j].energy.delta
     T = M.params.T_int
     I = rng.gamma(a, T, n)
-    return I, _pow_log(I, a - 1.0) - I / T - special.gammaln(a) - a * np.log(T)
+    return I, _pow_log(I, a - 1.0) - I / T - math.lgamma(a) - a * np.log(T)
 
 
 def _beta_draw(a, b, rng, n):
-    x = np.clip(beta_draw((a, b), rng, n), _TINY, 1.0 - 2**-53)
-    return x, _pow_log(x, a - 1.0) + _pow_log(1.0 - x, b - 1.0) - special.betaln(a, b)
+    return np.clip(beta_draw((a, b), rng, n), _TINY, 1.0 - 2**-53)
+
+
+def _log_weight(*shapes):
+    """log of 4 pi times the Beta function of each of ``shapes``."""
+    w = 4.0 * np.pi
+    for a, b in shapes:
+        w = w * _beta(a, b)
+    return math.log(w)
 
 
 def _gibbs_partner(M, rng, n, j):
@@ -97,22 +107,15 @@ def _bl_pair(spec, pair, law, kernel, v, I, M, rng, n):
     dj = spec.species[j].energy.delta
     v_star, lq_v = _gaussian_partner(M, rng, n, j)
     I_star, lq_I = _gamma_partner(M, rng, n, j)
-    r, lq_r = _beta_draw(0.5 * di, 0.5 * dj, rng, n)
-    R, lq_R = _beta_draw(1.5, 0.5 * (di + dj), rng, n)
+    r = _beta_draw(0.5 * di, 0.5 * dj, rng, n)
+    R = _beta_draw(1.5, 0.5 * (di + dj), rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
-    log_a = (
-        log_b
-        + _pow_log(r, 0.5 * di - 1.0)
-        + _pow_log(1.0 - r, 0.5 * dj - 1.0)
-        + _pow_log(1.0 - R, 0.5 * (di + dj) - 1.0)
-        + 0.5 * np.log(R)
-    )
-    log_q = lq_v + lq_I + lq_r + lq_R - _LOG_4PI
+    log_aq = log_b - (lq_v + lq_I - _log_weight((0.5 * di, 0.5 * dj), (1.5, 0.5 * (di + dj))))
     log_phi = _pow_log(I, 0.5 * di - 1.0) - _pow_log(Ip, 0.5 * di - 1.0)
     log_phi = log_phi + _pow_log(I_star, 0.5 * dj - 1.0) - _pow_log(Isp, 0.5 * dj - 1.0)
-    return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
+    return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
 
 
 def _resonant_pair(spec, pair, kernel, v, I, M, rng, n):
@@ -120,8 +123,7 @@ def _resonant_pair(spec, pair, kernel, v, I, M, rng, n):
     v_star, lq_v = _gaussian_partner(M, rng, n, 0)
     I_star, lq_I = _gamma_partner(M, rng, n, 0)
     Z = I + I_star
-    I_prime = rng.uniform(0.0, 1.0, n) * Z
-    lq_ip = -np.log(np.maximum(Z, _TINY))
+    I_prime = _beta_draw(0.5 * delta, 0.5 * delta, rng, n) * Z
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp = resonant_rule(v, v_star, I, I_star, I_prime, sigma)
     V = v - v_star
@@ -130,26 +132,24 @@ def _resonant_pair(spec, pair, kernel, v, I, M, rng, n):
     ctx = CollisionContext(rel_speed=g, cos_theta=np.sum(sigma * vhat, -1), I=I,
                            I_star=I_star, I_prime=I_prime, delta=delta)
     log_b = _log_b(kernel, ctx, False)
+    log_aq = log_b - (lq_v + lq_I - _log_weight((0.5 * delta, 0.5 * delta)))
     p = 0.5 * delta - 1.0
-    log_a = log_b + _pow_log(Ip, p) + _pow_log(Z - Ip, p) - _pow_log(Z, delta - 1.0)
-    log_q = lq_v + lq_I + lq_ip - _LOG_4PI
     log_phi = _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
-    return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_a - log_q, {})
+    return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
 
 
 def _poly_mono_pair(spec, pair, law, kernel, v, I, M, rng, n):
     i, j = pair
     di = spec.species[i].energy.delta
     v_star, lq_v = _gaussian_partner(M, rng, n, j)
-    R, lq_R = _beta_draw(1.5, 0.5 * di, rng, n)
+    R = _beta_draw(1.5, 0.5 * di, rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
+    log_aq = log_b - (lq_v - _log_weight((1.5, 0.5 * di)))
     p = 0.5 * di - 1.0
-    log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
-    log_q = lq_v + lq_R - _LOG_4PI
     log_phi = _pow_log(I, p) - _pow_log(Ip, p)
-    return (v, I, v_star, None, vp, Ip, vsp, None, log_phi, log_a - log_q, {})
+    return (v, I, v_star, None, vp, Ip, vsp, None, log_phi, log_aq, {})
 
 
 def _mono_poly_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
@@ -157,16 +157,15 @@ def _mono_poly_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     dj = spec.species[j].energy.delta
     v_star, lq_v = _gaussian_partner(M, rng, n, j)
     I_star, lq_I = _gamma_partner(M, rng, n, j)
-    R, lq_R = _beta_draw(1.5, 0.5 * dj, rng, n)
+    R = _beta_draw(1.5, 0.5 * dj, rng, n)
     sigma = unit_sphere(rng, n)
     # the internal energy rides with the second (polyatomic) particle
     vp, vsp, Isp, E = bl_poly_mono(v, v_star, I_star, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
+    log_aq = log_b - (lq_v + lq_I - _log_weight((1.5, 0.5 * dj)))
     p = 0.5 * dj - 1.0
-    log_a = log_b + _pow_log(1.0 - R, p) + 0.5 * np.log(R)
-    log_q = lq_v + lq_I + lq_R - _LOG_4PI
     log_phi = _pow_log(I_star, p) - _pow_log(Isp, p)
-    return (v, None, v_star, I_star, vp, None, vsp, Isp, log_phi, log_a - log_q, {})
+    return (v, None, v_star, I_star, vp, None, vsp, Isp, log_phi, log_aq, {})
 
 
 def _mono_mono_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
@@ -177,8 +176,8 @@ def _mono_mono_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     V = v - v_star
     E = 0.5 * law.mu * np.sum(V * V, -1)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
-    log_q = lq_v - _LOG_4PI
-    return (v, None, v_star, None, vp, None, vsp, None, np.zeros(n), log_b - log_q, {})
+    log_aq = log_b - (lq_v - _log_weight())
+    return (v, None, v_star, None, vp, None, vsp, None, np.zeros(n), log_aq, {})
 
 
 def _discrete_pair(spec, pair, law, kernel, v, lev, M, rng, n):
