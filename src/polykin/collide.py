@@ -61,7 +61,6 @@ __all__ = [
     "total_energy",
     "monatomic_rule",
     "bl_poly_poly",
-    "bl_poly_mono",
     "resonant_rule",
     "discrete_rule",
     "collide_monatomic",
@@ -133,6 +132,9 @@ class PairLaw:
     transition weight over the exchange parameters and the scattering
     direction without the kernel prefactor C: 4 pi B(beta_r) B(beta_R),
     which is 16 pi/15 for two continuous species at delta = 2.
+    ``r_fixed`` is the split of a pair with internal energy on one side, for
+    :func:`bl_poly_poly` with 0 on the other: 1.0 (poly-mono), 0.0
+    (mono-poly), None for every other family.
     ``levels_i`` and ``levels_j`` are the level tables of a disc-disc pair,
     each species' ``DiscreteLevels.table``, and None for every other family;
     they take no part in comparison.
@@ -145,6 +147,7 @@ class PairLaw:
     beta_r: tuple[float, float] | None
     beta_R: tuple[float, float] | None
     weight: float
+    r_fixed: float | None = None
     levels_i: tuple | None = field(default=None, compare=False, repr=False)
     levels_j: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -214,17 +217,17 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
     with a continuous or monatomic one).
     """
     ei, ej = spec.species[i].energy, spec.species[j].energy
-    beta_r = beta_R = levels_i = levels_j = None
+    beta_r = beta_R = r_fixed = levels_i = levels_j = None
     if isinstance(ei, ContinuousEnergy) and isinstance(ej, ContinuousEnergy):
         kind = PairKind.CONT_CONT
         beta_r = (0.5 * ei.delta, 0.5 * ej.delta)
         beta_R = (1.5, 0.5 * (ei.delta + ej.delta))
     elif isinstance(ei, ContinuousEnergy) and isinstance(ej, Monatomic):
         kind = PairKind.POLY_MONO
-        beta_R = (1.5, 0.5 * ei.delta)
+        beta_R, r_fixed = (1.5, 0.5 * ei.delta), 1.0
     elif isinstance(ei, Monatomic) and isinstance(ej, ContinuousEnergy):
         kind = PairKind.MONO_POLY
-        beta_R = (1.5, 0.5 * ej.delta)
+        beta_R, r_fixed = (1.5, 0.5 * ej.delta), 0.0
     elif isinstance(ei, Monatomic) and isinstance(ej, Monatomic):
         kind = PairKind.MONO_MONO
     elif isinstance(ei, DiscreteLevels) and isinstance(ej, DiscreteLevels):
@@ -239,7 +242,7 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
         weight *= _beta(*beta_R)
     mi, mj = spec.species[i].mass, spec.species[j].mass
     return PairLaw(kind=kind, m_i=mi, m_j=mj, mu=mi * mj / (mi + mj),
-                   beta_r=beta_r, beta_R=beta_R, weight=float(weight),
+                   beta_r=beta_r, beta_R=beta_R, weight=float(weight), r_fixed=r_fixed,
                    levels_i=levels_i, levels_j=levels_j)
 
 
@@ -322,19 +325,6 @@ def bl_poly_poly(v, v_star, I, I_star, r, R, sigma, m: float, m_star: float | No
     Ip = r * (1.0 - R) * E
     Isp = (1.0 - r) * (1.0 - R) * E
     return vp, vsp, Ip, Isp, E
-
-
-def bl_poly_mono(v, v_star, I, R, sigma, m: float, m_star: float):
-    """Exchange collision where only one particle carries internal energy.
-
-    Returns (v', v'_*, I_post, E) with I_post = (1 - R)E attached to
-    whichever particle is polyatomic.  The pair is taken in slot order, so
-    sigma lies along v' - v'_* whichever slot that is: this is
-    :func:`bl_poly_poly` against a partner with no internal energy and the
-    whole internal share on ``I``'s side (r = 1).
-    """
-    vp, vsp, I_post, _, E = bl_poly_poly(v, v_star, I, 0.0, 1.0, R, sigma, m, m_star)
-    return vp, vsp, I_post, E
 
 
 def resonant_rule(v, v_star, I, I_star, I_prime, sigma):
@@ -527,10 +517,11 @@ def collide_borgnakke_larsen(
 ) -> CollisionOutcome:
     """Exchange collision dispatched on which of the two particles is polyatomic.
 
-    Both polyatomic -> BorgnakkeLarsenParams; exactly one -> PolyMonoParams;
-    neither -> MonatomicParams.  A params variant that does not match the
-    pair raises ValueError.  The jacobian field is only filled for the
-    equal-mass two-polyatomic case.
+    Both polyatomic -> BorgnakkeLarsenParams; exactly one -> PolyMonoParams,
+    whose pair takes the law's fixed split ``r_fixed``; neither ->
+    MonatomicParams.  A params variant that does not match the pair raises
+    ValueError.  The jacobian field is only filled for the equal-mass
+    two-polyatomic case.
     """
     law = pair_law(spec, s1.species, s2.species)
     m1, m2 = law.m_i, law.m_j
@@ -538,41 +529,37 @@ def collide_borgnakke_larsen(
         raise ValueError("exchange collisions need continuous or monatomic species")
     I1, I2 = internal_variable(spec, s1), internal_variable(spec, s2)
 
-    if law.kind is PairKind.CONT_CONT:
-        if not isinstance(params, BorgnakkeLarsenParams):
-            raise ValueError("two polyatomic particles need BorgnakkeLarsenParams")
-        vp, vsp, Ip, Isp, E = bl_poly_poly(
-            s1.v, s2.v, I1, I2, params.r, params.R, params.sigma, m1, m2
-        )
-        jac = jacobian_bl(params.r, params.R) if (m1 == m2 and params.r < 1 and params.R < 1) else None
+    if law.kind is PairKind.MONO_MONO:
+        if not isinstance(params, MonatomicParams):
+            raise ValueError("two monatomic particles need MonatomicParams")
+        vp, vsp = monatomic_rule(s1.v, s2.v, params.sigma, m1, m2)
+        E = total_energy(spec, s1, s2)
         post = (
-            ParticleState(v=vp, species=s1.species, I=float(Ip)),
-            ParticleState(v=vsp, species=s2.species, I=float(Isp)),
-        )
-        return CollisionOutcome(post=post, admissible=True, E=float(E), jacobian=jac)
-
-    if law.kind is not PairKind.MONO_MONO:
-        if not isinstance(params, PolyMonoParams):
-            raise ValueError("a polyatomic-monatomic pair needs PolyMonoParams")
-        poly1 = law.kind is PairKind.POLY_MONO
-        vp, vsp, I_post, E = bl_poly_mono(
-            s1.v, s2.v, I1 if poly1 else I2, params.R, params.sigma, m1, m2
-        )
-        post = (
-            ParticleState(v=vp, species=s1.species, I=float(I_post) if poly1 else None),
-            ParticleState(v=vsp, species=s2.species, I=None if poly1 else float(I_post)),
+            ParticleState(v=vp, species=s1.species),
+            ParticleState(v=vsp, species=s2.species),
         )
         return CollisionOutcome(post=post, admissible=True, E=float(E))
 
-    if not isinstance(params, MonatomicParams):
-        raise ValueError("two monatomic particles need MonatomicParams")
-    vp, vsp = monatomic_rule(s1.v, s2.v, params.sigma, m1, m2)
-    E = total_energy(spec, s1, s2)
-    post = (
-        ParticleState(v=vp, species=s1.species),
-        ParticleState(v=vsp, species=s2.species),
+    jac = None
+    if law.kind is PairKind.CONT_CONT:
+        if not isinstance(params, BorgnakkeLarsenParams):
+            raise ValueError("two polyatomic particles need BorgnakkeLarsenParams")
+        r = params.r
+        if m1 == m2 and params.r < 1 and params.R < 1:
+            jac = jacobian_bl(params.r, params.R)
+    else:
+        if not isinstance(params, PolyMonoParams):
+            raise ValueError("a polyatomic-monatomic pair needs PolyMonoParams")
+        r = law.r_fixed
+    vp, vsp, Ip, Isp, E = bl_poly_poly(
+        s1.v, s2.v, 0.0 if I1 is None else I1, 0.0 if I2 is None else I2,
+        r, params.R, params.sigma, m1, m2
     )
-    return CollisionOutcome(post=post, admissible=True, E=float(E))
+    post = (
+        ParticleState(v=vp, species=s1.species, I=None if I1 is None else float(Ip)),
+        ParticleState(v=vsp, species=s2.species, I=None if I2 is None else float(Isp)),
+    )
+    return CollisionOutcome(post=post, admissible=True, E=float(E), jacobian=jac)
 
 
 def collide_resonant(

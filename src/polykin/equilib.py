@@ -12,9 +12,9 @@ discrete families; with distinct temperatures it is the resonant-family
 equilibrium (and doubles as a handy non-equilibrium state for the other
 families).
 
-Detailed balance is checked in log space: the residual M'M'_* Phi - M M_* is
-evaluated as exp(log-loss) * expm1(log-gain - log-loss), which keeps the
-relative error near machine precision even deep in the tails.
+Detailed balance is checked in log space: the relative residual
+(M'M'_* Phi - M M_*) / (M M_*) is evaluated as expm1(log-gain - log-loss),
+which keeps the relative error near machine precision even deep in the tails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collide import ParticleState, internal_variable, sq_norm
+from .collide import ParticleState, _beta, internal_variable, sq_norm
 from .model import ContinuousEnergy, DiscreteLevels, EnergyModel, MixtureSpec, Monatomic
 
 __all__ = [
@@ -84,15 +84,17 @@ class EquilibriumParams:
 def partition_function(energy: EnergyModel, T: float) -> float:
     """Internal-energy partition function at temperature T.
 
-    Continuous: Gamma(delta/2) T^(delta/2); discrete: the weighted Gibbs
-    sum; monatomic: 1.
+    Continuous: Gamma(delta/2) T^(delta/2), inf where a factor overflows;
+    discrete: the weighted Gibbs sum; monatomic: 1.
     """
     if isinstance(energy, Monatomic):
         return 1.0
     if isinstance(energy, ContinuousEnergy):
-        from scipy import special
-
-        return float(special.gamma(0.5 * energy.delta) * T ** (0.5 * energy.delta))
+        a = 0.5 * energy.delta
+        try:
+            return float(math.gamma(a) * T**a)
+        except OverflowError:
+            return math.inf
     if isinstance(energy, DiscreteLevels):
         E, g = energy.table
         return float(np.sum(g * np.exp(-E / T)))
@@ -119,17 +121,16 @@ def _pow_log(x, p: float):
 def psi_res(Z, delta: float):
     """Self-convolution of the internal-energy weight at total energy Z.
 
-    Equals Z^(delta-1) * Gamma(delta/2)^2 / Gamma(delta); vectorized in Z.
+    Equals Z^(delta-1) * B(delta/2, delta/2), with B = Gamma(delta/2)^2 /
+    Gamma(delta) from ``collide._beta``, which stays finite where the Gamma
+    values overflow; vectorized in Z.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     Z = np.asarray(Z, dtype=float)
     if np.any(Z < 0):
         raise ValueError("total internal energy must be nonnegative")
-    from scipy import special
-
-    c = special.gamma(0.5 * delta) ** 2 / special.gamma(delta)
-    out = c * Z ** (delta - 1.0)
+    out = _beta(0.5 * delta, 0.5 * delta) * Z ** (delta - 1.0)
     return out if out.ndim else float(out)
 
 
@@ -239,16 +240,14 @@ def detailed_balance_residual(
     pre: Sequence[tuple],
     post: Sequence[tuple],
     species: tuple[int, int] = (0, 0),
-    relative: bool = False,
 ):
-    """Detailed-balance residual M'M'_* Phi - M M_* for batched collisions.
+    """Relative detailed-balance residual (M'M'_* Phi - M M_*) / (M M_*) for
+    batched collisions, computed stably as expm1 of the log difference.
 
     ``pre`` and ``post`` are pairs ((v1, internal1), (v2, internal2)) of
     batched arrays; ``species`` names the two colliding species.  Phi is the
     ratio of pre to post internal-energy weights, the factor that makes the
-    strong (pointwise) form of detailed balance hold at equilibrium.  With
-    ``relative=True`` the residual is divided by M M_* (computed stably via
-    expm1 of the log difference).
+    strong (pointwise) form of detailed balance hold at equilibrium.
     """
     (v1, i1), (v2, i2) = pre
     (w1, j1), (w2, j2) = post
@@ -258,8 +257,7 @@ def detailed_balance_residual(
     log_phi = _log_phi_side(M.spec.species[i].energy, i1, j1) + _log_phi_side(
         M.spec.species[j].energy, i2, j2
     )
-    rel = np.expm1(log_gain + log_phi - log_loss)
-    return rel if relative else np.exp(log_loss) * rel
+    return np.expm1(log_gain + log_phi - log_loss)
 
 
 # ---------------------------------------------------------------------------

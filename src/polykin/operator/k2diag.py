@@ -81,10 +81,20 @@ def _edge_nodes(eps: float):
     return nodes, weights
 
 
+def _edge_exponents(delta: float, zeta: float) -> dict[str, float]:
+    """The power of each edge factor of G without psi: r^(d/2-2),
+    (1-r)^(d-3-z), the plain R and (1-R)^(3d/2-3-z)."""
+    return {
+        "r -> 0": 0.5 * delta - 2.0,
+        "r -> 1": delta - 3.0 - zeta,
+        "R -> 0": 1.0,
+        "R -> 1": 1.5 * delta - 3.0 - zeta,
+    }
+
+
 def _integrand(delta: float, zeta: float, psi: Callable | None):
-    er1 = delta - 3.0 - zeta
-    er0 = 0.5 * delta - 2.0
-    eR1 = 1.5 * delta - 3.0 - zeta
+    e = _edge_exponents(delta, zeta)
+    er0, er1, eR1 = e["r -> 0"], e["r -> 1"], e["R -> 1"]
 
     def g(r, R):
         base = (1.0 - r) ** er1 * r**er0 * R * (1.0 - R) ** eR1
@@ -143,12 +153,7 @@ def k2_integrability_diagnostic(
     numeric = cauchy_change < _CAUCHY_TOL
 
     if psi is None:
-        exps = {
-            "r -> 0": 0.5 * delta - 2.0,
-            "r -> 1": delta - 3.0 - zeta,
-            "R -> 0": 1.0,
-            "R -> 1": 1.5 * delta - 3.0 - zeta,
-        }
+        exps = _edge_exponents(delta, zeta)
     else:
         exps = {name: _edge_slope(g, key) for name, key in
                 [("r -> 0", "r0"), ("r -> 1", "r1"), ("R -> 0", "R0"), ("R -> 1", "R1")]}

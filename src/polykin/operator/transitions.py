@@ -36,7 +36,6 @@ from ..collide import (
     PairLaw,
     _beta,
     beta_draw,
-    bl_poly_mono,
     bl_poly_poly,
     discrete_rule,
     monatomic_rule,
@@ -132,16 +131,17 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     if law.beta_R is not None:
         R = _beta_draw(law.beta_R, rng, n)
     sigma = unit_sphere(rng, n)
-    Ip = Isp = None
-    if law.kind is PairKind.CONT_CONT:
-        vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
-    elif law.kind is PairKind.POLY_MONO:
-        vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
-    elif law.kind is PairKind.MONO_POLY:
-        vp, vsp, Isp, E = bl_poly_mono(v, v_star, I_star, R, sigma, law.m_i, law.m_j)
-    else:
+    if law.kind is PairKind.MONO_MONO:
         vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
         E = 0.5 * law.mu * sq_norm(v - v_star)
+        Ip = Isp = None
+    else:
+        # a monatomic slot goes in with internal energy 0 and comes out None
+        vp, vsp, Ip, Isp, E = bl_poly_poly(
+            v, v_star, 0.0 if I is None else I, 0.0 if I_star is None else I_star,
+            law.r_fixed if r is None else r, R, sigma, law.m_i, law.m_j)
+        Ip = None if I is None else Ip
+        Isp = None if I_star is None else Isp
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), law.beta_r is not None)
     log_phi = np.zeros(n)
     for k, (pre, post) in enumerate(((I, Ip), (I_star, Isp))):

@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collide import (PairKind, PairLaw, beta_draw, bl_poly_mono, bl_poly_poly, discrete_rule,
-                      monatomic_rule, pair_law, sq_norm, unit_sphere)
+from .collide import (PairKind, PairLaw, beta_draw, bl_poly_poly, discrete_rule, monatomic_rule,
+                      pair_law, sq_norm, unit_sphere)
 from .equilib import EquilibriumParams, Maxwellian, internal_temperature, mean_internal_energy
 from .model import (
     ContinuousEnergy,
@@ -478,19 +478,18 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
              r: np.ndarray, R: np.ndarray, sigma: np.ndarray) -> int:
     """Collide the disjoint pairs (a, b) in place; return how many collided.
 
-    For discrete species ``r`` holds the channel-selecting uniforms.
+    For discrete species ``r`` holds the channel-selecting uniforms; a pair
+    with internal energy on one side takes the law's fixed split instead.
     """
     law, v, I = pt.law, ensemble.v, ensemble.internal
-    if law.kind is PairKind.CONT_CONT:
-        v[a], v[b], I[a], I[b], _ = bl_poly_poly(v[a], v[b], I[a], I[b], r, R, sigma,
-                                                 law.m_i, law.m_j)
-    elif law.kind in (PairKind.POLY_MONO, PairKind.MONO_POLY):
-        p = a if law.kind is PairKind.POLY_MONO else b
-        v[a], v[b], I[p], _ = bl_poly_mono(v[a], v[b], I[p], R, sigma, law.m_i, law.m_j)
-    elif law.kind is PairKind.MONO_MONO:
+    if law.kind is PairKind.DISC_DISC:
+        return _collide_discrete(ensemble, pt, a, b, r, sigma)
+    if law.kind is PairKind.MONO_MONO:
         v[a], v[b] = monatomic_rule(v[a], v[b], sigma, law.m_i, law.m_j)
     else:
-        return _collide_discrete(ensemble, pt, a, b, r, sigma)
+        r = r if law.r_fixed is None else law.r_fixed
+        v[a], v[b], I[a], I[b], _ = bl_poly_poly(v[a], v[b], I[a], I[b], r, R, sigma,
+                                                 law.m_i, law.m_j)
     return a.size
 
 

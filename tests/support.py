@@ -43,9 +43,11 @@ def equilibrium_collisions_bl(M, n, rng, species=(0, 0)):
     """Random exchange collisions with pre states drawn from M.
 
     Returns (pre, post) in the shape detailed_balance_residual expects.
-    Dispatches on which side is polyatomic.
+    Dispatches on which side is polyatomic; a one-sided pair is the
+    exchange with internal energy 0 on the monatomic side and the whole
+    internal share on the polyatomic one.
     """
-    from polykin.collide import bl_poly_mono, bl_poly_poly, monatomic_rule
+    from polykin.collide import bl_poly_poly, monatomic_rule
 
     i, j = species
     spi, spj = M.spec.species[i], M.spec.species[j]
@@ -56,11 +58,12 @@ def equilibrium_collisions_bl(M, n, rng, species=(0, 0)):
     R = rng.uniform(0.0, 1.0, n)
     if spi.polyatomic and spj.polyatomic:
         w1, w2, J1, J2, _ = bl_poly_poly(v1, v2, I1, I2, r, R, sig, spi.mass, spj.mass)
-    elif spi.polyatomic != spj.polyatomic:
-        I = I1 if spi.polyatomic else I2
-        w1, w2, I_post, _ = bl_poly_mono(v1, v2, I, R, sig, spi.mass, spj.mass)
-        J1 = I_post if spi.polyatomic else None
-        J2 = I_post if spj.polyatomic else None
+    elif spi.polyatomic:
+        w1, w2, J1, _, _ = bl_poly_poly(v1, v2, I1, 0.0, 1.0, R, sig, spi.mass, spj.mass)
+        J2 = None
+    elif spj.polyatomic:
+        w1, w2, _, J2, _ = bl_poly_poly(v1, v2, 0.0, I2, 0.0, R, sig, spi.mass, spj.mass)
+        J1 = None
     else:
         w1, w2 = monatomic_rule(v1, v2, sig, spi.mass, spj.mass)
         J1 = J2 = None

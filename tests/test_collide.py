@@ -400,6 +400,17 @@ class TestPairLaw:
         assert pair_law(mono, 0, 0).kind == "mono-mono"
         assert pair_law(mixture_disc_spec(), 0, 1).kind == "disc-disc"
 
+    def test_fixed_split_only_for_one_sided_pairs(self):
+        # the polyatomic side takes the whole internal share: r = 1 in the
+        # first slot, r = 0 in the second; every other family has no fixed r
+        mixed = mixture_cont_spec(delta_b=None)
+        mono = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0))
+        assert pair_law(mixed, 0, 1).r_fixed == 1.0
+        assert pair_law(mixed, 1, 0).r_fixed == 0.0
+        for law in (pair_law(bl_spec(), 0, 0), pair_law(mono, 0, 0),
+                    pair_law(mixture_disc_spec(), 0, 1)):
+            assert law.r_fixed is None
+
     def test_beta_shapes_and_masses(self):
         law = pair_law(mixture_cont_spec(delta_a=2.0, delta_b=3.0, m_a=1.0, m_b=2.0), 0, 1)
         assert law.beta_r == (1.0, 1.5)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import bl_poly_mono, sq_norm, unit_sphere
+from polykin.collide import bl_poly_poly, sq_norm, unit_sphere
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, MixtureSpec,
                            Monatomic, PowerLawE, PsiWeighted, Species, eval_kernel,
@@ -62,13 +62,14 @@ def test_sq_norm_on_a_k1_block():
 
 
 # ---------------------------------------------------------------------------
-# the poly-mono exchange rule and the plain split-weighted kernel
+# the one-sided exchange and the plain split-weighted kernel
 # ---------------------------------------------------------------------------
 
 
 def bl_poly_mono_reference(v, v_star, I, R, sigma, m, m_star):
-    """The poly-mono rule as written before it became bl_poly_poly at r = 1
-    against a partner without internal energy."""
+    """The poly-mono rule as written before it became bl_poly_poly at a
+    fixed split against a partner without internal energy: returns
+    (v', v'_*, I_post, E) with I_post on the polyatomic particle."""
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
     mu = m * m_star / (m + m_star)
@@ -93,15 +94,22 @@ def exchange_rows(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_bl_poly_mono_matches_its_own_formula(seed):
-    # 8 mass pairs in [0.1, 5] with 25000 rows each: 2e5 rows
+@pytest.mark.parametrize("poly_slot", [0, 1], ids=["poly-mono", "mono-poly"])
+def test_one_sided_exchange_matches_the_poly_mono_formula(poly_slot, seed):
+    # 8 mass pairs in [0.1, 5] with 25000 rows each: 2e5 rows per slot order;
+    # the polyatomic slot takes the whole internal share (r = 1 first, r = 0
+    # second) and the monatomic slot, in with 0, comes out +0.0
     rng = np.random.default_rng(seed)
     m, m_star = 10.0 ** rng.uniform(-1.0, np.log10(5.0), 2)
-    rows = exchange_rows(rng, 25_000)
-    got = bl_poly_mono(*rows, m, m_star)
-    want = bl_poly_mono_reference(*rows, m, m_star)
-    for a, b in zip(got, want):
+    v, v_star, I, R, sigma = exchange_rows(rng, 25_000)
+    if poly_slot == 0:
+        vp, vsp, I_post, I_mono, E = bl_poly_poly(v, v_star, I, 0.0, 1.0, R, sigma, m, m_star)
+    else:
+        vp, vsp, I_mono, I_post, E = bl_poly_poly(v, v_star, 0.0, I, 0.0, R, sigma, m, m_star)
+    want = bl_poly_mono_reference(v, v_star, I, R, sigma, m, m_star)
+    for a, b in zip((vp, vsp, I_post, E), want):
         assert np.array_equal(bits(a), bits(b))
+    assert np.array_equal(bits(I_mono), bits(np.zeros(I.size)))
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.4, 2.0, -0.7, -3.0])

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import (PairKind, beta_draw, bl_poly_mono, bl_poly_poly, discrete_rule,
-                             monatomic_rule)
+from polykin.collide import PairKind, beta_draw, bl_poly_poly, discrete_rule, monatomic_rule
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec
 
@@ -52,12 +51,12 @@ def _apply_continuous(ensemble, pt, a, b, r, R, sigma):
         ensemble.internal[a] = J1[0]
         ensemble.internal[b] = J2[0]
     elif law.kind is PairKind.POLY_MONO:
-        w1, w2, J, _ = bl_poly_mono(v1, v2, ensemble.internal[a:a + 1],
-                                    np.array([R]), sig, law.m_i, law.m_j)
+        w1, w2, J, _, _ = bl_poly_poly(v1, v2, ensemble.internal[a:a + 1], 0.0, 1.0,
+                                       np.array([R]), sig, law.m_i, law.m_j)
         ensemble.internal[a] = J[0]
     elif law.kind is PairKind.MONO_POLY:
-        w1, w2, J, _ = bl_poly_mono(v1, v2, ensemble.internal[b:b + 1],
-                                    np.array([R]), sig, law.m_i, law.m_j)
+        w1, w2, _, J, _ = bl_poly_poly(v1, v2, 0.0, ensemble.internal[b:b + 1], 0.0,
+                                       np.array([R]), sig, law.m_i, law.m_j)
         ensemble.internal[b] = J[0]
     else:
         w1, w2 = monatomic_rule(v1, v2, sig, law.m_i, law.m_j)

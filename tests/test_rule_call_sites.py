@@ -3,14 +3,19 @@
 A traced run counts collision-rule calls by replacing the rule names that
 ``relax`` and ``operator.transitions`` import (``perfbench/layers.py``).  A
 rule reached any other way, through a dispatcher in ``collide`` or a local
-alias, would read 0 calls there.  These tests wrap the same names with
-counters and check that each family's path calls its rule through them.
+alias, would read 0 calls there, and so would a rule those modules import
+that the tracer's list does not name.  These tests wrap the same names with
+counters and check that each family's path calls its rule through them, and
+that the tracer's list names every rule the two modules import.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polykin import relax
+from polykin import collide, relax
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import Monatomic, PowerLawE, single_species
 from polykin.operator import transitions
@@ -18,7 +23,9 @@ from polykin.operator.transitions import make_proposal, sample_state
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec
 
-RULES = ("bl_poly_poly", "bl_poly_mono", "discrete_rule", "monatomic_rule", "resonant_rule")
+# the collision rules of collide's array layer
+RULES = tuple(n for n in collide.__all__ if n.endswith("_rule") or n.startswith("bl_"))
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 MONO_MONO = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.4), mass=1.5)
 
 
@@ -39,8 +46,8 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("spec, pair, rule", [
     (bl_spec(delta=2.5, zeta=0.6), (0, 0), "bl_poly_poly"),
-    (mixture_cont_spec(delta_b=None), (0, 1), "bl_poly_mono"),
-    (mixture_cont_spec(delta_b=None), (1, 0), "bl_poly_mono"),
+    (mixture_cont_spec(delta_b=None), (0, 1), "bl_poly_poly"),
+    (mixture_cont_spec(delta_b=None), (1, 0), "bl_poly_poly"),
     (MONO_MONO, (0, 0), "monatomic_rule"),
     (mixture_disc_spec(), (0, 1), "discrete_rule"),
     (resonant_spec(delta=3.0), (0, 0), "resonant_rule"),
@@ -57,7 +64,7 @@ def test_transition_sampler_calls_its_rule_once(calls, spec, pair, rule):
 
 @pytest.mark.parametrize("spec, rules", [
     (bl_spec(), {"bl_poly_poly"}),
-    (mixture_cont_spec(delta_b=None), {"bl_poly_poly", "bl_poly_mono", "monatomic_rule"}),
+    (mixture_cont_spec(delta_b=None), {"bl_poly_poly", "monatomic_rule"}),
     (MONO_MONO, {"monatomic_rule"}),
     (discrete_spec(), {"discrete_rule"}),
 ], ids=["continuous", "poly-mono", "mono-mono", "discrete"])
@@ -67,3 +74,23 @@ def test_relax_step_calls_its_rules(calls, spec, rules):
     relax.step(ensemble, cfg)
     assert ensemble.collisions > 0
     assert set(calls) == {("polykin.relax", rule) for rule in rules}
+
+
+def traced_rules() -> tuple:
+    """``COLLISION_RULES`` of ``perfbench/layers.py``, read from its source."""
+    for node in ast.parse(LAYERS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "COLLISION_RULES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{LAYERS} assigns no COLLISION_RULES")
+
+
+def test_rules_are_the_array_layer():
+    assert set(RULES) == {"bl_poly_poly", "discrete_rule", "monatomic_rule", "resonant_rule"}
+
+
+@pytest.mark.parametrize("module", [relax, transitions], ids=["relax", "transitions"])
+def test_tracer_wraps_every_rule_the_module_imports(module):
+    imported = {n for n in RULES if vars(module).get(n) is getattr(collide, n)}
+    assert imported
+    assert imported <= set(traced_rules())

@@ -22,7 +22,6 @@ from polykin.collide import (
     PairKind,
     _beta,
     beta_draw,
-    bl_poly_mono,
     bl_poly_poly,
     discrete_rule,
     monatomic_rule,
@@ -144,7 +143,7 @@ def _poly_mono_pair(spec, pair, law, kernel, v, I, M, rng, n):
     v_star, lq_v = _gaussian_partner(M, rng, n, j)
     R = _beta_draw(1.5, 0.5 * di, rng, n)
     sigma = unit_sphere(rng, n)
-    vp, vsp, Ip, E = bl_poly_mono(v, v_star, I, R, sigma, law.m_i, law.m_j)
+    vp, vsp, Ip, _, E = bl_poly_poly(v, v_star, I, 0.0, 1.0, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
     log_aq = log_b - (lq_v - _log_weight((1.5, 0.5 * di)))
     p = 0.5 * di - 1.0
@@ -160,7 +159,7 @@ def _mono_poly_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     R = _beta_draw(1.5, 0.5 * dj, rng, n)
     sigma = unit_sphere(rng, n)
     # the internal energy rides with the second (polyatomic) particle
-    vp, vsp, Isp, E = bl_poly_mono(v, v_star, I_star, R, sigma, law.m_i, law.m_j)
+    vp, vsp, _, Isp, E = bl_poly_poly(v, v_star, 0.0, I_star, 0.0, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
     log_aq = log_b - (lq_v + lq_I - _log_weight((1.5, 0.5 * dj)))
     p = 0.5 * dj - 1.0
