@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .operator import k2_integrability_diagnostic
+from .operator.k2diag import _edge_exponents
 
 __all__ = [
     "HypothesisId",
@@ -90,6 +91,16 @@ class Verdict:
         return json.dumps(self.to_dict())
 
 
+def _check_inputs(**values: float) -> None:
+    """Raise ValueError if a delta is not positive (NaN included), else name
+    the first value that is NaN or infinite."""
+    if not all(value > 0 for name, value in values.items() if name.startswith("delta")):
+        raise ValueError("delta must be positive")
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def _verdict(hyp: HypothesisId, conditions) -> Verdict:
     """Build a Verdict from (text, slack, strict) triples."""
     satisfied = all(
@@ -134,8 +145,7 @@ def check_single(
     delegates to the numeric integrability diagnostic, including the
     mirrored edge exponents that govern the third compact contribution.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_inputs(delta=delta, zeta=zeta)
     if hyp == HypothesisId.H2_single_BL:
         if extended:
             upper = (f"zeta <= {delta + 1.0:g}", delta + 1.0 - zeta, False)
@@ -176,8 +186,7 @@ def check_resonant(delta: float, zeta: float, zeta1: float, zeta2: float) -> Ver
     """H4: the kernel is dominated by a product of a velocity factor and an
     internal-energy factor; admissible exponents are zeta in [0,1),
     zeta1 in [0,1/2), zeta2 in (-delta, delta)."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_inputs(delta=delta, zeta=zeta, zeta1=zeta1, zeta2=zeta2)
     return _verdict(
         HypothesisId.H4_resonant,
         [
@@ -195,6 +204,7 @@ def check_discrete(zeta: float) -> Verdict:
     """H5: the discrete-level bound carries an E^(1/2) prefactor, shifting
     the admissible exponent window to -1 < zeta <= 1; the level structure
     itself plays no role."""
+    _check_inputs(zeta=zeta)
     return _verdict(
         HypothesisId.H5_discrete,
         [
@@ -210,9 +220,21 @@ def _zeta_matrix(zetas, n: int) -> np.ndarray:
         z = np.full((n, n), float(z))
     if z.shape != (n, n):
         raise ValueError("zetas must be a scalar or an N x N matrix")
+    _check_inputs(**{f"zeta[{i}][{j}]": z[i, j] for i, j in np.ndindex(n, n)})
     if not np.allclose(z, z.T, rtol=0.0, atol=0.0):
         raise ValueError("zetas must be symmetric")
     return z
+
+
+# H7's edge conditions in verdict order: the K2 table's edge each bounds
+# (exponent > -1) and its text; R -> 0 is a fixed power 1 and never binds
+_H7_EDGES = (
+    ("r -> 1 (mirror)", "(1-r) exponent delta[{j}]/2 - 2 > -1"),
+    ("r -> 0 (mirror)", "r exponent (delta[{i}]+delta[{j}])/2 - 3 - zeta > -1"),
+    ("r -> 1", "(1-r) exponent delta[{j}] - 3 - zeta > -1"),
+    ("r -> 0", "r exponent delta[{i}]/2 - 2 > -1"),
+    ("R -> 1", "(1-R) exponent delta[{i}]/2 + delta[{j}] - 3 - zeta > -1"),
+)
 
 
 def check_mixture(
@@ -232,8 +254,7 @@ def check_mixture(
     ds = [float(d) for d in deltas]
     if not ds:
         raise ValueError("need at least one species")
-    if not all(d > 0 for d in ds):
-        raise ValueError("delta must be positive")
+    _check_inputs(**{f"delta[{k}]": d for k, d in enumerate(ds)})
     n = len(ds)
     z = _zeta_matrix(zetas, n)
     if hyp not in (HypothesisId.H6_mixture_BL, HypothesisId.H7_mixture_Psi):
@@ -254,39 +275,11 @@ def check_mixture(
                     (f"zeta[{i}][{j}] > -1", zij + 1.0, True),
                     (f"delta[{i}] >= 2", di - 2.0, False),
                     (f"delta[{j}] >= 2", dj - 2.0, False),
-                    (
-                        f"delta[{i}] - delta[{j}] <= {2.0 + zij:g}",
-                        2.0 + zij - (di - dj),
-                        False,
-                    ),
-                    # edge exponents of the two reduced split-variable
-                    # integrands; R -> 0 is a fixed power 1 and never binds
-                    (
-                        f"(1-r) exponent delta[{j}]/2 - 2 > -1",
-                        0.5 * dj - 1.0,
-                        True,
-                    ),
-                    (
-                        f"r exponent (delta[{i}]+delta[{j}])/2 - 3 - zeta > -1",
-                        0.5 * (di + dj) - 2.0 - zij,
-                        True,
-                    ),
-                    (
-                        f"(1-r) exponent delta[{j}] - 3 - zeta > -1",
-                        dj - 2.0 - zij,
-                        True,
-                    ),
-                    (
-                        f"r exponent delta[{i}]/2 - 2 > -1",
-                        0.5 * di - 1.0,
-                        True,
-                    ),
-                    (
-                        f"(1-R) exponent delta[{i}]/2 + delta[{j}] - 3 - zeta > -1",
-                        0.5 * di + dj - 2.0 - zij,
-                        True,
-                    ),
+                    (f"delta[{i}] - delta[{j}] <= {2.0 + zij:g}", 2.0 + zij - (di - dj), False),
                 ]
+                slack = _edge_exponents(di, dj, zij, shift=1.0)
+                conditions += [(text.format(i=i, j=j), slack[edge], True)
+                               for edge, text in _H7_EDGES]
             out[(i, j)] = _verdict(hyp, conditions)
     return out
 

@@ -285,7 +285,11 @@ def single_species(
 
 
 def validate(spec: MixtureSpec) -> list[str]:
-    """Return a deterministic list of constraint violations (empty if valid)."""
+    """Return a deterministic list of constraint violations (empty if valid).
+
+    Only that a spec is well formed is checked; whether a kernel meets a
+    compactness hypothesis (H2-H7, the resonant window H4 included) is
+    decided by :mod:`polykin.hypotheses`."""
     errs: list[str] = []
     if not spec.species:
         errs.append("species: at least one species required")
@@ -323,30 +327,17 @@ def validate(spec: MixtureSpec) -> list[str]:
             ker = spec.kernels[i][j]
             if not 0 <= ker.C < math.inf:
                 errs.append(f"kernels[{i}][{j}]: prefactor C must be nonnegative and finite")
-            if not math.isfinite(ker.zeta):
-                errs.append(f"kernels[{i}][{j}]: zeta must be finite")
+            for name in ("zeta", "zeta1", "zeta2"):
+                if not math.isfinite(getattr(ker, name, 0.0)):
+                    errs.append(f"kernels[{i}][{j}]: {name} must be finite")
             if i < j and ker != spec.kernels[j][i]:
                 errs.append(f"kernels[{i}][{j}]: kernel table must be symmetric")
             if isinstance(ker, ResonantTensored):
-                sp = spec.species[i]
-                if n != 1 or not isinstance(sp.energy, ContinuousEnergy):
-                    errs.append(
-                        f"kernels[{i}][{j}]: resonant kernel requires a single "
-                        "continuous-energy species"
-                    )
+                if n != 1 or not isinstance(spec.species[i].energy, ContinuousEnergy):
+                    errs.append(f"kernels[{i}][{j}]: resonant kernel requires a single "
+                                "continuous-energy species")
                 else:
-                    d = sp.energy.delta
-                    if not 0.0 <= ker.zeta < 1.0:
-                        errs.append(f"kernels[{i}][{j}]: resonant zeta must lie in [0, 1)")
-                    if not 0.0 <= ker.zeta1 < 0.5:
-                        errs.append(f"kernels[{i}][{j}]: resonant zeta1 must lie in [0, 1/2)")
-                    if not -d < ker.zeta2 < d:
-                        errs.append(
-                            f"kernels[{i}][{j}]: resonant zeta2 must lie in (-delta, delta)"
-                        )
-                    unknown = [
-                        t for t in ker.kin_terms if t not in ResonantTensored._ALLOWED_TERMS
-                    ]
+                    unknown = [t for t in ker.kin_terms if t not in ResonantTensored._ALLOWED_TERMS]
                     if unknown:
                         errs.append(f"kernels[{i}][{j}]: unknown kinetic terms {unknown}")
     return errs

@@ -17,6 +17,7 @@ An estimator keeps only its argument checks and those values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,7 +189,7 @@ def collision_frequency(
     parent = np.random.SeedSequence(cfg.seed)
     streams = [parent] if n_species == 1 else parent.spawn(n_species)
 
-    total, var, count = 0.0, 0.0, 0
+    total, count, stderrs = 0.0, 0, []
     diagnostics: dict = {}
     for j in range(n_species):
 
@@ -199,11 +200,19 @@ def collision_frequency(
 
         est = _estimate(M, (w.species, j), kernel, cfg, values, w, streams[j])
         total += est.value
-        var += est.stderr**2
+        stderrs.append(est.stderr)
         count += est.n_samples
         for key, val in est.diagnostics.items():
             diagnostics[key] = diagnostics.get(key, 0) + val
-    return MCEstimate(total, float(np.sqrt(var)), count, cfg.seed, diagnostics)
+    # the squares summed in partner order, or hypot where a square overflows
+    var = 0.0
+    try:
+        for err in stderrs:
+            var += err**2
+    except OverflowError:
+        var = math.inf
+    stderr = float(np.sqrt(var)) if math.isfinite(var) else math.hypot(*stderrs)
+    return MCEstimate(total, stderr, count, cfg.seed, diagnostics)
 
 
 def eval_k(

@@ -81,19 +81,25 @@ def _edge_nodes(eps: float):
     return nodes, weights
 
 
-def _edge_exponents(delta: float, zeta: float) -> dict[str, float]:
-    """The power of each edge factor of G without psi: r^(d/2-2),
-    (1-r)^(d-3-z), the plain R and (1-R)^(3d/2-3-z)."""
+def _edge_exponents(delta_i: float, delta_j: float, zeta: float,
+                    shift: float = 0.0) -> dict[str, float]:
+    """The power of each edge factor of the two reduced split integrands of
+    the species pair (i, j), without psi: r^(d_i/2-2), (1-r)^(d_j-3-z), the
+    plain R and (1-R)^(d_i/2+d_j-3-z), then the companion's r and 1-r powers
+    (d_i+d_j)/2-3-z and d_j/2-2, the mirror of the first pair at d_i = d_j.
+    ``shift`` raises each constant before the arithmetic: the mixture
+    hypothesis H7 takes its margins (exponent + 1) with shift 1."""
     return {
-        "r -> 0": 0.5 * delta - 2.0,
-        "r -> 1": delta - 3.0 - zeta,
-        "R -> 0": 1.0,
-        "R -> 1": 1.5 * delta - 3.0 - zeta,
+        "r -> 0": 0.5 * delta_i + (shift - 2.0),
+        "r -> 1": delta_j + (shift - 3.0) - zeta,
+        "R -> 0": 1.0 + shift,
+        "R -> 1": 0.5 * delta_i + delta_j + (shift - 3.0) - zeta,
+        "r -> 0 (mirror)": 0.5 * (delta_i + delta_j) + (shift - 3.0) - zeta,
+        "r -> 1 (mirror)": 0.5 * delta_j + (shift - 2.0),
     }
 
 
-def _integrand(delta: float, zeta: float, psi: Callable | None):
-    e = _edge_exponents(delta, zeta)
+def _integrand(e: dict[str, float], psi: Callable | None):
     er0, er1, eR1 = e["r -> 0"], e["r -> 1"], e["R -> 1"]
 
     def g(r, R):
@@ -112,20 +118,16 @@ def _partial_integral(g, eps: float) -> float:
     return float(w @ vals @ w)
 
 
-def _edge_slope(g, which: str) -> float:
-    """Power-law order of the integrand along one edge, fitted numerically."""
+def _edge_slope(g, edge: str) -> float:
+    """Power-law order of the integrand along one edge of the exponent
+    table, fitted numerically.  For symmetric psi the companion integrand is
+    g with r <-> 1-r, so a mirror edge is read at the opposite end in r."""
     t = 10.0 ** np.arange(-4.0, -7.5, -1.0)
-    if which == "r0":
-        vals = g(t, np.full_like(t, 0.5))
-    elif which == "r1":
-        vals = g(1.0 - t, np.full_like(t, 0.5))
-    elif which == "R0":
-        vals = g(np.full_like(t, 0.5), t)
-    else:
-        vals = g(np.full_like(t, 0.5), 1.0 - t)
-    logs = np.log(np.maximum(vals, 1e-300))
-    slope = np.polyfit(np.log(t), logs, 1)[0]
-    return float(slope)
+    mid = np.full_like(t, 0.5)
+    at_one = edge.startswith(("r -> 1", "R -> 1")) != edge.endswith("(mirror)")
+    x = 1.0 - t if at_one else t
+    vals = g(x, mid) if edge.startswith("r") else g(mid, x)
+    return float(np.polyfit(np.log(t), np.log(np.maximum(vals, 1e-300)), 1)[0])
 
 
 def k2_integrability_diagnostic(
@@ -146,22 +148,15 @@ def k2_integrability_diagnostic(
     if psi is not None:
         _check_symmetry(psi)
 
-    g = _integrand(delta, zeta, psi)
+    exps = _edge_exponents(delta, delta, zeta)
+    g = _integrand(exps, psi)
     partials = tuple(_partial_integral(g, eps) for eps in _EPSILONS)
     ref = max(abs(partials[-1]), 1e-300)
     cauchy_change = abs(partials[-1] - partials[-2]) / ref
     numeric = cauchy_change < _CAUCHY_TOL
 
-    if psi is None:
-        exps = _edge_exponents(delta, zeta)
-    else:
-        exps = {name: _edge_slope(g, key) for name, key in
-                [("r -> 0", "r0"), ("r -> 1", "r1"), ("R -> 0", "R0"), ("R -> 1", "R1")]}
-    # the companion contribution swaps the two post-collisional internal
-    # energies, mirroring the r powers; for symmetric psi this swaps the
-    # two r-edge exponents and keeps the R edges
-    exps["r -> 0 (mirror)"] = exps["r -> 1"]
-    exps["r -> 1 (mirror)"] = exps["r -> 0"]
+    if psi is not None:
+        exps = {edge: _edge_slope(g, edge) for edge in exps}
     analytic = all(e > -1.0 for e in exps.values())
 
     verdict = "integrable" if (numeric and analytic) else "divergent"

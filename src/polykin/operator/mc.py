@@ -9,6 +9,7 @@ threads executed the chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -64,21 +65,31 @@ class MCEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def _chunk_stats(values: np.ndarray) -> tuple[int, float, float]:
-    n = values.size
+def _chunk_stats(values: np.ndarray) -> tuple[int, float, float, float]:
+    """(n, mean, m2, scale) of one chunk: the squared deviations sum to
+    scale**2 * m2, with scale 1 unless that plain sum overflows."""
     mean = float(values.mean())
-    m2 = float(np.sum((values - mean) ** 2))
-    return n, mean, m2
+    with np.errstate(over="ignore"):
+        m2 = float(np.sum((values - mean) ** 2))
+    if math.isfinite(m2):
+        return values.size, mean, m2, 1.0
+    scale = float(np.max(np.abs(values - mean)))
+    return values.size, mean, float(np.sum(((values - mean) / scale) ** 2)), scale
 
 
-def _merge(acc: tuple[int, float, float], new: tuple[int, float, float]):
-    n1, m1, s1 = acc
-    n2, m2, s2 = new
-    if n1 == 0:
-        return new
+def _merge(acc, new):
+    """Pairwise update of Chan, Golub & LeVeque; a sum that overflows is
+    carried scaled, as in ``_chunk_stats``."""
+    n1, m1, s1, c1 = acc
+    n2, m2, s2, c2 = new
     n = n1 + n2
     d = m2 - m1
-    return n, m1 + d * n2 / n, s1 + s2 + d * d * n1 * n2 / n
+    mean = m1 + d * n2 / n
+    s = s1 + s2 + d * d * n1 * n2 / n
+    if c1 == c2 == 1.0 and math.isfinite(s):
+        return n, mean, s, 1.0
+    c = max(c1 * math.sqrt(s1), c2 * math.sqrt(s2), abs(d))
+    return n, mean, (c1 / c) ** 2 * s1 + (c2 / c) ** 2 * s2 + (d / c) ** 2 * n1 * n2 / n, c
 
 
 def accumulate(
@@ -118,12 +129,10 @@ def accumulate(
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(run_chunk, range(n_chunks)))
 
-    acc = (0, 0.0, 0.0)
+    n, mean, m2, scale = functools.reduce(_merge, [stats for stats, _ in results])
     diagnostics: dict = {"n_chunks": n_chunks}
-    for stats, diag in results:
-        acc = _merge(acc, stats)
+    for _, diag in results:
         for key, val in diag.items():
             diagnostics[key] = diagnostics.get(key, 0) + val
-    n, mean, m2 = acc
-    stderr = math.sqrt(m2 / (n * (n - 1))) if n > 1 and m2 > 0.0 else 0.0
+    stderr = scale * math.sqrt(m2 / (n * (n - 1))) if n > 1 and m2 > 0.0 else 0.0
     return MCEstimate(mean, stderr, n, cfg.seed, diagnostics)

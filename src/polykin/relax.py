@@ -308,14 +308,15 @@ def init_ensemble(
                     species=species, rng=rng)
 
 
-def _kernel_parameters(kernel) -> tuple[float, float]:
-    """(C, zeta) for kernels the simulator supports."""
+def _kernel_parameters(spec: MixtureSpec, i: int, j: int) -> tuple[float, float]:
+    """(C, zeta) of the (i, j) kernel, which the simulator must support."""
+    kernel = spec.kernel(i, j)
     if isinstance(kernel, PowerLawE):
         return kernel.C, kernel.zeta
     if isinstance(kernel, PsiWeighted) and kernel.psi is None:
         return kernel.C, kernel.zeta
     raise ValueError(
-        "the relaxation simulator supports energy-power kernels only"
+        f"kernels[{i}][{j}]: the relaxation simulator supports energy-power kernels only"
     )
 
 
@@ -348,7 +349,7 @@ def _pair_types(ensemble: Ensemble) -> list[_PairType]:
             idx_j = idx_i if j == i else np.flatnonzero(ensemble.species == j)
             if idx_i.size == 0 or idx_j.size == 0:
                 continue
-            C, zeta = _kernel_parameters(spec.kernel(i, j))
+            C, zeta = _kernel_parameters(spec, i, j)
             n_pairs = (
                 idx_i.size * (idx_i.size - 1) / 2.0 if i == j
                 else float(idx_i.size) * float(idx_j.size)

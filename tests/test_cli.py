@@ -479,6 +479,22 @@ class TestRelaxCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("zeta2", [0.5, 5.0])
+    def test_resonant_kernel_is_named(self, tmp_path, capsys, zeta2):
+        # inside H4 (zeta2 = 0.5) or outside it, the simulator refuses the
+        # kernel and names it
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        doc["kernels"][0][0] = {"kind": "resonant_tensored", "C": 1.0, "zeta": 0.5,
+                                "zeta1": 0.25, "zeta2": zeta2}
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err == ("error: kernels[0][0]: the relaxation simulator supports "
+                       "energy-power kernels only\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_delta_names_its_path(self, tmp_path, capsys):
         cfg = write_relax_config(tmp_path / "run.json")
         doc = json.loads(cfg.read_text())

@@ -564,7 +564,7 @@ def partial_integral_reference(g, eps):
 ])
 def test_k2_partials_with_cached_edge_nodes(delta, zeta, psi):
     diag = k2diag.k2_integrability_diagnostic(delta, zeta, psi)
-    g = k2diag._integrand(delta, zeta, psi)
+    g = k2diag._integrand(k2diag._edge_exponents(delta, delta, zeta), psi)
     want = [partial_integral_reference(g, eps) for eps in k2diag._EPSILONS]
     assert np.array_equal(bits(diag.partials), bits(want))
     nodes, weights = k2diag._edge_nodes(k2diag._EPSILONS[0])

@@ -1,6 +1,7 @@
 """Verdict tests for the kernel growth-condition checks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from polykin.hypotheses import (
     table1_report,
 )
 from polykin.operator import k2_integrability_diagnostic
+from polykin.operator.k2diag import _edge_exponents
 
 H = HypothesisId
+NAN, INF = float("nan"), float("inf")
 
 
 class TestIds:
@@ -192,6 +195,71 @@ class TestMixture:
     def test_nonpositive_delta_rejected(self, hyp, deltas):
         with pytest.raises(ValueError, match="delta must be positive"):
             check_mixture(deltas, 0.5, hyp)
+
+
+class TestOneEdgeTable:
+    """H7's edge conditions read the K2 edge-exponent table of the pair."""
+
+    # each H7 edge condition of the pair (0, 0) and the K2 edge it bounds
+    EDGE_OF = {
+        "(1-r) exponent delta[0]/2 - 2 > -1": "r -> 1 (mirror)",
+        "r exponent (delta[0]+delta[0])/2 - 3 - zeta > -1": "r -> 0 (mirror)",
+        "(1-r) exponent delta[0] - 3 - zeta > -1": "r -> 1",
+        "r exponent delta[0]/2 - 2 > -1": "r -> 0",
+        "(1-R) exponent delta[0]/2 + delta[0] - 3 - zeta > -1": "R -> 1",
+    }
+
+    @pytest.mark.parametrize("delta, zeta", [(3.0, 0.5), (2.017, 0.537), (1.5, -0.5),
+                                             (9.5, 2.0), (0.5, 0.0)])
+    def test_equal_shapes_give_the_k2_exponents_plus_one(self, delta, zeta):
+        # the mixture hypothesis reduces to the single-species one: at
+        # delta_i = delta_j every edge margin is a K2 corner exponent + 1,
+        # and only the R -> 0 edge, a fixed power 1, is left unbounded
+        edges = check_mixture([delta], zeta, H.H7_mixture_Psi)[(0, 0)].margins[4:]
+        exps = k2_integrability_diagnostic(delta, zeta).corner_exponents
+        assert [text for text, _ in edges] == list(self.EDGE_OF)
+        assert set(exps) - set(self.EDGE_OF.values()) == {"R -> 0"}
+        for text, margin in edges:
+            assert margin == pytest.approx(exps[self.EDGE_OF[text]] + 1.0, rel=1e-14, abs=1e-14)
+
+    def test_margins_and_exponents_keep_their_rounding(self):
+        # the expressions each was written as before they shared one table
+        rng = np.random.default_rng(21)
+        points = [(2.017, 2.017, 0.537), (1.939, 9.5, 0.608), (9.5, 1.5, -0.5)]
+        points += [tuple(10.0 ** rng.uniform(-6, 6, 3)) for _ in range(1000)]
+        points += [(*rng.uniform(0.1, 12.0, 2), rng.uniform(-0.99, 4.0)) for _ in range(1000)]
+        for di, dj, z in points:
+            out = check_mixture([di, dj], [[z, z], [z, z]], H.H7_mixture_Psi)
+            for (i, j), verdict in out.items():
+                a, b = (di, dj)[i], (di, dj)[j]
+                assert [m for _, m in verdict.margins[4:]] == [
+                    0.5 * b - 1.0, 0.5 * (a + b) - 2.0 - z, b - 2.0 - z,
+                    0.5 * a - 1.0, 0.5 * a + b - 2.0 - z]
+            assert _edge_exponents(di, di, z) == {
+                "r -> 0": 0.5 * di - 2.0,
+                "r -> 1": di - 3.0 - z,
+                "R -> 0": 1.0,
+                "R -> 1": 1.5 * di - 3.0 - z,
+                "r -> 0 (mirror)": di - 3.0 - z,
+                "r -> 1 (mirror)": 0.5 * di - 2.0,
+            }
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: check_single(2.0, NAN), "zeta"),
+    (lambda: check_single(INF, 0.5, H.H3_single_Psi), "delta"),
+    (lambda: check_single(3.0, NAN, H.H3_single_Psi, psi=lambda r, R: 1.0 + 0 * r), "zeta"),
+    (lambda: check_resonant(2, INF, 0, 0), "zeta"),
+    (lambda: check_resonant(2, 0, NAN, 0), "zeta1"),
+    (lambda: check_resonant(2, 0, 0, -INF), "zeta2"),
+    (lambda: check_discrete(NAN), "zeta"),
+    (lambda: check_mixture([2, 3], NAN, H.H7_mixture_Psi), "zeta[0][0]"),
+    (lambda: check_mixture([2, 3], [[0.5, INF], [INF, 0.5]], H.H6_mixture_BL), "zeta[0][1]"),
+    (lambda: check_mixture([2, INF], 0.5, H.H7_mixture_Psi), "delta[1]"),
+])
+def test_non_finite_input_is_named(call, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
+        call()
 
 
 class TestDispatchAndSerialization:

@@ -93,18 +93,26 @@ def test_package_reads_every_private_name():
     assert found == {}
 
 
-def import_time_modules(tree: ast.AST) -> list[str]:
+def import_time_modules(tree: ast.AST, package: str | None = None,
+                        bodies: bool = False) -> list[str]:
     """Absolute modules the statements run at import time import: every
-    import outside a function body."""
+    import outside a function body.  With ``bodies`` the imports in function
+    bodies count too, and with ``package``, the dotted name of the package
+    the module sits in, relative imports count, resolved against it."""
     found = []
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not bodies and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append(node.module)
-        found += import_time_modules(node)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                found.append(node.module)
+            elif package is not None:
+                base = package.rsplit(".", node.level - 1)[0]
+                found += ([f"{base}.{node.module}"] if node.module
+                          else [f"{base}.{alias.name}" for alias in node.names])
+        found += import_time_modules(node, package, bodies)
     return found
 
 
@@ -114,6 +122,45 @@ def test_import_time_modules_skip_function_bodies():
                      "def g():\n    import h\n    from i import j\n"
                      "k = lambda: __import__('l')\n")
     assert import_time_modules(tree) == ["a.b", "c", "f"]
+
+
+def test_relative_imports_resolve_and_bodies_count_on_request():
+    tree = ast.parse("from . import a\nfrom ..b import c\ndef f():\n    from .d import e\n")
+    assert import_time_modules(tree, "p.q") == ["p.q.a", "p.b"]
+    assert import_time_modules(tree, "p.q", bodies=True) == ["p.q.a", "p.b", "p.q.d"]
+
+
+# The package's layers, lowest first: a module imports only from lower
+# layers.  relax and operator share one, so neither imports the other, and
+# the model layer leaves every hypothesis (H4 included) to hypotheses.
+LAYERS = {"model": 0, "collide": 1, "equilib": 2, "relax": 3, "operator": 3,
+          "hypotheses": 4, "fitlab": 5, "cli": 6}
+
+
+def package_imports() -> set[tuple[str, str]]:
+    """(importing, imported) layer names of every import between two parts
+    of the package, function bodies included; the package's own
+    ``__init__`` (the public names) and the schema data are left out."""
+    edges = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE)
+        if rel.parts[0] in ("__init__.py", "schemas"):
+            continue
+        unit = rel.parts[0].removesuffix(".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in import_time_modules(tree, ".".join(("polykin", *rel.parts[:-1])), bodies=True):
+            parts = name.split(".")
+            if parts[0] == "polykin" and parts[1:2] != [unit]:
+                edges.add((unit, ".".join(parts[1:2]) or "polykin"))
+    return edges
+
+
+def test_modules_import_only_lower_layers():
+    edges = package_imports()
+    # one import the walk must see inside a function body
+    assert ("cli", "hypotheses") in edges
+    assert {unit for edge in edges for unit in edge} <= set(LAYERS)
+    assert sorted(e for e in edges if LAYERS[e[1]] >= LAYERS[e[0]]) == []
 
 
 def test_no_module_imports_scipy_at_import_time():

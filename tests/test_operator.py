@@ -73,6 +73,37 @@ class TestEngine:
                 QuadratureConfig(n_samples=10, threads=threads)
 
 
+class TestOverflowSafeReduction:
+    """Sums of squared deviations that overflow are carried with a scale."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_SIZE", 10_000)
+
+    @staticmethod
+    def _run(factor, threads=1):
+        def sampler(rng, n):
+            return factor * (3.0 + rng.standard_normal(n)), {}
+        return mc.accumulate(sampler, QuadratureConfig(n_samples=55_000, seed=3, threads=threads))
+
+    def test_scaled_values_scale_the_estimate(self):
+        plain, big = self._run(1.0), self._run(2.0**1000)
+        assert big.value == 2.0**1000 * plain.value
+        assert big.stderr == pytest.approx(2.0**1000 * plain.stderr, rel=1e-14, abs=0.0)
+        assert self._run(2.0**1000, threads=2).stderr == big.stderr
+
+    def test_huge_rate_has_a_finite_standard_error(self):
+        # a resonant gas at delta = 1e-300 has a rate near 4e301, whose
+        # squared deviations overflow
+        M = equilibrium(resonant_spec(delta=1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = collision_frequency(ParticleState(np.zeros(3), I=0.5), M, None,
+                                      QuadratureConfig(n_samples=20_000, seed=1))
+        assert 1e301 < est.value < 1e302
+        assert 0.0 < est.stderr < 0.01 * est.value
+
+
 class TestDetailedBalance:
     """At equilibrium the gain and loss factors agree samplewise, so the
     estimate is exactly zero with zero spread."""
