@@ -36,6 +36,7 @@ from .model import (
     DiscreteLevels,
     MixtureSpec,
     Monatomic,
+    _energy_to_obj,
 )
 
 __all__ = [
@@ -234,7 +235,9 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
         kind = PairKind.DISC_DISC
         levels_i, levels_j = ei.table, ej.table
     else:
-        raise ValueError(f"no collision rule couples species {i} and {j}")
+        ki, kj = (_energy_to_obj(e)["kind"] for e in (ei, ej))
+        raise ValueError(f"kernels[{i}][{j}]: no collision rule couples "
+                         f"species {i} ({ki}) and {j} ({kj})")
     weight = 4.0 * np.pi
     if beta_r is not None:
         weight *= _beta(*beta_r)

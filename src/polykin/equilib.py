@@ -111,11 +111,29 @@ def level_weights(energy: DiscreteLevels, T: float):
     return g * np.exp(-(E - E.min()) / T)
 
 
-def _pow_log(x, p: float):
-    """p * log(x), with the convention 0 * log(0) = 0."""
-    if p == 0.0:
-        return np.zeros(np.shape(x))
-    return p * np.log(np.maximum(x, 1e-300))
+def _log_phi(energy: EnergyModel, internal):
+    """log of a species' internal-energy weight phi: (delta/2 - 1) log I,
+    I clamped at 1e-300 and 0 log 0 = 0, for a continuous species; log g_k
+    at level k of a discrete one; 0 for a monatomic one."""
+    if isinstance(energy, Monatomic):
+        return 0.0
+    if isinstance(energy, ContinuousEnergy):
+        p = 0.5 * energy.delta - 1.0
+        if p == 0.0:
+            return np.zeros(np.shape(internal))
+        return p * np.log(np.maximum(internal, 1e-300))
+    if isinstance(energy, DiscreteLevels):
+        return np.log(energy.table[1][np.asarray(internal)])
+    raise TypeError(f"unknown energy model {type(energy).__name__}")
+
+
+def _log_phi_ratio(spec: MixtureSpec, pair: tuple[int, int], pre, post, shape):
+    """log Phi = log phi(I) - log phi(I') + log phi(I_*) - log phi(I'_*),
+    added left to right to ``np.zeros(shape)``, of transitions of species
+    ``pair`` between (first, second) internal states ``pre`` and ``post``."""
+    ei, ej = (spec.species[s].energy for s in pair)
+    return (np.zeros(shape) + _log_phi(ei, pre[0]) - _log_phi(ei, post[0])
+            + _log_phi(ej, pre[1]) - _log_phi(ej, post[1]))
 
 
 def psi_res(Z, delta: float):
@@ -168,12 +186,12 @@ class Maxwellian:
             a = 0.5 * e.delta
             if a < 1.0 and np.any(I == 0.0):
                 raise ValueError("I = 0 requires delta >= 2")
-            return _pow_log(I, a - 1.0) - I / T - math.lgamma(a) - a * np.log(T)
+            return _log_phi(e, I) - I / T - math.lgamma(a) - a * np.log(T)
         if isinstance(e, DiscreteLevels):
             k = np.asarray(internal)
-            E, g = e.table
+            E = e.table[0]
             q = np.sum(level_weights(e, T))
-            return np.log(g[k]) - (E[k] - E.min()) / T - np.log(q)
+            return _log_phi(e, k) - (E[k] - E.min()) / T - np.log(q)
         raise TypeError(f"unknown energy model {type(e).__name__}")
 
     def log_density(self, v, internal=None, species: int = 0):
@@ -218,23 +236,6 @@ def maxwellian_eval(M: Maxwellian, state: ParticleState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_phi_side(energy: EnergyModel, pre_internal, post_internal):
-    """One particle's contribution to log Phi (pre over post weight)."""
-    if isinstance(energy, Monatomic):
-        return 0.0
-    if isinstance(energy, ContinuousEnergy):
-        c = 0.5 * energy.delta - 1.0
-        if c == 0.0:
-            return 0.0
-        I0 = np.asarray(pre_internal, dtype=float)
-        I1 = np.asarray(post_internal, dtype=float)
-        return c * (np.log(I0) - np.log(I1))
-    if isinstance(energy, DiscreteLevels):
-        g = energy.table[1]
-        return np.log(g[np.asarray(pre_internal)]) - np.log(g[np.asarray(post_internal)])
-    raise TypeError(f"unknown energy model {type(energy).__name__}")
-
-
 def detailed_balance_residual(
     M: Maxwellian,
     pre: Sequence[tuple],
@@ -254,9 +255,7 @@ def detailed_balance_residual(
     i, j = species
     log_gain = M.log_density(w1, j1, i) + M.log_density(w2, j2, j)
     log_loss = M.log_density(v1, i1, i) + M.log_density(v2, i2, j)
-    log_phi = _log_phi_side(M.spec.species[i].energy, i1, j1) + _log_phi_side(
-        M.spec.species[j].energy, i2, j2
-    )
+    log_phi = _log_phi_ratio(M.spec, species, (i1, i2), (j1, j2), np.shape(log_gain))
     return np.expm1(log_gain + log_phi - log_loss)
 
 

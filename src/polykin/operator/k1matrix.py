@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collide import pair_law
+from ..collide import PairLaw, pair_law
 from ..equilib import Maxwellian
-from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted, single_species
+from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted
 
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
@@ -55,17 +55,16 @@ class GridSpec:
         return GridSpec(self.n_velocity + 1, self.n_internal + 2)
 
 
-def reduced_kernel_coefficient(kernel: KernelModel, delta: float) -> float:
+def reduced_kernel_coefficient(kernel: KernelModel, law: PairLaw) -> float:
     """Coefficient of E^(zeta/2) after integrating the transition weight.
 
-    For a plain energy-power kernel this is C times the pair-law weight
-    4 pi B(delta/2, delta/2) B(3/2, delta); a split-dependent weight
-    psi(r, R) is integrated with Gauss-Jacobi rules whose exponents are the
-    pair law's Beta shapes minus one.
+    For a plain energy-power kernel this is C times the weight of ``law``,
+    a continuous pair's law: 4 pi B(delta/2, delta/2) B(3/2, delta) for one
+    species; a split-dependent weight psi(r, R) is integrated with
+    Gauss-Jacobi rules whose exponents are the law's Beta shapes minus one.
     """
     if not isinstance(kernel, (PowerLawE, PsiWeighted)):
         raise ValueError("the matrix assembly covers energy-power kernels only")
-    law = pair_law(single_species(ContinuousEnergy(delta), kernel), 0, 0)
     if getattr(kernel, "psi", None) is None:
         return float(kernel.C * law.weight)
     from scipy import special
@@ -193,7 +192,7 @@ def assemble_k1(
     )
     m_values = np.exp(np.asarray(M.log_density(nodes_v, nodes_i, 0), dtype=float))
 
-    coef = reduced_kernel_coefficient(kernel, delta)
+    coef = reduced_kernel_coefficient(kernel, pair_law(spec, 0, 0))
     zeta = kernel.zeta
     n = weights.size
     s = np.sqrt(m_values)

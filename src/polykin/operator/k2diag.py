@@ -18,6 +18,7 @@ post-collisional internal energies swap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -111,14 +112,37 @@ def _integrand(e: dict[str, float], psi: Callable | None):
     return g
 
 
-def _partial_integral(g, eps: float) -> float:
-    # the same nodes serve both axes
+def _log_integrand(e: dict[str, float], psi: Callable | None):
+    """log g, finite wherever psi is nonzero, however large zeta is."""
+    er0, er1, eR1 = e["r -> 0"], e["r -> 1"], e["R -> 1"]
+
+    def log_g(r, R):
+        base = er1 * np.log(1.0 - r) + er0 * np.log(r) + np.log(R) + eR1 * np.log(1.0 - R)
+        if psi is not None:
+            base = base + 2.0 * np.log(np.abs(np.asarray(psi(r, R), dtype=float)))
+        return base
+
+    return log_g
+
+
+def _log_partial(log_g, eps: float) -> float:
+    """log of the partial integral over (eps, 1-eps)^2, a log-sum-exp of log g."""
+    x, w = _edge_nodes(eps)
+    terms = log_g(x[:, None], x[None, :]) + np.log(w)[:, None] + np.log(w)
+    top = float(np.max(terms))
+    return top + math.log(float(np.sum(np.exp(terms - top)))) if math.isfinite(top) else top
+
+
+def _partial_integral(g, log_g, eps: float) -> float:
+    # the same nodes serve both axes; a sum that is not finite is redone from
+    # log g, and reads inf only where the integral exceeds the largest double
     x, w = _edge_nodes(eps)
     vals = g(x[:, None], x[None, :])
-    return float(w @ vals @ w)
+    value = float(w @ vals @ w)
+    return value if math.isfinite(value) else float(np.exp(_log_partial(log_g, eps)))
 
 
-def _edge_slope(g, edge: str) -> float:
+def _edge_slope(g, log_g, edge: str) -> float:
     """Power-law order of the integrand along one edge of the exponent
     table, fitted numerically.  For symmetric psi the companion integrand is
     g with r <-> 1-r, so a mirror edge is read at the opposite end in r."""
@@ -126,8 +150,10 @@ def _edge_slope(g, edge: str) -> float:
     mid = np.full_like(t, 0.5)
     at_one = edge.startswith(("r -> 1", "R -> 1")) != edge.endswith("(mirror)")
     x = 1.0 - t if at_one else t
-    vals = g(x, mid) if edge.startswith("r") else g(mid, x)
-    return float(np.polyfit(np.log(t), np.log(np.maximum(vals, 1e-300)), 1)[0])
+    args = (x, mid) if edge.startswith("r") else (mid, x)
+    vals = g(*args)
+    logs = np.log(np.maximum(vals, 1e-300)) if np.all(np.isfinite(vals)) else log_g(*args)
+    return float(np.polyfit(np.log(t), logs, 1)[0])
 
 
 def k2_integrability_diagnostic(
@@ -149,14 +175,19 @@ def k2_integrability_diagnostic(
         _check_symmetry(psi)
 
     exps = _edge_exponents(delta, delta, zeta)
-    g = _integrand(exps, psi)
-    partials = tuple(_partial_integral(g, eps) for eps in _EPSILONS)
-    ref = max(abs(partials[-1]), 1e-300)
-    cauchy_change = abs(partials[-1] - partials[-2]) / ref
+    g, log_g = _integrand(exps, psi), _log_integrand(exps, psi)
+    # a factor of g overflows at large zeta; those sums are redone from log g
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        partials = tuple(_partial_integral(g, log_g, eps) for eps in _EPSILONS)
+        prev, last = partials[-2:]
+        if not (math.isfinite(prev) and math.isfinite(last)):
+            # the last two partials over the larger one, from their logs
+            logs = [_log_partial(log_g, eps) for eps in _EPSILONS[-2:]]
+            prev, last = (math.exp(L - max(logs)) for L in logs)
+        if psi is not None:
+            exps = {edge: _edge_slope(g, log_g, edge) for edge in exps}
+    cauchy_change = abs(last - prev) / max(abs(last), 1e-300)
     numeric = cauchy_change < _CAUCHY_TOL
-
-    if psi is not None:
-        exps = {edge: _edge_slope(g, edge) for edge in exps}
     analytic = all(e > -1.0 for e in exps.values())
 
     verdict = "integrable" if (numeric and analytic) else "divergent"

@@ -18,8 +18,10 @@ law (Borgnakke & Larsen, J. Comput. Phys. 18, 1975): r where the law's
 ``beta_r`` is set, R where its ``beta_R`` is set, and a resonant pair's
 I' / (I + I_*) from Beta(delta/2, delta/2).  So the weight of those draws
 and the scattering direction over their density is a constant, 4 pi times
-the laws' Beta functions.  The masses, each continuous slot's degeneracy
-factor and a disc-disc pair's level tables come from the law too.  Every
+the laws' Beta functions.  The masses and a disc-disc pair's level tables
+come from the law too; the degeneracy factor comes from the species'
+internal-energy weights, as :func:`sample_transition` forms ``log_phi``
+once from the batch's internal states (``equilib._log_phi_ratio``).  Every
 sampler draws the exchange parameters and then the scattering direction.
 The draw order is fixed, so results reproduce for a fixed seed.
 """
@@ -44,7 +46,7 @@ from ..collide import (
     sq_norm,
     unit_sphere,
 )
-from ..equilib import Maxwellian, _pow_log, level_weights
+from ..equilib import Maxwellian, _log_phi_ratio, level_weights
 from ..model import (
     CollisionContext,
     DiscreteLevels,
@@ -143,15 +145,9 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
         Ip = None if I is None else Ip
         Isp = None if I_star is None else Isp
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), law.beta_r is not None)
-    log_phi = np.zeros(n)
-    for k, (pre, post) in enumerate(((I, Ip), (I_star, Isp))):
-        if post is not None:
-            # the slot's Beta shape: its share of r, or R's internal share
-            p = (law.beta_r[k] if law.beta_r else law.beta_R[1]) - 1.0
-            log_phi = log_phi + _pow_log(pre, p) - _pow_log(post, p)
     # r and R follow their Beta laws: A/q over (r, R, sigma) is law.weight
     log_aq = log_b - (log_q - _log_weight(law.weight))
-    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
+    return vp, Ip, vsp, Isp, log_aq, {}
 
 
 def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
@@ -174,11 +170,7 @@ def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     log_b = _log_b(kernel, ctx, False)
     # I' follows Z Beta(delta/2, delta/2): A/q over (I', sigma) is 4 pi B(beta_r)
     log_aq = log_b - (log_q - _log_weight(4.0 * np.pi * _beta(*law.beta_r)))
-    p = law.beta_r[0] - 1.0
-    log_phi = (
-        _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
-    )
-    return TransitionBatch(v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
+    return vp, Ip, vsp, Isp, log_aq, {}
 
 
 def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
@@ -203,11 +195,7 @@ def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
             - 0.5 * np.log(np.maximum(E, _TINY))
         )
     log_aq = np.where(ok, log_a - (log_q + lq_ch - _LOG_4PI), -np.inf)
-    log_phi = np.log(gi[lev] * gj[lev_star]) - np.log(gi[k_post] * gj[l_post])
-    diag = {"inadmissible": int(np.sum(~ok))}
-    return TransitionBatch(
-        v, lev, v_star, lev_star, vp, k_post, vsp, l_post, log_phi, log_aq, diag
-    )
+    return vp, k_post, vsp, l_post, log_aq, {"inadmissible": int(np.sum(~ok))}
 
 
 def sample_transition(
@@ -229,7 +217,10 @@ def sample_transition(
             raise ValueError("resonant kernels require a single continuous species")
         sampler = _resonant_pair
     v_star, i_star, log_q = sample_state(prop, j, rng, n)
-    return sampler(kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
+    vp, ip, vsp, isp, log_aq, diag = sampler(
+        kernel, v, internal, v_star, i_star, log_q, prop, rng, n)
+    log_phi = _log_phi_ratio(spec, pair, (internal, i_star), (ip, isp), n)
+    return TransitionBatch(v, internal, v_star, i_star, vp, ip, vsp, isp, log_phi, log_aq, diag)
 
 
 def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int):

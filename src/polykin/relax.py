@@ -33,7 +33,8 @@ import numpy as np
 
 from .collide import (PairKind, PairLaw, beta_draw, bl_poly_poly, discrete_rule, monatomic_rule,
                       pair_law, sq_norm, unit_sphere)
-from .equilib import EquilibriumParams, Maxwellian, internal_temperature, mean_internal_energy
+from .equilib import (EquilibriumParams, Maxwellian, _log_phi, internal_temperature,
+                      mean_internal_energy)
 from .model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -627,13 +628,13 @@ def _log_cell_density(n: int, c: np.ndarray, I: Optional[np.ndarray] = None) -> 
 def h_estimate(ensemble: Ensemble, c2: Optional[np.ndarray] = None) -> float:
     """Histogram estimate of the entropy functional.
 
-    Continuous species contribute the mean of log f + (1 - delta/2) log I,
-    with f reconstructed isotropically from a speed-by-internal-energy
-    histogram; discrete species contribute log of the per-level velocity
-    density relative to the level's degeneracy, and a monatomic species
-    counts as one level of degeneracy 1.  Bin counts fall back to Scott's
-    rule when the sample is too small to fill the default grid.  ``c2`` is
-    ``ensemble.peculiar_sq()`` when the caller has already formed it.
+    Each species contributes the mean of log f - log phi, phi its internal
+    weight (``equilib._log_phi``), with f reconstructed isotropically from a
+    speed-by-internal-energy histogram, or per level from the speeds for a
+    discrete species; a monatomic species counts as one level.  Bin counts
+    fall back to Scott's rule when the sample is too small to fill the
+    default grid.  ``c2`` is ``ensemble.peculiar_sq()`` when the caller has
+    already formed it.
     """
     n = ensemble.n_particles
     if n < 1000:
@@ -650,23 +651,18 @@ def h_estimate(ensemble: Ensemble, c2: Optional[np.ndarray] = None) -> float:
         energy = sp.energy
         if isinstance(energy, ContinuousEnergy):
             I = ensemble.internal[rows]
-            log_f = _log_cell_density(n, c, I)
-            factor = 1.0 - 0.5 * energy.delta
-            # at delta = 2 the term is 0 * log(I), which adds a signed zero
-            # (no change to the mean) unless some I is inf or nan
-            if factor != 0.0 or not np.all(np.isfinite(I)):
-                log_f = log_f + factor * np.log(np.maximum(I, 1e-300))
+            log_f = _log_cell_density(n, c, I) - _log_phi(energy, I)
             total += (ns / n) * float(np.mean(log_f))
             continue
         if isinstance(energy, DiscreteLevels):
             lev = ensemble.levels[rows]
-            groups = [(c[lev == k], g) for k, g in enumerate(energy.degeneracies)]
+            groups = [(c[lev == k], k) for k in range(len(energy.degeneracies))]
         else:
-            groups = [(c, 1.0)]
-        for ck, g in groups:
+            groups = [(c, None)]
+        for ck, k in groups:
             if ck.size:
                 log_f = _log_cell_density(n, ck)
-                total += (ck.size / n) * float(np.mean(log_f) - math.log(g))
+                total += (ck.size / n) * float(np.mean(log_f) - _log_phi(energy, k))
     return total
 
 

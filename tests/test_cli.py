@@ -399,7 +399,7 @@ class TestDiagCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, delta, zeta, fields", [
-        ("k2", "2", "1e300", ("final_partial", "cauchy_change")),
+        ("k2", "2", "1e300", ("final_partial",)),
         ("k1norm", "2", "1e300", ("hs_norm", "symmetry_defect")),
         ("k1norm", "1e300", "0", ("hs_norm", "symmetry_defect")),
     ])
@@ -410,7 +410,19 @@ class TestDiagCommand:
         assert proc.stderr == ""
         summary = strict_json(proc.stdout)
         jsonschema.validate(summary, schema("diag_summary.schema.json"))
-        assert [summary[f] for f in fields] == [None, None]
+        assert [summary[f] for f in fields] == [None] * len(fields)
+
+    @pytest.mark.parametrize("zeta", ["300", "1e300"])
+    def test_k2_overflow_keeps_a_cauchy_change(self, tmp_path, capsys, zeta):
+        # the partials exceed the largest double, yet the last two are
+        # compared through their logs
+        code, out, _ = run_cli(["diag", "--kind", "k2", "--delta", "2", "--zeta", zeta,
+                                "--out", str(tmp_path / "diag.csv")], capsys)
+        assert code == 0
+        summary = strict_json(out)
+        assert summary["final_partial"] is None
+        assert summary["cauchy_change"] == pytest.approx(1.0, abs=1e-6)
+        assert summary["verdict"] == "divergent" and not summary["inconsistent"]
 
 
 class TestRelaxCommand:
@@ -493,6 +505,23 @@ class TestRelaxCommand:
         assert code == 2
         assert err == ("error: kernels[0][0]: the relaxation simulator supports "
                        "energy-power kernels only\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_uncoupled_species_pair_names_its_kernel(self, tmp_path, capsys):
+        # schema-valid, but no collision rule couples a continuous species
+        # with a discrete one
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        doc["species"].append({"label": "levels", "mass": 2.0, "energy": {
+            "kind": "discrete", "levels": [[0.0, 1.0], [0.5, 3.0]]}})
+        ker = doc["kernels"][0][0]
+        doc["kernels"] = [[ker, ker], [ker, ker]]
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["relax", "--config", str(cfg),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err == ("error: kernels[0][1]: no collision rule couples species 0 "
+                       "(continuous) and 1 (discrete)\n")
         assert not (tmp_path / "s.csv").exists()
 
     def test_missing_delta_names_its_path(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import bl_poly_poly, sq_norm, unit_sphere
+from polykin.collide import bl_poly_poly, pair_law, sq_norm, unit_sphere
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, MixtureSpec,
                            Monatomic, PowerLawE, PsiWeighted, Species, eval_kernel,
@@ -421,7 +421,7 @@ def k1_matrix_reference(k1, mass, kernel, delta):
     """The block loop that built the matrix from (_BLOCK, n, 3) differences."""
     _BLOCK = k1matrix._BLOCK
     nodes_v, nodes_i = k1.nodes_v, k1.nodes_i
-    coef = k1matrix.reduced_kernel_coefficient(kernel, delta)
+    coef = k1matrix.reduced_kernel_coefficient(kernel, pair_law(bl_spec(delta=delta), 0, 0))
     zeta = kernel.zeta
     n = k1.n_nodes
     s = np.sqrt(k1.m_values)

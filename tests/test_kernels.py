@@ -1,6 +1,9 @@
 """Tests for the dense kernel-matrix assembly and the reduced-integrand
 integrability diagnostic."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -21,6 +24,7 @@ from polykin.operator import (
     eval_k,
     k2_integrability_diagnostic,
 )
+from polykin.operator import k2diag
 from polykin.operator.k1matrix import MAX_NODES, reduced_kernel_coefficient
 from support import bl_spec, discrete_spec
 
@@ -33,20 +37,26 @@ def maxwellian(delta, zeta, C=1.0, n=1.0, T=1.0):
 ONES = lambda r, R: np.ones_like(np.asarray(r) * np.asarray(R))
 
 
+def one_species_law(delta):
+    """The pair law of one continuous species, which the kernel leaves alone."""
+    return pair_law(bl_spec(delta=delta), 0, 0)
+
+
 class TestReducedCoefficient:
     def test_frozen_value_at_delta_two(self):
         # B(1,1) = 1 and B(3/2,2) = 4/15, so the coefficient is 16 pi/15.
-        got = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.0), 2.0)
+        got = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.0), one_species_law(2.0))
         assert got == pytest.approx(16.0 * np.pi / 15.0, rel=1e-14)
 
     def test_scales_linearly_in_prefactor(self):
-        a = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.5), 3.0)
-        b = reduced_kernel_coefficient(PowerLawE(C=2.5, zeta=0.5), 3.0)
+        a = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.5), one_species_law(3.0))
+        b = reduced_kernel_coefficient(PowerLawE(C=2.5, zeta=0.5), one_species_law(3.0))
         assert b == pytest.approx(2.5 * a, rel=1e-14)
 
     def test_unit_split_weight_matches_closed_form(self):
-        plain = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.5), 3.0)
-        weighted = reduced_kernel_coefficient(PsiWeighted(C=1.0, zeta=0.5, psi=ONES), 3.0)
+        law = one_species_law(3.0)
+        plain = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.5), law)
+        weighted = reduced_kernel_coefficient(PsiWeighted(C=1.0, zeta=0.5, psi=ONES), law)
         assert weighted == pytest.approx(plain, rel=1e-12)
 
     def test_quadratic_split_weight_against_beta_moments(self):
@@ -55,13 +65,14 @@ class TestReducedCoefficient:
         plain = 4.0 * np.pi * special.beta(0.5 * delta + 1, 0.5 * delta + 1) \
             * special.beta(1.5, delta)
         got = reduced_kernel_coefficient(
-            PsiWeighted(C=1.0, zeta=0.5, psi=lambda r, R: r * (1.0 - r)), delta
+            PsiWeighted(C=1.0, zeta=0.5, psi=lambda r, R: r * (1.0 - r)),
+            one_species_law(delta),
         )
         assert got == pytest.approx(plain, rel=1e-10)
 
     def test_resonant_kernel_is_rejected(self):
         with pytest.raises(ValueError):
-            reduced_kernel_coefficient(ResonantTensored(C=1.0), 2.0)
+            reduced_kernel_coefficient(ResonantTensored(C=1.0), one_species_law(2.0))
 
 
 class TestK1Spectrum:
@@ -250,6 +261,28 @@ class TestIntegrabilityDiagnostic:
             assert diag.verdict == want, (delta, zeta)
             assert diag.numeric_integrable == diag.analytic_integrable, (delta, zeta)
             assert not diag.inconsistent
+
+    @pytest.mark.parametrize("psi", [None, lambda r, R: 1.0 + r * (1.0 - r) * R],
+                             ids=["plain", "psi"])
+    @pytest.mark.parametrize("delta, zeta", [(3.0, 100.0), (2.0, 300.0)])
+    def test_overflowing_partials_keep_a_finite_cauchy_change(self, delta, zeta, psi):
+        # near r = 1 the integrand exceeds the largest double: the partials
+        # read inf, the last two are compared through their logs, and no
+        # floating-point warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = k2_integrability_diagnostic(delta, zeta, psi=psi)
+        assert diag.partials[-1] == np.inf
+        assert diag.cauchy_change == pytest.approx(1.0, abs=1e-6)
+        assert diag.verdict == "divergent" and not diag.inconsistent
+        assert diag.corner_exponents["r -> 1"] == pytest.approx(delta - 3.0 - zeta, rel=1e-3)
+
+    @pytest.mark.parametrize("delta, zeta", [(3.0, 0.5), (2.017, 0.537)])
+    def test_log_partials_match_the_plain_sums(self, delta, zeta):
+        log_g = k2diag._log_integrand(k2diag._edge_exponents(delta, delta, zeta), None)
+        diag = k2_integrability_diagnostic(delta, zeta)
+        for eps, partial in diag.rows():
+            assert math.exp(k2diag._log_partial(log_g, eps)) == pytest.approx(partial, rel=1e-12)
 
     def test_rows_expose_the_epsilon_sequence(self):
         diag = k2_integrability_diagnostic(3.0, 0.5)

@@ -10,7 +10,9 @@ the partner once through ``sample_state``, takes the shapes and weight from
 the pair law of its proposal and runs every exchange pair, two continuous
 species, poly-mono in either slot order and two monatomic species, through
 one sampler; every array of every batch must agree bit for bit, at each of
-several reference equilibria the proposal is built on.
+several reference equilibria the proposal is built on.  ``log_phi`` is
+pinned in one order for every family: log phi(I) - log phi(I') +
+log phi(I_*) - log phi(I'_*), added left to right to zeros.
 """
 
 import math
@@ -33,10 +35,13 @@ from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (
     CollisionContext,
     ContinuousEnergy,
+    DiscreteLevels,
+    MixtureSpec,
     Monatomic,
     PowerLawE,
     PsiWeighted,
     ResonantTensored,
+    Species,
     eval_kernel,
     single_species,
 )
@@ -133,7 +138,8 @@ def _resonant_pair(spec, pair, kernel, v, I, M, rng, n):
     log_b = _log_b(kernel, ctx, False)
     log_aq = log_b - (lq_v + lq_I - _log_weight((0.5 * delta, 0.5 * delta)))
     p = 0.5 * delta - 1.0
-    log_phi = _pow_log(I, p) + _pow_log(I_star, p) - _pow_log(Ip, p) - _pow_log(Isp, p)
+    log_phi = (np.zeros(n) + _pow_log(I, p) - _pow_log(Ip, p)
+               + _pow_log(I_star, p) - _pow_log(Isp, p))
     return (v, I, v_star, I_star, vp, Ip, vsp, Isp, log_phi, log_aq, {})
 
 
@@ -201,7 +207,8 @@ def _discrete_pair(spec, pair, law, kernel, v, lev, M, rng, n):
         log_a = (log_b + np.log(gi[k_post] * gj[l_post]) + np.log(np.maximum(g_post, 0.0))
                  - 0.5 * np.log(np.maximum(E, _TINY)))
     log_aq = np.where(ok, log_a - (lq_v + lq_lev + lq_ch - _LOG_4PI), -np.inf)
-    log_phi = np.log(gi[lev] * gj[lev_star]) - np.log(gi[k_post] * gj[l_post])
+    log_phi = (np.zeros(n) + np.log(gi[lev]) - np.log(gi[k_post])
+               + np.log(gj[lev_star]) - np.log(gj[l_post]))
     diag = {"inadmissible": int(np.sum(~ok))}
     return (v, lev, v_star, lev_star, vp, k_post, vsp, l_post, log_phi, log_aq, diag)
 
@@ -227,6 +234,14 @@ def _symmetric_psi(r, R):
     return 1.0 + 2.0 * r * (1.0 - r) * R
 
 
+# degeneracies that are not powers of two, so log(g_a g_b) and
+# log g_a + log g_b differ in their last bits and log_phi's order shows
+ODD_DEGENERACIES = MixtureSpec(
+    species=(Species("a", 1.0, DiscreteLevels((0.0, 0.6, 1.5), (3.0, 5.0, 7.0))),
+             Species("b", 1.7, DiscreteLevels((0.0, 0.45), (5.0, 3.0)))),
+    kernels=((PowerLawE(C=1.0, zeta=0.3),) * 2,) * 2,
+)
+
 PAIRS = {
     "cont-cont": (bl_spec(delta=2.5, zeta=0.6), (0, 0)),
     "cont-cont-masses": (mixture_cont_spec(), (0, 1)),
@@ -238,6 +253,7 @@ PAIRS = {
     "mono-mono": (single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.4), mass=1.5), (0, 0)),
     "disc-disc": (mixture_disc_spec(), (0, 1)),
     "disc-disc-single": (discrete_spec(), (0, 0)),
+    "disc-disc-odd-degeneracies": (ODD_DEGENERACIES, (0, 1)),
     "resonant": (resonant_spec(delta=3.0), (0, 0)),
 }
 
