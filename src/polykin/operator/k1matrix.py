@@ -9,8 +9,9 @@ equilibrium density, so sums against the weights approximate integrals
 against M.
 
 The matrix is the one n-by-n array; assembly and every check on it work in
-bounded memory, row block by row block through (``_BLOCK``, n) buffers, or
-for the symmetry check tile by tile through one (``_BLOCK``, ``_BLOCK``)
+bounded memory, row block by row block through one (``_BLOCK``, n) buffer
+(assembly builds the rest of each block in the matrix's own rows), or for
+the symmetry check tile by tile through one (``_BLOCK``, ``_BLOCK``)
 buffer.
 """
 
@@ -27,8 +28,8 @@ from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
 # most grid nodes accepted; the dense matrix takes 8 bytes per node pair,
-# so this one needs 800 MB, and assembly peaks at that plus two
-# (_BLOCK, n) buffers
+# so this one needs 800 MB, and assembly peaks at that plus one
+# (_BLOCK, n) buffer
 MAX_NODES = 10_000
 # rows per block of the assembly and of the row-wise checks, and the side
 # of the symmetry check's tiles
@@ -199,16 +200,16 @@ def assemble_k1(
     matrix = np.empty((n, n))
     # every entry runs through the operations of
     #   ((s_i*s_j) * (0.25*m*sq_norm(v_i - v_j) + (I_i + I_j)) ** (zeta/2)) * -coef
-    # in that order, so entries (i, j) and (j, i) are bitwise identical; the
-    # two buffers hold one row block's energies and density products
+    # in that order, so entries (i, j) and (j, i) are bitwise identical; a
+    # row block's energies are built in its own rows of the matrix, and the
+    # one buffer holds its coordinate differences and density products
     x, y, z = np.ascontiguousarray(nodes_v.T)
-    energy = np.empty((min(_BLOCK, n), n))
-    other = np.empty_like(energy)
+    other = np.empty((min(_BLOCK, n), n))
     quarter_m = 0.25 * sp.mass
     power = 0.5 * zeta
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
-        E = energy[: i1 - i0]
+        E = matrix[i0:i1]
         tmp = other[: i1 - i0]
         np.subtract(x[i0:i1, None], x, out=E)
         np.multiply(E, E, out=E)
@@ -220,5 +221,5 @@ def assemble_k1(
         # in-place ** takes numpy's scalar-power fast paths just as E ** power
         E **= power
         np.multiply(s[i0:i1, None], s, out=tmp)
-        np.multiply(np.multiply(tmp, E, out=tmp), -coef, out=matrix[i0:i1])
+        np.multiply(np.multiply(tmp, E, out=tmp), -coef, out=E)
     return K1Matrix(nodes_v, nodes_i, weights, m_values, matrix)

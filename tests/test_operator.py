@@ -23,7 +23,7 @@ from polykin.operator import (
 )
 from polykin.operator import mc
 from polykin.operator.transitions import make_proposal, sample_state
-from support import bl_spec, discrete_spec, mixture_cont_spec, resonant_spec
+from support import bl_spec, discrete_spec, mixture_cont_spec, resonant_spec, traced_peak
 
 W_BL = ParticleState(v=np.array([0.4, -0.1, 0.2]), I=0.9)
 
@@ -41,13 +41,16 @@ class TestEngine:
     spec = bl_spec(delta=2.5, zeta=0.6)
     M = two_temperature(spec, 1.0, 1.4)
 
-    @pytest.fixture(autouse=True)
-    def _small_chunks(self, monkeypatch):
-        # six chunks of 10k samples, so the thread pool has work to share
-        monkeypatch.setattr(mc, "_CHUNK_SIZE", 10_000)
+    @pytest.fixture(autouse=True, params=[(10_000, 6), (mc._CHUNK_SIZE, 4)],
+                    ids=["small-chunks", "default-chunks"])
+    def _chunks(self, request, monkeypatch):
+        # six chunks of 10k samples, or four at the module's own size, so
+        # the thread pool has work to share
+        self.chunk_size, self.n_chunks = request.param
+        monkeypatch.setattr(mc, "_CHUNK_SIZE", self.chunk_size)
 
     def _run(self, **kw):
-        cfg = QuadratureConfig(n_samples=60_000, seed=7, **kw)
+        cfg = QuadratureConfig(n_samples=self.n_chunks * self.chunk_size, seed=7, **kw)
         return eval_q(DistributionFn(self.M), DistributionFn(self.M), W_BL, cfg)
 
     def test_rerun_is_bitwise_identical(self):
@@ -62,8 +65,8 @@ class TestEngine:
 
     def test_chunked_estimate_combines_all_samples(self):
         est = self._run()
-        assert est.n_samples == 60_000
-        assert est.diagnostics["n_chunks"] == 6
+        assert est.n_samples == self.n_chunks * self.chunk_size
+        assert est.diagnostics["n_chunks"] == self.n_chunks
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -71,6 +74,21 @@ class TestEngine:
         for threads in (0, -1):
             with pytest.raises(ValueError, match="threads"):
                 QuadratureConfig(n_samples=10, threads=threads)
+
+
+class TestChunkMemory:
+    """A thread's live arrays are bounded by one chunk, not by the sample
+    budget: at 2.5e5 samples one 250k-row chunk peaks at 56-65 MB."""
+
+    M = two_temperature(bl_spec(delta=2.5, zeta=0.6), 1.0, 1.4)
+    cfg = QuadratureConfig(n_samples=250_000, seed=1)
+
+    def test_weak_moment(self):
+        f = DistributionFn(self.M)
+        assert traced_peak(lambda: weak_moment(f, lambda v, I: I, self.cfg)) < 24e6
+
+    def test_collision_frequency(self):
+        assert traced_peak(lambda: collision_frequency(W_BL, self.M, None, self.cfg)) < 24e6
 
 
 class TestOverflowSafeReduction:
