@@ -80,7 +80,7 @@ class TestChunkMemory:
     """A thread's live arrays are bounded by one chunk, not by the sample
     budget: at 2.5e5 samples one 250k-row chunk peaks at 56-65 MB."""
 
-    M = two_temperature(bl_spec(delta=2.5, zeta=0.6), 1.0, 1.4)
+    M = TestEngine.M
     cfg = QuadratureConfig(n_samples=250_000, seed=1)
 
     def test_weak_moment(self):
