@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hypotheses import TABLE1, TableEntry
+from .model import _number
 
 __all__ = [
     "CvSeries",
@@ -350,14 +351,7 @@ def load_manifest(path) -> list[GasDataset]:
             if not isinstance(item[key], str):
                 raise ValueError(f"{path}: datasets[{k}].{key}: {item[key]!r} is not a string")
         gas = item["gas"]
-        pressure = item["pressure_bar"]
-        if isinstance(pressure, bool) or not isinstance(pressure, (int, float)):
-            raise ValueError(f"{path}: datasets[{k}].pressure_bar: {pressure!r} is not a number")
-        try:
-            pressure = float(pressure)
-        except OverflowError:
-            raise ValueError(f"{path}: datasets[{k}].pressure_bar: integer too large "
-                             "for a float") from None
+        pressure = _number(item, "pressure_bar", f"{path}: datasets[{k}]")
         cv = read_cv_csv(path.parent / item["cv"], gas=gas)
         mu = read_viscosity_csv(path.parent / item["mu"], gas=gas)
         out.append(GasDataset(gas=gas, pressure_bar=pressure, cv=cv, mu=mu))

@@ -14,6 +14,14 @@ both tests, and a disagreement raises an inconsistency flag.  The set of
 corner exponents includes the mirrored (r <-> 1-r) assignment, which is
 the form taken by the companion contribution where the roles of the two
 post-collisional internal energies swap.
+
+G is written once, in log space, from the edge-exponent table: each
+partial is a log-sum-exp of log G on Gauss-Legendre nodes, so it stays
+finite however large z is until its log passes the largest double.
+Without Psi, G is a power of r times a power of R and the double sum
+factorizes into two one-dimensional ones.  With Psi, each corner exponent
+is the table's plus the order of Psi^2 along that edge, fitted
+numerically.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ _EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _CAUCHY_TOL = 0.01
 _GL_POINTS = 16
 _PANELS_PER_DECADE = 6
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -100,60 +109,45 @@ def _edge_exponents(delta_i: float, delta_j: float, zeta: float,
     }
 
 
-def _integrand(e: dict[str, float], psi: Callable | None):
-    er0, er1, eR1 = e["r -> 0"], e["r -> 1"], e["R -> 1"]
-
-    def g(r, R):
-        base = (1.0 - r) ** er1 * r**er0 * R * (1.0 - R) ** eR1
-        if psi is not None:
-            base = base * np.asarray(psi(r, R), dtype=float) ** 2
-        return base
-
-    return g
+def _abs_psi(psi: Callable, r: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """|psi(r, R)| broadcast to the shape of the (r, R) grid."""
+    shape = np.broadcast_shapes(r.shape, R.shape)
+    return np.abs(np.broadcast_to(np.asarray(psi(r, R), dtype=float), shape))
 
 
-def _log_integrand(e: dict[str, float], psi: Callable | None):
-    """log g, finite wherever psi is nonzero, however large zeta is."""
-    er0, er1, eR1 = e["r -> 0"], e["r -> 1"], e["R -> 1"]
-
-    def log_g(r, R):
-        base = er1 * np.log(1.0 - r) + er0 * np.log(r) + np.log(R) + eR1 * np.log(1.0 - R)
-        if psi is not None:
-            base = base + 2.0 * np.log(np.abs(np.asarray(psi(r, R), dtype=float)))
-        return base
-
-    return log_g
-
-
-def _log_partial(log_g, eps: float) -> float:
-    """log of the partial integral over (eps, 1-eps)^2, a log-sum-exp of log g."""
-    x, w = _edge_nodes(eps)
-    terms = log_g(x[:, None], x[None, :]) + np.log(w)[:, None] + np.log(w)
-    top = float(np.max(terms))
+def _lse(terms: np.ndarray) -> float:
+    top = float(np.max(terms, initial=-np.inf))
     return top + math.log(float(np.sum(np.exp(terms - top)))) if math.isfinite(top) else top
 
 
-def _partial_integral(g, log_g, eps: float) -> float:
-    # the same nodes serve both axes; a sum that is not finite is redone from
-    # log g, and reads inf only where the integral exceeds the largest double
+def _log_partial(exps: dict[str, float], psi: Callable | None, eps: float) -> float:
+    """log of the partial integral over (eps, 1-eps)^2, a log-sum-exp of
+    log g on the edge nodes.  A log past the largest double reads inf."""
     x, w = _edge_nodes(eps)
-    vals = g(x[:, None], x[None, :])
-    value = float(w @ vals @ w)
-    return value if math.isfinite(value) else float(np.exp(_log_partial(log_g, eps)))
+    with np.errstate(over="ignore"):
+        a = exps["r -> 0"] * np.log(x) + exps["r -> 1"] * np.log1p(-x) + np.log(w)
+        b = np.log(x) + exps["R -> 1"] * np.log1p(-x) + np.log(w)
+        if psi is None:
+            # g is a power of r times a power of R: the double sum factorizes
+            return _lse(a) + _lse(b)
+        p = _abs_psi(psi, x[:, None], x[None, :])
+        kept = p != 0.0  # g vanishes where psi does
+        return _lse((a[:, None] + b)[kept] + 2.0 * np.log(p[kept]))
 
 
-def _edge_slope(g, log_g, edge: str) -> float:
-    """Power-law order of the integrand along one edge of the exponent
-    table, fitted numerically.  For symmetric psi the companion integrand is
-    g with r <-> 1-r, so a mirror edge is read at the opposite end in r."""
+def _psi_order(psi: Callable, edge: str) -> float:
+    """Power-law order of psi^2 along one edge of the exponent table, fitted
+    numerically; inf where psi vanishes at every fit point.  For symmetric
+    psi the companion integrand is g with r <-> 1-r, so a mirror edge is
+    read at the opposite end in r."""
     t = 10.0 ** np.arange(-4.0, -7.5, -1.0)
     mid = np.full_like(t, 0.5)
     at_one = edge.startswith(("r -> 1", "R -> 1")) != edge.endswith("(mirror)")
     x = 1.0 - t if at_one else t
-    args = (x, mid) if edge.startswith("r") else (mid, x)
-    vals = g(*args)
-    logs = np.log(np.maximum(vals, 1e-300)) if np.all(np.isfinite(vals)) else log_g(*args)
-    return float(np.polyfit(np.log(t), logs, 1)[0])
+    p = _abs_psi(psi, *((x, mid) if edge.startswith("r") else (mid, x)))
+    if not np.any(p):
+        return math.inf
+    return float(np.polyfit(np.log(t), 2.0 * np.log(p), 1)[0])
 
 
 def k2_integrability_diagnostic(
@@ -171,22 +165,21 @@ def k2_integrability_diagnostic(
         raise ValueError("delta must be positive")
     if zeta <= -1:
         raise ValueError("zeta must exceed -1")
+    for name, value in (("delta", delta), ("zeta", zeta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if psi is not None:
         _check_symmetry(psi)
 
     exps = _edge_exponents(delta, delta, zeta)
-    g, log_g = _integrand(exps, psi), _log_integrand(exps, psi)
-    # a factor of g overflows at large zeta; those sums are redone from log g
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        partials = tuple(_partial_integral(g, log_g, eps) for eps in _EPSILONS)
-        prev, last = partials[-2:]
-        if not (math.isfinite(prev) and math.isfinite(last)):
-            # the last two partials over the larger one, from their logs
-            logs = [_log_partial(log_g, eps) for eps in _EPSILONS[-2:]]
-            prev, last = (math.exp(L - max(logs)) for L in logs)
-        if psi is not None:
-            exps = {edge: _edge_slope(g, log_g, edge) for edge in exps}
-    cauchy_change = abs(last - prev) / max(abs(last), 1e-300)
+    logs = [_log_partial(exps, psi, eps) for eps in _EPSILONS]
+    partials = tuple(math.inf if L > _LOG_MAX else math.exp(L) for L in logs)
+    prev, last = logs[-2:]
+    # |prev/last - 1| from the logs (min keeps a NaN): NaN where both logs
+    # overflow, 0 where g vanishes on every node
+    cauchy_change = 0.0 if last == -math.inf else abs(math.expm1(min(prev - last, _LOG_MAX)))
+    if psi is not None:
+        exps = {edge: e + _psi_order(psi, edge) for edge, e in exps.items()}
     numeric = cauchy_change < _CAUCHY_TOL
     analytic = all(e > -1.0 for e in exps.values())
 
@@ -196,7 +189,7 @@ def k2_integrability_diagnostic(
         zeta=float(zeta),
         epsilons=_EPSILONS,
         partials=partials,
-        cauchy_change=float(cauchy_change),
+        cauchy_change=cauchy_change,
         corner_exponents=exps,
         numeric_integrable=numeric,
         analytic_integrable=analytic,

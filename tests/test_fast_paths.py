@@ -15,7 +15,7 @@ from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, MixtureSpec,
                            Monatomic, PowerLawE, PsiWeighted, Species, eval_kernel,
                            single_species)
-from polykin.operator import k1matrix, k2diag
+from polykin.operator import k1matrix
 from polykin.operator.k1matrix import GridSpec, K1Matrix, assemble_k1
 
 from support import bl_spec, mixture_cont_spec, traced_peak
@@ -541,32 +541,3 @@ def test_symmetry_defect_peaks_below_three_block_buffers():
     grid, M, n, blocks = bounded_memory_case()
     k1 = assemble_k1(grid, M)
     assert traced_peak(k1.symmetry_defect) < blocks
-
-
-# ---------------------------------------------------------------------------
-# K2 edge nodes
-# ---------------------------------------------------------------------------
-
-
-def partial_integral_reference(g, eps):
-    """Fresh nodes for each axis, as before the nodes were cached."""
-    r, wr = k2diag._edge_nodes.__wrapped__(eps)
-    R, wR = k2diag._edge_nodes.__wrapped__(eps)
-    vals = g(r[:, None], R[None, :])
-    return float(wr @ vals @ wR)
-
-
-@pytest.mark.parametrize("delta, zeta, psi", [
-    (3.0, 0.5, None),
-    (2.017, 0.537, None),
-    (2.0, 0.0, None),
-    (5.0, -0.5, lambda r, R: 1.0 + r * (1.0 - r) * R),
-])
-def test_k2_partials_with_cached_edge_nodes(delta, zeta, psi):
-    diag = k2diag.k2_integrability_diagnostic(delta, zeta, psi)
-    g = k2diag._integrand(k2diag._edge_exponents(delta, delta, zeta), psi)
-    want = [partial_integral_reference(g, eps) for eps in k2diag._EPSILONS]
-    assert np.array_equal(bits(diag.partials), bits(want))
-    nodes, weights = k2diag._edge_nodes(k2diag._EPSILONS[0])
-    assert k2diag._edge_nodes(k2diag._EPSILONS[0])[0] is nodes
-    assert not nodes.flags.writeable and not weights.flags.writeable

@@ -277,12 +277,61 @@ class TestIntegrabilityDiagnostic:
         assert diag.verdict == "divergent" and not diag.inconsistent
         assert diag.corner_exponents["r -> 1"] == pytest.approx(delta - 3.0 - zeta, rel=1e-3)
 
-    @pytest.mark.parametrize("delta, zeta", [(3.0, 0.5), (2.017, 0.537)])
-    def test_log_partials_match_the_plain_sums(self, delta, zeta):
-        log_g = k2diag._log_integrand(k2diag._edge_exponents(delta, delta, zeta), None)
-        diag = k2_integrability_diagnostic(delta, zeta)
-        for eps, partial in diag.rows():
-            assert math.exp(k2diag._log_partial(log_g, eps)) == pytest.approx(partial, rel=1e-12)
+    @pytest.mark.parametrize("zeta", [1e300, 1e307, 1.7e308])
+    @pytest.mark.parametrize("psi", [None, lambda r, R: 1.0 + r * (1.0 - r) * R],
+                             ids=["plain", "psi"])
+    def test_extreme_zeta_reads_divergent_without_a_warning(self, zeta, psi):
+        # from zeta = 1e307 the log partials themselves pass the largest
+        # double, so the Cauchy change is NaN: never 0, which would pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = k2_integrability_diagnostic(2.0, zeta, psi=psi)
+        assert diag.verdict == "divergent" and not diag.inconsistent
+        if zeta < 1e307:
+            assert diag.cauchy_change == pytest.approx(1.0, abs=1e-6)
+        else:
+            assert math.isnan(diag.cauchy_change)
+
+    @pytest.mark.parametrize("zeta", [0.5, 300.0, 1e300, 1e307, 1.7e308])
+    def test_vanishing_psi_is_integrable(self, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = k2_integrability_diagnostic(2.0, zeta, psi=lambda r, R: 0.0 * r * R)
+        assert diag.verdict == "integrable" and not diag.inconsistent
+        assert diag.partials == (0.0,) * len(diag.epsilons)
+        assert diag.cauchy_change == 0.0
+
+    @pytest.mark.parametrize("zeta", [1e4, 1e5])
+    def test_psi_edge_orders_add_to_the_exponent_table(self, zeta):
+        # psi = 1 + r(1-r)R is of order 0 on every edge, so each corner
+        # exponent is the table's, however steep the opposite edge is
+        diag = k2_integrability_diagnostic(9.5, zeta, psi=lambda r, R: 1.0 + r * (1.0 - r) * R)
+        for edge, exponent in k2diag._edge_exponents(9.5, 9.5, zeta).items():
+            assert diag.corner_exponents[edge] == pytest.approx(exponent, abs=1e-3), edge
+
+    @pytest.mark.parametrize("delta, zeta, psi", [
+        (3.0, 0.5, None),
+        (2.017, 0.537, None),
+        (2.0, 0.0, None),
+        (5.0, -0.5, lambda r, R: 1.0 + r * (1.0 - r) * R),
+    ])
+    def test_partials_match_a_plain_quadrature(self, delta, zeta, psi):
+        def g(r, R):
+            weight = 1.0 if psi is None else psi(r, R) ** 2
+            return (weight * (1.0 - r) ** (delta - 3.0 - zeta) * r ** (delta / 2.0 - 2.0)
+                    * R * (1.0 - R) ** (1.5 * delta - 3.0 - zeta))
+
+        want = []
+        for eps in k2diag._EPSILONS:
+            # fresh nodes for each axis, not the cached ones
+            r, wr = k2diag._edge_nodes.__wrapped__(eps)
+            R, wR = k2diag._edge_nodes.__wrapped__(eps)
+            want.append(wr @ g(r[:, None], R[None, :]) @ wR)
+        diag = k2_integrability_diagnostic(delta, zeta, psi)
+        np.testing.assert_allclose(diag.partials, want, rtol=1e-12, atol=0.0)
+        nodes, weights = k2diag._edge_nodes(k2diag._EPSILONS[0])
+        assert k2diag._edge_nodes(k2diag._EPSILONS[0])[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_rows_expose_the_epsilon_sequence(self):
         diag = k2_integrability_diagnostic(3.0, 0.5)
@@ -292,9 +341,15 @@ class TestIntegrabilityDiagnostic:
         assert eps == diag.epsilons[0] and val == diag.partials[0]
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta must be positive$"):
             k2_integrability_diagnostic(0.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zeta must exceed -1$"):
             k2_integrability_diagnostic(3.0, -1.5)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^delta must be finite$"):
+                k2_integrability_diagnostic(delta, 0.5)
+        for zeta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^zeta must be finite$"):
+                k2_integrability_diagnostic(3.0, zeta)
         with pytest.raises(ValueError):
             k2_integrability_diagnostic(3.0, 0.5, psi=lambda r, R: r)
