@@ -206,15 +206,24 @@ class Maxwellian:
 
     def sample(self, rng: np.random.Generator, n: int, species: int = 0):
         """Draw n states: returns (velocities, internal) where internal is an
-        energy array, a level-index array, or None."""
+        energy array, a level-index array, or None.
+
+        The draws are unit-scale variates times the scale, which is how
+        numpy forms ``normal(0, scale)`` and ``gamma(a, scale)``, so the
+        states are theirs bit for bit, scaled in place instead of through
+        numpy's per-call broadcasting.
+        """
         sp = self.spec.species[species]
-        v = self.params.u + rng.normal(0.0, np.sqrt(self.params.T_kin / sp.mass), (n, 3))
+        v = rng.standard_normal((n, 3))
+        v *= math.sqrt(self.params.T_kin / sp.mass)
+        v += self.params.u
         e = sp.energy
         if isinstance(e, Monatomic):
             return v, None
         T = self.params.T_int
         if isinstance(e, ContinuousEnergy):
-            I = rng.gamma(0.5 * e.delta, T, n)
+            I = rng.standard_gamma(0.5 * e.delta, n)
+            I *= T
             if e.delta < 2.0:
                 # a draw below the smallest positive double underflows to 0,
                 # where the density of I is infinite for delta < 2; it is
