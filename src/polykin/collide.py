@@ -7,7 +7,9 @@ discrete species, their level tables.  The array layer
 (:func:`monatomic_rule`, :func:`bl_poly_poly`, :func:`resonant_rule`,
 :func:`discrete_rule`, ...) works on numpy arrays with leading batch
 dimensions and is what the Monte Carlo estimators and the relaxation
-simulator call.  The object layer
+simulator call, together with the draws both share: the scattering
+direction (:func:`unit_sphere`) and the exchange split
+(:func:`exchange_split`).  The object layer
 (:func:`collide_borgnakke_larsen` and friends) wraps single collisions in
 :class:`ParticleState` / :class:`CollisionOutcome` records and validates its
 inputs; :func:`internal_variable` is the one reader of a state's internal
@@ -44,6 +46,7 @@ __all__ = [
     "PairLaw",
     "pair_law",
     "beta_draw",
+    "exchange_split",
     "ParticleState",
     "internal_variable",
     "MonatomicParams",
@@ -76,6 +79,9 @@ __all__ = [
 _SIGMA_TOL = 1e-12
 # relative conservation defect inverse_parameters accepts between its pairs
 _SHELL_TOL = 1e-10
+# least Beta shape of an internal split drawn from Gamma variates: a
+# Gamma(0.05) draw is subnormal with probability about 2^-51
+_GAMMA_FLOOR = 0.05
 
 
 def sq_norm(x: np.ndarray) -> np.ndarray:
@@ -98,12 +104,35 @@ def unit_vector(sigma) -> np.ndarray:
 
 
 def unit_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` directions uniform on the sphere: z uniform on [-1, 1], then the
-    azimuth uniform on [0, 2 pi), drawn in that order."""
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    """``n`` directions uniform on the sphere, as one (n, 3) array.
+
+    Marsaglia's method (Ann. Math. Statist. 43, 1972): a pair (x1, x2)
+    uniform on [-1, 1]^2 with S = x1^2 + x2^2 < 1 gives the direction
+    (2 x1 sqrt(1 - S), 2 x2 sqrt(1 - S), 1 - 2 S), with no trigonometric
+    call.  A pair is kept with probability pi/4, so the pairs are drawn in
+    blocks a third larger than the number of directions still missing: a
+    block of m pairs is m uniforms x1, then m uniforms x2.  The kept pairs
+    fill the rows in order, the rest of a block is dropped, and a block that
+    keeps too few is followed by another.  The number of blocks depends only
+    on the stream, so a seed reproduces the output bit for bit.
+    """
+    out = np.empty((n, 3))
+    filled = 0
+    while filled < n:
+        need = n - filled
+        x = rng.uniform(-1.0, 1.0, (2, need + need // 3 + 8))
+        S = x[0] * x[0] + x[1] * x[1]
+        keep = np.flatnonzero(S < 1.0)[:need]
+        S = S[keep]
+        t = 1.0 - S
+        np.sqrt(t, out=t)
+        t *= 2.0
+        rows = out[filled:filled + keep.size]
+        np.multiply(x[0, keep], t, out=rows[:, 0])
+        np.multiply(x[1, keep], t, out=rows[:, 1])
+        np.subtract(1.0, 2.0 * S, out=rows[:, 2])
+        filled += keep.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +289,11 @@ def beta_draw(shapes: tuple[float, float], rng: np.random.Generator, n: int) -> 
     A unit shape has a closed-form inverse distribution function, so those
     laws are drawn exactly from one uniform U each: U^(1/a) for (a, 1),
     which is U itself for (1, 1), and 1 - U^(1/b) for (1, b).  numpy's
-    ``beta`` draws (1, 1), the internal split at delta = 2, by rejection at
+    ``beta`` draws (1, 1), the resonant split at delta = 2, by rejection at
     tens of times the cost of a uniform.  Every other pair of shapes goes
-    to ``rng.beta``.
+    to ``rng.beta``.  It draws the laws with one Beta parameter (R of a
+    one-sided exchange pair, the resonant split) and the rows and shapes
+    :func:`exchange_split` does not take from Gamma draws.
     """
     a, b = shapes
     if b == 1.0:
@@ -270,6 +301,45 @@ def beta_draw(shapes: tuple[float, float], rng: np.random.Generator, n: int) -> 
     if a == 1.0:
         return 1.0 - rng.random(n) ** (1.0 / b)
     return rng.beta(a, b, n)
+
+
+def exchange_split(law: PairLaw, rng: np.random.Generator,
+                   n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``n`` draws of the exchange parameters (r, R) of a pair following
+    ``law``, each None where the law has no such parameter.
+
+    For two continuous species (R, r (1 - R), (1 - r)(1 - R)) is
+    Dirichlet(beta_R[0], *beta_r), so the split is three Gamma draws, in
+    this order: g1 ~ Gamma(beta_r[0]), g2 ~ Gamma(beta_r[1]) and
+    g3 ~ Gamma(beta_R[0] = 3/2).  Then r = g1 / (g1 + g2) is Beta(beta_r)
+    and R = g3 / (g3 + g1 + g2) is Beta(beta_R), the two independent (the
+    Beta-Gamma algebra), at three Gamma draws where two ``rng.beta`` calls
+    take four.  Rows where g1 + g2 underflows to 0 take r from
+    :func:`beta_draw` after the three batches; R is exactly 1 there, its
+    limit, and as r is independent of g1 + g2 the law is unchanged.
+
+    A Gamma(a) draw falls below the least normal double with probability
+    about 2^(-1022 a), so below a = ``_GAMMA_FLOOR`` the ratio g1 / (g1 + g2)
+    would put visible mass at exactly 0 or 1; a split with a shape that
+    small draws r and R with :func:`beta_draw` instead, as does a law with
+    R alone (poly-mono, mono-poly).
+    """
+    if law.beta_r is None:
+        return None, None if law.beta_R is None else beta_draw(law.beta_R, rng, n)
+    if min(law.beta_r) < _GAMMA_FLOOR:
+        return beta_draw(law.beta_r, rng, n), beta_draw(law.beta_R, rng, n)
+    g1 = rng.standard_gamma(law.beta_r[0], n)
+    g2 = rng.standard_gamma(law.beta_r[1], n)
+    g3 = rng.standard_gamma(law.beta_R[0], n)
+    s = g1 + g2
+    if s.all():
+        r = np.divide(g1, s, out=g1)
+    else:
+        empty = s == 0.0
+        r = np.divide(g1, s, out=g1, where=~empty)
+        r[empty] = beta_draw(law.beta_r, rng, int(np.count_nonzero(empty)))
+    s += g3
+    return r, np.divide(g3, s, out=g3)
 
 
 def com_energy(mu, v, v_star, internal=0.0, internal_star=0.0):

@@ -10,7 +10,8 @@ The chunk size bounds each worker thread's live arrays at 220-260 bytes
 per row (14-16 MB at 62 500 rows, traced by tracemalloc).  glibc's
 per-thread arenas keep that memory once the chunks are done, so it also
 sets the floor under what the caller allocates next.  On 2 vCPUs of an
-AMD EPYC, the full operator-diag benchmark operation read:
+AMD EPYC, the full operator-diag benchmark operation read at commit
+3c52803 (cheaper variate draws since then have lowered the medians):
 
     rows per chunk   peak RSS (MB)   operation median (s)
     250 000          315.6           1.422

@@ -21,9 +21,16 @@ and the scattering direction over their density is a constant, 4 pi times
 the laws' Beta functions.  The masses and a disc-disc pair's level tables
 come from the law too; the degeneracy factor comes from the species'
 internal-energy weights, as :func:`sample_transition` forms ``log_phi``
-once from the batch's internal states (``equilib._log_phi_ratio``).  Every
-sampler draws the exchange parameters and then the scattering direction.
-The draw order is fixed, so results reproduce for a fixed seed.
+once from the batch's internal states (``equilib._log_phi_ratio``).
+
+Draw order, fixed so that results reproduce for a fixed seed: the partner
+state (velocity, then internal state), then the exchange parameters, then
+the scattering direction (``collide.unit_sphere``).  The exchange sampler
+takes (r, R) from ``collide.exchange_split``, which draws the split of two
+continuous species as one Dirichlet(3/2, delta_i/2, delta_j/2) draw of
+three Gamma batches and R alone with ``beta_draw`` for a one-sided pair;
+the resonant sampler draws I' / (I + I_*) with ``beta_draw``, and the
+discrete sampler draws the post levels (k', l').
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from ..collide import (
     beta_draw,
     bl_poly_poly,
     discrete_rule,
+    exchange_split,
     monatomic_rule,
     pair_law,
     resonant_rule,
@@ -104,9 +112,9 @@ class TransitionBatch:
     diagnostics: dict
 
 
-def _beta_draw(shapes, rng, n: int):
-    """Draw n Beta(shapes) values inside (0, 1)."""
-    return np.clip(beta_draw(shapes, rng, n), _TINY, 1.0 - 2**-53)
+def _inside(x):
+    """Split draws ``x`` clipped into (0, 1); None stays None."""
+    return None if x is None else np.clip(x, _TINY, 1.0 - 2**-53)
 
 
 def _log_weight(weight: float) -> float:
@@ -127,11 +135,7 @@ def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
 
 def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
-    r = R = None
-    if law.beta_r is not None:
-        r = _beta_draw(law.beta_r, rng, n)
-    if law.beta_R is not None:
-        R = _beta_draw(law.beta_R, rng, n)
+    r, R = (_inside(x) for x in exchange_split(law, rng, n))
     sigma = unit_sphere(rng, n)
     if law.kind is PairKind.MONO_MONO:
         vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
@@ -153,7 +157,7 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
 def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     law = prop.law
     Z = I + I_star
-    I_prime = _beta_draw(law.beta_r, rng, n) * Z
+    I_prime = _inside(beta_draw(law.beta_r, rng, n)) * Z
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp = resonant_rule(v, v_star, I, I_star, I_prime, sigma)
     V = v - v_star

@@ -5,7 +5,8 @@ candidate pairs are drawn uniformly, accepted with probability equal to the
 pair's total transition rate divided by a majorant bound, and accepted pairs
 exchange energy through the exact collision rules of :mod:`polykin.collide`.
 Exchange parameters are drawn from the Beta laws matching the transition
-weights, so accepted collisions follow the kernel's law exactly and the
+weights (``collide.exchange_split``, one Dirichlet draw for two continuous
+species), so accepted collisions follow the kernel's law exactly and the
 per-collision conservation defects are at rounding level.
 
 Each step draws all its candidates and their random numbers up front, then
@@ -31,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collide import (PairKind, PairLaw, beta_draw, bl_poly_poly, discrete_rule, monatomic_rule,
-                      pair_law, sq_norm, unit_sphere)
+from .collide import (PairKind, PairLaw, bl_poly_poly, discrete_rule, exchange_split,
+                      monatomic_rule, pair_law, sq_norm, unit_sphere)
 from .equilib import (EquilibriumParams, Maxwellian, _log_phi, internal_temperature,
                       mean_internal_energy)
 from .model import (
@@ -477,11 +478,12 @@ def _dependency_levels(ii: np.ndarray, jj: np.ndarray):
 
 
 def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
-             r: np.ndarray, R: np.ndarray, sigma: np.ndarray) -> int:
+             r: np.ndarray | None, R: np.ndarray | None, sigma: np.ndarray) -> int:
     """Collide the disjoint pairs (a, b) in place; return how many collided.
 
     For discrete species ``r`` holds the channel-selecting uniforms; a pair
     with internal energy on one side takes the law's fixed split instead.
+    ``r`` and ``R`` are None where the pair has no such parameter.
     """
     law, v, I = pt.law, ensemble.v, ensemble.internal
     if law.kind is PairKind.DISC_DISC:
@@ -544,21 +546,19 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         ii, jj = _draw_pairs(rng, pt, m)
         u_acc = rng.random(m)
         sigma = unit_sphere(rng, m)
-        if pt.law.beta_r is not None:
-            r_draw = beta_draw(pt.law.beta_r, rng, m)
-        elif pt.law.kind is PairKind.DISC_DISC:
-            r_draw = rng.random(m)       # channel selector
+        if pt.law.kind is PairKind.DISC_DISC:
+            r_draw, R_draw = rng.random(m), None     # channel selector
         else:
-            r_draw = np.zeros(m)
-        R_draw = beta_draw(pt.law.beta_R, rng, m) if pt.law.beta_R is not None else np.zeros(m)
+            r_draw, R_draw = exchange_split(pt.law, rng, m)
         # candidates of one level commute; later levels see their results
         for lev in _dependency_levels(ii, jj):
             rates = _rates(ensemble, pt, ii[lev], jj[lev])
             step_violations += int(np.count_nonzero(rates > b_maj))
             hit = lev[u_acc[lev] * b_maj < rates]
             if hit.size:
-                ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
-                                                r_draw[hit], R_draw[hit], sigma[hit])
+                r, R = (None if d is None else d[hit] for d in (r_draw, R_draw))
+                ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit], r, R,
+                                                sigma[hit])
 
     ensemble.majorant_violations += step_violations
     if step_candidates and step_violations / step_candidates > config.violation_tol:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +26,16 @@ from polykin.collide import (
     collide_resonant,
     com_energy,
     discrete_rule,
+    exchange_split,
     invariant_defect,
     inverse_parameters,
     jacobian_bl,
     monatomic_rule,
     pair_law,
     resonant_rule,
+    sq_norm,
     total_energy,
+    unit_sphere,
     unit_vector,
 )
 from polykin.model import (
@@ -572,6 +576,162 @@ class TestBetaDraw:
     def test_other_shapes_are_numpy_beta(self):
         want = np.random.default_rng(5).beta(1.5, 2.0, 1000)
         assert beta_draw((1.5, 2.0), np.random.default_rng(5), 1000).tobytes() == want.tobytes()
+
+
+class _RejectFirstBlock:
+    """A generator whose first ``uniform`` block lies wholly outside the unit
+    disk and draws nothing from the stream; later calls are the stream's."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def uniform(self, low, high, size):
+        self.blocks += 1
+        if self.blocks == 1:
+            return np.full(size, 0.75)
+        return self._rng.uniform(low, high, size)
+
+
+@pytest.fixture(scope="module")
+def sphere():
+    return unit_sphere(np.random.default_rng(12), 200_000)
+
+
+class TestUnitSphere:
+    """Marsaglia's directions: unit length, z and the azimuth uniform, and
+    an isotropic second moment, each within 4 standard errors or at KS
+    p > 1e-3 over 2e5 draws."""
+
+    def test_unit_length(self, sphere):
+        assert sphere.shape == (200_000, 3)
+        assert np.max(np.abs(np.sqrt(sq_norm(sphere)) - 1.0)) <= 1e-15
+
+    def test_z_is_uniform(self, sphere):
+        assert stats.kstest(sphere[:, 2], stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
+
+    def test_azimuth_is_uniform(self, sphere):
+        phi = np.arctan2(sphere[:, 1], sphere[:, 0])
+        assert stats.kstest(phi, stats.uniform(-np.pi, 2.0 * np.pi).cdf).pvalue > 1e-3
+
+    def test_second_moment_is_a_third_of_the_identity(self, sphere):
+        outer = sphere[:, :, None] * sphere[:, None, :]
+        se = outer.std(axis=0) / np.sqrt(len(sphere))
+        assert np.all(np.abs(outer.mean(axis=0) - np.eye(3) / 3.0) <= 4.0 * se)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_shape_of_small_batches(self, n):
+        assert unit_sphere(np.random.default_rng(0), n).shape == (n, 3)
+
+    def test_a_seed_reproduces_its_directions(self):
+        a = unit_sphere(np.random.default_rng(7), 1000)
+        assert a.tobytes() == unit_sphere(np.random.default_rng(7), 1000).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_a_block_that_keeps_too_few_pairs_is_followed_by_another(self, n):
+        rng = _RejectFirstBlock(3)
+        got = unit_sphere(rng, n)
+        assert rng.blocks == 2
+        assert got.tobytes() == unit_sphere(np.random.default_rng(3), n).tobytes()
+
+
+def _split_law(delta_i, delta_j):
+    return pair_law(mixture_cont_spec(delta_a=delta_i, delta_b=delta_j), 0, 1)
+
+
+def _follows(x, law, lo=1e-300, hi=1.0 - 1e-12):
+    """Whether draws ``x`` follow the continuous ``law`` on [lo, hi]: the
+    share of draws there within 4 standard errors of its probability, and
+    KS p > 1e-3 against the law conditioned on [lo, hi].  At shapes far
+    below 1 most draws round to exactly 0 or 1, point masses a KS test
+    against the continuous law cannot take; [lo, hi] leaves them out."""
+    inside = (x >= lo) & (x <= hi)
+    p = law.cdf(hi) - law.cdf(lo)
+    if abs(inside.mean() - p) > 4.0 * np.sqrt(p * (1.0 - p) / x.size) + 1e-15:
+        return False
+    conditional = lambda t: (law.cdf(t) - law.cdf(lo)) / p
+    return stats.kstest(x[inside], conditional).pvalue > 1e-3
+
+
+class _ZeroGammas:
+    """A generator whose first two ``standard_gamma`` batches are 0 on every
+    third row, as Gamma draws far below shape 1 underflow; everything else
+    is the stream's."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def standard_gamma(self, shape, n):
+        self.calls += 1
+        g = self._rng.standard_gamma(shape, n)
+        if self.calls <= 2:
+            g[::3] = 0.0
+        return g
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestExchangeSplit:
+    """r is Beta(delta_i/2, delta_j/2), R is Beta(3/2, (delta_i + delta_j)/2),
+    and the two are uncorrelated, over 2e5 draws, with no numpy warning."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("delta_i, delta_j",
+                             [(2.0, 2.0), (2.5, 2.5), (0.6, 3.0), (0.1, 0.1), (0.005, 0.005)])
+    def test_law(self, delta_i, delta_j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, R = exchange_split(_split_law(delta_i, delta_j), np.random.default_rng(11),
+                                  self.N)
+        assert r.shape == R.shape == (self.N,)
+        assert np.all((r >= 0.0) & (r <= 1.0) & (R >= 0.0) & (R <= 1.0))
+        assert _follows(r, stats.beta(0.5 * delta_i, 0.5 * delta_j))
+        assert _follows(R, stats.beta(1.5, 0.5 * (delta_i + delta_j)))
+        assert abs(np.corrcoef(r, R)[0, 1]) <= 4.0 / np.sqrt(self.N)
+
+    def test_one_dirichlet_draw_from_three_gamma_batches(self):
+        law = _split_law(2.5, 3.0)
+        r, R = exchange_split(law, np.random.default_rng(4), 1000)
+        rng = np.random.default_rng(4)
+        g1, g2, g3 = (rng.standard_gamma(a, 1000) for a in (1.25, 1.5, 1.5))
+        assert r.tobytes() == (g1 / (g1 + g2)).tobytes()
+        assert R.tobytes() == (g3 / (g3 + (g1 + g2))).tobytes()
+
+    def test_rows_whose_gammas_underflow_take_r_from_beta_draw(self):
+        law = _split_law(2.5, 2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, R = exchange_split(law, _ZeroGammas(6), 999)
+        rng = np.random.default_rng(6)
+        g1, g2, g3 = (rng.standard_gamma(a, 999) for a in (1.25, 1.25, 1.5))
+        assert np.all(R[::3] == 1.0)
+        assert r[::3].tobytes() == beta_draw(law.beta_r, rng, 333).tobytes()
+        keep = np.arange(999) % 3 != 0
+        assert r[keep].tobytes() == (g1 / (g1 + g2))[keep].tobytes()
+
+    def test_shapes_below_the_gamma_floor_take_two_beta_draws(self):
+        law = _split_law(0.005, 0.005)
+        r, R = exchange_split(law, np.random.default_rng(8), 1000)
+        rng = np.random.default_rng(8)
+        assert r.tobytes() == beta_draw(law.beta_r, rng, 1000).tobytes()
+        assert R.tobytes() == beta_draw(law.beta_R, rng, 1000).tobytes()
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0)], ids=["poly-mono", "mono-poly"])
+    def test_one_sided_pairs_draw_R_alone(self, pair):
+        law = pair_law(mixture_cont_spec(delta_a=2.5, delta_b=None), *pair)
+        r, R = exchange_split(law, np.random.default_rng(9), 1000)
+        assert r is None
+        assert R.tobytes() == beta_draw(law.beta_R, np.random.default_rng(9), 1000).tobytes()
+
+    def test_two_monatomic_species_draw_nothing(self):
+        law = pair_law(single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.0)), 0, 0)
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        assert exchange_split(law, rng, 1000) == (None, None)
+        assert rng.bit_generator.state == state
 
 
 class TestMajorant:

@@ -274,10 +274,13 @@ class TestCollisionFrequency:
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_weight_that_overflows_is_rejected(self):
-        # at delta = 1e-300 the exchange weight overflows to inf
+        # at delta = 1e-300 the exchange weight overflows to inf; every split
+        # draw underflows, and no numpy warning comes before the error
         M = equilibrium(bl_spec(delta=1e-300))
-        with pytest.raises(FloatingPointError, match="non-finite estimator values"):
-            collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=2_000, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite estimator values"):
+                collision_frequency(W_BL, M, None, QuadratureConfig(n_samples=2_000, seed=1))
 
 
 class TestResonantClosedForm:
@@ -345,6 +348,17 @@ class TestWeakMoments:
     def test_resonant_internal_energy_is_separately_conserved(self):
         f = DistributionFn(two_temperature(resonant_spec(delta=2.0), 1.0, 1.6))
         est = weak_moment(f, lambda v, I: I, QuadratureConfig(n_samples=100_000, seed=2))
+        assert est.value == 0.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("delta", [0.02, 0.005])
+    def test_energy_vanishes_exactly_at_small_delta(self, delta):
+        # far below delta = 1 the split's Gamma draws underflow to 0, where a
+        # ratio of them would be 0/0; the energy still balances in each row
+        f = DistributionFn(two_temperature(bl_spec(delta=delta), 1.0, 1.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = weak_moment(f, lambda v, I: 0.5 * np.sum(v * v, -1) + I,
+                              QuadratureConfig(n_samples=300_000, seed=1))
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_kinetic_energy_flows_toward_the_cold_mode(self):

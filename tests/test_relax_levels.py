@@ -8,13 +8,12 @@ with its original acceptance uniform.  ``relax.step`` runs the same draws in
 dependency levels, and every recorded moment must agree bit for bit.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import PairKind, beta_draw, bl_poly_poly, discrete_rule, monatomic_rule
+from polykin.collide import (PairKind, bl_poly_poly, discrete_rule, exchange_split,
+                             monatomic_rule, unit_sphere)
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec
 
@@ -115,16 +114,12 @@ def _sequential_step(ensemble, config):
             ii = pt.idx_i[rng.integers(0, pt.idx_i.size, m)]
             jj = pt.idx_j[rng.integers(0, pt.idx_j.size, m)]
         u_acc = rng.random(m)
-        z = rng.uniform(-1.0, 1.0, m)
-        phi = rng.uniform(0.0, 2.0 * np.pi, m)
+        sigmas = unit_sphere(rng, m)
         discrete = pt.law.kind is PairKind.DISC_DISC
-        if pt.law.beta_r is not None:
-            r_draw = beta_draw(pt.law.beta_r, rng, m)
-        elif discrete:
-            r_draw = rng.random(m)
+        if discrete:
+            r_draw, R_draw = rng.random(m), None
         else:
-            r_draw = np.zeros(m)
-        R_draw = beta_draw(pt.law.beta_R, rng, m) if pt.law.beta_R is not None else np.zeros(m)
+            r_draw, R_draw = exchange_split(pt.law, rng, m)
 
         rates = _rates(ensemble, pt, ii, jj)
         dirty = np.zeros(n_total, dtype=bool)
@@ -137,12 +132,13 @@ def _sequential_step(ensemble, config):
                 step_violations += 1
             if not u_acc[k] * b_maj < rate:
                 continue
-            s = math.sqrt(max(1.0 - z[k] * z[k], 0.0))
-            sigma = np.array([s * math.cos(phi[k]), s * math.sin(phi[k]), z[k]])
+            sigma = sigmas[k]
             if discrete:
                 collided = _apply_discrete(ensemble, pt, a, b, r_draw[k], sigma)
             else:
-                _apply_continuous(ensemble, pt, a, b, r_draw[k], R_draw[k], sigma)
+                r = None if r_draw is None else r_draw[k]
+                R = None if R_draw is None else R_draw[k]
+                _apply_continuous(ensemble, pt, a, b, r, R, sigma)
                 collided = True
             if collided:
                 ensemble.collisions += 1

@@ -5,7 +5,9 @@ of the proposal draws and derive their own Beta shapes and weight constants
 from the species' delta, with mono-poly as a separate copy of poly-mono that
 puts the internal energy on the second slot by hand.  Each split variable
 is drawn from its Beta law, so its weight over the proposal is the constant
-4 pi times the Beta functions of its shapes.  ``sample_transition`` draws
+4 pi times the Beta functions of its shapes; the two splits of two
+continuous species come from one Dirichlet draw (``collide.exchange_split``),
+and every direction from ``collide.unit_sphere``.  ``sample_transition`` draws
 the partner once through ``sample_state``, takes the shapes and weight from
 the pair law of its proposal and runs every exchange pair, two continuous
 species, poly-mono in either slot order and two monatomic species, through
@@ -26,6 +28,7 @@ from polykin.collide import (
     beta_draw,
     bl_poly_poly,
     discrete_rule,
+    exchange_split,
     monatomic_rule,
     pair_law,
     resonant_rule,
@@ -111,8 +114,8 @@ def _bl_pair(spec, pair, law, kernel, v, I, M, rng, n):
     dj = spec.species[j].energy.delta
     v_star, lq_v = _gaussian_partner(M, rng, n, j)
     I_star, lq_I = _gamma_partner(M, rng, n, j)
-    r = _beta_draw(0.5 * di, 0.5 * dj, rng, n)
-    R = _beta_draw(1.5, 0.5 * (di + dj), rng, n)
+    # (R, r (1 - R), (1 - r)(1 - R)) is one Dirichlet(3/2, di/2, dj/2) draw
+    r, R = (np.clip(x, _TINY, 1.0 - 2**-53) for x in exchange_split(law, rng, n))
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
     log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
