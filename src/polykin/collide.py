@@ -8,8 +8,9 @@ discrete species, their level tables.  The array layer
 :func:`discrete_rule`, ...) works on numpy arrays with leading batch
 dimensions and is what the Monte Carlo estimators and the relaxation
 simulator call, together with the draws both share: the scattering
-direction (:func:`unit_sphere`) and the exchange split
-(:func:`exchange_split`).  The object layer
+direction (:func:`unit_sphere`), the exchange split
+(:func:`exchange_split`) and a disc-disc pair's post levels
+(:func:`channel_draw`).  The object layer
 (:func:`collide_borgnakke_larsen` and friends) wraps single collisions in
 :class:`ParticleState` / :class:`CollisionOutcome` records and validates its
 inputs; :func:`internal_variable` is the one reader of a state's internal
@@ -47,6 +48,7 @@ __all__ = [
     "pair_law",
     "beta_draw",
     "exchange_split",
+    "channel_draw",
     "ParticleState",
     "internal_variable",
     "MonatomicParams",
@@ -182,20 +184,21 @@ class PairLaw:
     levels_j: tuple | None = field(default=None, compare=False, repr=False)
 
     def majorant(self, C: float, zeta: float) -> float | None:
-        """An exact bound on the pair's total transition rate under the
+        """An exact bound on the pair's transition rate under the
         energy-power kernel C E^(zeta/2), or None where no constant bounds it.
 
         Only zeta = 0 has one: for zeta > 0, E^(zeta/2) grows without bound,
         and for zeta < 0 it is unbounded near E = 0.  An exchange pair's rate
         at zeta = 0 is C * weight for every pair, and this returns that same
-        double.  A disc-disc pair's rate is
-        C * weight * E^(-1/2) * sum_k'l' g_k' g_l' |V'|, and
-        |V'|^2 = 2 (E - E_k' - E_l') / mu <= 2 E / mu while every level
-        energy is nonnegative (as ``validate`` requires), so the rate is at
-        most C * weight * sqrt(2/mu) * (sum g_i)(sum g_j); a spectrum with a
-        negative level gets None.  Rates reach that bound when every level
-        is at 0 or the pair is hot, so it is padded by one ulp (2^-52) for
-        each channel the rate sums plus eight for its other roundings.
+        double.  A disc-disc pair's rate into its drawn channel (k', l') is
+        C * weight * (sum g_i)(sum g_j) * E^(-1/2) * |V'| (see
+        :func:`channel_draw`), and |V'|^2 = 2 (E - E_k' - E_l') / mu <= 2 E / mu
+        while every level energy is nonnegative (as ``validate`` requires), so
+        the rate is at most C * weight * sqrt(2/mu) * (sum g_i)(sum g_j); a
+        spectrum with a negative level gets None.  Rates reach that bound
+        when every level is at 0 or the pair is hot.  The rate and the bound
+        each round a fixed handful of operations, whatever the channel
+        count, which a constant pad of eight ulps (2^-52 each) covers.
         """
         if zeta != 0.0:
             return None
@@ -204,7 +207,7 @@ class PairLaw:
         (li, gi), (lj, gj) = self.levels_i, self.levels_j
         if min(li.min(), lj.min()) < 0.0:
             return None
-        pad = 1.0 + (li.size * lj.size + 8) * 2.0**-52
+        pad = 1.0 + 8 * 2.0**-52
         return float(C * self.weight * np.sqrt(2.0 / self.mu) * gi.sum() * gj.sum() * pad)
 
 
@@ -340,6 +343,18 @@ def exchange_split(law: PairLaw, rng: np.random.Generator,
         r[empty] = beta_draw(law.beta_r, rng, int(np.count_nonzero(empty)))
     s += g3
     return r, np.divide(g3, s, out=g3)
+
+
+def channel_draw(law: PairLaw, rng: np.random.Generator,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` draws of a disc-disc pair's post levels (k', l'): k' with
+    probability g_k' / sum g_i, then l' with probability g_l' / sum g_j.
+
+    A channel's weight g_k' g_l' |V'| b / sqrt(E) over this probability is
+    (sum g_i)(sum g_j) |V'| b / sqrt(E): the degeneracies cancel.
+    """
+    return tuple(rng.choice(g.size, n, p=g / g.sum())
+                 for _, g in (law.levels_i, law.levels_j))
 
 
 def com_energy(mu, v, v_star, internal=0.0, internal_star=0.0):

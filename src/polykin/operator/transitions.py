@@ -18,7 +18,9 @@ law (Borgnakke & Larsen, J. Comput. Phys. 18, 1975): r where the law's
 ``beta_r`` is set, R where its ``beta_R`` is set, and a resonant pair's
 I' / (I + I_*) from Beta(delta/2, delta/2).  So the weight of those draws
 and the scattering direction over their density is a constant, 4 pi times
-the laws' Beta functions.  The masses and a disc-disc pair's level tables
+the laws' Beta functions; the discrete sampler draws each post level in
+proportion to its degeneracy, so no level's degeneracy is left in its A/q.
+The masses and a disc-disc pair's level tables
 come from the law too; the degeneracy factor comes from the species'
 internal-energy weights, as :func:`sample_transition` forms ``log_phi``
 once from the batch's internal states (``equilib._log_phi_ratio``).
@@ -30,7 +32,8 @@ takes (r, R) from ``collide.exchange_split``, which draws the split of two
 continuous species as one Dirichlet(3/2, delta_i/2, delta_j/2) draw of
 three Gamma batches and R alone with ``beta_draw`` for a one-sided pair;
 the resonant sampler draws I' / (I + I_*) with ``beta_draw``, and the
-discrete sampler draws the post levels (k', l').
+discrete sampler draws the post levels k', then l', with
+``collide.channel_draw``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from ..collide import (
     _beta,
     beta_draw,
     bl_poly_poly,
+    channel_draw,
     discrete_rule,
     exchange_split,
     monatomic_rule,
@@ -54,10 +58,9 @@ from ..collide import (
     sq_norm,
     unit_sphere,
 )
-from ..equilib import Maxwellian, _log_phi_ratio, level_weights
+from ..equilib import Maxwellian, _log_phi_ratio
 from ..model import (
     CollisionContext,
-    DiscreteLevels,
     KernelModel,
     MixtureSpec,
     PsiWeighted,
@@ -68,7 +71,6 @@ from ..model import (
 __all__ = ["Proposal", "TransitionBatch", "make_proposal", "sample_transition"]
 
 _TINY = 1e-300
-_LOG_4PI = np.log(4.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,7 @@ def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
 def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     law = prop.law
     (Ei, gi), (Ej, gj) = law.levels_i, law.levels_j
-    k_post = rng.integers(0, Ei.size, n)
-    l_post = rng.integers(0, Ej.size, n)
-    lq_ch = -np.log(float(Ei.size * Ej.size))
+    k_post, l_post = channel_draw(law, rng, n)
     sigma = unit_sphere(rng, n)
     delta_I = Ei[k_post] + Ej[l_post] - Ei[lev] - Ej[lev_star]
     vp, vsp, ok = discrete_rule(v, v_star, delta_I, sigma, law.m_i, law.m_j)
@@ -192,13 +192,11 @@ def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
     log_b = _log_b(kernel, CollisionContext(E=E), False)
     with np.errstate(divide="ignore"):
-        log_a = (
-            log_b
-            + np.log(gi[k_post] * gj[l_post])
-            + np.log(np.maximum(g_post, 0.0))
-            - 0.5 * np.log(np.maximum(E, _TINY))
-        )
-    log_aq = np.where(ok, log_a - (log_q + lq_ch - _LOG_4PI), -np.inf)
+        log_a = log_b + np.log(g_post) - 0.5 * np.log(np.maximum(E, _TINY))
+    # (k', l') has probability g_k' g_l' / (sum g_i)(sum g_j): A/q over
+    # (k', l', sigma) is 4 pi (sum g_i)(sum g_j) |V'| b / sqrt(E)
+    log_aq = np.where(ok, log_a - (log_q - _log_weight(4.0 * np.pi * gi.sum() * gj.sum())),
+                      -np.inf)
     return vp, k_post, vsp, l_post, log_aq, {"inadmissible": int(np.sum(~ok))}
 
 
@@ -235,10 +233,4 @@ def sample_state(prop: Proposal, species: int, rng: np.random.Generator, n: int)
     """
     M = prop.maxwellian
     v, internal = M.sample(rng, n, species)
-    energy = M.spec.species[species].energy
-    if isinstance(energy, DiscreteLevels):
-        # the probability the level was drawn with, which differs from
-        # _int_log's closed form in the last bits
-        w = level_weights(energy, M.params.T_int)
-        return v, internal, M._kin_log(v, species) + np.log(w / w.sum())[internal]
     return v, internal, M._kin_log(v, species) + M._int_log(internal, species)

@@ -7,7 +7,10 @@ exchange energy through the exact collision rules of :mod:`polykin.collide`.
 Exchange parameters are drawn from the Beta laws matching the transition
 weights (``collide.exchange_split``, one Dirichlet draw for two continuous
 species), so accepted collisions follow the kernel's law exactly and the
-per-collision conservation defects are at rounding level.
+per-collision conservation defects are at rounding level.  A disc-disc
+candidate draws its post levels with ``collide.channel_draw``; its rate is
+the rate into that channel over the channel's probability, whose mean over
+the draw is the pair's total rate, and if accepted it jumps to them.
 
 Each step draws all its candidates and their random numbers up front, then
 runs them in dependency levels: a candidate's level is one more than the
@@ -32,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collide import (PairKind, PairLaw, bl_poly_poly, discrete_rule, exchange_split,
-                      monatomic_rule, pair_law, sq_norm, unit_sphere)
+from .collide import (PairKind, PairLaw, bl_poly_poly, channel_draw, discrete_rule,
+                      exchange_split, monatomic_rule, pair_law, sq_norm, unit_sphere)
 from .equilib import (EquilibriumParams, Maxwellian, _log_phi, internal_temperature,
                       mean_internal_energy)
 from .model import (
@@ -72,10 +75,6 @@ MAX_PARTICLES = 10_000_000
 # most candidates one step may expect; each costs about 100 bytes of draws,
 # and the runs in use expect a few thousand
 MAX_CANDIDATES = 10_000_000
-# largest (pairs, channels) float array a disc-disc pair's rates or channel
-# picks form at once; a level's pairs go through in row blocks of this size,
-# and three or four such arrays are live in a block
-_CHANNEL_BLOCK_BYTES = 1 << 22
 # h_estimate's speed and internal-energy bins when the sample fills them
 _SPEED_BINS, _INTERNAL_BINS = 64, 32
 # nonincreasing_trend allows a positive slope this many standard errors wide
@@ -390,10 +389,13 @@ def _majorants(ensemble: Ensemble, config: RelaxConfig) -> list[tuple[_PairType,
 
 
 def _sampled_majorant(ensemble: Ensemble, pt: _PairType) -> float:
-    """A high quantile of the rates of sampled pairs times a safety factor."""
+    """A high quantile of the rates of sampled pairs times a safety factor;
+    disc-disc probes draw their channels after their pairs."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([8231, pt.i, pt.j])))
-    ii, jj = _draw_pairs(rng, pt, min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs)))
-    vals = _rates(ensemble, pt, ii, jj)
+    m = min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs))
+    ii, jj = _draw_pairs(rng, pt, m)
+    post = channel_draw(pt.law, rng, m) if pt.law.kind is PairKind.DISC_DISC else ()
+    vals = _rates(ensemble, pt, ii, jj, *post)
     if vals.size == 0:
         top = 0.0
     elif vals.size == 1:
@@ -413,25 +415,12 @@ def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
             pt.idx_j[rng.integers(0, pt.idx_j.size, m)])
 
 
-def _channel_weights(law: PairLaw, g2: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Weight g_k' g_l' |V'| of each post-level channel (k', l') of a
-    disc-disc pair, one row per pair in (k', l') order, from |V|^2 ``g2`` and
-    the internal energy ``pre``."""
-    (li, gi), (lj, gj) = law.levels_i, law.levels_j
-    gp2 = g2[:, None, None] - 2.0 * (li[:, None] + lj[None, :] - pre[:, None, None]) / law.mu
-    return (gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))).reshape(g2.size, -1)
-
-
-def _row_blocks(law: PairLaw, n: int):
-    """Slices covering ``n`` disc-disc pairs whose channel weights fit in
-    ``_CHANNEL_BLOCK_BYTES``, at least one pair each.  Every row of the
-    channel arithmetic is computed on its own, so blocking changes no bit."""
-    step = max(1, _CHANNEL_BLOCK_BYTES // (8 * law.levels_i[0].size * law.levels_j[0].size))
-    return (slice(k, k + step) for k in range(0, n, step))
-
-
-def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Total transition rate for the given particle pairs."""
+def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray,
+           *post: np.ndarray) -> np.ndarray:
+    """Transition rate of the given particle pairs: an exchange pair's total
+    rate, and a disc-disc pair's rate into the post levels ``post`` = (k', l')
+    drawn by ``collide.channel_draw``, whose mean over that draw is the
+    pair's total rate."""
     if pt.zeta == 0.0 and pt.law.kind is not PairKind.DISC_DISC:
         # C * weight * E ** 0.0 is C * weight for every E, even 0, inf and nan
         return np.full(ii.size, pt.C * pt.law.weight)
@@ -439,13 +428,13 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray) ->
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
+    (li, gi), (lj, gj) = pt.law.levels_i, pt.law.levels_j
+    kp, lp = post
     pre = ensemble.internal[ii] + ensemble.internal[jj]
-    total = np.empty(ii.size)
-    for rows in _row_blocks(pt.law, ii.size):
-        # summed channel by channel, in (k', l') order
-        total[rows] = np.cumsum(_channel_weights(pt.law, g2[rows], pre[rows]), axis=1)[:, -1]
+    gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.law.mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        return pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
+        return (pt.C * pt.law.weight * gi.sum() * gj.sum()
+                * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * np.sqrt(np.maximum(gp2, 0.0)))
 
 
 def _dependency_levels(ii: np.ndarray, jj: np.ndarray):
@@ -481,13 +470,13 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
              r: np.ndarray | None, R: np.ndarray | None, sigma: np.ndarray) -> int:
     """Collide the disjoint pairs (a, b) in place; return how many collided.
 
-    For discrete species ``r`` holds the channel-selecting uniforms; a pair
-    with internal energy on one side takes the law's fixed split instead.
-    ``r`` and ``R`` are None where the pair has no such parameter.
+    For discrete species ``r`` and ``R`` hold the drawn post levels k' and
+    l'; a pair with internal energy on one side takes the law's fixed split
+    instead.  ``r`` and ``R`` are None where the pair has no such parameter.
     """
     law, v, I = pt.law, ensemble.v, ensemble.internal
     if law.kind is PairKind.DISC_DISC:
-        return _collide_discrete(ensemble, pt, a, b, r, sigma)
+        return _collide_discrete(ensemble, pt, a, b, r, R, sigma)
     if law.kind is PairKind.MONO_MONO:
         v[a], v[b] = monatomic_rule(v[a], v[b], sigma, law.m_i, law.m_j)
     else:
@@ -498,27 +487,14 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
 
 
 def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
-                      u_channel: np.ndarray, sigma: np.ndarray) -> int:
-    """Pick each pair's post levels (k', l') with probability proportional to
-    the channel weight, then apply the jumps the relative motion admits."""
+                      kp: np.ndarray, lp: np.ndarray, sigma: np.ndarray) -> int:
+    """Jump each pair to its drawn post levels (k', l') where the relative
+    motion admits it (as it does for every accepted pair)."""
     law = pt.law
     li, lj = law.levels_i[0], law.levels_j[0]
     v, I = ensemble.v, ensemble.internal
-    dv = v[a] - v[b]
-    pre = I[a] + I[b]
-    # |V|^2 as a BLAS dot product per row (sq_norm in _rates): seeded channel
-    # choices depend on it bit for bit
-    g2 = (dv[:, None, :] @ dv[:, :, None])[:, 0, 0]
-    total = np.empty(a.size)
-    pick = np.empty(a.size, dtype=np.intp)
-    for rows in _row_blocks(law, a.size):
-        w = _channel_weights(law, g2[rows], pre[rows])
-        total[rows] = w.sum(axis=1)
-        below = np.cumsum(w, axis=1) <= (u_channel[rows] * total[rows])[:, None]
-        pick[rows] = np.count_nonzero(below, axis=1)
-    kp, lp = np.divmod(np.minimum(pick, li.size * lj.size - 1), lj.size)
-    w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - pre, sigma, law.m_i, law.m_j)
-    ok &= total > 0.0
+    w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - (I[a] + I[b]), sigma,
+                               law.m_i, law.m_j)
     a, b, kp, lp = a[ok], b[ok], kp[ok], lp[ok]
     v[a], v[b] = w1[ok], w2[ok]
     ensemble.levels[a], ensemble.levels[b] = kp, lp
@@ -546,13 +522,15 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         ii, jj = _draw_pairs(rng, pt, m)
         u_acc = rng.random(m)
         sigma = unit_sphere(rng, m)
-        if pt.law.kind is PairKind.DISC_DISC:
-            r_draw, R_draw = rng.random(m), None     # channel selector
+        disc = pt.law.kind is PairKind.DISC_DISC
+        if disc:
+            r_draw, R_draw = channel_draw(pt.law, rng, m)      # post levels k', l'
         else:
             r_draw, R_draw = exchange_split(pt.law, rng, m)
         # candidates of one level commute; later levels see their results
         for lev in _dependency_levels(ii, jj):
-            rates = _rates(ensemble, pt, ii[lev], jj[lev])
+            post = (r_draw[lev], R_draw[lev]) if disc else ()
+            rates = _rates(ensemble, pt, ii[lev], jj[lev], *post)
             step_violations += int(np.count_nonzero(rates > b_maj))
             hit = lev[u_acc[lev] * b_maj < rates]
             if hit.size:

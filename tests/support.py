@@ -152,3 +152,12 @@ def mixture_disc_spec(m_a: float = 1.0, m_b: float = 2.0, C: float = 1.0, zeta: 
         ),
         kernels=((ker, ker), (ker, ker)),
     )
+
+
+# degeneracies that are not powers of two, so log(g_a g_b) and
+# log g_a + log g_b differ in their last bits and log_phi's order shows
+ODD_DEGENERACIES = MixtureSpec(
+    species=(Species("a", 1.0, DiscreteLevels((0.0, 0.6, 1.5), (3.0, 5.0, 7.0))),
+             Species("b", 1.7, DiscreteLevels((0.0, 0.45), (5.0, 3.0)))),
+    kernels=((PowerLawE(C=1.0, zeta=0.3),) * 2,) * 2,
+)

@@ -20,6 +20,7 @@ from polykin.collide import (
     _beta,
     beta_draw,
     bl_poly_poly,
+    channel_draw,
     collide_borgnakke_larsen,
     collide_discrete,
     collide_monatomic,
@@ -48,6 +49,7 @@ from polykin.model import (
     single_species,
 )
 from support import (
+    ODD_DEGENERACIES,
     bl_spec,
     discrete_spec,
     mixture_cont_spec,
@@ -734,6 +736,28 @@ class TestExchangeSplit:
         assert rng.bit_generator.state == state
 
 
+class TestChannelDraw:
+    """(k', l') falls on each channel with probability
+    g_k' g_l' / (sum g_i)(sum g_j): chi-square p > 1e-3 over 2e5 draws."""
+
+    N = 200_000
+
+    def test_law(self):
+        law = pair_law(ODD_DEGENERACIES, 0, 1)
+        kp, lp = channel_draw(law, np.random.default_rng(13), self.N)
+        assert kp.shape == lp.shape == (self.N,)
+        gi, gj = law.levels_i[1], law.levels_j[1]
+        counts = np.bincount(kp * gj.size + lp, minlength=gi.size * gj.size)
+        expected = self.N * np.outer(gi, gj).ravel() / (gi.sum() * gj.sum())
+        assert stats.chisquare(counts, expected).pvalue > 1e-3
+
+    def test_one_level_spectrum_draws_zeros(self):
+        law = pair_law(discrete_spec(energies=(0.0,), degeneracies=(3.0,)), 0, 0)
+        kp, lp = channel_draw(law, np.random.default_rng(14), 1000)
+        assert kp.shape == lp.shape == (1000,)
+        assert not kp.any() and not lp.any()
+
+
 class TestMajorant:
     @pytest.mark.parametrize("spec, pair", [
         (bl_spec(delta=2.0), (0, 0)),
@@ -766,7 +790,7 @@ class TestMajorant:
         (li, gi), (lj, gj) = law.levels_i, law.levels_j
         if bare is None:
             bare = 4 * np.pi * np.sqrt(2.0 / law.mu) * gi.sum() * gj.sum()
-        pad = (li.size * lj.size + 8) * 2.0**-52
+        pad = 8 * 2.0**-52
         for C in (1.0, 0.3):
             b = law.majorant(C, 0.0)
             assert C * bare * (1 + pad - 1e-15) <= b <= C * bare * (1 + pad + 1e-15)

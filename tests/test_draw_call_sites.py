@@ -1,14 +1,17 @@
-"""Every sampled collision draws its direction and its exchange split through
-the one helper each.
+"""Every sampled collision draws its direction, its exchange split and its
+post levels through the one helper each.
 
-The scattering direction is ``collide.unit_sphere`` and the exchange
+The scattering direction is ``collide.unit_sphere``, the exchange
 parameters (r, R) are ``collide.exchange_split``, which draws a split of two
-continuous species as one Dirichlet draw.  These tests wrap both, in every
-module that imports them, with counters and check that each consumer calls
-them: the relaxation step for every family and the transition sampler for
-every family.  A consumer that drew sigma or (r, R) on its own would read no
-call here.  Discrete-level and resonant collisions have no exchange split,
-so they reach ``unit_sphere`` alone.
+continuous species as one Dirichlet draw, and a disc-disc pair's post
+levels (k', l') are ``collide.channel_draw``.  These tests wrap all three,
+in every module that imports them, with counters and check that each
+consumer calls the ones its family needs and no other: the relaxation step
+for every family and the transition sampler for every family.  A consumer
+that drew sigma, (r, R) or (k', l') on its own would read no call here.
+Exchange pairs reach ``exchange_split`` and ``unit_sphere``, disc-disc
+pairs ``channel_draw`` and ``unit_sphere``, and resonant pairs
+``unit_sphere`` alone.
 """
 
 import numpy as np
@@ -22,7 +25,9 @@ from polykin.operator.transitions import make_proposal, sample_state
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec
 
-HELPERS = ("exchange_split", "unit_sphere")
+HELPERS = ("exchange_split", "unit_sphere", "channel_draw")
+EXCHANGE = ("exchange_split", "unit_sphere")
+DISCRETE = ("channel_draw", "unit_sphere")
 MONO_MONO = single_species(Monatomic(), PowerLawE(C=1.0, zeta=0.4), mass=1.5)
 
 
@@ -48,12 +53,12 @@ def test_both_consumers_import_both_helpers():
 
 
 @pytest.mark.parametrize("spec, pair, helpers", [
-    (bl_spec(delta=2.5, zeta=0.6), (0, 0), HELPERS),
-    (mixture_cont_spec(), (0, 1), HELPERS),
-    (mixture_cont_spec(delta_b=None), (0, 1), HELPERS),
-    (mixture_cont_spec(delta_b=None), (1, 0), HELPERS),
-    (MONO_MONO, (0, 0), HELPERS),
-    (mixture_disc_spec(), (0, 1), ("unit_sphere",)),
+    (bl_spec(delta=2.5, zeta=0.6), (0, 0), EXCHANGE),
+    (mixture_cont_spec(), (0, 1), EXCHANGE),
+    (mixture_cont_spec(delta_b=None), (0, 1), EXCHANGE),
+    (mixture_cont_spec(delta_b=None), (1, 0), EXCHANGE),
+    (MONO_MONO, (0, 0), EXCHANGE),
+    (mixture_disc_spec(), (0, 1), DISCRETE),
     (resonant_spec(delta=3.0), (0, 0), ("unit_sphere",)),
 ], ids=["cont-cont", "cont-cont-mixture", "poly-mono", "mono-poly", "mono-mono",
         "disc-disc", "resonant"])
@@ -69,12 +74,12 @@ def test_sample_transition_draws_through_the_helpers(calls, spec, pair, helpers)
 
 
 @pytest.mark.parametrize("spec, helpers", [
-    (bl_spec(), HELPERS),
-    (mixture_cont_spec(), HELPERS),
-    (mixture_cont_spec(delta_b=None), HELPERS),
-    (MONO_MONO, HELPERS),
-    (discrete_spec(), ("unit_sphere",)),
-    (mixture_disc_spec(), ("unit_sphere",)),
+    (bl_spec(), EXCHANGE),
+    (mixture_cont_spec(), EXCHANGE),
+    (mixture_cont_spec(delta_b=None), EXCHANGE),
+    (MONO_MONO, EXCHANGE),
+    (discrete_spec(), DISCRETE),
+    (mixture_disc_spec(), DISCRETE),
 ], ids=["bl", "cont-mixture", "poly-mono-mixture", "mono-mono", "discrete",
         "discrete-mixture"])
 def test_relax_step_draws_through_the_helpers(calls, spec, helpers):

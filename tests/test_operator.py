@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from polykin.collide import ParticleState, pair_law
-from polykin.equilib import EquilibriumParams, Maxwellian, level_weights, maxwellian_eval
+from polykin.equilib import EquilibriumParams, Maxwellian, maxwellian_eval
 from polykin.model import Monatomic, PowerLawE, PsiWeighted, single_species
 from polykin.operator import (
     DistributionFn,
@@ -531,11 +531,8 @@ class TestOneSamplerOneReader:
             assert internal is None and internal_ref is None
         else:
             np.testing.assert_array_equal(internal, internal_ref)
-        if kind == "continuous":
+        if kind != "monatomic":
             expected = expected + M._int_log(internal, 0)
-        if kind == "discrete":
-            w = level_weights(M.spec.species[0].energy, M.params.T_int)
-            expected = expected + np.log(w / w.sum())[internal]
         np.testing.assert_array_equal(log_q, expected)
 
     @pytest.mark.parametrize("kind, state", [

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import (PairKind, ParticleState, PolyMonoParams, collide_borgnakke_larsen,
-                             inverse_parameters, pair_law, unit_sphere)
-from polykin.equilib import internal_temperature, mean_internal_energy
+from polykin.collide import (PairKind, ParticleState, PolyMonoParams, channel_draw,
+                             collide_borgnakke_larsen, inverse_parameters, pair_law,
+                             unit_sphere)
+from polykin.equilib import (EquilibriumParams, Maxwellian, internal_temperature,
+                             level_weights, mean_internal_energy)
 from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -20,6 +22,7 @@ from polykin.model import (
     Species,
     single_species,
 )
+from polykin.operator import QuadratureConfig, collision_frequency
 
 from support import (bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec,
                      traced_peak)
@@ -344,9 +347,9 @@ class TestExactMajorant:
     ], ids=["one-level", "one-level-degenerate", "raised-ground", "three-level", "mixture"])
     def test_disc_disc_bound_holds_for_every_probed_rate(self, spec):
         # speeds over forty decades, and every fourth particle a copy of its
-        # neighbour (E = 0 for a one-level spectrum at 0): where every level
-        # is 0 each rate sits on the bound, and the bound's padding covers
-        # the rounding
+        # neighbour (E = 0 for a one-level spectrum at 0): where the drawn
+        # levels are at 0 and so is the pair's internal energy the rate sits
+        # on the bound, and the bound's padding covers the rounding
         ens = relax.init_ensemble(spec, 2000, 2.0, 1.0, seed=4)
         rng = np.random.default_rng(4)
         ens.v *= np.exp(rng.uniform(-46.0, 46.0, (2000, 1)))
@@ -356,7 +359,8 @@ class TestExactMajorant:
             ii, jj = relax._draw_pairs(rng, pt, 20_000)
             ii = np.concatenate([ii, np.arange(2, 2000, 4)])
             jj = np.concatenate([jj, np.arange(3, 2000, 4)])
-            assert np.all(relax._rates(ens, pt, ii, jj) <= b_maj)
+            kp, lp = channel_draw(pt.law, rng, ii.size)
+            assert np.all(relax._rates(ens, pt, ii, jj, kp, lp) <= b_maj)
 
     def test_three_level_gas_runs_without_violations(self):
         cfg = relax.RelaxConfig(dt=0.01, n_particles=2000, seed=1, cadence=5)
@@ -365,53 +369,68 @@ class TestExactMajorant:
         assert series.collisions[-1] > 0
 
 
+class TestDiscreteEquilibrium:
+    """A three-level gas started at equilibrium stays there, colliding at the
+    rate the transition sampler's collision frequency gives: 8 seeds of 4000
+    particles, 20 steps at dt = 0.002 (about 30 collisions per particle)."""
+
+    N, STEPS, DT, T = 4000, 20, 0.002, 1.0
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        levels, rates = [], []
+        for seed in range(8):
+            cfg = relax.RelaxConfig(dt=self.DT, n_particles=self.N, seed=seed)
+            ens = relax.init_ensemble(THREE_LEVELS, self.N, self.T, self.T, seed=seed)
+            for _ in range(self.STEPS):
+                relax.step(ens, cfg)
+            levels.append(ens.levels)
+            rates.append(ens.collisions / (self.STEPS * self.DT))
+        return np.concatenate(levels), np.array(rates)
+
+    def test_level_populations_stay_gibbs(self, runs):
+        levels, _ = runs
+        w = level_weights(THREE_LEVELS.species[0].energy, self.T)
+        p = w / w.sum()
+        stderr = np.sqrt(p * (1.0 - p) / levels.size)
+        assert np.all(np.abs(np.bincount(levels, minlength=3) / levels.size - p) <= 4 * stderr)
+
+    def test_collisions_per_unit_time_match_the_collision_frequency(self, runs):
+        # each of the N (N - 1)/2 pairs collides at its rate over N, so the
+        # ensemble collides (N - 1)/2 times the mean collision frequency
+        _, rates = runs
+        M = Maxwellian(THREE_LEVELS, EquilibriumParams(n=(1.0,), u=np.zeros(3),
+                                                       T_kin=self.T, T_int=self.T))
+        v, lev = M.sample(np.random.default_rng(99), 1000, 0)
+        nu = np.array([collision_frequency(ParticleState(v=v[k], level=int(lev[k])), M,
+                                           cfg=QuadratureConfig(n_samples=1000, seed=k)).value
+                       for k in range(lev.size)])
+        half = 0.5 * (self.N - 1)
+        want, want_se = half * nu.mean(), half * nu.std(ddof=1) / math.sqrt(nu.size)
+        got, got_se = rates.mean(), rates.std(ddof=1) / math.sqrt(rates.size)
+        assert abs(got - want) <= 4 * math.hypot(got_se, want_se)
+
+
 FORTY_LEVELS = discrete_spec(energies=tuple(0.05 * k for k in range(40)),
                              degeneracies=tuple(1.0 + k % 3 for k in range(40)))
 
 
-class TestChannelBlocks:
-    """A disc-disc pair's channel weights are formed a row block at a time:
-    the same bits as calls on small slices, in bounded memory."""
-
-    ROWS = 3000          # 3000 pairs of a 40-level gas: 1600 channels each
-    SLICE = 61
-
-    @pytest.fixture
-    def case(self):
-        ens = relax.init_ensemble(FORTY_LEVELS, 2 * self.ROWS, 2.0, 1.0, seed=5)
-        (pt,) = relax._pair_types(ens)
-        rng = np.random.default_rng(5)
-        ends = rng.permutation(2 * self.ROWS)     # disjoint pairs
-        return (ens, pt, ends[:self.ROWS], ends[self.ROWS:], rng.random(self.ROWS),
-                unit_sphere(rng, self.ROWS))
-
-    def slices(self):
-        return [slice(k, k + self.SLICE) for k in range(0, self.ROWS, self.SLICE)]
-
-    def test_rates_match_small_slices(self, case):
-        ens, pt, a, b, _, _ = case
-        assert len(list(relax._row_blocks(pt.law, self.ROWS))) > 3
-        parts = [relax._rates(ens, pt, a[s], b[s]) for s in self.slices()]
-        assert relax._rates(ens, pt, a, b).tobytes() == np.concatenate(parts).tobytes()
-
-    def test_collisions_match_small_slices(self, case):
-        ens, pt, a, b, u, sigma = case
-        other = replace(ens, v=ens.v.copy(), internal=ens.internal.copy(),
-                        levels=ens.levels.copy())
-        hits = relax._collide_discrete(ens, pt, a, b, u, sigma)
-        parts = [relax._collide_discrete(other, pt, a[s], b[s], u[s], sigma[s])
-                 for s in self.slices()]
-        assert hits == sum(parts) > 0
-        for name in ("v", "internal", "levels"):
-            assert getattr(ens, name).tobytes() == getattr(other, name).tobytes()
-
-    def test_memory_stays_within_a_few_blocks(self, case):
-        ens, pt, a, b, u, sigma = case
-        bound = 5 * relax._CHANNEL_BLOCK_BYTES
-        # one (pairs, channels) float array of all the pairs is past the bound
-        assert self.ROWS * 1600 * 8 > bound
-        assert traced_peak(lambda: relax._rates(ens, pt, a, b)) < bound
-        assert traced_peak(lambda: relax._collide_discrete(ens, pt, a, b, u, sigma)) < bound
+def test_forty_level_channels_take_little_memory():
+    # each pair's rate and jump use its one drawn channel; one (pairs,
+    # channels) float array of 3000 pairs' 1600 channels would be 38.4 MB
+    rows = 3000
+    ens = relax.init_ensemble(FORTY_LEVELS, 2 * rows, 2.0, 1.0, seed=5)
+    (pt,) = relax._pair_types(ens)
+    rng = np.random.default_rng(5)
+    ends = rng.permutation(2 * rows)        # disjoint pairs
+    a, b = ends[:rows], ends[rows:]
+    kp, lp = channel_draw(pt.law, rng, rows)
+    sigma = unit_sphere(rng, rows)
+    hits = []
+    assert traced_peak(lambda: relax._rates(ens, pt, a, b, kp, lp)) < 1e6
+    assert traced_peak(
+        lambda: hits.append(relax._collide_discrete(ens, pt, a, b, kp, lp, sigma))) < 1e6
+    assert hits[0] > 0
 
 
 class TestSlotOrder:

@@ -4,8 +4,11 @@ reference.
 ``_sequential_step`` below walks each step's candidates strictly in order
 with single-pair collision calls; a candidate whose particles were hit
 earlier in the step gets its rate re-evaluated against the current states
-with its original acceptance uniform.  ``relax.step`` runs the same draws in
-dependency levels, and every recorded moment must agree bit for bit.
+with its original acceptance uniform.  A disc-disc candidate's post levels
+are drawn up front in proportion to their degeneracies, and its rate is the
+rate into that channel over the channel's probability.  ``relax.step`` runs
+the same draws in dependency levels, and every recorded moment must agree
+bit for bit.
 """
 
 import numpy as np
@@ -20,24 +23,29 @@ from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec
 FIELDS = ("t", "T_kin", "T_int", "mean_I", "H", "collisions")
 
 
-def _rates(ensemble, pt, ii, jj):
+def _levels(ensemble, pt):
+    ei = ensemble.spec.species[pt.i].energy
+    ej = ensemble.spec.species[pt.j].energy
+    return (np.asarray(ei.energies), np.asarray(ei.degeneracies),
+            np.asarray(ej.energies), np.asarray(ej.degeneracies))
+
+
+def _rates(ensemble, pt, ii, jj, post):
+    """Exchange pairs' total rates; disc-disc pairs' rates into the drawn
+    channels ``post`` = (k', l'), over the probability
+    g_k' g_l' / (sum g_i)(sum g_j) they were drawn with."""
     dv = ensemble.v[ii] - ensemble.v[jj]
     g2 = np.sum(dv * dv, axis=-1)
     E = 0.5 * pt.law.mu * g2 + ensemble.internal[ii] + ensemble.internal[jj]
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
-    ei = ensemble.spec.species[pt.i].energy
-    ej = ensemble.spec.species[pt.j].energy
-    li, gi = np.asarray(ei.energies), np.asarray(ei.degeneracies)
-    lj, gj = np.asarray(ej.energies), np.asarray(ej.degeneracies)
+    li, gi, lj, gj = _levels(ensemble, pt)
+    kp, lp = post
     pre = ensemble.internal[ii] + ensemble.internal[jj]
-    total = np.zeros(len(ii))
-    for kp in range(len(li)):
-        for lp in range(len(lj)):
-            gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.law.mu
-            total += gi[kp] * gj[lp] * np.sqrt(np.maximum(gp2, 0.0))
+    gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.law.mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        return pt.C * pt.law.weight * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * total
+        return (pt.C * pt.law.weight * np.sum(gi) * np.sum(gj)
+                * np.where(E > 0, E ** (0.5 * pt.zeta - 0.5), 0.0) * np.sqrt(np.maximum(gp2, 0.0)))
 
 
 def _apply_continuous(ensemble, pt, a, b, r, R, sigma):
@@ -63,22 +71,9 @@ def _apply_continuous(ensemble, pt, a, b, r, R, sigma):
     ensemble.v[b] = w2[0]
 
 
-def _apply_discrete(ensemble, pt, a, b, u_channel, sigma):
-    ei = ensemble.spec.species[pt.i].energy
-    ej = ensemble.spec.species[pt.j].energy
-    li, gi = np.asarray(ei.energies), np.asarray(ei.degeneracies)
-    lj, gj = np.asarray(ej.energies), np.asarray(ej.degeneracies)
-    dv = ensemble.v[a] - ensemble.v[b]
-    g2 = float(np.dot(dv, dv))
+def _apply_discrete(ensemble, pt, a, b, kp, lp, sigma):
+    li, _, lj, _ = _levels(ensemble, pt)
     pre = ensemble.internal[a] + ensemble.internal[b]
-    gp2 = g2 - 2.0 * (li[:, None] + lj[None, :] - pre) / pt.law.mu
-    w_ch = gi[:, None] * gj[None, :] * np.sqrt(np.maximum(gp2, 0.0))
-    total = float(w_ch.sum())
-    if total <= 0.0:
-        return False
-    flat = np.cumsum(w_ch.ravel())
-    pick = min(int(np.searchsorted(flat, u_channel * total, side="right")), flat.size - 1)
-    kp, lp = divmod(pick, lj.size)
     w1, w2, ok = discrete_rule(ensemble.v[a][None, :], ensemble.v[b][None, :],
                                np.array([li[kp] + lj[lp] - pre]), sigma[None, :],
                                pt.law.m_i, pt.law.m_j)
@@ -117,24 +112,28 @@ def _sequential_step(ensemble, config):
         sigmas = unit_sphere(rng, m)
         discrete = pt.law.kind is PairKind.DISC_DISC
         if discrete:
-            r_draw, R_draw = rng.random(m), None
+            _, gi, _, gj = _levels(ensemble, pt)
+            r_draw = rng.choice(gi.size, m, p=gi / np.sum(gi))
+            R_draw = rng.choice(gj.size, m, p=gj / np.sum(gj))
         else:
             r_draw, R_draw = exchange_split(pt.law, rng, m)
 
-        rates = _rates(ensemble, pt, ii, jj)
+        post = (r_draw, R_draw) if discrete else None
+        rates = _rates(ensemble, pt, ii, jj, post)
         dirty = np.zeros(n_total, dtype=bool)
         for k in range(m):
             a, b = int(ii[k]), int(jj[k])
             rate = rates[k]
             if dirty[a] or dirty[b]:
-                rate = _rates(ensemble, pt, np.array([a]), np.array([b]))[0]
+                post_k = post and (r_draw[k:k + 1], R_draw[k:k + 1])
+                rate = _rates(ensemble, pt, np.array([a]), np.array([b]), post_k)[0]
             if rate > b_maj:
                 step_violations += 1
             if not u_acc[k] * b_maj < rate:
                 continue
             sigma = sigmas[k]
             if discrete:
-                collided = _apply_discrete(ensemble, pt, a, b, r_draw[k], sigma)
+                collided = _apply_discrete(ensemble, pt, a, b, r_draw[k], R_draw[k], sigma)
             else:
                 r = None if r_draw is None else r_draw[k]
                 R = None if R_draw is None else R_draw[k]

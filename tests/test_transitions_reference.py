@@ -7,7 +7,9 @@ puts the internal energy on the second slot by hand.  Each split variable
 is drawn from its Beta law, so its weight over the proposal is the constant
 4 pi times the Beta functions of its shapes; the two splits of two
 continuous species come from one Dirichlet draw (``collide.exchange_split``),
-and every direction from ``collide.unit_sphere``.  ``sample_transition`` draws
+and every direction from ``collide.unit_sphere``.  A disc-disc pair's post
+levels are drawn in proportion to their degeneracies, k' first, so its
+weight over the proposal is 4 pi (sum g_i)(sum g_j) |V'| b / sqrt(E).  ``sample_transition`` draws
 the partner once through ``sample_state``, takes the shapes and weight from
 the pair law of its proposal and runs every exchange pair, two continuous
 species, poly-mono in either slot order and two monatomic species, through
@@ -38,25 +40,22 @@ from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (
     CollisionContext,
     ContinuousEnergy,
-    DiscreteLevels,
-    MixtureSpec,
     Monatomic,
     PowerLawE,
     PsiWeighted,
     ResonantTensored,
-    Species,
     eval_kernel,
     single_species,
 )
 from polykin.operator.transitions import make_proposal, sample_state, sample_transition
 
-from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec, resonant_spec
+from support import (ODD_DEGENERACIES, bl_spec, discrete_spec, mixture_cont_spec,
+                     mixture_disc_spec, resonant_spec)
 
 FIELDS = ("v", "i_pre", "v_star", "i_star", "v_post", "i_post", "v_post_star",
           "i_post_star", "log_phi", "log_aq", "diagnostics")
 
 _TINY = 1e-300
-_LOG_4PI = np.log(4.0 * np.pi)
 
 
 def _pow_log(x, p):
@@ -101,11 +100,12 @@ def _log_weight(*shapes):
 
 def _gibbs_partner(M, rng, n, j):
     e = M.spec.species[j].energy
-    E = np.asarray(e.energies)
-    w = np.asarray(e.degeneracies) * np.exp(-(E - E.min()) / M.params.T_int)
-    p = w / w.sum()
-    lev = rng.choice(p.size, size=n, p=p)
-    return lev, np.log(p)[lev]
+    E, g = np.asarray(e.energies), np.asarray(e.degeneracies)
+    T = M.params.T_int
+    w = g * np.exp(-(E - E.min()) / T)
+    lev = rng.choice(w.size, size=n, p=w / w.sum())
+    # the closed-form Gibbs log probability, log g_k - (E_k - E_min)/T - log Q
+    return lev, np.log(g[lev]) - (E[lev] - E.min()) / T - np.log(np.sum(w))
 
 
 def _bl_pair(spec, pair, law, kernel, v, I, M, rng, n):
@@ -195,9 +195,9 @@ def _discrete_pair(spec, pair, law, kernel, v, lev, M, rng, n):
     gi, gj = np.asarray(ei.degeneracies), np.asarray(ej.degeneracies)
     v_star, lq_v = _gaussian_partner(M, rng, n, j)
     lev_star, lq_lev = _gibbs_partner(M, rng, n, j)
-    k_post = rng.integers(0, Ei.size, n)
-    l_post = rng.integers(0, Ej.size, n)
-    lq_ch = -np.log(float(Ei.size * Ej.size))
+    # each post level in proportion to its degeneracy, k' first
+    k_post = rng.choice(Ei.size, n, p=gi / gi.sum())
+    l_post = rng.choice(Ej.size, n, p=gj / gj.sum())
     sigma = unit_sphere(rng, n)
     delta_I = Ei[k_post] + Ej[l_post] - Ei[lev] - Ej[lev_star]
     vp, vsp, ok = discrete_rule(v, v_star, delta_I, sigma, law.m_i, law.m_j)
@@ -207,9 +207,10 @@ def _discrete_pair(spec, pair, law, kernel, v, lev, M, rng, n):
     g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
     log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
     with np.errstate(divide="ignore"):
-        log_a = (log_b + np.log(gi[k_post] * gj[l_post]) + np.log(np.maximum(g_post, 0.0))
-                 - 0.5 * np.log(np.maximum(E, _TINY)))
-    log_aq = np.where(ok, log_a - (lq_v + lq_lev + lq_ch - _LOG_4PI), -np.inf)
+        log_a = log_b + np.log(g_post) - 0.5 * np.log(np.maximum(E, _TINY))
+    # the drawn channel's g_k' g_l' cancels against its probability
+    log_aq = np.where(ok, log_a - (lq_v + lq_lev - math.log(4.0 * np.pi * gi.sum() * gj.sum())),
+                      -np.inf)
     log_phi = (np.zeros(n) + np.log(gi[lev]) - np.log(gi[k_post])
                + np.log(gj[lev_star]) - np.log(gj[l_post]))
     diag = {"inadmissible": int(np.sum(~ok))}
@@ -236,14 +237,6 @@ def _symmetric_psi(r, R):
     """A parameter weight unchanged under r -> 1 - r, as PsiWeighted requires."""
     return 1.0 + 2.0 * r * (1.0 - r) * R
 
-
-# degeneracies that are not powers of two, so log(g_a g_b) and
-# log g_a + log g_b differ in their last bits and log_phi's order shows
-ODD_DEGENERACIES = MixtureSpec(
-    species=(Species("a", 1.0, DiscreteLevels((0.0, 0.6, 1.5), (3.0, 5.0, 7.0))),
-             Species("b", 1.7, DiscreteLevels((0.0, 0.45), (5.0, 3.0)))),
-    kernels=((PowerLawE(C=1.0, zeta=0.3),) * 2,) * 2,
-)
 
 PAIRS = {
     "cont-cont": (bl_spec(delta=2.5, zeta=0.6), (0, 0)),
