@@ -389,13 +389,20 @@ def _majorants(ensemble: Ensemble, config: RelaxConfig) -> list[tuple[_PairType,
 
 
 def _sampled_majorant(ensemble: Ensemble, pt: _PairType) -> float:
-    """A high quantile of the rates of sampled pairs times a safety factor;
-    disc-disc probes draw their channels after their pairs."""
+    """A high quantile of the rates of sampled pairs times a safety factor.
+
+    A disc-disc probe reads each pair's rate into its lowest channel, where
+    |V'| is largest, so it bounds the rate into every channel a candidate may
+    draw: a probe through drawn channels reads 0 wherever the draw lands on
+    a closed one, which at low temperature can be every probe.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([8231, pt.i, pt.j])))
     m = min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs))
     ii, jj = _draw_pairs(rng, pt, m)
-    post = channel_draw(pt.law, rng, m) if pt.law.kind is PairKind.DISC_DISC else ()
-    vals = _rates(ensemble, pt, ii, jj, *post)
+    post = None
+    if pt.law.kind is PairKind.DISC_DISC:
+        post = tuple(np.full(m, np.argmin(e)) for e, _ in (pt.law.levels_i, pt.law.levels_j))
+    vals = _rates(ensemble, pt, ii, jj, post)
     if vals.size == 0:
         top = 0.0
     elif vals.size == 1:
@@ -416,11 +423,11 @@ def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
 
 
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray,
-           *post: np.ndarray) -> np.ndarray:
+           post: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Transition rate of the given particle pairs: an exchange pair's total
-    rate, and a disc-disc pair's rate into the post levels ``post`` = (k', l')
-    drawn by ``collide.channel_draw``, whose mean over that draw is the
-    pair's total rate."""
+    rate (``post`` is None), and a disc-disc pair's rate into the post levels
+    ``post`` = (k', l') over the probability ``collide.channel_draw`` gives
+    them, whose mean over that draw is the pair's total rate."""
     if pt.zeta == 0.0 and pt.law.kind is not PairKind.DISC_DISC:
         # C * weight * E ** 0.0 is C * weight for every E, even 0, inf and nan
         return np.full(ii.size, pt.C * pt.law.weight)
@@ -529,8 +536,8 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
             r_draw, R_draw = exchange_split(pt.law, rng, m)
         # candidates of one level commute; later levels see their results
         for lev in _dependency_levels(ii, jj):
-            post = (r_draw[lev], R_draw[lev]) if disc else ()
-            rates = _rates(ensemble, pt, ii[lev], jj[lev], *post)
+            post = (r_draw[lev], R_draw[lev]) if disc else None
+            rates = _rates(ensemble, pt, ii[lev], jj[lev], post)
             step_violations += int(np.count_nonzero(rates > b_maj))
             hit = lev[u_acc[lev] * b_maj < rates]
             if hit.size:

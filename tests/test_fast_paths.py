@@ -275,10 +275,10 @@ def test_zeta_zero_rates_are_the_constant(spec):
         ii, jj = relax._draw_pairs(rng, pt, 300)
         ii = np.concatenate([ii, pt.idx_i[:7]])
         jj = np.concatenate([jj, np.roll(pt.idx_j[:7], 1)])
-        assert np.array_equal(bits(relax._rates(ens, pt, ii, jj)),
+        assert np.array_equal(bits(relax._rates(ens, pt, ii, jj, None)),
                               bits(rates_reference(ens, pt, ii, jj)))
     same = relax._pair_types(ens)[0]
-    zero = relax._rates(ens, same, same.idx_i[:2], same.idx_i[1:3])
+    zero = relax._rates(ens, same, same.idx_i[:2], same.idx_i[1:3], None)
     assert np.array_equal(bits(zero), bits(np.full(2, same.C * same.law.weight)))
 
 

@@ -360,7 +360,7 @@ class TestExactMajorant:
             ii = np.concatenate([ii, np.arange(2, 2000, 4)])
             jj = np.concatenate([jj, np.arange(3, 2000, 4)])
             kp, lp = channel_draw(pt.law, rng, ii.size)
-            assert np.all(relax._rates(ens, pt, ii, jj, kp, lp) <= b_maj)
+            assert np.all(relax._rates(ens, pt, ii, jj, (kp, lp)) <= b_maj)
 
     def test_three_level_gas_runs_without_violations(self):
         cfg = relax.RelaxConfig(dt=0.01, n_particles=2000, seed=1, cadence=5)
@@ -369,38 +369,29 @@ class TestExactMajorant:
         assert series.collisions[-1] > 0
 
 
-class TestDiscreteEquilibrium:
-    """A three-level gas started at equilibrium stays there, colliding at the
-    rate the transition sampler's collision frequency gives: 8 seeds of 4000
-    particles, 20 steps at dt = 0.002 (about 30 collisions per particle)."""
-
-    N, STEPS, DT, T = 4000, 20, 0.002, 1.0
+class _EquilibriumRuns:
+    """A discrete gas ``SPEC`` started at equilibrium at ``T``: 8 seeds of
+    ``N`` particles stepped ``STEPS`` times by ``DT``, whose collisions per
+    unit time must match the transition sampler's collision frequency."""
 
     @pytest.fixture(scope="class")
     def runs(self):
-        levels, rates = [], []
+        ensembles, rates = [], []
         for seed in range(8):
             cfg = relax.RelaxConfig(dt=self.DT, n_particles=self.N, seed=seed)
-            ens = relax.init_ensemble(THREE_LEVELS, self.N, self.T, self.T, seed=seed)
+            ens = relax.init_ensemble(self.SPEC, self.N, self.T, self.T, seed=seed)
             for _ in range(self.STEPS):
                 relax.step(ens, cfg)
-            levels.append(ens.levels)
+            ensembles.append(ens)
             rates.append(ens.collisions / (self.STEPS * self.DT))
-        return np.concatenate(levels), np.array(rates)
-
-    def test_level_populations_stay_gibbs(self, runs):
-        levels, _ = runs
-        w = level_weights(THREE_LEVELS.species[0].energy, self.T)
-        p = w / w.sum()
-        stderr = np.sqrt(p * (1.0 - p) / levels.size)
-        assert np.all(np.abs(np.bincount(levels, minlength=3) / levels.size - p) <= 4 * stderr)
+        return ensembles, np.array(rates)
 
     def test_collisions_per_unit_time_match_the_collision_frequency(self, runs):
         # each of the N (N - 1)/2 pairs collides at its rate over N, so the
         # ensemble collides (N - 1)/2 times the mean collision frequency
         _, rates = runs
-        M = Maxwellian(THREE_LEVELS, EquilibriumParams(n=(1.0,), u=np.zeros(3),
-                                                       T_kin=self.T, T_int=self.T))
+        M = Maxwellian(self.SPEC, EquilibriumParams(n=(1.0,), u=np.zeros(3),
+                                                    T_kin=self.T, T_int=self.T))
         v, lev = M.sample(np.random.default_rng(99), 1000, 0)
         nu = np.array([collision_frequency(ParticleState(v=v[k], level=int(lev[k])), M,
                                            cfg=QuadratureConfig(n_samples=1000, seed=k)).value
@@ -411,8 +402,60 @@ class TestDiscreteEquilibrium:
         assert abs(got - want) <= 4 * math.hypot(got_se, want_se)
 
 
-FORTY_LEVELS = discrete_spec(energies=tuple(0.05 * k for k in range(40)),
-                             degeneracies=tuple(1.0 + k % 3 for k in range(40)))
+class TestDiscreteEquilibrium(_EquilibriumRuns):
+    """The three-level gas at zeta = 0 on its exact majorant: 4000 particles,
+    20 steps at dt = 0.002 (about 30 collisions per particle)."""
+
+    SPEC, N, STEPS, DT, T = THREE_LEVELS, 4000, 20, 0.002, 1.0
+
+    def test_level_populations_stay_gibbs(self, runs):
+        levels = np.concatenate([ens.levels for ens in runs[0]])
+        w = level_weights(THREE_LEVELS.species[0].energy, self.T)
+        p = w / w.sum()
+        stderr = np.sqrt(p * (1.0 - p) / levels.size)
+        assert np.all(np.abs(np.bincount(levels, minlength=3) / levels.size - p) <= 4 * stderr)
+
+
+def _forty_levels(zeta):
+    return discrete_spec(energies=tuple(0.05 * k for k in range(40)),
+                         degeneracies=tuple(1.0 + k % 3 for k in range(40)), zeta=zeta)
+
+
+FORTY_LEVELS = _forty_levels(0.0)
+
+
+class TestManyLevelEquilibrium(_EquilibriumRuns):
+    """The forty-level gas at zeta = 0.5 on its sampled majorant, at T equal
+    to the level spacing: 4000 particles, 20 steps at dt = 4e-5.  About one
+    candidate in a thousand collides, most landing on a closed channel, so
+    the gas makes about 500 collisions from half a million candidates per
+    seed."""
+
+    SPEC, N, STEPS, DT, T = _forty_levels(0.5), 4000, 20, 4e-5, 0.05
+
+    def test_mean_internal_energy_stays_gibbs(self, runs):
+        internal = np.concatenate([ens.internal for ens in runs[0]])
+        energy = self.SPEC.species[0].energy
+        w = level_weights(energy, self.T)
+        e = energy.table[0]
+        mean = float(np.sum(w * e) / w.sum())
+        sd = math.sqrt(float(np.sum(w * (e - mean) ** 2) / w.sum()))
+        assert abs(internal.mean() - mean) <= 4 * sd / math.sqrt(internal.size)
+
+
+def test_cold_ladder_gets_a_majorant_over_its_open_channel():
+    # a 2J + 1 ladder far below its first gap at zeta = 0.5: only the ground
+    # channel is open, and a draw by degeneracy lands on it once in 144^2,
+    # so probes through drawn channels would read 0 on every pair and leave
+    # the gas without collisions; the probe reads each pair's lowest channel
+    ladder = discrete_spec(energies=tuple(0.1 * J * (J + 1) for J in range(12)),
+                           degeneracies=tuple(2.0 * J + 1 for J in range(12)), zeta=0.5)
+    ens = relax.init_ensemble(ladder, 2000, 0.01, 0.01, seed=3)
+    ((pt, b_maj, _),) = relax._majorants(ens, relax.RelaxConfig(dt=1e-4, n_particles=2000))
+    ii, jj = relax._draw_pairs(np.random.default_rng(3), pt, 20_000)
+    ground = np.zeros(ii.size, dtype=int)
+    rates = relax._rates(ens, pt, ii, jj, (ground, ground))
+    assert 0.0 < rates.max() <= b_maj
 
 
 def test_forty_level_channels_take_little_memory():
@@ -427,7 +470,7 @@ def test_forty_level_channels_take_little_memory():
     kp, lp = channel_draw(pt.law, rng, rows)
     sigma = unit_sphere(rng, rows)
     hits = []
-    assert traced_peak(lambda: relax._rates(ens, pt, a, b, kp, lp)) < 1e6
+    assert traced_peak(lambda: relax._rates(ens, pt, a, b, (kp, lp))) < 1e6
     assert traced_peak(
         lambda: hits.append(relax._collide_discrete(ens, pt, a, b, kp, lp, sigma))) < 1e6
     assert hits[0] > 0
