@@ -17,7 +17,6 @@ from .model import (  # noqa: F401
     ContinuousEnergy,
     DiscreteLevels,
     PowerLawE,
-    PsiWeighted,
     ResonantTensored,
     Species,
     MixtureSpec,

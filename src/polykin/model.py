@@ -22,7 +22,6 @@ __all__ = [
     "DiscreteLevels",
     "EnergyModel",
     "PowerLawE",
-    "PsiWeighted",
     "ResonantTensored",
     "KernelModel",
     "Species",
@@ -119,18 +118,11 @@ def phi_weight(I, delta):
 
 @dataclass(frozen=True)
 class PowerLawE:
-    """Kernel B = C * E^(zeta/2) depending on the total pair energy only."""
-
-    C: float
-    zeta: float
-
-
-@dataclass(frozen=True)
-class PsiWeighted:
-    """Kernel B = C * E^(zeta/2) * psi(r, R) with a symmetric parameter weight.
+    """Kernel B = C * E^(zeta/2) * psi(r, R) with an optional split weight.
 
     ``psi`` must satisfy psi(r, R) = psi(1 - r, R) and be vectorized over
-    numpy arrays; ``None`` means psi identically 1.
+    numpy arrays; ``None`` means psi identically 1, the kernel then depending
+    on the total pair energy only.
     """
 
     C: float
@@ -159,17 +151,17 @@ class ResonantTensored:
     _ALLOWED_TERMS = ("speed", "speed_neg", "sin_quad", "sin_neg")
 
 
-KernelModel = Union[PowerLawE, PsiWeighted, ResonantTensored]
+KernelModel = Union[PowerLawE, ResonantTensored]
 
 
 @dataclass
 class CollisionContext:
     """Evaluation point for :func:`eval_kernel`; fields may be arrays.
 
-    Only the fields a given kernel family reads need to be set: ``E`` for the
-    power-law families, additionally ``(r, R)`` for a psi-weighted kernel
-    with a ``psi``, and ``(rel_speed, cos_theta, I, I_star, I_prime, delta)``
-    for the resonant family.
+    Only the fields a given kernel family reads need to be set: ``E`` for a
+    :class:`PowerLawE`, additionally ``(r, R)`` when it carries a ``psi``,
+    and ``(rel_speed, cos_theta, I, I_star, I_prime, delta)`` for the
+    resonant family.
     """
 
     E: np.ndarray | float | None = None
@@ -198,9 +190,9 @@ def eval_kernel(model: KernelModel, ctx: CollisionContext):
 
     Raises ValueError on negative total energy or on missing context fields.
     """
-    if isinstance(model, (PowerLawE, PsiWeighted)):
+    if isinstance(model, PowerLawE):
         # a psi of None is the plain power law, evaluated from E alone
-        split = getattr(model, "psi", None) is not None
+        split = model.psi is not None
         E, *rR = _require(ctx, ["E", "r", "R"] if split else ["E"])
         if np.any(E < 0):
             raise ValueError("total energy must be nonnegative")
@@ -418,11 +410,9 @@ def _energy_from_obj(obj: dict, path: str) -> EnergyModel:
 
 def _kernel_to_obj(k: KernelModel) -> dict:
     if isinstance(k, PowerLawE):
-        return {"kind": "power_law_e", "C": k.C, "zeta": k.zeta}
-    if isinstance(k, PsiWeighted):
         if k.psi is not None:
             raise ValueError("custom psi weights are not JSON-serializable")
-        return {"kind": "psi_weighted", "C": k.C, "zeta": k.zeta}
+        return {"kind": "power_law_e", "C": k.C, "zeta": k.zeta}
     if isinstance(k, ResonantTensored):
         if k.kin_terms != ResonantTensored.kin_terms:
             raise ValueError("kinetic terms other than the default are not JSON-serializable")
@@ -438,10 +428,9 @@ def _kernel_to_obj(k: KernelModel) -> dict:
 
 def _kernel_from_obj(obj: dict, path: str) -> KernelModel:
     kind = _typed(obj, dict, path).get("kind")
-    if kind == "power_law_e":
+    if kind in ("power_law_e", "psi_weighted"):
+        # psi_weighted without a psi is the same kernel under a second name
         return PowerLawE(C=_number(obj, "C", path), zeta=_number(obj, "zeta", path))
-    if kind == "psi_weighted":
-        return PsiWeighted(C=_number(obj, "C", path), zeta=_number(obj, "zeta", path))
     if kind == "resonant_tensored":
         return ResonantTensored(
             C=_number(obj, "C", path),

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..collide import PairLaw, pair_law
 from ..equilib import Maxwellian
-from ..model import ContinuousEnergy, KernelModel, PowerLawE, PsiWeighted
+from ..model import ContinuousEnergy, KernelModel, PowerLawE
 
 __all__ = ["GridSpec", "K1Matrix", "assemble_k1", "reduced_kernel_coefficient"]
 
@@ -64,9 +64,9 @@ def reduced_kernel_coefficient(kernel: KernelModel, law: PairLaw) -> float:
     species; a split-dependent weight psi(r, R) is integrated with
     Gauss-Jacobi rules whose exponents are the law's Beta shapes minus one.
     """
-    if not isinstance(kernel, (PowerLawE, PsiWeighted)):
+    if not isinstance(kernel, PowerLawE):
         raise ValueError("the matrix assembly covers energy-power kernels only")
-    if getattr(kernel, "psi", None) is None:
+    if kernel.psi is None:
         return float(kernel.C * law.weight)
     from scipy import special
 

@@ -63,7 +63,7 @@ from ..model import (
     CollisionContext,
     KernelModel,
     MixtureSpec,
-    PsiWeighted,
+    PowerLawE,
     ResonantTensored,
     eval_kernel,
 )
@@ -125,7 +125,7 @@ def _log_weight(weight: float) -> float:
 
 
 def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
-    if isinstance(kernel, PsiWeighted) and kernel.psi is not None and not pair_has_split:
+    if isinstance(kernel, PowerLawE) and kernel.psi is not None and not pair_has_split:
         raise ValueError(
             "a psi-weighted kernel needs an energy-split variable; "
             "this species pair has none"

@@ -21,7 +21,7 @@ candidates' own uniforms and collided in one batched call.  The chain
 therefore has exact sequential semantics, and a step costs a handful of
 array calls per level (about four levels at 1e5 particles).
 
-Scope: energy-power kernels (a split weight is allowed only when constant 1);
+Scope: energy-power kernels without a split weight psi;
 continuous and discrete internal structure, single species or binary
 mixtures.  Resonant collisions are excluded here and exercised through the
 Monte Carlo estimators instead.
@@ -45,7 +45,6 @@ from .model import (
     MixtureSpec,
     Monatomic,
     PowerLawE,
-    PsiWeighted,
     validate,
 )
 
@@ -98,10 +97,11 @@ class RelaxConfig:
     zeta = 0 (:meth:`~polykin.collide.PairLaw.majorant`): C times the pair
     law's weight for exchange pairs, so every candidate is accepted, and
     C * weight * sqrt(2/mu) * (sum g_i)(sum g_j) for two discrete species.
-    At any other zeta it is a high quantile of probed rates times a safety
-    factor.  ``cadence`` is the number of steps between recorded moment
-    rows.  A step aborts when more than ``violation_tol`` of its candidates
-    exceed the majorant.
+    At any other zeta it is the largest of up to 4096 probed rates (less at
+    most 0.4 % of its gap to the second largest: the quantile 1 - 1e-6)
+    times a safety factor.  ``cadence`` is the number of steps between
+    recorded moment rows.  A step aborts when more than ``violation_tol`` of
+    its candidates exceed the majorant.
     """
 
     dt: float = 0.01
@@ -312,9 +312,7 @@ def init_ensemble(
 def _kernel_parameters(spec: MixtureSpec, i: int, j: int) -> tuple[float, float]:
     """(C, zeta) of the (i, j) kernel, which the simulator must support."""
     kernel = spec.kernel(i, j)
-    if isinstance(kernel, PowerLawE):
-        return kernel.C, kernel.zeta
-    if isinstance(kernel, PsiWeighted) and kernel.psi is None:
+    if isinstance(kernel, PowerLawE) and kernel.psi is None:
         return kernel.C, kernel.zeta
     raise ValueError(
         f"kernels[{i}][{j}]: the relaxation simulator supports energy-power kernels only"
@@ -389,20 +387,21 @@ def _majorants(ensemble: Ensemble, config: RelaxConfig) -> list[tuple[_PairType,
 
 
 def _sampled_majorant(ensemble: Ensemble, pt: _PairType) -> float:
-    """A high quantile of the rates of sampled pairs times a safety factor.
+    """The quantile 1 - 1e-6 of the rates of m sampled pairs times a safety
+    factor.  That quantile is the largest probe less (m - 1) * 1e-6 of its
+    gap to the second largest: at most 0.4 % of the gap, since m is at most
+    ``_MAJORANT_PROBE_PAIRS``.
 
-    A disc-disc probe reads each pair's rate into its lowest channel, where
-    |V'| is largest, so it bounds the rate into every channel a candidate may
-    draw: a probe through drawn channels reads 0 wherever the draw lands on
-    a closed one, which at low temperature can be every probe.
+    A disc-disc probe reads each pair's rate into its lowest channel, level
+    0 of both spectra, where |V'| is largest, so it bounds the rate into
+    every channel a candidate may draw: a probe through drawn channels reads
+    0 wherever the draw lands on a closed one, which at low temperature can
+    be every probe.  An exchange pair's rate reads no draw.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([8231, pt.i, pt.j])))
     m = min(_MAJORANT_PROBE_PAIRS, int(pt.n_pairs))
     ii, jj = _draw_pairs(rng, pt, m)
-    post = None
-    if pt.law.kind is PairKind.DISC_DISC:
-        post = tuple(np.full(m, np.argmin(e)) for e, _ in (pt.law.levels_i, pt.law.levels_j))
-    vals = _rates(ensemble, pt, ii, jj, post)
+    vals = _rates(ensemble, pt, ii, jj, (np.zeros(m, dtype=np.int64),) * 2)
     if vals.size == 0:
         top = 0.0
     elif vals.size == 1:
@@ -422,12 +421,18 @@ def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
             pt.idx_j[rng.integers(0, pt.idx_j.size, m)])
 
 
+def _rows(draws: tuple, rows: np.ndarray) -> tuple:
+    """The rows ``rows`` of each of a step's draws; None stays None."""
+    return tuple(None if d is None else d[rows] for d in draws)
+
+
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray,
-           post: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Transition rate of the given particle pairs: an exchange pair's total
-    rate (``post`` is None), and a disc-disc pair's rate into the post levels
-    ``post`` = (k', l') over the probability ``collide.channel_draw`` gives
-    them, whose mean over that draw is the pair's total rate."""
+           draws: tuple) -> np.ndarray:
+    """Transition rate of the given particle pairs with their ``draws``: an
+    exchange pair's total rate, which reads no draw, and a disc-disc pair's
+    rate into the post levels (k', l') = ``draws`` over the probability
+    ``collide.channel_draw`` gives them, whose mean over that draw is the
+    pair's total rate."""
     if pt.zeta == 0.0 and pt.law.kind is not PairKind.DISC_DISC:
         # C * weight * E ** 0.0 is C * weight for every E, even 0, inf and nan
         return np.full(ii.size, pt.C * pt.law.weight)
@@ -436,7 +441,7 @@ def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray,
     if pt.law.kind is not PairKind.DISC_DISC:
         return pt.C * pt.law.weight * E ** (0.5 * pt.zeta)
     (li, gi), (lj, gj) = pt.law.levels_i, pt.law.levels_j
-    kp, lp = post
+    kp, lp = draws
     pre = ensemble.internal[ii] + ensemble.internal[jj]
     gp2 = g2 - 2.0 * (li[kp] + lj[lp] - pre) / pt.law.mu
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -474,38 +479,33 @@ def _dependency_levels(ii: np.ndarray, jj: np.ndarray):
 
 
 def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
-             r: np.ndarray | None, R: np.ndarray | None, sigma: np.ndarray) -> int:
+             draws: tuple, sigma: np.ndarray) -> int:
     """Collide the disjoint pairs (a, b) in place; return how many collided.
 
-    For discrete species ``r`` and ``R`` hold the drawn post levels k' and
-    l'; a pair with internal energy on one side takes the law's fixed split
-    instead.  ``r`` and ``R`` are None where the pair has no such parameter.
+    ``draws`` are the pairs' rows of the step's draws.  For an exchange
+    pair they are the split (r, R), each None where the pair has no such
+    parameter; a pair with internal energy on one side only takes the law's
+    fixed r instead.  For a disc-disc pair they are the post levels
+    (k', l'), to which it jumps where the relative motion admits it (as it
+    does for every accepted pair).
     """
     law, v, I = pt.law, ensemble.v, ensemble.internal
-    if law.kind is PairKind.DISC_DISC:
-        return _collide_discrete(ensemble, pt, a, b, r, R, sigma)
     if law.kind is PairKind.MONO_MONO:
         v[a], v[b] = monatomic_rule(v[a], v[b], sigma, law.m_i, law.m_j)
+    elif law.kind is PairKind.DISC_DISC:
+        kp, lp = draws
+        li, lj = law.levels_i[0], law.levels_j[0]
+        w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - (I[a] + I[b]), sigma,
+                                   law.m_i, law.m_j)
+        a, b, kp, lp = a[ok], b[ok], kp[ok], lp[ok]
+        v[a], v[b] = w1[ok], w2[ok]
+        ensemble.levels[a], ensemble.levels[b] = kp, lp
+        I[a], I[b] = li[kp], lj[lp]
     else:
+        r, R = draws
         r = r if law.r_fixed is None else law.r_fixed
         v[a], v[b], I[a], I[b], _ = bl_poly_poly(v[a], v[b], I[a], I[b], r, R, sigma,
                                                  law.m_i, law.m_j)
-    return a.size
-
-
-def _collide_discrete(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
-                      kp: np.ndarray, lp: np.ndarray, sigma: np.ndarray) -> int:
-    """Jump each pair to its drawn post levels (k', l') where the relative
-    motion admits it (as it does for every accepted pair)."""
-    law = pt.law
-    li, lj = law.levels_i[0], law.levels_j[0]
-    v, I = ensemble.v, ensemble.internal
-    w1, w2, ok = discrete_rule(v[a], v[b], li[kp] + lj[lp] - (I[a] + I[b]), sigma,
-                               law.m_i, law.m_j)
-    a, b, kp, lp = a[ok], b[ok], kp[ok], lp[ok]
-    v[a], v[b] = w1[ok], w2[ok]
-    ensemble.levels[a], ensemble.levels[b] = kp, lp
-    I[a], I[b] = li[kp], lj[lp]
     return a.size
 
 
@@ -529,21 +529,17 @@ def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
         ii, jj = _draw_pairs(rng, pt, m)
         u_acc = rng.random(m)
         sigma = unit_sphere(rng, m)
-        disc = pt.law.kind is PairKind.DISC_DISC
-        if disc:
-            r_draw, R_draw = channel_draw(pt.law, rng, m)      # post levels k', l'
-        else:
-            r_draw, R_draw = exchange_split(pt.law, rng, m)
+        # a disc-disc pair's post levels (k', l'), else the exchange split
+        draw = channel_draw if pt.law.kind is PairKind.DISC_DISC else exchange_split
+        draws = draw(pt.law, rng, m)
         # candidates of one level commute; later levels see their results
         for lev in _dependency_levels(ii, jj):
-            post = (r_draw[lev], R_draw[lev]) if disc else None
-            rates = _rates(ensemble, pt, ii[lev], jj[lev], post)
+            rates = _rates(ensemble, pt, ii[lev], jj[lev], _rows(draws, lev))
             step_violations += int(np.count_nonzero(rates > b_maj))
             hit = lev[u_acc[lev] * b_maj < rates]
             if hit.size:
-                r, R = (None if d is None else d[hit] for d in (r_draw, R_draw))
-                ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit], r, R,
-                                                sigma[hit])
+                ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
+                                                _rows(draws, hit), sigma[hit])
 
     ensemble.majorant_violations += step_violations
     if step_candidates and step_violations / step_candidates > config.violation_tol:

@@ -15,6 +15,7 @@ import pytest
 import polykin
 from polykin import cli, fitlab
 from polykin.hypotheses import TABLE1
+from polykin.model import spec_from_json, spec_to_json
 
 
 def run_cli(argv, capsys):
@@ -54,6 +55,21 @@ def test_shipped_schemas_are_valid(name):
     # the CLI validates documents without checking the schema itself
     doc = schema(name)
     jsonschema.validators.validator_for(doc).check_schema(doc)
+
+
+KERNEL_KINDS = schema("relax_config.schema.json")["properties"]["kernels"]["items"][
+    "items"]["properties"]["kind"]["enum"]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_every_schema_kernel_kind_loads(kind):
+    # each kernel kind the relax schema accepts is one the loader reads, and
+    # what it reads is written back as the same kernel
+    doc = {"species": [{"label": "gas", "mass": 1.0,
+                        "energy": {"kind": "continuous", "delta": 2.0}}],
+           "kernels": [[{"kind": kind, "C": 1.0, "zeta": 0.5}]]}
+    spec = spec_from_json(json.dumps(doc))
+    assert spec_from_json(spec_to_json(spec)) == spec
 
 
 def write_manifest(directory, cv_rows, mu_rows):
@@ -477,6 +493,27 @@ class TestRelaxCommand:
         code, _, err = run_cli(["relax", "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith(f"error: {path}: ")
+
+    def test_kernel_spellings_run_as_one_kernel(self, tmp_path, capsys):
+        # a binary mixture whose cross kernel is spelled power_law_e in
+        # kernels[0][1] and psi_weighted in kernels[1][0] runs as the table
+        # spelled power_law_e throughout, to the byte
+        cfg = write_relax_config(tmp_path / "run.json")
+        doc = json.loads(cfg.read_text())
+        doc["species"].append({"label": "b", "mass": 2.0,
+                               "energy": {"kind": "continuous", "delta": 3.0}})
+        ker = {"kind": "power_law_e", "C": 1.0, "zeta": 0.5}
+        doc["kernels"] = [[ker, ker], [ker, ker]]
+        out = tmp_path / "s.csv"
+        runs = []
+        for kind in ("power_law_e", "psi_weighted"):
+            doc["kernels"][1][0] = {**ker, "kind": kind}
+            cfg.write_text(json.dumps(doc))
+            code, stdout, err = run_cli(["relax", "--config", str(cfg), "--out", str(out)],
+                                        capsys)
+            assert code == 0, err
+            runs.append((stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_kernel_table_size_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_relax_config(tmp_path / "run.json")

@@ -13,7 +13,7 @@ from polykin import relax
 from polykin.collide import bl_poly_poly, pair_law, sq_norm, unit_sphere
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, MixtureSpec,
-                           Monatomic, PowerLawE, PsiWeighted, Species, eval_kernel,
+                           Monatomic, PowerLawE, Species, eval_kernel,
                            single_species)
 from polykin.operator import k1matrix
 from polykin.operator.k1matrix import GridSpec, K1Matrix, assemble_k1
@@ -120,7 +120,8 @@ def test_plain_split_weighted_kernel_is_the_power_law(C, zeta):
                         10.0 ** rng.uniform(-8.0, 8.0, 1000)])
     r, R = rng.random((2, E.size))
     with np.errstate(all="ignore"):
-        got = eval_kernel(PsiWeighted(C, zeta), CollisionContext(E=E, r=r, R=R))
+        # a psi-free kernel reads E alone, whatever split it is given
+        got = eval_kernel(PowerLawE(C, zeta), CollisionContext(E=E, r=r, R=R))
         plain = eval_kernel(PowerLawE(C, zeta), CollisionContext(E=E))
         # the expression it replaced: the power law times ones shaped like r
         replaced = C * E ** (0.5 * zeta) * np.ones_like(r)

@@ -13,7 +13,6 @@ from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (
     ContinuousEnergy,
     PowerLawE,
-    PsiWeighted,
     ResonantTensored,
     single_species,
 )
@@ -56,7 +55,7 @@ class TestReducedCoefficient:
     def test_unit_split_weight_matches_closed_form(self):
         law = one_species_law(3.0)
         plain = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.5), law)
-        weighted = reduced_kernel_coefficient(PsiWeighted(C=1.0, zeta=0.5, psi=ONES), law)
+        weighted = reduced_kernel_coefficient(PowerLawE(C=1.0, zeta=0.5, psi=ONES), law)
         assert weighted == pytest.approx(plain, rel=1e-12)
 
     def test_quadratic_split_weight_against_beta_moments(self):
@@ -65,7 +64,7 @@ class TestReducedCoefficient:
         plain = 4.0 * np.pi * special.beta(0.5 * delta + 1, 0.5 * delta + 1) \
             * special.beta(1.5, delta)
         got = reduced_kernel_coefficient(
-            PsiWeighted(C=1.0, zeta=0.5, psi=lambda r, R: r * (1.0 - r)),
+            PowerLawE(C=1.0, zeta=0.5, psi=lambda r, R: r * (1.0 - r)),
             one_species_law(delta),
         )
         assert got == pytest.approx(plain, rel=1e-10)
@@ -172,7 +171,7 @@ class TestK1Assembly:
         assert abs(mc.value - grid) <= 5.0 * mc.stderr + 1e-3 * abs(grid)
 
     def test_split_weight_unit_matches_plain_kernel(self):
-        spec = single_species(ContinuousEnergy(3.0), PsiWeighted(C=1.0, zeta=0.5, psi=ONES))
+        spec = single_species(ContinuousEnergy(3.0), PowerLawE(C=1.0, zeta=0.5, psi=ONES))
         Mp = Maxwellian(spec, EquilibriumParams.single(1.0, np.zeros(3), 1.0))
         a = assemble_k1(GridSpec(), self.M).matrix
         b = assemble_k1(GridSpec(), Mp).matrix

@@ -13,7 +13,6 @@ from polykin.model import (
     MixtureSpec,
     Monatomic,
     PowerLawE,
-    PsiWeighted,
     ResonantTensored,
     Species,
     eval_kernel,
@@ -76,14 +75,14 @@ class TestEvalKernel:
 
     def test_psi_default_matches_power_law(self):
         ctx = CollisionContext(E=9.0, r=0.3, R=0.7)
-        a = eval_kernel(PsiWeighted(C=1.5, zeta=1.0), ctx)
+        a = eval_kernel(PowerLawE(C=1.5, zeta=1.0, psi=None), ctx)
         b = eval_kernel(PowerLawE(C=1.5, zeta=1.0), CollisionContext(E=9.0))
         assert a == b
 
     def test_psi_weight_applied(self):
         psi = lambda r, R: r * (1.0 - r) + R  # symmetric in r <-> 1-r
         ctx = CollisionContext(E=1.0, r=0.25, R=0.5)
-        got = eval_kernel(PsiWeighted(C=2.0, zeta=0.0, psi=psi), ctx)
+        got = eval_kernel(PowerLawE(C=2.0, zeta=0.0, psi=psi), ctx)
         assert got == pytest.approx(2.0 * (0.25 * 0.75 + 0.5))
 
     def test_resonant_indicator_cuts_off(self):
@@ -216,9 +215,21 @@ class TestJsonRoundTrip:
     def test_round_trip(self, spec):
         assert spec_from_json(spec_to_json(spec)) == spec
 
+    def test_kernel_spellings_validate_as_one_table(self):
+        # psi_weighted without a psi is power_law_e under a second name, so
+        # a table spelling one kernel both ways is symmetric
+        import json
+
+        doc = json.loads(spec_to_json(mixture_cont_spec(zeta=0.5)))
+        doc["kernels"][1][0]["kind"] = "psi_weighted"
+        spec = spec_from_json(json.dumps(doc))
+        assert validate(spec) == []
+        assert spec == mixture_cont_spec(zeta=0.5)
+        assert json.loads(spec_to_json(spec))["kernels"][1][0]["kind"] == "power_law_e"
+
     def test_custom_psi_not_serializable(self):
         spec = single_species(
-            ContinuousEnergy(3.0), PsiWeighted(C=1.0, zeta=0.5, psi=lambda r, R: r)
+            ContinuousEnergy(3.0), PowerLawE(C=1.0, zeta=0.5, psi=lambda r, R: r)
         )
         with pytest.raises(ValueError):
             spec_to_json(spec)

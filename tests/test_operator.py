@@ -11,7 +11,7 @@ from scipy import integrate, special
 
 from polykin.collide import ParticleState, pair_law
 from polykin.equilib import EquilibriumParams, Maxwellian, maxwellian_eval
-from polykin.model import Monatomic, PowerLawE, PsiWeighted, single_species
+from polykin.model import Monatomic, PowerLawE, single_species, spec_from_json, spec_to_json
 from polykin.operator import (
     DistributionFn,
     QuadratureConfig,
@@ -175,6 +175,18 @@ class TestDetailedBalance:
         w = ParticleState(v=np.array([0.3, 0.0, -0.4]), species=0, I=1.1)
         est = eval_q(f, g, w, QuadratureConfig(n_samples=60_000, seed=5))
         self._assert_exact_zero(est, live=60_000)
+
+    def test_kernel_spellings_share_one_description(self):
+        # f read with its kernel spelled power_law_e and g with psi_weighted
+        # describe one mixture, so Q(f, g) at equilibrium cancels exactly
+        import json
+
+        doc = json.loads(spec_to_json(bl_spec(delta=2.5, zeta=0.6)))
+        f = DistributionFn(equilibrium(spec_from_json(json.dumps(doc))))
+        doc["kernels"][0][0]["kind"] = "psi_weighted"
+        g = DistributionFn(equilibrium(spec_from_json(json.dumps(doc))))
+        est = eval_q(f, g, W_BL, QuadratureConfig(n_samples=20_000, seed=8))
+        self._assert_exact_zero(est, live=20_000)
 
     def test_zero_kernel_gives_exact_zero(self):
         M = equilibrium(bl_spec(delta=3.0))
@@ -469,7 +481,7 @@ class TestScopeAndErrors:
             return Monatomic() if delta is None else ContinuousEnergy(delta)
 
         psi = lambda r, R: np.ones_like(np.asarray(r) * np.asarray(R))
-        ker = PsiWeighted(1.0, 0.0, psi=psi)
+        ker = PowerLawE(1.0, 0.0, psi=psi)
         spec = MixtureSpec(
             species=(Species(label="a", mass=1.0, energy=energy(delta_a)),
                      Species(label="b", mass=2.0, energy=energy(delta_b))),

@@ -18,7 +18,6 @@ from polykin.model import (
     MixtureSpec,
     Monatomic,
     PowerLawE,
-    PsiWeighted,
     Species,
     single_species,
 )
@@ -472,7 +471,7 @@ def test_forty_level_channels_take_little_memory():
     hits = []
     assert traced_peak(lambda: relax._rates(ens, pt, a, b, (kp, lp))) < 1e6
     assert traced_peak(
-        lambda: hits.append(relax._collide_discrete(ens, pt, a, b, kp, lp, sigma))) < 1e6
+        lambda: hits.append(relax._collide(ens, pt, a, b, (kp, lp), sigma))) < 1e6
     assert hits[0] > 0
 
 
@@ -491,8 +490,8 @@ class TestSlotOrder:
         ens.internal[1] = I_star
         (pt,) = [pt for pt in relax._pair_types(ens) if pt.i != pt.j]
         assert pt.law.kind is PairKind.MONO_POLY
-        relax._collide(ens, pt, np.array([0]), np.array([1]), np.zeros(1),
-                       np.array([R]), sigma[None, :])
+        relax._collide(ens, pt, np.array([0]), np.array([1]), (np.zeros(1), np.array([R])),
+                       sigma[None, :])
         assert ens.v[0].tobytes() == out.post[0].v.tobytes()
         assert ens.v[1].tobytes() == out.post[1].v.tobytes()
         assert ens.internal[1] == out.post[1].I
@@ -824,7 +823,7 @@ class TestFailureModes:
     def test_callable_psi_rejected(self):
         spec = single_species(
             ContinuousEnergy(delta=2.0),
-            PsiWeighted(C=1.0, zeta=0.0, psi=lambda r, R: r * (1.0 - r)),
+            PowerLawE(C=1.0, zeta=0.0, psi=lambda r, R: r * (1.0 - r)),
         )
         ens = relax.init_ensemble(spec, 100, 1.0, 1.0, seed=0)
         with pytest.raises(ValueError, match="energy-power"):
@@ -832,7 +831,7 @@ class TestFailureModes:
 
     def test_psi_none_kernel_accepted(self):
         spec = single_species(ContinuousEnergy(delta=2.0),
-                              PsiWeighted(C=1.0, zeta=0.0, psi=None))
+                              PowerLawE(C=1.0, zeta=0.0, psi=None))
         ens = relax.init_ensemble(spec, 1000, 1.5, 1.5, seed=2)
         relax.step(ens, relax.RelaxConfig(dt=0.01, n_particles=1000, seed=2))
         assert ens.collisions > 0

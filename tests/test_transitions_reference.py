@@ -42,7 +42,6 @@ from polykin.model import (
     ContinuousEnergy,
     Monatomic,
     PowerLawE,
-    PsiWeighted,
     ResonantTensored,
     eval_kernel,
     single_species,
@@ -65,7 +64,7 @@ def _pow_log(x, p):
 
 
 def _log_b(kernel, ctx, pair_has_split):
-    if isinstance(kernel, PsiWeighted) and kernel.psi is not None and not pair_has_split:
+    if isinstance(kernel, PowerLawE) and kernel.psi is not None and not pair_has_split:
         raise ValueError("a psi-weighted kernel needs an energy-split variable")
     with np.errstate(divide="ignore"):
         return np.log(np.asarray(eval_kernel(kernel, ctx), dtype=float))
@@ -234,7 +233,7 @@ def _reference_transition(spec, pair, kernel, v, internal, M, rng, n):
 
 
 def _symmetric_psi(r, R):
-    """A parameter weight unchanged under r -> 1 - r, as PsiWeighted requires."""
+    """A parameter weight unchanged under r -> 1 - r, as PowerLawE's psi must be."""
     return 1.0 + 2.0 * r * (1.0 - r) * R
 
 
@@ -242,7 +241,7 @@ PAIRS = {
     "cont-cont": (bl_spec(delta=2.5, zeta=0.6), (0, 0)),
     "cont-cont-masses": (mixture_cont_spec(), (0, 1)),
     "cont-cont-psi": (single_species(ContinuousEnergy(delta=3.0),
-                                     PsiWeighted(C=1.0, zeta=0.4, psi=_symmetric_psi),
+                                     PowerLawE(C=1.0, zeta=0.4, psi=_symmetric_psi),
                                      mass=1.2), (0, 0)),
     "poly-mono": (mixture_cont_spec(delta_b=None), (0, 1)),
     "mono-poly": (mixture_cont_spec(delta_b=None), (1, 0)),
