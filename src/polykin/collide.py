@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
@@ -51,12 +50,9 @@ __all__ = [
     "channel_draw",
     "ParticleState",
     "internal_variable",
-    "MonatomicParams",
     "BorgnakkeLarsenParams",
-    "PolyMonoParams",
     "ResonantParams",
     "DiscreteParams",
-    "CollisionParams",
     "CollisionOutcome",
     "InverseParams",
     "DefectReport",
@@ -69,7 +65,6 @@ __all__ = [
     "bl_poly_poly",
     "resonant_rule",
     "discrete_rule",
-    "collide_monatomic",
     "collide_borgnakke_larsen",
     "collide_resonant",
     "collide_discrete",
@@ -508,38 +503,21 @@ def internal_variable(spec: MixtureSpec, state: ParticleState) -> float | int | 
     raise TypeError(f"unknown energy model {type(e).__name__}")
 
 
-@dataclass(frozen=True)
-class MonatomicParams:
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", unit_vector(self.sigma))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BorgnakkeLarsenParams:
-    """Exchange parameters: internal split r, kinetic fraction R, direction sigma."""
+    """Exchange parameters: direction sigma, kinetic fraction R and internal
+    split r, each of R and r None where the pair's law has no such parameter
+    (``PairLaw.beta_R``, ``PairLaw.beta_r``): both for two polyatomic
+    particles, R alone for a polyatomic-monatomic pair, neither for two
+    monatomic particles."""
 
-    r: float
-    R: float
     sigma: np.ndarray
+    R: float | None = None
+    r: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r <= 1.0 and 0.0 <= self.R <= 1.0):
+        if any(x is not None and not 0.0 <= x <= 1.0 for x in (self.r, self.R)):
             raise ValueError("r and R must lie in [0, 1]")
-        object.__setattr__(self, "sigma", unit_vector(self.sigma))
-
-
-@dataclass(frozen=True)
-class PolyMonoParams:
-    """Exchange parameters when only one particle has internal structure."""
-
-    R: float
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.R <= 1.0:
-            raise ValueError("R must lie in [0, 1]")
         object.__setattr__(self, "sigma", unit_vector(self.sigma))
 
 
@@ -560,11 +538,6 @@ class DiscreteParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", unit_vector(self.sigma))
-
-
-CollisionParams = Union[
-    MonatomicParams, BorgnakkeLarsenParams, PolyMonoParams, ResonantParams, DiscreteParams
-]
 
 
 @dataclass(frozen=True)
@@ -592,57 +565,46 @@ def total_energy(spec: MixtureSpec, s1: ParticleState, s2: ParticleState) -> flo
     )
 
 
-def collide_monatomic(v, v_star, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Single-species elastic scattering; sigma is validated and renormalized."""
-    return monatomic_rule(v, v_star, unit_vector(sigma))
-
-
 def collide_borgnakke_larsen(
     spec: MixtureSpec,
     s1: ParticleState,
     s2: ParticleState,
-    params: CollisionParams,
+    params: BorgnakkeLarsenParams,
 ) -> CollisionOutcome:
-    """Exchange collision dispatched on which of the two particles is polyatomic.
+    """Exchange collision of a pair with continuous or monatomic species.
 
-    Both polyatomic -> BorgnakkeLarsenParams; exactly one -> PolyMonoParams,
-    whose pair takes the law's fixed split ``r_fixed``; neither ->
-    MonatomicParams.  A params variant that does not match the pair raises
-    ValueError.  The jacobian field is only filled for the equal-mass
-    two-polyatomic case.
+    ``params`` must carry r and R exactly where the pair's law has them,
+    else ValueError.  Two monatomic particles scatter elastically; every
+    other pair is one :func:`bl_poly_poly` call, a polyatomic-monatomic pair
+    at the law's fixed split ``r_fixed``.  The jacobian field is only filled
+    for two polyatomic particles of equal mass.
     """
+    if not isinstance(params, BorgnakkeLarsenParams):
+        raise ValueError("exchange collisions need BorgnakkeLarsenParams")
     law = pair_law(spec, s1.species, s2.species)
     m1, m2 = law.m_i, law.m_j
     if law.kind is PairKind.DISC_DISC:
         raise ValueError("exchange collisions need continuous or monatomic species")
+    shapes = (("r", params.r, law.beta_r), ("R", params.R, law.beta_R))
+    if any((x is None) != (shape is None) for _, x, shape in shapes):
+        takes = " and ".join(name for name, _, shape in shapes if shape is not None)
+        raise ValueError(f"a {law.kind.value} pair takes {takes or 'neither r nor R'}; "
+                         f"got r={params.r}, R={params.R}")
     I1, I2 = internal_variable(spec, s1), internal_variable(spec, s2)
 
-    if law.kind is PairKind.MONO_MONO:
-        if not isinstance(params, MonatomicParams):
-            raise ValueError("two monatomic particles need MonatomicParams")
-        vp, vsp = monatomic_rule(s1.v, s2.v, params.sigma, m1, m2)
-        E = total_energy(spec, s1, s2)
-        post = (
-            ParticleState(v=vp, species=s1.species),
-            ParticleState(v=vsp, species=s2.species),
-        )
-        return CollisionOutcome(post=post, admissible=True, E=float(E))
-
     jac = None
-    if law.kind is PairKind.CONT_CONT:
-        if not isinstance(params, BorgnakkeLarsenParams):
-            raise ValueError("two polyatomic particles need BorgnakkeLarsenParams")
-        r = params.r
-        if m1 == m2 and params.r < 1 and params.R < 1:
-            jac = jacobian_bl(params.r, params.R)
+    if law.kind is PairKind.MONO_MONO:
+        vp, vsp = monatomic_rule(s1.v, s2.v, params.sigma, m1, m2)
+        Ip = Isp = None
+        E = total_energy(spec, s1, s2)
     else:
-        if not isinstance(params, PolyMonoParams):
-            raise ValueError("a polyatomic-monatomic pair needs PolyMonoParams")
-        r = law.r_fixed
-    vp, vsp, Ip, Isp, E = bl_poly_poly(
-        s1.v, s2.v, 0.0 if I1 is None else I1, 0.0 if I2 is None else I2,
-        r, params.R, params.sigma, m1, m2
-    )
+        r = law.r_fixed if params.r is None else params.r
+        if params.r is not None and m1 == m2 and params.r < 1 and params.R < 1:
+            jac = jacobian_bl(params.r, params.R)
+        vp, vsp, Ip, Isp, E = bl_poly_poly(
+            s1.v, s2.v, 0.0 if I1 is None else I1, 0.0 if I2 is None else I2,
+            r, params.R, params.sigma, m1, m2
+        )
     post = (
         ParticleState(v=vp, species=s1.species, I=None if I1 is None else float(Ip)),
         ParticleState(v=vsp, species=s2.species, I=None if I2 is None else float(Isp)),

@@ -12,10 +12,8 @@ from polykin import cli
 from polykin.collide import (
     BorgnakkeLarsenParams,
     DiscreteParams,
-    MonatomicParams,
     PairKind,
     ParticleState,
-    PolyMonoParams,
     ResonantParams,
     _beta,
     beta_draw,
@@ -23,7 +21,6 @@ from polykin.collide import (
     channel_draw,
     collide_borgnakke_larsen,
     collide_discrete,
-    collide_monatomic,
     collide_resonant,
     com_energy,
     discrete_rule,
@@ -154,12 +151,36 @@ class TestJacobian:
         assert jacobian_bl(r, R) == pytest.approx(8.0 / ((1 - r) * (1 - R)), rel=1e-14)
 
 
+def _monatomic_pair_spec(m_a: float, m_b: float) -> MixtureSpec:
+    ker = PowerLawE(C=1.0, zeta=0.0)
+    return MixtureSpec(
+        species=tuple(Species(label=label, mass=m, energy=Monatomic())
+                      for label, m in (("a", m_a), ("b", m_b))),
+        kernels=((ker, ker), (ker, ker)),
+    )
+
+
+# each exchange pair kind: (spec, pre pair, name of the one record in
+# _RECORDS that fits it)
+_EXCHANGE_PAIRS = {
+    "cont-cont": lambda: (mixture_cont_spec(),
+                          (_state(EX, 0, I=2.0), _state(-EX, 1, I=1.0)), "r and R"),
+    "poly-mono": lambda: (mixture_cont_spec(delta_b=None),
+                          (_state(EX, 0, I=2.0), _state(-EX, 1)), "R"),
+    "mono-poly": lambda: (mixture_cont_spec(delta_b=None),
+                          (_state(-EX, 1), _state(EX, 0, I=2.0)), "R"),
+    "mono-mono": lambda: (_monatomic_pair_spec(1.0, 2.5),
+                          (_state(EX, 0), _state(-EX, 1)), "neither"),
+}
+_RECORDS = {"r and R": {"r": 0.5, "R": 0.5}, "R": {"R": 0.5}, "neither": {}, "r": {"r": 0.5}}
+
+
 class TestMonatomic:
     def test_relative_speed_preserved(self):
         rng = np.random.default_rng(1)
         v, vs = rng.normal(size=3), rng.normal(size=3)
         sig = uniform_sphere(rng, 1)[0]
-        vp, vsp = collide_monatomic(v, vs, sig)
+        vp, vsp = monatomic_rule(v, vs, unit_vector(sig))
         assert np.linalg.norm(vp - vsp) == pytest.approx(np.linalg.norm(v - vs), rel=1e-13)
         np.testing.assert_allclose(vp + vsp, v + vs, atol=1e-14)
 
@@ -173,13 +194,29 @@ class TestMonatomic:
         kin = lambda a, b: 0.5 * m * a @ a + 0.5 * ms * b @ b
         assert kin(vp, vsp) == pytest.approx(kin(v, vs), rel=1e-13)
 
+    def test_object_layer_scatters_two_species_elastically(self):
+        # the object layer's one exchange record, read against a mono-mono law
+        rng = np.random.default_rng(4)
+        spec = _monatomic_pair_spec(1.0, 2.5)
+        pre = (_state(rng.normal(size=3), 0), _state(rng.normal(size=3), 1))
+        sig = uniform_sphere(rng, 1)[0]
+        out = collide_borgnakke_larsen(spec, *pre, BorgnakkeLarsenParams(sigma=sig))
+        vp, vsp = monatomic_rule(pre[0].v, pre[1].v, unit_vector(sig), 1.0, 2.5)
+        assert out.post[0].v.tobytes() == vp.tobytes()
+        assert out.post[1].v.tobytes() == vsp.tobytes()
+        d = invariant_defect(spec, pre, out.post)
+        assert np.abs(d.momentum).max() < 1e-12
+        assert abs(d.energy) < 1e-12
+        assert out.post[0].I is None and out.post[1].I is None
+        assert out.jacobian is None
+
 
 class TestPolyMono:
     def test_internal_energy_share(self):
         # poly(m=1, I=2) vs mono(m=1): E = |V|^2/4 + 2 and I' = E/2 at R = 1/2
         spec = mixture_cont_spec(delta_b=None, m_a=1.0, m_b=1.0)
         pre = (_state(EX, 0, I=2.0), _state(-EX, 1))
-        out = collide_borgnakke_larsen(spec, *pre, PolyMonoParams(R=0.5, sigma=EX))
+        out = collide_borgnakke_larsen(spec, *pre, BorgnakkeLarsenParams(R=0.5, sigma=EX))
         E = 0.25 * 4.0 + 2.0
         assert out.E == pytest.approx(E, abs=1e-14)
         assert out.post[0].I == pytest.approx(E / 2, abs=1e-14)
@@ -188,15 +225,23 @@ class TestPolyMono:
     def test_mono_poly_order_swapped(self):
         spec = mixture_cont_spec(delta_b=None, m_a=1.0, m_b=1.0)
         pre = (_state(-EX, 1), _state(EX, 0, I=2.0))
-        out = collide_borgnakke_larsen(spec, *pre, PolyMonoParams(R=0.5, sigma=EX))
+        out = collide_borgnakke_larsen(spec, *pre, BorgnakkeLarsenParams(R=0.5, sigma=EX))
         assert out.post[0].I is None
         assert out.post[1].I == pytest.approx(1.5, abs=1e-14)
 
-    def test_params_variant_must_match(self):
-        spec = mixture_cont_spec(delta_b=None)
-        pre = (_state(EX, 0, I=2.0), _state(-EX, 1))
+    @pytest.mark.parametrize("kind", list(_EXCHANGE_PAIRS))
+    def test_params_variant_must_match(self, kind):
+        # a record carries r and R exactly where the pair law has them
+        spec, pre, fits = _EXCHANGE_PAIRS[kind]()
+        assert pair_law(spec, pre[0].species, pre[1].species).kind.value == kind
+        collide_borgnakke_larsen(spec, *pre, BorgnakkeLarsenParams(sigma=EX, **_RECORDS[fits]))
+        for name, fields in _RECORDS.items():
+            if name != fits:
+                with pytest.raises(ValueError, match=kind):
+                    collide_borgnakke_larsen(spec, *pre,
+                                             BorgnakkeLarsenParams(sigma=EX, **fields))
         with pytest.raises(ValueError):
-            collide_borgnakke_larsen(spec, *pre, BorgnakkeLarsenParams(0.5, 0.5, EX))
+            collide_borgnakke_larsen(spec, *pre, ResonantParams(I_prime=0.5, sigma=EX))
 
 
 class TestResonant:
@@ -343,11 +388,11 @@ class TestInverseDegenerate:
 class TestSigmaHandling:
     def test_non_unit_sigma_rejected(self):
         with pytest.raises(ValueError):
-            MonatomicParams(sigma=np.array([1.0, 1.0, 0.0]))
+            BorgnakkeLarsenParams(sigma=np.array([1.0, 1.0, 0.0]))
 
     def test_slightly_off_sigma_renormalized(self):
         sig = np.array([1.0 + 5e-13, 0.0, 0.0])
-        p = MonatomicParams(sigma=sig)
+        p = BorgnakkeLarsenParams(sigma=sig)
         assert np.linalg.norm(p.sigma) == pytest.approx(1.0, abs=1e-15)
 
     def test_state_shape_checked(self):

@@ -3,7 +3,8 @@ and no module loads scipy when it is imported.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module or be listed
-in its ``__all__``.  Re-exports marked ``# noqa: F401`` are exempt.  A
+in its ``__all__``.  Re-exports marked ``# noqa: F401`` are exempt.  Every
+name in a module's ``__all__`` is bound in that module and listed once.  A
 private name (``_name``) bound at module level by a function, a class or an
 assignment must be read somewhere in the package: as a name, an attribute
 or an import.  scipy may only be imported inside the functions that call it.
@@ -48,6 +49,50 @@ def test_package_has_no_unused_imports():
         if names:
             found[str(path.relative_to(PACKAGE))] = names
     assert found == {}
+
+
+def all_list_faults(source: str) -> list[str]:
+    """Names in the module's ``__all__`` that it lists more than once or
+    does not bind at module level (by a definition, an assignment or an
+    import outside any function or class body)."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    listed: list[str] = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                listed = list(ast.literal_eval(node.value))
+        stack.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt))
+    twice = sorted({name for name in listed if listed.count(name) > 1})
+    return ([f"{name} (listed twice)" for name in twice]
+            + [f"{name} (not bound)" for name in listed if name not in bound])
+
+
+def test_all_lists_name_bound_names_once():
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        faults = all_list_faults(path.read_text(encoding="utf-8"))
+        if faults:
+            found[str(path.relative_to(PACKAGE))] = faults
+    assert found == {}
+
+
+def test_all_list_faults_catch_stale_and_repeated_names():
+    source = ("import a.b\nfrom c import d as e\nx: int = 1\n"
+              "if True:\n    y = 2\nclass K:\n    z = 3\n"
+              "def f():\n    w = 4\n"
+              "__all__ = ['a', 'e', 'x', 'y', 'K', 'f', 'z', 'w', 'e']\n")
+    assert all_list_faults(source) == ["e (listed twice)", "z (not bound)", "w (not bound)"]
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import (PairKind, ParticleState, PolyMonoParams, channel_draw,
-                             collide_borgnakke_larsen, inverse_parameters, pair_law,
-                             unit_sphere)
+from polykin.collide import (BorgnakkeLarsenParams, PairKind, ParticleState, channel_draw,
+                             collide_borgnakke_larsen, exchange_split, inverse_parameters,
+                             pair_law, unit_sphere)
 from polykin.equilib import (EquilibriumParams, Maxwellian, internal_temperature,
                              level_weights, mean_internal_energy)
 from polykin.model import (
@@ -476,28 +476,42 @@ def test_forty_level_channels_take_little_memory():
 
 
 class TestSlotOrder:
-    def test_mono_poly_pair_collides_as_the_object_layer_does(self):
-        # sigma lies along v' - v'_* in slot order in both layers, so one
-        # (R, sigma) gives one post pair, monatomic particle first
-        spec = _two_species((2.0, None), (1.0, 2.0))
-        v, v_star, I_star = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.2]), 0.7
-        R, sigma = 0.4, np.array([0.0, 0.6, 0.8])
-        pre = (ParticleState(v=v, species=0), ParticleState(v=v_star, species=1, I=I_star))
-        out = collide_borgnakke_larsen(spec, *pre, PolyMonoParams(R=R, sigma=sigma))
+    # (mass, delta) of the two species of each exchange pair kind
+    PAIRS = {
+        PairKind.CONT_CONT: ((2.0, 2.0), (1.0, 3.0)),
+        PairKind.POLY_MONO: ((1.0, 2.0), (2.0, None)),
+        PairKind.MONO_POLY: ((2.0, None), (1.0, 2.0)),
+        PairKind.MONO_MONO: ((1.0, None), (2.5, None)),
+    }
+
+    @pytest.mark.parametrize("kind", list(PAIRS))
+    def test_each_exchange_pair_collides_as_the_object_layer_does(self, kind):
+        # sigma lies along v' - v'_* in slot order in both layers, and the
+        # object layer's record carries one exchange_split draw (None stays
+        # None), so one (r, R, sigma) gives one post pair
+        first, second = self.PAIRS[kind]
+        spec = _two_species(first, second)
+        v, v_star = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.2])
+        I, I_star = (None if d is None else x for (_, d), x in zip((first, second), (1.3, 0.7)))
+        pre = (ParticleState(v=v, species=0, I=I), ParticleState(v=v_star, species=1, I=I_star))
 
         ens = relax.init_ensemble(spec, 2, 1.0, 1.0, seed=0)
         ens.v[:] = v, v_star
-        ens.internal[1] = I_star
+        ens.internal[:] = [0.0 if x is None else x for x in (I, I_star)]
         (pt,) = [pt for pt in relax._pair_types(ens) if pt.i != pt.j]
-        assert pt.law.kind is PairKind.MONO_POLY
-        relax._collide(ens, pt, np.array([0]), np.array([1]), (np.zeros(1), np.array([R])),
-                       sigma[None, :])
-        assert ens.v[0].tobytes() == out.post[0].v.tobytes()
-        assert ens.v[1].tobytes() == out.post[1].v.tobytes()
-        assert ens.internal[1] == out.post[1].I
+        assert pt.law.kind is kind
+        r, R = exchange_split(pt.law, np.random.default_rng(5), 1)
+        params = BorgnakkeLarsenParams(sigma=np.array([0.0, 0.6, 0.8]),
+                                       R=None if R is None else float(R[0]),
+                                       r=None if r is None else float(r[0]))
+        out = collide_borgnakke_larsen(spec, *pre, params)
+        relax._collide(ens, pt, np.array([0]), np.array([1]), (r, R), params.sigma[None, :])
+        for k, post in enumerate(out.post):
+            assert ens.v[k].tobytes() == post.v.tobytes()
+            assert ens.internal[k] == (0.0 if post.I is None else post.I)
         # the collision taking the post pair back starts along sigma
         back = inverse_parameters(spec, out.post, pre)
-        assert np.max(np.abs(back.sigma - sigma)) <= 1e-12
+        assert np.max(np.abs(back.sigma - params.sigma)) <= 1e-12
 
 
 class TestDiagnostics:
