@@ -13,12 +13,21 @@ as a `# seed=` header line.
 Only what ``relax`` needs is imported at module level: ``hypotheses``,
 ``fitlab`` and ``operator`` are imported by the subcommands that use them,
 so a one-shot ``polykin relax`` does not pay for loading them.
+
+``main`` owns its process's allocator policy: once per process it pins
+glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB, the
+ceiling glibc's own sliding rule reaches.  Left to that rule, a run hands
+its heap top back to the kernel after every recorded relax row and faults
+it in again for the next.  Calling ``main`` in-process applies the policy to
+the caller's process; the library modules leave the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -48,6 +57,14 @@ EXIT_NUMERIC = 4
 _EXPONENT_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)e[-+]?\d+|inf|infinity|nan)",
                               re.IGNORECASE)
 
+# glibc's mallopt parameters and the values main pins them at:
+# DEFAULT_MMAP_THRESHOLD_MAX on 64-bit hosts and twice it.  Setting any
+# threshold or M_TOP_PAD switches the sliding rule off and freezes the mmap
+# threshold where it stood, so it is set explicitly and M_TOP_PAD is not.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_THRESHOLDS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
 # library errors open with the parameter they concern; by command, each
 # opening and the prefix that names the parameter as the user wrote it
 _NAMED_ERRORS = {
@@ -56,6 +73,20 @@ _NAMED_ERRORS = {
     "relax": {"b_maj:": "relax.", "n_particles:": "relax.",
               "t_end / dt": "relax.t_end, relax.dt: "},
 }
+
+
+@functools.cache
+def _pin_malloc_thresholds():
+    """Pin glibc's mmap and trim thresholds (module docstring), once per
+    process; return mallopt's results (1 on success), or None where the C
+    library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return tuple(mallopt(param, value) for param, value in _MALLOC_THRESHOLDS)
 
 
 def _load_schema(name: str) -> dict:
@@ -269,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     for k in range(len(argv) - 1, 0, -1):

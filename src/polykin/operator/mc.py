@@ -7,10 +7,18 @@ result depends only on the inputs and the seed, not on how many worker
 threads executed the chunks.
 
 The chunk size bounds each worker thread's live arrays at 220-260 bytes
-per row (14-16 MB at 62 500 rows, traced by tracemalloc).  glibc's
-per-thread arenas keep that memory once the chunks are done, so it also
-sets the floor under what the caller allocates next.  On 2 vCPUs of an
-AMD EPYC, the full operator-diag benchmark operation read at commit
+per row (14-16 MB at 62 500 rows, traced by tracemalloc).  Under glibc's
+default allocator policy its arenas do not keep that memory between chunks
+in a fresh process: the mmap and trim thresholds slide up only as larger
+blocks are freed, so until something has freed a block of that size (as
+K1 assembly's row-block buffers do) each chunk's arrays are mapped, or
+trimmed from the arena top, and faulted in again.  On 2 vCPUs of an AMD
+EPYC (glibc 2.36), each of the first two passes of the operator-diag
+benchmark's ten estimator calls, without K1, took 420k-500k minor faults
+and about 1 s of system time on 2 threads, and 697k faults and 1.3-1.4 s
+on 1 thread.  The library keeps glibc's defaults for its callers;
+``polykin.cli.main`` pins its own process's thresholds.  On the same host,
+the full operator-diag benchmark operation read at commit
 3c52803 (cheaper variate draws since then have lowered the medians):
 
     rows per chunk   peak RSS (MB)   operation median (s)

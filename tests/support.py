@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import polykin
 from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -16,6 +21,14 @@ from polykin.model import (
     Species,
     single_species,
 )
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports the same polykin as this one."""
+    src = str(Path(polykin.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def traced_peak(fn):

@@ -1,35 +1,26 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import ctypes
 import json
 import math
-import os
-import subprocess
-import sys
+import platform
 from importlib import resources
-from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
-import polykin
 from polykin import cli, fitlab
 from polykin.hypotheses import TABLE1
 from polykin.model import spec_from_json, spec_to_json
+from support import run_python
 
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(*args):
-    """Run a fresh interpreter that imports the same polykin as this one."""
-    src = str(Path(polykin.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli_process(argv):
@@ -876,3 +867,72 @@ class TestFitAndTable1:
         code, _, err = run_cli(["fit", "--manifest", str(manifest)], capsys)
         assert code == 2
         assert "Xe" in err
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+class TestAllocatorPolicy:
+    """``main`` pins glibc's mmap and trim thresholds once per process, so a
+    run does not hand its heap top back to the kernel after every recorded
+    relax row; without a mallopt it runs as before."""
+
+    CHECK = ["check", "--hyp", "H1", "--delta", "2", "--zeta", "0"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        # the pinned thresholds stay; only the once-per-process cache resets
+        cli._pin_malloc_thresholds.cache_clear()
+        yield
+        cli._pin_malloc_thresholds.cache_clear()
+
+    def test_main_pins_both_thresholds_once(self, monkeypatch, capsys):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert [run_cli(self.CHECK, capsys)[0] for _ in range(2)] == [0, 0]
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", ["raises", "no-mallopt"])
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys, libc):
+        expected = run_cli(self.CHECK, capsys)
+        cli._pin_malloc_thresholds.cache_clear()
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", {
+            "raises": no_libc, "no-mallopt": lambda name: SimpleNamespace()}[libc])
+        assert run_cli(self.CHECK, capsys) == expected
+        assert expected[0] == 0 and cli._pin_malloc_thresholds() is None
+
+    @pytest.mark.skipif(not GLIBC, reason="mallopt is glibc's")
+    def test_glibc_accepts_both_thresholds(self):
+        assert cli._pin_malloc_thresholds() == (1, 1)
+
+    @pytest.mark.skipif(not GLIBC, reason="the thresholds are glibc's")
+    def test_recorded_rows_fault_no_heap_back_in(self, tmp_path):
+        # 5e4 particles, 20 steps, a row every 10: the repeat run reuses the
+        # first run's heap, where glibc's sliding thresholds would return
+        # about 2.5 MB to the kernel after every row (about 3k faults)
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=50_000, dt=0.01,
+                                 t_end=0.2, cadence=10)
+        argv = ["relax", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        proc = run_python("-c", f"""
+import contextlib, io, json, resource
+from polykin import cli
+codes = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main({argv!r}))
+print(json.dumps([codes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before]))
+""")
+        assert proc.returncode == 0, proc.stderr
+        codes, faults = json.loads(proc.stdout)
+        assert codes == [0, 0]
+        assert faults < 500

@@ -8,14 +8,19 @@ name in a module's ``__all__`` is bound in that module and listed once.  A
 private name (``_name``) bound at module level by a function, a class or an
 assignment must be read somewhere in the package: as a name, an attribute
 or an import.  scipy may only be imported inside the functions that call it.
+Only the CLI entry point sets the allocator policy (glibc's mallopt): the
+library leaves its host process's allocator alone.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import platform
 from pathlib import Path
 
 import polykin
+from support import run_python
 
 PACKAGE = Path(polykin.__file__).resolve().parent
 
@@ -216,3 +221,34 @@ def test_no_module_imports_scipy_at_import_time():
         if names:
             found[str(path.relative_to(PACKAGE))] = names
     assert found == {}
+
+
+def test_only_the_cli_names_mallopt():
+    names = [str(path.relative_to(PACKAGE)) for path in sorted(PACKAGE.rglob("*.py"))
+             if "mallopt" in path.read_text(encoding="utf-8")]
+    assert names == ["cli.py"]
+
+
+def test_import_calls_no_mallopt():
+    # every C-library symbol looked up through ctypes.CDLL is recorded; the
+    # CLI's own policy call afterwards shows the wrapper sees one
+    proc = run_python("-c", """
+import ctypes, json
+looked_up = []
+
+class Watched(ctypes.CDLL):
+    def __getitem__(self, name):
+        looked_up.append(name)
+        return super().__getitem__(name)
+
+ctypes.CDLL = Watched
+import polykin, polykin.cli, polykin.operator
+on_import = list(looked_up)
+polykin.cli._pin_malloc_thresholds()
+print(json.dumps([on_import, looked_up]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    on_import, looked_up = json.loads(proc.stdout)
+    assert "mallopt" not in on_import
+    if platform.libc_ver()[0] == "glibc":
+        assert looked_up[-1] == "mallopt"
