@@ -10,11 +10,15 @@ dimensions and is what the Monte Carlo estimators and the relaxation
 simulator call, together with the draws both share: the scattering
 direction (:func:`unit_sphere`), the exchange split
 (:func:`exchange_split`) and a disc-disc pair's post levels
-(:func:`channel_draw`).  The object layer
+(:func:`channel_draw`), and the inverse map and invariant bookkeeping of
+batches of collisions (:func:`inverse_parameters`,
+:func:`invariant_defect`).  The object layer
 (:func:`collide_borgnakke_larsen` and friends) wraps single collisions in
 :class:`ParticleState` / :class:`CollisionOutcome` records and validates its
-inputs; :func:`internal_variable` is the one reader of a state's internal
-variable, for every layer that takes a :class:`ParticleState`.
+inputs; it reads a pair through :func:`pair_rows`, its law and its array
+rows (v, v_*, e, e_*), and :func:`internal_variable` is the one reader of a
+state's internal variable, for every layer that takes a
+:class:`ParticleState`.
 
 Conventions: the pre-collision pair is (v, I) and (v_*, I_*); V = v - v_* is
 the relative velocity; E is the conserved pair energy in the center-of-mass
@@ -60,7 +64,7 @@ __all__ = [
     "unit_vector",
     "unit_sphere",
     "com_energy",
-    "total_energy",
+    "pair_rows",
     "monatomic_rule",
     "bl_poly_poly",
     "resonant_rule",
@@ -74,7 +78,7 @@ __all__ = [
 ]
 
 _SIGMA_TOL = 1e-12
-# relative conservation defect inverse_parameters accepts between its pairs
+# relative conservation defect inverse_parameters accepts between its rows
 _SHELL_TOL = 1e-10
 # least Beta shape of an internal split drawn from Gamma variates: a
 # Gamma(0.05) draw is subnormal with probability about 2^-51
@@ -456,6 +460,70 @@ def jacobian_bl(r, R):
     return out if out.ndim else float(out)
 
 
+@dataclass(frozen=True)
+class InverseParams:
+    """Reverse-collision parameters, one entry (a row of sigma) per pair.
+
+    NaN where undefined: R where the pair energy is 0, a row of sigma where
+    the relative velocity is 0, r where the internal energies sum to 0.  r
+    is None where the pair's law has no internal split (``PairLaw.beta_r``).
+    """
+
+    r: np.ndarray | None
+    R: np.ndarray
+    sigma: np.ndarray
+
+
+@dataclass(frozen=True)
+class DefectReport:
+    """Post-minus-pre invariant defects, one entry (a row of momentum) per pair."""
+
+    momentum: np.ndarray
+    energy: np.ndarray
+    kinetic: np.ndarray
+    internal: np.ndarray
+
+
+def invariant_defect(law: PairLaw, pre, post) -> DefectReport:
+    """Momentum and energy defects of collisions of pairs following ``law``,
+    with the kinetic-internal split reported separately (the resonant family
+    conserves both).  ``pre`` and ``post`` are the rows (v, v_*, e, e_*),
+    e the internal energies, with any leading batch dimensions: the order
+    :func:`bl_poly_poly` returns."""
+    (v, vs, e, es), (w, ws, f, fs) = ([np.asarray(x, dtype=float) for x in rows]
+                                      for rows in (pre, post))
+    mi, mj = law.m_i, law.m_j
+    kin_pre = 0.5 * mi * sq_norm(v) + 0.5 * mj * sq_norm(vs)
+    kin_post = 0.5 * mi * sq_norm(w) + 0.5 * mj * sq_norm(ws)
+    int_pre, int_post = e + es, f + fs
+    return DefectReport(momentum=mi * w + mj * ws - (mi * v + mj * vs),
+                        energy=(kin_post + int_post) - (kin_pre + int_pre),
+                        kinetic=kin_post - kin_pre, internal=int_post - int_pre)
+
+
+def inverse_parameters(law: PairLaw, pre, post) -> InverseParams:
+    """Parameters (r', R', sigma') of the collisions taking ``post`` back to
+    ``pre``, both rows (v, v_*, e, e_*) as :func:`invariant_defect` takes.
+
+    Read off the pre rows: R' is the kinetic fraction (mu/2)|V|^2 / E, r'
+    the internal split e/(e + e_*) and sigma' the relative direction V/|V|,
+    each NaN where its denominator is 0.  Every pair must sit on the same
+    conservation shell before and after within ``_SHELL_TOL``, relative to
+    the larger of E and the first particle's momentum, else ValueError.
+    """
+    d = invariant_defect(law, pre, post)
+    v, vs, e, es = (np.asarray(x, dtype=float) for x in pre)
+    V = v - vs
+    g2 = sq_norm(V)
+    E = com_energy(law.mu, v, vs, e, es)
+    tol = _SHELL_TOL * np.maximum(np.maximum(np.abs(E), np.abs(law.m_i * v).max(axis=-1)), 1e-300)
+    if np.any((np.abs(d.energy) > tol) | (np.abs(d.momentum).max(axis=-1) > tol)):
+        raise ValueError("pre and post pairs are not on the same conservation shell")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return InverseParams(r=None if law.beta_r is None else e / (e + es),
+                             R=0.5 * law.mu * g2 / E, sigma=V / np.sqrt(g2)[..., None])
+
+
 # ---------------------------------------------------------------------------
 # object layer
 # ---------------------------------------------------------------------------
@@ -477,16 +545,24 @@ class ParticleState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.v.shape != (3,):
-            raise ValueError("particle velocity must be a 3-vector")
-        if self.I is not None and self.I < 0:
-            raise ValueError("internal energy must be nonnegative")
+        if self.v.shape != (3,) or not np.isfinite(self.v).all():
+            raise ValueError(f"particle velocity v must be a finite 3-vector, got {self.v}")
+        if self.I is not None and not 0.0 <= self.I < math.inf:
+            raise ValueError(f"internal energy I must be finite and nonnegative, got {self.I}")
+
+
+def _level(k: int, n_levels: int) -> int:
+    """``k`` as a level index of an ``n_levels``-level species, else ValueError."""
+    if not 0 <= k < n_levels:
+        raise ValueError(f"level {k} lies outside [0, {n_levels})")
+    return int(k)
 
 
 def internal_variable(spec: MixtureSpec, state: ParticleState) -> float | int | None:
     """None (monatomic), ``float(I)`` (continuous) or ``int(level)``
     (discrete levels) by the species of ``state``; a state missing its
-    variable, or a monatomic state carrying one, raises ValueError."""
+    variable, a monatomic state carrying one, or a level outside the
+    species' table raises ValueError."""
     e = spec.species[state.species].energy
     if isinstance(e, Monatomic):
         if state.I is not None or state.level is not None:
@@ -499,8 +575,20 @@ def internal_variable(spec: MixtureSpec, state: ParticleState) -> float | int | 
     if isinstance(e, DiscreteLevels):
         if state.level is None:
             raise ValueError("discrete states need a level index")
-        return int(state.level)
+        return _level(state.level, e.n_levels)
     raise TypeError(f"unknown energy model {type(e).__name__}")
+
+
+def pair_rows(spec: MixtureSpec, s1: ParticleState,
+              s2: ParticleState) -> tuple[PairLaw, tuple]:
+    """The law of the pair (s1, s2) and its rows (v, v_*, e, e_*), e the
+    internal energy each state carries: its I, its level's energy from the
+    law's table, or 0.0 for a monatomic state."""
+    law = pair_law(spec, s1.species, s2.species)
+    e = [0.0 if x is None else x if table is None else table[0][x]
+         for x, table in ((internal_variable(spec, s1), law.levels_i),
+                          (internal_variable(spec, s2), law.levels_j))]
+    return law, (s1.v, s2.v, *e)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -548,23 +636,6 @@ class CollisionOutcome:
     jacobian: float | None = None
 
 
-def _internal_of(spec: MixtureSpec, s: ParticleState) -> float:
-    """Internal energy of ``s``: its I, its level's energy, or 0 if monatomic."""
-    x = internal_variable(spec, s)
-    e = spec.species[s.species].energy
-    if isinstance(e, DiscreteLevels):
-        return e.energies[x]
-    return 0.0 if x is None else x
-
-
-def total_energy(spec: MixtureSpec, s1: ParticleState, s2: ParticleState) -> float:
-    """Conserved pair energy in the center-of-mass frame."""
-    mu = spec.reduced_mass(s1.species, s2.species)
-    return float(
-        com_energy(mu, s1.v, s2.v, _internal_of(spec, s1), _internal_of(spec, s2))
-    )
-
-
 def collide_borgnakke_larsen(
     spec: MixtureSpec,
     s1: ParticleState,
@@ -581,8 +652,7 @@ def collide_borgnakke_larsen(
     """
     if not isinstance(params, BorgnakkeLarsenParams):
         raise ValueError("exchange collisions need BorgnakkeLarsenParams")
-    law = pair_law(spec, s1.species, s2.species)
-    m1, m2 = law.m_i, law.m_j
+    law, rows = pair_rows(spec, s1, s2)
     if law.kind is PairKind.DISC_DISC:
         raise ValueError("exchange collisions need continuous or monatomic species")
     shapes = (("r", params.r, law.beta_r), ("R", params.R, law.beta_R))
@@ -590,26 +660,22 @@ def collide_borgnakke_larsen(
         takes = " and ".join(name for name, _, shape in shapes if shape is not None)
         raise ValueError(f"a {law.kind.value} pair takes {takes or 'neither r nor R'}; "
                          f"got r={params.r}, R={params.R}")
-    I1, I2 = internal_variable(spec, s1), internal_variable(spec, s2)
 
     jac = None
     if law.kind is PairKind.MONO_MONO:
-        vp, vsp = monatomic_rule(s1.v, s2.v, params.sigma, m1, m2)
+        vp, vsp = monatomic_rule(*rows[:2], params.sigma, law.m_i, law.m_j)
         Ip = Isp = None
-        E = total_energy(spec, s1, s2)
     else:
         r = law.r_fixed if params.r is None else params.r
-        if params.r is not None and m1 == m2 and params.r < 1 and params.R < 1:
+        if params.r is not None and law.m_i == law.m_j and params.r < 1 and params.R < 1:
             jac = jacobian_bl(params.r, params.R)
-        vp, vsp, Ip, Isp, E = bl_poly_poly(
-            s1.v, s2.v, 0.0 if I1 is None else I1, 0.0 if I2 is None else I2,
-            r, params.R, params.sigma, m1, m2
-        )
+        vp, vsp, Ip, Isp, _ = bl_poly_poly(*rows, r, params.R, params.sigma, law.m_i, law.m_j)
     post = (
-        ParticleState(v=vp, species=s1.species, I=None if I1 is None else float(Ip)),
-        ParticleState(v=vsp, species=s2.species, I=None if I2 is None else float(Isp)),
+        ParticleState(v=vp, species=s1.species, I=None if s1.I is None else float(Ip)),
+        ParticleState(v=vsp, species=s2.species, I=None if s2.I is None else float(Isp)),
     )
-    return CollisionOutcome(post=post, admissible=True, E=float(E), jacobian=jac)
+    return CollisionOutcome(post=post, admissible=True, E=float(com_energy(law.mu, *rows)),
+                            jacobian=jac)
 
 
 def collide_resonant(
@@ -619,19 +685,17 @@ def collide_resonant(
     params: ResonantParams,
 ) -> CollisionOutcome:
     """Resonant collision: kinetic and internal energies conserved separately."""
-    sp = spec.species[s1.species]
-    if s1.species != s2.species or not isinstance(sp.energy, ContinuousEnergy):
+    law, rows = pair_rows(spec, s1, s2)
+    if s1.species != s2.species or law.kind is not PairKind.CONT_CONT:
         raise ValueError("resonant collisions need a single continuous-energy species")
-    I1, I2 = internal_variable(spec, s1), internal_variable(spec, s2)
-    if not 0.0 <= params.I_prime <= I1 + I2:
+    if not 0.0 <= params.I_prime <= rows[2] + rows[3]:
         raise ValueError("I_prime must lie in [0, I + I_*]")
-    vp, vsp, Ip, Isp = resonant_rule(s1.v, s2.v, I1, I2, params.I_prime, params.sigma)
-    E = total_energy(spec, s1, s2)
+    vp, vsp, Ip, Isp = resonant_rule(*rows, params.I_prime, params.sigma)
     post = (
         ParticleState(v=vp, species=s1.species, I=float(Ip)),
         ParticleState(v=vsp, species=s2.species, I=float(Isp)),
     )
-    return CollisionOutcome(post=post, admissible=True, E=float(E))
+    return CollisionOutcome(post=post, admissible=True, E=float(com_energy(law.mu, *rows)))
 
 
 def collide_discrete(
@@ -641,132 +705,21 @@ def collide_discrete(
     params: DiscreteParams,
 ) -> CollisionOutcome:
     """Level transition (k, l) -> (k', l'); inadmissible jumps are flagged,
-    not raised, and leave the pair unchanged."""
-    e1, e2 = spec.species[s1.species].energy, spec.species[s2.species].energy
-    if not (isinstance(e1, DiscreteLevels) and isinstance(e2, DiscreteLevels)):
+    not raised, and leave the pair unchanged.  The jump takes the law's
+    level energies in the order ``relax`` does, so one (k', l', sigma)
+    gives the same post pair bit for bit."""
+    law, (v, v_star, e, e_star) = pair_rows(spec, s1, s2)
+    if law.kind is not PairKind.DISC_DISC:
         raise ValueError("discrete collisions need discrete-level species")
-    k, l = internal_variable(spec, s1), internal_variable(spec, s2)
-    m1, m2 = spec.species[s1.species].mass, spec.species[s2.species].mass
-    delta_I = (
-        e1.energies[params.k_prime]
-        + e2.energies[params.l_prime]
-        - e1.energies[k]
-        - e2.energies[l]
-    )
-    vp, vsp, ok = discrete_rule(s1.v, s2.v, delta_I, params.sigma, m1, m2)
-    E = total_energy(spec, s1, s2)
+    li, lj = law.levels_i[0], law.levels_j[0]
+    kp, lp = _level(params.k_prime, li.size), _level(params.l_prime, lj.size)
+    vp, vsp, ok = discrete_rule(v, v_star, li[kp] + lj[lp] - (e + e_star), params.sigma,
+                                law.m_i, law.m_j)
+    E = float(com_energy(law.mu, v, v_star, e, e_star))
     if not ok:
-        return CollisionOutcome(post=(s1, s2), admissible=False, E=float(E))
+        return CollisionOutcome(post=(s1, s2), admissible=False, E=E)
     post = (
-        ParticleState(v=vp, species=s1.species, level=params.k_prime),
-        ParticleState(v=vsp, species=s2.species, level=params.l_prime),
+        ParticleState(v=vp, species=s1.species, level=kp),
+        ParticleState(v=vsp, species=s2.species, level=lp),
     )
-    return CollisionOutcome(post=post, admissible=True, E=float(E))
-
-
-# ---------------------------------------------------------------------------
-# inversion and bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InverseParams:
-    """Reverse-collision parameters; fields are None where degenerate.
-
-    ``degenerate`` lists which quantities could not be defined (zero relative
-    speed leaves sigma undefined, zero internal energy leaves r undefined,
-    zero pair energy leaves R undefined).
-    """
-
-    r: float | None
-    R: float | None
-    sigma: np.ndarray | None
-    degenerate: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """Post-minus-pre invariant defects for one collision."""
-
-    momentum: np.ndarray
-    energy: float
-    kinetic: float
-    internal: float
-
-
-def invariant_defect(
-    spec: MixtureSpec, pre: tuple[ParticleState, ParticleState],
-    post: tuple[ParticleState, ParticleState],
-) -> DefectReport:
-    """Momentum / energy defects of a collision, with the kinetic-internal
-    split reported separately (the resonant family conserves both)."""
-    (a, b), (c, d) = pre, post
-    ma, mb = spec.species[a.species].mass, spec.species[b.species].mass
-    mom = ma * c.v + mb * d.v - (ma * a.v + mb * b.v)
-    kin_pre = 0.5 * ma * float(sq_norm(a.v)) + 0.5 * mb * float(sq_norm(b.v))
-    kin_post = 0.5 * ma * float(sq_norm(c.v)) + 0.5 * mb * float(sq_norm(d.v))
-    int_pre = _internal_of(spec, a) + _internal_of(spec, b)
-    int_post = _internal_of(spec, c) + _internal_of(spec, d)
-    return DefectReport(
-        momentum=mom,
-        energy=(kin_post + int_post) - (kin_pre + int_pre),
-        kinetic=kin_post - kin_pre,
-        internal=int_post - int_pre,
-    )
-
-
-def inverse_parameters(
-    spec: MixtureSpec,
-    pre: tuple[ParticleState, ParticleState],
-    post: tuple[ParticleState, ParticleState],
-) -> InverseParams:
-    """Parameters (r', R', sigma') of the collision taking ``post`` back to ``pre``.
-
-    Computed from the pre pair: R' is its kinetic energy fraction
-    (mu/2)|V|^2 / E, r' its internal split I/(I + I_*), sigma' its relative
-    direction V/|V|.  Both pairs must sit on the same conservation shell
-    within ``_SHELL_TOL`` (relative), else ValueError.  Degenerate
-    configurations come back flagged instead of inventing values.
-    """
-    d = invariant_defect(spec, pre, post)
-    a, b = pre
-    scale = max(
-        abs(total_energy(spec, a, b)),
-        float(np.max(np.abs(spec.species[a.species].mass * a.v))),
-        1e-300,
-    )
-    if abs(d.energy) > _SHELL_TOL * scale or np.any(np.abs(d.momentum) > _SHELL_TOL * scale):
-        raise ValueError("pre and post pairs are not on the same conservation shell")
-
-    mu = spec.reduced_mass(a.species, b.species)
-    V = a.v - b.v
-    g2 = float(sq_norm(V))
-    E = total_energy(spec, a, b)
-    degenerate: list[str] = []
-
-    if E > 0.0:
-        R = 0.5 * mu * g2 / E
-    else:
-        R = None
-        degenerate.append("R: zero pair energy")
-
-    # r splits continuous internal energies only; a level index has no split
-    Ia, Ib = (x if isinstance(x, float) else None
-              for x in (internal_variable(spec, a), internal_variable(spec, b)))
-    r = None
-    if Ia is None and Ib is None:
-        degenerate.append("r: no internal degrees of freedom")
-    elif Ia is None or Ib is None:
-        degenerate.append("r: single-sided internal energy")
-    elif Ia + Ib > 0.0:
-        r = Ia / (Ia + Ib)
-    else:
-        degenerate.append("r: zero internal energy")
-
-    if g2 > 0.0:
-        sigma = V / np.sqrt(g2)
-    else:
-        sigma = None
-        degenerate.append("sigma: zero relative velocity")
-
-    return InverseParams(r=r, R=R, sigma=sigma, degenerate=tuple(degenerate))
+    return CollisionOutcome(post=post, admissible=True, E=E)

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from polykin import fitlab, relax
-from polykin.collide import (
-    BorgnakkeLarsenParams,
-    ParticleState,
-    collide_borgnakke_larsen,
-    inverse_parameters,
-)
+from polykin.collide import ParticleState, bl_poly_poly, inverse_parameters, pair_law, unit_vector
 from polykin.equilib import EquilibriumParams, Maxwellian, detailed_balance_residual
 from polykin.hypotheses import TABLE1, HypothesisId, check
 from polykin.model import ContinuousEnergy, Monatomic, PowerLawE, single_species
@@ -147,7 +142,7 @@ def test_02_conservation():
 def test_03_microreversibility_round_trip():
     """Colliding and then reading the exchange parameters off the post pair
     recovers (r, R, sigma) to 1e-10 on 1e5 random configurations."""
-    spec = bl_spec(delta=2.4, mass=1.3)
+    law = pair_law(bl_spec(delta=2.4, mass=1.3), 0, 0)
     rng = np.random.default_rng(303)
     n = N_ROUNDTRIP
     v1 = rng.normal(size=(n, 3))
@@ -157,17 +152,11 @@ def test_03_microreversibility_round_trip():
     r = rng.uniform(1e-3, 1.0 - 1e-3, n)
     R = rng.uniform(1e-3, 1.0 - 1e-3, n)
     sig = uniform_sphere(rng, n)
-    worst = 0.0
-    for k in range(n):
-        a = ParticleState(v=v1[k], species=0, I=I1[k])
-        b = ParticleState(v=v2[k], species=0, I=I2[k])
-        out = collide_borgnakke_larsen(
-            spec, a, b, BorgnakkeLarsenParams(r=r[k], R=R[k], sigma=sig[k]))
-        inv = inverse_parameters(spec, out.post, (a, b))
-        assert inv.degenerate == ()
-        worst = max(worst, abs(inv.r - r[k]), abs(inv.R - R[k]),
-                    float(np.max(np.abs(inv.sigma - sig[k]))))
-    assert worst <= 1e-10
+    pre = (v1, v2, I1, I2)
+    post = bl_poly_poly(*pre, r, R, unit_vector(sig), law.m_i, law.m_j)[:4]
+    inv = inverse_parameters(law, post, pre)
+    for error in (inv.r - r, inv.R - R, inv.sigma - sig):
+        assert np.abs(error).max() <= 1e-10
 
 
 def test_04_reference_gas_verdicts():

@@ -25,17 +25,19 @@ from polykin.collide import (
     com_energy,
     discrete_rule,
     exchange_split,
+    internal_variable,
     invariant_defect,
     inverse_parameters,
     jacobian_bl,
     monatomic_rule,
     pair_law,
+    pair_rows,
     resonant_rule,
     sq_norm,
-    total_energy,
     unit_sphere,
     unit_vector,
 )
+from polykin.equilib import EquilibriumParams, Maxwellian, maxwellian_eval
 from polykin.model import (
     ContinuousEnergy,
     DiscreteLevels,
@@ -62,6 +64,13 @@ def _state(v, species=0, I=None, level=None):
     return ParticleState(v=np.asarray(v, float), species=species, I=I, level=level)
 
 
+def _on_rows(f, spec, pre, post):
+    """``f(law, pre_rows, post_rows)`` of two ParticleState pairs, each read
+    through pair_rows."""
+    law, pre_rows = pair_rows(spec, *pre)
+    return f(law, pre_rows, pair_rows(spec, *post)[1])
+
+
 class TestExchangeRule:
     """Frozen numeric example: m = 2, v = (1,0,0), v_* = (-1,0,0),
     I = I_* = 1, r = 1/2, R = 1/4, sigma = (1,0,0)."""
@@ -82,22 +91,21 @@ class TestExchangeRule:
 
     def test_inverse_of_forward_direction(self):
         out = collide_borgnakke_larsen(self.spec, *self.pre, self.params)
-        inv = inverse_parameters(self.spec, self.pre, out.post)
+        inv = _on_rows(inverse_parameters, self.spec, self.pre, out.post)
         assert inv.R == pytest.approx(0.5, abs=1e-15)
         assert inv.r == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(inv.sigma, EX, atol=1e-15)
-        assert inv.degenerate == ()
 
     def test_round_trip_recovers_parameters(self):
         out = collide_borgnakke_larsen(self.spec, *self.pre, self.params)
-        back = inverse_parameters(self.spec, out.post, self.pre)
+        back = _on_rows(inverse_parameters, self.spec, out.post, self.pre)
         assert back.r == pytest.approx(self.params.r, abs=1e-12)
         assert back.R == pytest.approx(self.params.R, abs=1e-12)
         np.testing.assert_allclose(back.sigma, self.params.sigma, atol=1e-12)
 
     def test_reverse_collision_restores_pre(self):
         out = collide_borgnakke_larsen(self.spec, *self.pre, self.params)
-        inv = inverse_parameters(self.spec, self.pre, out.post)
+        inv = _on_rows(inverse_parameters, self.spec, self.pre, out.post)
         rev = collide_borgnakke_larsen(
             self.spec,
             *out.post,
@@ -110,24 +118,21 @@ class TestExchangeRule:
 
 class TestEnergies:
     def test_single_species_energy(self):
-        spec = bl_spec(mass=2.0)
-        E = total_energy(spec, _state(EX, I=1.0), _state(-EX, I=1.0))
+        law, rows = pair_rows(bl_spec(mass=2.0), _state(EX, I=1.0), _state(-EX, I=1.0))
+        E = com_energy(law.mu, *rows)
         assert E == pytest.approx(4.0, abs=1e-15)
 
     def test_mixture_reduced_mass_energy(self):
         # m_i = 1, m_j = 3 -> mu = 3/4; |V| = 4 -> E = (mu/2) * 16 = 6
         spec = mixture_cont_spec(m_a=1.0, m_b=3.0)
-        E = total_energy(spec, _state(2 * EX, 0, I=0.0), _state(-2 * EX, 1, I=0.0))
+        law, rows = pair_rows(spec, _state(2 * EX, 0, I=0.0), _state(-2 * EX, 1, I=0.0))
+        E = com_energy(law.mu, *rows)
         assert E == pytest.approx(6.0, abs=1e-15)
 
     def test_monatomic_state_carrying_I_is_rejected(self):
         spec = mixture_cont_spec(delta_b=None)
-        a, b = _state(EX, 0, I=1.0), _state(-EX, 1, I=0.5)
-        for read in (lambda: total_energy(spec, a, b),
-                     lambda: invariant_defect(spec, (a, b), (a, b)),
-                     lambda: inverse_parameters(spec, (a, b), (a, b))):
-            with pytest.raises(ValueError, match="monatomic"):
-                read()
+        with pytest.raises(ValueError, match="monatomic"):
+            pair_rows(spec, _state(EX, 0, I=1.0), _state(-EX, 1, I=0.5))
 
     def test_com_energy_array(self):
         v = np.array([[1.0, 0, 0], [2.0, 0, 0]])
@@ -204,7 +209,7 @@ class TestMonatomic:
         vp, vsp = monatomic_rule(pre[0].v, pre[1].v, unit_vector(sig), 1.0, 2.5)
         assert out.post[0].v.tobytes() == vp.tobytes()
         assert out.post[1].v.tobytes() == vsp.tobytes()
-        d = invariant_defect(spec, pre, out.post)
+        d = _on_rows(invariant_defect, spec, pre, out.post)
         assert np.abs(d.momentum).max() < 1e-12
         assert abs(d.energy) < 1e-12
         assert out.post[0].I is None and out.post[1].I is None
@@ -250,7 +255,7 @@ class TestResonant:
         pre = (_state([1.0, 2.0, 0.5], I=0.8), _state([-1.0, 0.0, 0.3], I=1.4))
         sig = uniform_sphere(np.random.default_rng(3), 1)[0]
         out = collide_resonant(spec, *pre, ResonantParams(I_prime=2.0, sigma=sig))
-        d = invariant_defect(spec, pre, out.post)
+        d = _on_rows(invariant_defect, spec, pre, out.post)
         assert abs(d.kinetic) < 1e-13
         assert abs(d.internal) < 1e-13
         assert out.post[0].I == pytest.approx(2.0)
@@ -287,7 +292,7 @@ class TestDiscrete:
         pre = (_state(EX, level=1), _state(-EX, level=1))
         out = collide_discrete(spec, *pre, DiscreteParams(k_prime=1, l_prime=1, sigma=EX))
         assert out.admissible
-        d = invariant_defect(spec, pre, out.post)
+        d = _on_rows(invariant_defect, spec, pre, out.post)
         assert abs(d.energy) < 1e-14
 
     def test_downward_jump_always_admissible(self):
@@ -295,8 +300,8 @@ class TestDiscrete:
         pre = (_state(0.1 * EX, level=1), _state(-0.1 * EX, level=1))
         out = collide_discrete(spec, *pre, DiscreteParams(k_prime=0, l_prime=0, sigma=EX))
         assert out.admissible
-        d = invariant_defect(spec, pre, out.post)
-        assert abs(d.energy) < 1e-13 * total_energy(spec, *pre)
+        d = _on_rows(invariant_defect, spec, pre, out.post)
+        assert abs(d.energy) < 1e-13 * out.E
 
 
 class TestSwapSymmetry:
@@ -371,9 +376,8 @@ class TestInverseDegenerate:
         spec = bl_spec()
         a = _state([1.0, 1.0, 1.0], I=1.0)
         b = _state([1.0, 1.0, 1.0], I=2.0)
-        inv = inverse_parameters(spec, (a, b), (a, b))
-        assert inv.sigma is None
-        assert any("sigma" in d for d in inv.degenerate)
+        inv = _on_rows(inverse_parameters, spec, (a, b), (a, b))
+        assert np.isnan(inv.sigma).all()
         assert inv.r == pytest.approx(1.0 / 3.0)
 
     def test_shell_mismatch_raises(self):
@@ -382,7 +386,30 @@ class TestInverseDegenerate:
         b = _state(-EX, I=1.0)
         c = _state(EX * 2, I=1.0)
         with pytest.raises(ValueError):
-            inverse_parameters(spec, (a, b), (c, b))
+            _on_rows(inverse_parameters, spec, (a, b), (c, b))
+
+    def test_batch_masks_each_undefined_parameter_with_nan(self):
+        # rows: a regular pair, V = 0, e = e_* = 0, and E = 0
+        law = pair_law(bl_spec(), 0, 0)
+        v = np.array([EX, EX, EX, EX])
+        v_star = np.array([-EX, EX, -EX, EX])
+        e = np.array([1.0, 1.0, 0.0, 0.0])
+        rows = (v, v_star, e, e)
+        inv = inverse_parameters(law, rows, rows)
+        assert inv.R.shape == inv.r.shape == (4,) and inv.sigma.shape == (4, 3)
+        np.testing.assert_array_equal(np.isnan(inv.R), [False, False, False, True])
+        np.testing.assert_array_equal(np.isnan(inv.sigma).all(-1), [False, True, False, True])
+        np.testing.assert_array_equal(np.isnan(inv.r), [False, False, True, True])
+        assert not np.isnan(inv.sigma[[0, 2]]).any()
+        d = invariant_defect(law, rows, rows)
+        assert d.momentum.shape == (4, 3) and not np.any(d.energy)
+
+    def test_law_without_split_gives_no_r(self):
+        spec = mixture_cont_spec(delta_b=None)
+        pre = (_state(EX, 0, I=1.0), _state(-EX, 1))
+        inv = _on_rows(inverse_parameters, spec, pre, pre)
+        assert inv.r is None
+        assert inv.R == pytest.approx(0.5 * (2.0 / 3.0) * 4.0 / (4.0 / 3.0 + 1.0))
 
 
 class TestSigmaHandling:
@@ -398,6 +425,37 @@ class TestSigmaHandling:
     def test_state_shape_checked(self):
         with pytest.raises(ValueError):
             ParticleState(v=np.zeros(2))
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("v", dict(v=[0.0, np.inf, 0.0])),
+        ("v", dict(v=[np.nan, 0.0, 0.0])),
+        ("I", dict(v=np.zeros(3), I=np.nan)),
+        ("I", dict(v=np.zeros(3), I=np.inf)),
+    ])
+    def test_state_non_finite_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            ParticleState(**kwargs)
+
+
+class TestLevelRange:
+    spec = discrete_spec(energies=(0.0, 1.0), degeneracies=(1.0, 1.0))
+
+    @pytest.mark.parametrize("level", [-1, 2])
+    def test_state_level_outside_table_rejected(self, level):
+        state = _state(EX, level=level)
+        with pytest.raises(ValueError, match=f"level {level} "):
+            internal_variable(self.spec, state)
+        M = Maxwellian(self.spec, EquilibriumParams.single(1.0, np.zeros(3), T=1.0))
+        with pytest.raises(ValueError, match=f"level {level} "):
+            maxwellian_eval(M, state)
+
+    @pytest.mark.parametrize("level", [-1, 2])
+    def test_post_level_outside_table_rejected(self, level):
+        pre = (_state(EX, level=0), _state(-EX, level=0))
+        for k_prime, l_prime in ((level, 0), (0, level)):
+            with pytest.raises(ValueError, match=f"level {level} "):
+                collide_discrete(self.spec, *pre,
+                                 DiscreteParams(k_prime=k_prime, l_prime=l_prime, sigma=EX))
 
 
 class TestMixtureBranches:
@@ -415,7 +473,7 @@ class TestMixtureBranches:
             spec, *pre,
             BorgnakkeLarsenParams(r=float(rng.uniform()), R=float(rng.uniform()), sigma=sig),
         )
-        d = invariant_defect(spec, pre, out.post)
+        d = _on_rows(invariant_defect, spec, pre, out.post)
         scale = max(1.0, out.E)
         assert np.abs(d.momentum).max() < 1e-12 * scale
         assert abs(d.energy) < 1e-12 * scale
@@ -435,7 +493,7 @@ class TestMixtureBranches:
             DiscreteParams(k_prime=int(rng.integers(2)), l_prime=int(rng.integers(3)), sigma=sig),
         )
         if out.admissible:
-            d = invariant_defect(spec, pre, out.post)
+            d = _on_rows(invariant_defect, spec, pre, out.post)
             scale = max(1.0, out.E)
             assert np.abs(d.momentum).max() < 1e-12 * scale
             assert abs(d.energy) < 1e-12 * scale

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from polykin import relax
-from polykin.collide import (BorgnakkeLarsenParams, PairKind, ParticleState, channel_draw,
-                             collide_borgnakke_larsen, exchange_split, inverse_parameters,
-                             pair_law, unit_sphere)
+from polykin.collide import (BorgnakkeLarsenParams, DiscreteParams, PairKind, ParticleState,
+                             channel_draw, collide_borgnakke_larsen, collide_discrete,
+                             exchange_split, inverse_parameters, pair_law, pair_rows,
+                             unit_sphere)
 from polykin.equilib import (EquilibriumParams, Maxwellian, internal_temperature,
                              level_weights, mean_internal_energy)
 from polykin.model import (
@@ -510,8 +511,34 @@ class TestSlotOrder:
             assert ens.v[k].tobytes() == post.v.tobytes()
             assert ens.internal[k] == (0.0 if post.I is None else post.I)
         # the collision taking the post pair back starts along sigma
-        back = inverse_parameters(spec, out.post, pre)
+        law, post_rows = pair_rows(spec, *out.post)
+        back = inverse_parameters(law, post_rows, pair_rows(spec, *pre)[1])
         assert np.max(np.abs(back.sigma - params.sigma)) <= 1e-12
+
+    def test_disc_disc_pair_collides_as_the_object_layer_does(self):
+        # one channel_draw draw (k', l') and one sigma give one post pair:
+        # both layers take the jump from the law's level tables in one order
+        spec = mixture_disc_spec()
+        v, v_star = np.array([1.3, -0.2, 0.5]), np.array([-1.1, 0.4, 0.2])
+        pre = (ParticleState(v=v, species=0, level=1), ParticleState(v=v_star, species=1, level=0))
+
+        ens = relax.init_ensemble(spec, 2, 1.0, 1.0, seed=0)
+        (pt,) = [pt for pt in relax._pair_types(ens) if pt.i != pt.j]
+        assert pt.law.kind is PairKind.DISC_DISC
+        ens.v[:] = v, v_star
+        ens.levels[:] = 1, 0
+        ens.internal[:] = pt.law.levels_i[0][1], pt.law.levels_j[0][0]
+        kp, lp = channel_draw(pt.law, np.random.default_rng(5), 1)
+        params = DiscreteParams(k_prime=int(kp[0]), l_prime=int(lp[0]),
+                                sigma=np.array([0.0, 0.6, 0.8]))
+        out = collide_discrete(spec, *pre, params)
+        assert out.admissible
+        assert relax._collide(ens, pt, np.array([0]), np.array([1]), (kp, lp),
+                              params.sigma[None, :]) == 1
+        for k, (post, table) in enumerate(zip(out.post, (pt.law.levels_i, pt.law.levels_j))):
+            assert ens.v[k].tobytes() == post.v.tobytes()
+            assert ens.levels[k] == post.level
+            assert ens.internal[k] == table[0][post.level]
 
 
 class TestDiagnostics:
