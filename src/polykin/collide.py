@@ -552,9 +552,13 @@ class ParticleState:
 
 
 def _level(k: int, n_levels: int) -> int:
-    """``k`` as a level index of an ``n_levels``-level species, else ValueError."""
+    """``k`` as a level index of an ``n_levels``-level species, else
+    ValueError: outside the table, or not a whole number (``int`` would
+    truncate 1.7 to level 1)."""
     if not 0 <= k < n_levels:
         raise ValueError(f"level {k} lies outside [0, {n_levels})")
+    if k != int(k):
+        raise ValueError(f"level {k} is not an integer")
     return int(k)
 
 

@@ -12,14 +12,40 @@ candidate draws its post levels with ``collide.channel_draw``; its rate is
 the rate into that channel over the channel's probability, whose mean over
 the draw is the pair's total rate, and if accepted it jumps to them.
 
-Each step draws all its candidates and their random numbers up front, then
-runs them in dependency levels: a candidate's level is one more than the
-deepest earlier candidate sharing a particle with it.  Candidates of one
-level touch disjoint particles and so commute; each level's rates are
-evaluated against the state the earlier levels left, accepted with the
-candidates' own uniforms and collided in one batched call.  The chain
-therefore has exact sequential semantics, and a step costs a handful of
-array calls per level (about four levels at 1e5 particles).
+Each step draws all its candidates and their random numbers up front; the
+draws read no particle state (a pair type's candidate count comes from its
+fixed majorant), so the steps of one ``step`` call, which ``run`` makes
+once per recorded row, are drawn in groups and each group's candidates run
+in dependency levels, in the order step, pair type, draw position: a
+candidate's level is one more than the deepest earlier candidate sharing a
+particle with it.  Candidates of one level touch disjoint particles and so
+commute; each level's rates are evaluated against the state the earlier
+levels left, accepted with the candidates' own uniforms and collided in one
+batched call per pair type.  The chain therefore has exact sequential
+semantics, and a group costs a handful of array calls per level: at seed 1
+a 10-step interval of 5e4 particles (8400 candidates) takes 5.5 levels,
+where one step (840) took 2.5, and an 8-step group of 1e5 particles
+(13 400) takes 5.4.
+
+A group holds about ``_GROUP_CANDIDATES`` expected candidates, at least one
+step; past that its arrays outgrow the cache.  Medians of five alternating
+rounds of fresh processes (three runs each, ``relax.run`` at seed 1 with
+the mmap and trim thresholds pinned as ``polykin.cli`` does) on 2 vCPUs of
+an Intel Xeon, for a delta = 2 gas at dt = 0.01, t_end = 2 (6 for 1e5
+particles) and zeta = 0 unless stated:
+
+    expected candidates   particles, cadence (s)
+    per group             5e4, 10   1e5, 40   5000, 10   2e4 at zeta 0.5, 10
+    one step (before)     0.178     0.580     0.057      0.151
+     4 096                0.161     0.554     0.035      0.160
+     8 192                0.170     0.507     0.038      0.153
+    16 384                0.162     0.501     0.034      0.169
+    32 768                0.160     0.527     0.035      0.160
+    whole interval        0.158     0.703     0.034      0.165
+
+The host's spread between rounds was 10-25 %; the zeta = 0.5 column read
+0.150 s before and 0.155 s at 16 384 over ten further alternating rounds
+(quartiles 0.143-0.175 and 0.137-0.176 s).
 
 Scope: energy-power kernels without a split weight psi;
 continuous and discrete internal structure, single species or binary
@@ -68,12 +94,17 @@ _MAJORANT_PROBE_PAIRS = 4096
 # longest run accepted; at tens of microseconds per step even a tiny
 # ensemble would need minutes
 MAX_STEPS = 1_000_000
-# largest ensemble accepted; a run peaks at about 150 bytes per particle
-# (48 of them state), so this one needs about 1.5 GB
+# largest ensemble accepted; a run peaks at about 130 bytes per particle
+# (48 of them state; 121 at 1e6 and 129 at 3e6 particles, peak resident set
+# over the imported process), so this one needs about 1.3 GB
 MAX_PARTICLES = 10_000_000
 # most candidates one step may expect; each costs about 100 bytes of draws,
 # and the runs in use expect a few thousand
 MAX_CANDIDATES = 10_000_000
+# expected candidates (x summed over pair types and steps) that one
+# dependency-level schedule covers; the module docstring has the measured
+# table
+_GROUP_CANDIDATES = 16_384
 # h_estimate's speed and internal-energy bins when the sample fills them
 _SPEED_BINS, _INTERNAL_BINS = 64, 32
 # nonincreasing_trend allows a positive slope this many standard errors wide
@@ -506,52 +537,118 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
     return a.size
 
 
-def step(ensemble: Ensemble, config: RelaxConfig) -> Ensemble:
-    """Advance the ensemble by one time step of length ``config.dt``."""
+def _group_sizes(n_steps: int, per_step: float) -> list[int]:
+    """``n_steps`` split evenly into the fewest groups of at most
+    ``_GROUP_CANDIDATES`` expected candidates, at least one step each."""
+    if per_step * n_steps <= _GROUP_CANDIDATES:
+        return [n_steps]
+    cap = max(1, int(_GROUP_CANDIDATES / per_step))
+    groups = -(-n_steps // cap)
+    size, extra = divmod(n_steps, groups)
+    return [size + 1] * extra + [size] * (groups - extra)
+
+
+def step(ensemble: Ensemble, config: RelaxConfig, n_steps: int = 1) -> Ensemble:
+    """Advance the ensemble by ``n_steps`` time steps of length ``config.dt``.
+
+    The steps run in groups of about ``_GROUP_CANDIDATES`` expected
+    candidates, one dependency-level schedule per group, and leave the
+    ensemble bit for bit as ``n_steps`` one-step calls do.  When a step's
+    candidates exceed the majorant more often than ``violation_tol``
+    allows, ``MajorantViolation`` carries that step's own diagnostics, and
+    ``time`` and ``majorant_violations`` read as one-step calls leave them
+    (the step's start, its violations counted); the particles and
+    ``collisions`` may have advanced to the end of its group.
+    """
     if ensemble.n_particles < 2:
         raise ValueError("need at least two particles to step")
-    rng = ensemble.rng
-    step_candidates = step_violations = 0
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     majorants = _majorants(ensemble, config)
-    for pt, b_maj, x in majorants:
-        if b_maj <= 0.0:
-            continue
-        m = int(x)
-        if rng.random() < x - m:
-            m += 1
-        if m == 0:
-            continue
-        step_candidates += m
-        # all candidate randomness drawn up front, in a fixed order
-        ii, jj = _draw_pairs(rng, pt, m)
-        u_acc = rng.random(m)
-        sigma = unit_sphere(rng, m)
-        # a disc-disc pair's post levels (k', l'), else the exchange split
-        draw = channel_draw if pt.law.kind is PairKind.DISC_DISC else exchange_split
-        draws = draw(pt.law, rng, m)
-        # candidates of one level commute; later levels see their results
-        for lev in _dependency_levels(ii, jj):
-            rates = _rates(ensemble, pt, ii[lev], jj[lev], _rows(draws, lev))
-            step_violations += int(np.count_nonzero(rates > b_maj))
-            hit = lev[u_acc[lev] * b_maj < rates]
-            if hit.size:
-                ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
-                                                _rows(draws, hit), sigma[hit])
-
-    ensemble.majorant_violations += step_violations
-    if step_candidates and step_violations / step_candidates > config.violation_tol:
-        raise MajorantViolation(
-            "sampled rates exceeded the majorant too often",
-            diagnostics={
-                "step_candidates": step_candidates,
-                "step_violations": step_violations,
-                "violation_fraction": step_violations / step_candidates,
-                "majorants": {f"{pt.i}-{pt.j}": b_maj for pt, b_maj, _ in majorants},
-                "time": ensemble.time,
-            },
-        )
-    ensemble.time += config.dt
+    per_step = sum(x for _, b_maj, x in majorants if b_maj > 0.0)
+    for size in _group_sizes(n_steps, per_step):
+        _step_group(ensemble, config, majorants, size)
     return ensemble
+
+
+def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
+                n_steps: int) -> None:
+    """Run ``n_steps`` steps under one dependency-level schedule.
+
+    Each step draws its candidates and their random numbers pair type by
+    pair type, in one fixed order: the count's rounding uniform, the pairs,
+    the acceptance uniforms, the directions, then the split or post levels.
+    The group's candidates are levelled in the order step, pair type, draw
+    position, and each level is rated, accepted and collided pair type by
+    pair type.
+    """
+    rng = ensemble.rng
+    candidates = [0] * n_steps
+    step_of, type_of, ii, jj, u_acc, sigma = ([] for _ in range(6))
+    draws: dict = {}                    # pair type -> its draws, step by step
+    for k in range(n_steps):
+        for p, (pt, b_maj, x) in enumerate(majorants):
+            if b_maj <= 0.0:
+                continue
+            m = int(x)
+            if rng.random() < x - m:
+                m += 1
+            if m == 0:
+                continue
+            candidates[k] += m
+            step_of.append(np.full(m, k))
+            type_of.append(np.full(m, p))
+            a, b = _draw_pairs(rng, pt, m)
+            ii.append(a)
+            jj.append(b)
+            u_acc.append(rng.random(m))
+            sigma.append(unit_sphere(rng, m))
+            # a disc-disc pair's post levels (k', l'), else the exchange split
+            draw = channel_draw if pt.law.kind is PairKind.DISC_DISC else exchange_split
+            draws.setdefault(p, []).append(draw(pt.law, rng, m))
+
+    violations = np.zeros(n_steps, dtype=np.int64)
+    if ii:
+        step_of, type_of, ii, jj, u_acc, sigma = map(
+            np.concatenate, (step_of, type_of, ii, jj, u_acc, sigma))
+        # each candidate's row in its pair type's draws
+        row = np.empty(ii.size, dtype=np.intp)
+        for p, drawn in draws.items():
+            draws[p] = tuple(None if d[0] is None else np.concatenate(d)
+                             for d in zip(*drawn))
+            mine = type_of == p
+            row[mine] = np.arange(np.count_nonzero(mine))
+        violated = np.zeros(ii.size, dtype=bool)
+        # candidates of one level touch disjoint particles and commute;
+        # later levels see their results
+        for lev in _dependency_levels(ii, jj):
+            for p, pt_draws in draws.items():
+                pt, b_maj, _ = majorants[p]
+                at = lev if len(draws) == 1 else lev[type_of[lev] == p]
+                if not at.size:
+                    continue
+                rates = _rates(ensemble, pt, ii[at], jj[at], _rows(pt_draws, row[at]))
+                violated[at] = rates > b_maj
+                hit = at[u_acc[at] * b_maj < rates]
+                if hit.size:
+                    ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
+                                                    _rows(pt_draws, row[hit]), sigma[hit])
+        violations = np.bincount(step_of[violated], minlength=n_steps)
+
+    for step_candidates, step_violations in zip(candidates, violations.tolist()):
+        ensemble.majorant_violations += step_violations
+        if step_candidates and step_violations / step_candidates > config.violation_tol:
+            raise MajorantViolation(
+                "sampled rates exceeded the majorant too often",
+                diagnostics={
+                    "step_candidates": step_candidates,
+                    "step_violations": step_violations,
+                    "violation_fraction": step_violations / step_candidates,
+                    "majorants": {f"{pt.i}-{pt.j}": b_maj for pt, b_maj, _ in majorants},
+                    "time": ensemble.time,
+                },
+            )
+        ensemble.time += config.dt
 
 
 def _scott_bins(x: np.ndarray, cap: int) -> int:
@@ -735,10 +832,11 @@ def run(
     p0 = ens.momentum()
     t_eq = equilibrium_temperature(ens)
     rows = [_moments(ens)]
-    for k in range(n_steps):
-        step(ens, config)
-        if (k + 1) % config.cadence == 0 or k + 1 == n_steps:
-            rows.append(_moments(ens))
+    for start in range(0, n_steps, config.cadence):
+        # a module-global lookup, so a wrapper set on relax.step sees each
+        # recording interval
+        step(ens, config, min(config.cadence, n_steps - start))
+        rows.append(_moments(ens))
     e1 = ens.total_energy()
     p1 = ens.momentum()
     cols = list(zip(*rows))

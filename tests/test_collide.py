@@ -458,6 +458,24 @@ class TestLevelRange:
                                  DiscreteParams(k_prime=k_prime, l_prime=l_prime, sigma=EX))
 
 
+    @pytest.mark.parametrize("level", [1.7, 0.5, np.float64(1e-9)])
+    def test_non_integral_state_level_rejected(self, level):
+        state = _state(EX, level=level)
+        with pytest.raises(ValueError, match=f"level {level} is not an integer"):
+            internal_variable(self.spec, state)
+
+    @pytest.mark.parametrize("level", [1.7, 0.5])
+    def test_non_integral_post_level_rejected(self, level):
+        pre = (_state(EX, level=0), _state(-EX, level=0))
+        for k_prime, l_prime in ((level, 0), (0, level)):
+            with pytest.raises(ValueError, match=f"level {level} is not an integer"):
+                collide_discrete(self.spec, *pre,
+                                 DiscreteParams(k_prime=k_prime, l_prime=l_prime, sigma=EX))
+
+    def test_integral_float_level_accepted(self):
+        assert internal_variable(self.spec, _state(EX, level=1.0)) == 1
+
+
 class TestMixtureBranches:
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)

@@ -6,17 +6,21 @@ with single-pair collision calls; a candidate whose particles were hit
 earlier in the step gets its rate re-evaluated against the current states
 with its original acceptance uniform.  A disc-disc candidate's post levels
 are drawn up front in proportion to their degeneracies, and its rate is the
-rate into that channel over the channel's probability.  ``relax.step`` runs
-the same draws in dependency levels, and every recorded moment must agree
-bit for bit.
+rate into that channel over the channel's probability.  ``relax.run``
+calls ``relax.step`` once per recording interval, which runs the same draws
+in dependency levels over groups of steps, and every recorded moment must
+agree bit for bit with the reference called in its place.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from polykin import relax
+from polykin import cli, relax
 from polykin.collide import (PairKind, bl_poly_poly, discrete_rule, exchange_split,
                              monatomic_rule, unit_sphere)
+from polykin.model import spec_to_json
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec
 
@@ -86,11 +90,19 @@ def _apply_discrete(ensemble, pt, a, b, kp, lp, sigma):
     return True
 
 
-def _sequential_step(ensemble, config):
+def _sequential_step(ensemble, config, n_steps=1):
+    """``relax.step``'s signature, one step at a time."""
+    for _ in range(n_steps):
+        _sequential_one_step(ensemble, config)
+    return ensemble
+
+
+def _sequential_one_step(ensemble, config):
     rng = ensemble.rng
     n_total = ensemble.n_particles
     step_candidates = step_violations = 0
-    for pt, b_maj, _ in relax._majorants(ensemble, config):
+    majorants = relax._majorants(ensemble, config)
+    for pt, b_maj, _ in majorants:
         if b_maj <= 0.0:
             continue
         x = pt.n_pairs * b_maj * config.dt / n_total
@@ -144,7 +156,13 @@ def _sequential_step(ensemble, config):
                 dirty[a] = dirty[b] = True
     ensemble.majorant_violations += step_violations
     if step_candidates and step_violations / step_candidates > config.violation_tol:
-        raise relax.MajorantViolation("sampled rates exceeded the majorant too often", {})
+        raise relax.MajorantViolation("sampled rates exceeded the majorant too often", {
+            "step_candidates": step_candidates,
+            "step_violations": step_violations,
+            "violation_fraction": step_violations / step_candidates,
+            "majorants": {f"{pt.i}-{pt.j}": b_maj for pt, b_maj, _ in majorants},
+            "time": ensemble.time,
+        })
     ensemble.time += config.dt
     return ensemble
 
@@ -159,28 +177,40 @@ def _assert_same_series(a, b):
 
 def _both(monkeypatch, spec, config, t_end):
     levelled = relax.run(spec, config, 2.0, 1.0, t_end)
+    calls = []
+
+    def reference(ensemble, config, n_steps=1):
+        calls.append(n_steps)
+        return _sequential_step(ensemble, config, n_steps)
+
     with monkeypatch.context() as patch:
-        patch.setattr(relax, "step", _sequential_step)
+        patch.setattr(relax, "step", reference)
         sequential = relax.run(spec, config, 2.0, 1.0, t_end)
+    # the reference ran every step, one call per recording interval
+    n_steps = relax.step_count(t_end, config.dt)
+    assert sum(calls) == n_steps
+    assert len(calls) == -(-n_steps // config.cadence)
     return levelled, sequential
 
 
-# discrete majorants are large (about 780 at these temperatures), so their
-# steps are shorter to keep the sequential reference affordable
+# (spec, dt, cadence): discrete majorants are large (about 780 at these
+# temperatures), so their steps are shorter to keep the sequential reference
+# affordable; three steps per recording interval put chains of conflicts
+# across steps into one level schedule
 CASES = {
-    "bl": (bl_spec(), 0.01),
-    "bl_zeta": (bl_spec(C=2.5, zeta=0.5), 0.01),
-    "cont_mixture": (mixture_cont_spec(), 0.01),
-    "poly_mono_mixture": (mixture_cont_spec(delta_b=None), 0.01),
-    "discrete": (discrete_spec(), 0.001),
-    "discrete_mixture": (mixture_disc_spec(), 0.001),
+    "bl": (bl_spec(), 0.01, 3),
+    "bl_zeta": (bl_spec(C=2.5, zeta=0.5), 0.01, 3),
+    "cont_mixture": (mixture_cont_spec(), 0.01, 3),
+    "poly_mono_mixture": (mixture_cont_spec(delta_b=None), 0.01, 3),
+    "discrete": (discrete_spec(), 0.001, 3),
+    "discrete_mixture": (mixture_disc_spec(), 0.001, 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_sequential_reference(monkeypatch, name):
-    spec, dt = CASES[name]
-    config = relax.RelaxConfig(dt=dt, n_particles=1000, seed=5, cadence=2)
+    spec, dt, cadence = CASES[name]
+    config = relax.RelaxConfig(dt=dt, n_particles=1000, seed=5, cadence=cadence)
     levelled, sequential = _both(monkeypatch, spec, config, 6 * dt)
     assert levelled.collisions[-1] > 0
     _assert_same_series(levelled, sequential)
@@ -200,13 +230,90 @@ def test_matches_sequential_reference_under_deep_conflicts(monkeypatch, name):
         depth.append(k)
 
     monkeypatch.setattr(relax, "_dependency_levels", counted)
-    spec, dt = CASES[name]
-    config = relax.RelaxConfig(dt=50 * dt, n_particles=40, seed=7, cadence=1,
+    spec, dt, _ = CASES[name]
+    config = relax.RelaxConfig(dt=50 * dt, n_particles=40, seed=7, cadence=5,
                                violation_tol=1.0)
     levelled, sequential = _both(monkeypatch, spec, config, 300 * dt)
     assert max(depth) >= 3
     assert levelled.collisions[-1] > 0
     _assert_same_series(levelled, sequential)
+
+
+@pytest.mark.parametrize("name, sizes", [("bl", [3, 2, 3, 2]), ("discrete_mixture", [1] * 10)])
+def test_matches_sequential_reference_across_groups(monkeypatch, name, sizes):
+    # 64 expected candidates per group: bl (about 17 per step) runs each
+    # five-step interval as groups of 3 and 2 steps, the discrete mixture
+    # (hundreds per step) as one group per step
+    groups = []
+    step_group = relax._step_group
+
+    def counted(ensemble, config, majorants, n_steps):
+        groups.append(n_steps)
+        return step_group(ensemble, config, majorants, n_steps)
+
+    monkeypatch.setattr(relax, "_GROUP_CANDIDATES", 64)
+    monkeypatch.setattr(relax, "_step_group", counted)
+    spec, dt, _ = CASES[name]
+    config = relax.RelaxConfig(dt=dt, n_particles=1000, seed=5, cadence=5)
+    levelled, sequential = _both(monkeypatch, spec, config, 10 * dt)
+    assert groups == sizes
+    assert levelled.collisions[-1] > 0
+    _assert_same_series(levelled, sequential)
+
+
+class TestViolationInsideAnInterval:
+    """At b_maj = 16 and no tolerance, the first violation is in step 2, the
+    third step of the first five-step recording interval."""
+
+    SPEC = bl_spec(C=2.5, zeta=0.5)
+    CONFIG = relax.RelaxConfig(dt=0.01, n_particles=1000, seed=5, cadence=5, b_maj=16.0,
+                               violation_tol=0.0)
+
+    def one_step_at_a_time(self, step):
+        ens = relax.init_ensemble(self.SPEC, 1000, 2.0, 1.0, seed=5)
+        with pytest.raises(relax.MajorantViolation) as err:
+            for _ in range(5):
+                step(ens, self.CONFIG)
+        return ens, err.value
+
+    def test_run_raises_the_steps_own_diagnostics(self):
+        ens, expected = self.one_step_at_a_time(relax.step)
+        assert expected.diagnostics["time"] == 2 * self.CONFIG.dt
+        _, reference = self.one_step_at_a_time(_sequential_step)
+        assert reference.diagnostics == expected.diagnostics
+        with pytest.raises(relax.MajorantViolation) as err:
+            relax.run(self.SPEC, self.CONFIG, 2.0, 1.0, 0.2)
+        assert str(err.value) == str(expected)
+        assert err.value.diagnostics == expected.diagnostics
+
+    def test_grouped_call_leaves_the_clock_at_the_step(self):
+        ens, expected = self.one_step_at_a_time(_sequential_step)
+        grouped = relax.init_ensemble(self.SPEC, 1000, 2.0, 1.0, seed=5)
+        with pytest.raises(relax.MajorantViolation):
+            relax.step(grouped, self.CONFIG, 5)
+        assert grouped.time == ens.time == expected.diagnostics["time"]
+        assert grouped.majorant_violations == ens.majorant_violations > 0
+
+    def test_cli_exits_4_with_the_steps_diagnostics(self, tmp_path, capsys):
+        _, expected = self.one_step_at_a_time(relax.step)
+        doc = json.loads(spec_to_json(self.SPEC))
+        doc["relax"] = {"dt": 0.01, "n_particles": 1000, "seed": 5, "cadence": 5,
+                        "b_maj": 16.0, "violation_tol": 0.0, "t_end": 0.2,
+                        "T_kin0": 2.0, "T_int0": 1.0}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        code = cli.main(["relax", "--config", str(config), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == json.dumps({"error": str(expected), **expected.diagnostics}) + "\n"
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_step_count_must_be_positive(n_steps):
+    ens = relax.init_ensemble(bl_spec(), 100, 2.0, 1.0, seed=1)
+    with pytest.raises(ValueError, match="n_steps must be at least 1"):
+        relax.step(ens, relax.RelaxConfig(n_particles=100), n_steps)
+    assert ens.time == 0.0
 
 
 def test_dependency_levels_definition():
