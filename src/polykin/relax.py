@@ -98,8 +98,10 @@ MAX_STEPS = 1_000_000
 # (48 of them state; 121 at 1e6 and 129 at 3e6 particles, peak resident set
 # over the imported process), so this one needs about 1.3 GB
 MAX_PARTICLES = 10_000_000
-# most candidates one step may expect; each costs about 100 bytes of draws,
-# and the runs in use expect a few thousand
+# most candidates one step may expect; a step of 1e6 candidates peaks at
+# about 180 traced bytes per candidate (its draws, their temporaries and the
+# schedule's indices; 162 before steps were grouped), and the runs in use
+# expect a few thousand
 MAX_CANDIDATES = 10_000_000
 # expected candidates (x summed over pair types and steps) that one
 # dependency-level schedule covers; the module docstring has the measured
@@ -450,7 +452,7 @@ def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
 
 
 def _rows(draws: tuple, rows: np.ndarray) -> tuple:
-    """The rows ``rows`` of each of a step's draws; None stays None."""
+    """The rows ``rows`` of each of a pair type's draws; None stays None."""
     return tuple(None if d is None else d[rows] for d in draws)
 
 
@@ -510,7 +512,7 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
              draws: tuple, sigma: np.ndarray) -> int:
     """Collide the disjoint pairs (a, b) in place; return how many collided.
 
-    ``draws`` are the pairs' rows of the step's draws.  For an exchange
+    ``draws`` are the pairs' rows of their pair type's draws.  For an exchange
     pair they are the split (r, R), each None where the pair has no such
     parameter; a pair with internal energy on one side only takes the law's
     fixed r instead.  For a disc-disc pair they are the post levels
@@ -571,6 +573,11 @@ def step(ensemble: Ensemble, config: RelaxConfig, n_steps: int = 1) -> Ensemble:
     return ensemble
 
 
+def _joined(parts: list) -> np.ndarray:
+    """``parts`` concatenated; a single part is returned as it is, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
                 n_steps: int) -> None:
     """Run ``n_steps`` steps under one dependency-level schedule.
@@ -584,7 +591,7 @@ def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
     """
     rng = ensemble.rng
     candidates = [0] * n_steps
-    step_of, type_of, ii, jj, u_acc, sigma = ([] for _ in range(6))
+    type_of, ii, jj, u_acc, sigma = ([] for _ in range(5))
     draws: dict = {}                    # pair type -> its draws, step by step
     for k in range(n_steps):
         for p, (pt, b_maj, x) in enumerate(majorants):
@@ -596,7 +603,6 @@ def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
             if m == 0:
                 continue
             candidates[k] += m
-            step_of.append(np.full(m, k))
             type_of.append(np.full(m, p))
             a, b = _draw_pairs(rng, pt, m)
             ii.append(a)
@@ -609,13 +615,12 @@ def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
 
     violations = np.zeros(n_steps, dtype=np.int64)
     if ii:
-        step_of, type_of, ii, jj, u_acc, sigma = map(
-            np.concatenate, (step_of, type_of, ii, jj, u_acc, sigma))
+        type_of, ii, jj, u_acc, sigma = map(_joined, (type_of, ii, jj, u_acc, sigma))
+        draws = {p: tuple(None if d[0] is None else _joined(d) for d in zip(*drawn))
+                 for p, drawn in draws.items()}
         # each candidate's row in its pair type's draws
         row = np.empty(ii.size, dtype=np.intp)
-        for p, drawn in draws.items():
-            draws[p] = tuple(None if d[0] is None else np.concatenate(d)
-                             for d in zip(*drawn))
+        for p in draws:
             mine = type_of == p
             row[mine] = np.arange(np.count_nonzero(mine))
         violated = np.zeros(ii.size, dtype=bool)
@@ -633,7 +638,10 @@ def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
                 if hit.size:
                     ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
                                                     _rows(pt_draws, row[hit]), sigma[hit])
-        violations = np.bincount(step_of[violated], minlength=n_steps)
+        # the step of each violation: step k's candidates follow those of
+        # the steps before it
+        step_of = np.searchsorted(np.cumsum(candidates), np.flatnonzero(violated), "right")
+        violations = np.bincount(step_of, minlength=n_steps)
 
     for step_candidates, step_violations in zip(candidates, violations.tolist()):
         ensemble.majorant_violations += step_violations
