@@ -43,6 +43,7 @@ from .model import (
     MixtureSpec,
     Monatomic,
     _energy_to_obj,
+    reduced_mass,
 )
 
 __all__ = [
@@ -275,7 +276,7 @@ def pair_law(spec: MixtureSpec, i: int, j: int) -> PairLaw:
     if beta_R is not None:
         weight *= _beta(*beta_R)
     mi, mj = spec.species[i].mass, spec.species[j].mass
-    return PairLaw(kind=kind, m_i=mi, m_j=mj, mu=mi * mj / (mi + mj),
+    return PairLaw(kind=kind, m_i=mi, m_j=mj, mu=reduced_mass(mi, mj),
                    beta_r=beta_r, beta_R=beta_R, weight=float(weight), r_fixed=r_fixed,
                    levels_i=levels_i, levels_j=levels_j)
 
@@ -400,7 +401,7 @@ def bl_poly_poly(v, v_star, I, I_star, r, R, sigma, m: float, m_star: float | No
     v_star = np.asarray(v_star, dtype=float)
     if m_star is None:
         m_star = m
-    mu = m * m_star / (m + m_star)
+    mu = reduced_mass(m, m_star)
     I = np.asarray(I, dtype=float)
     I_star = np.asarray(I_star, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -435,7 +436,7 @@ def discrete_rule(v, v_star, delta_I, sigma, m: float, m_star: float | None = No
     v_star = np.asarray(v_star, dtype=float)
     if m_star is None:
         m_star = m
-    mu = m * m_star / (m + m_star)
+    mu = reduced_mass(m, m_star)
     delta_I = np.asarray(delta_I, dtype=float)
     V = v - v_star
     g2_post = sq_norm(V) - 2.0 * delta_I / mu

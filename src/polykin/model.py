@@ -26,6 +26,7 @@ __all__ = [
     "KernelModel",
     "Species",
     "MixtureSpec",
+    "reduced_mass",
     "CollisionContext",
     "phi_weight",
     "eval_kernel",
@@ -262,8 +263,19 @@ class MixtureSpec:
         return self.kernels[i][j]
 
     def reduced_mass(self, i: int, j: int) -> float:
-        mi, mj = self.species[i].mass, self.species[j].mass
-        return mi * mj / (mi + mj)
+        return reduced_mass(self.species[i].mass, self.species[j].mass)
+
+
+def reduced_mass(m: float, m_star: float) -> float:
+    """m m_* / (m + m_*) of two positive masses: that expression where m m_*
+    is a normal double, else (as for equal masses below about 1.5e-154 or
+    above 1.3e154) both masses over the larger in it, times the larger."""
+    p = m * m_star
+    if math.isfinite(p) and p >= 2.0**-1022:
+        return p / (m + m_star)
+    big = max(m, m_star)
+    m, m_star = m / big, m_star / big
+    return m * m_star / (m + m_star) * big
 
 
 def single_species(

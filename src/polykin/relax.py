@@ -98,10 +98,10 @@ MAX_STEPS = 1_000_000
 # (48 of them state; 121 at 1e6 and 129 at 3e6 particles, peak resident set
 # over the imported process), so this one needs about 1.3 GB
 MAX_PARTICLES = 10_000_000
-# most candidates one step may expect; a step of 1e6 candidates peaks at
-# about 180 traced bytes per candidate (its draws, their temporaries and the
-# schedule's indices; 162 before steps were grouped), and the runs in use
-# expect a few thousand
+# most candidates one step may expect; a step of 1e6 candidates among 1e5
+# particles peaks at about 170 traced bytes per candidate (its candidate
+# table, the draws' temporaries and the schedule's indices; 161 among 1e6),
+# and the runs in use expect a few thousand
 MAX_CANDIDATES = 10_000_000
 # expected candidates (x summed over pair types and steps) that one
 # dependency-level schedule covers; the module docstring has the measured
@@ -451,16 +451,13 @@ def _draw_pairs(rng: np.random.Generator, pt: _PairType, m: int):
             pt.idx_j[rng.integers(0, pt.idx_j.size, m)])
 
 
-def _rows(draws: tuple, rows: np.ndarray) -> tuple:
-    """The rows ``rows`` of each of a pair type's draws; None stays None."""
-    return tuple(None if d is None else d[rows] for d in draws)
-
-
 def _rates(ensemble: Ensemble, pt: _PairType, ii: np.ndarray, jj: np.ndarray,
            draws: tuple) -> np.ndarray:
-    """Transition rate of the given particle pairs with their ``draws``: an
-    exchange pair's total rate, which reads no draw, and a disc-disc pair's
-    rate into the post levels (k', l') = ``draws`` over the probability
+    """Transition rate of the particle pairs (ii, jj), whose ``draws`` are
+    the two draw columns of their rows of the candidate table.  An exchange
+    pair's rate is its total rate and reads neither column (the split, NaN
+    where the law lacks a parameter).  A disc-disc pair's rate is the rate
+    into its post levels (k', l') = ``draws`` over the probability
     ``collide.channel_draw`` gives them, whose mean over that draw is the
     pair's total rate."""
     if pt.zeta == 0.0 and pt.law.kind is not PairKind.DISC_DISC:
@@ -512,12 +509,12 @@ def _collide(ensemble: Ensemble, pt: _PairType, a: np.ndarray, b: np.ndarray,
              draws: tuple, sigma: np.ndarray) -> int:
     """Collide the disjoint pairs (a, b) in place; return how many collided.
 
-    ``draws`` are the pairs' rows of their pair type's draws.  For an exchange
-    pair they are the split (r, R), each None where the pair has no such
-    parameter; a pair with internal energy on one side only takes the law's
-    fixed r instead.  For a disc-disc pair they are the post levels
-    (k', l'), to which it jumps where the relative motion admits it (as it
-    does for every accepted pair).
+    ``draws`` are the two draw columns of the pairs' rows of the candidate
+    table: for an exchange pair the split (r, R), NaN (or None) where the
+    law lacks the parameter, which no rule reads (a one-sided pair takes the
+    law's fixed r, a monatomic pair scatters elastically); for a disc-disc
+    pair the post levels (k', l'), to which it jumps where the relative
+    motion admits it (as it does for every accepted pair).
     """
     law, v, I = pt.law, ensemble.v, ensemble.internal
     if law.kind is PairKind.MONO_MONO:
@@ -567,7 +564,7 @@ def step(ensemble: Ensemble, config: RelaxConfig, n_steps: int = 1) -> Ensemble:
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     majorants = _majorants(ensemble, config)
-    per_step = sum(x for _, b_maj, x in majorants if b_maj > 0.0)
+    per_step = sum(x for _, _, x in majorants)
     for size in _group_sizes(n_steps, per_step):
         _step_group(ensemble, config, majorants, size)
     return ensemble
@@ -585,14 +582,13 @@ def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
     Each step draws its candidates and their random numbers pair type by
     pair type, in one fixed order: the count's rounding uniform, the pairs,
     the acceptance uniforms, the directions, then the split or post levels.
-    The group's candidates are levelled in the order step, pair type, draw
-    position, and each level is rated, accepted and collided pair type by
-    pair type.
+    Each block of draws becomes rows of the group's candidate table, in the
+    order step, pair type, draw position, the order the candidates are
+    levelled in; each level is rated, accepted and collided by pair type.
     """
     rng = ensemble.rng
     candidates = [0] * n_steps
-    type_of, ii, jj, u_acc, sigma = ([] for _ in range(5))
-    draws: dict = {}                    # pair type -> its draws, step by step
+    parts = []                          # one tuple of columns per drawing block
     for k in range(n_steps):
         for p, (pt, b_maj, x) in enumerate(majorants):
             if b_maj <= 0.0:
@@ -603,41 +599,31 @@ def _step_group(ensemble: Ensemble, config: RelaxConfig, majorants: list,
             if m == 0:
                 continue
             candidates[k] += m
-            type_of.append(np.full(m, p))
-            a, b = _draw_pairs(rng, pt, m)
-            ii.append(a)
-            jj.append(b)
-            u_acc.append(rng.random(m))
-            sigma.append(unit_sphere(rng, m))
-            # a disc-disc pair's post levels (k', l'), else the exchange split
+            # drawn left to right, last a disc-disc pair's post levels (k', l')
+            # or the exchange split (r, R), NaN where the law lacks a parameter
             draw = channel_draw if pt.law.kind is PairKind.DISC_DISC else exchange_split
-            draws.setdefault(p, []).append(draw(pt.law, rng, m))
+            parts.append((np.full(m, p), *_draw_pairs(rng, pt, m), rng.random(m),
+                          unit_sphere(rng, m),
+                          *(np.full(m, np.nan) if d is None else d for d in draw(pt.law, rng, m))))
 
     violations = np.zeros(n_steps, dtype=np.int64)
-    if ii:
-        type_of, ii, jj, u_acc, sigma = map(_joined, (type_of, ii, jj, u_acc, sigma))
-        draws = {p: tuple(None if d[0] is None else _joined(d) for d in zip(*drawn))
-                 for p, drawn in draws.items()}
-        # each candidate's row in its pair type's draws
-        row = np.empty(ii.size, dtype=np.intp)
-        for p in draws:
-            mine = type_of == p
-            row[mine] = np.arange(np.count_nonzero(mine))
+    if parts:
+        type_of, ii, jj, u_acc, sigma, d0, d1 = map(_joined, zip(*parts))
+        del parts
         violated = np.zeros(ii.size, dtype=bool)
         # candidates of one level touch disjoint particles and commute;
         # later levels see their results
         for lev in _dependency_levels(ii, jj):
-            for p, pt_draws in draws.items():
-                pt, b_maj, _ = majorants[p]
-                at = lev if len(draws) == 1 else lev[type_of[lev] == p]
+            for p, (pt, b_maj, _) in enumerate(majorants):
+                at = lev if len(majorants) == 1 else lev[type_of[lev] == p]
                 if not at.size:
                     continue
-                rates = _rates(ensemble, pt, ii[at], jj[at], _rows(pt_draws, row[at]))
+                rates = _rates(ensemble, pt, ii[at], jj[at], (d0[at], d1[at]))
                 violated[at] = rates > b_maj
                 hit = at[u_acc[at] * b_maj < rates]
                 if hit.size:
                     ensemble.collisions += _collide(ensemble, pt, ii[hit], jj[hit],
-                                                    _rows(pt_draws, row[hit]), sigma[hit])
+                                                    (d0[hit], d1[hit]), sigma[hit])
         # the step of each violation: step k's candidates follow those of
         # the steps before it
         step_of = np.searchsorted(np.cumsum(candidates), np.flatnonzero(violated), "right")

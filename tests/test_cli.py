@@ -448,6 +448,25 @@ class TestRelaxCommand:
         assert lines[0] == "# seed=12"
         assert lines[1] == "t,T_kin,T_int,mean_I,H,collisions"
 
+    @pytest.mark.parametrize("mass", [1e300, 1e-300, 1e-160])
+    def test_extreme_masses_conserve_energy(self, tmp_path, capsys, mass):
+        # the reduced mass's product m * m under- or overflows at these
+        # masses; the run matches the mass-1 run's temperatures, which no
+        # mass changes at zeta = 0
+        summaries = []
+        for m in (1.0, mass):
+            cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.5)
+            doc = json.loads(cfg.read_text())
+            doc["species"][0]["mass"] = m
+            cfg.write_text(json.dumps(doc))
+            code, stdout, _ = run_cli(["relax", "--config", str(cfg),
+                                       "--out", str(tmp_path / "s.csv")], capsys)
+            assert code == 0
+            summaries.append(strict_json(stdout))
+        unit, extreme = summaries
+        assert extreme["energy_drift"] <= 1e-12
+        assert extreme["T_kin_final"] == pytest.approx(unit["T_kin_final"], rel=1e-12, abs=0)
+
     def test_fixed_seed_reruns_identical(self, tmp_path, capsys):
         cfg = write_relax_config(tmp_path / "run.json")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

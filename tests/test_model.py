@@ -1,8 +1,11 @@
+import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polykin.collide import pair_law
@@ -17,6 +20,7 @@ from polykin.model import (
     Species,
     eval_kernel,
     phi_weight,
+    reduced_mass,
     single_species,
     spec_from_json,
     spec_to_json,
@@ -57,6 +61,28 @@ class TestPhiWeight:
         lhs = phi_weight(a * I, delta)
         rhs = a ** (0.5 * delta - 1.0) * phi_weight(I, delta)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestReducedMass:
+    @given(m=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+           m_star=st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+    @example(m=1e300, m_star=1e300)
+    @example(m=1e-300, m_star=1e-300)
+    @example(m=1e-160, m_star=1e-160)
+    @example(m=1e154, m_star=1.4e154)
+    @settings(max_examples=500)
+    def test_symmetric_exact_and_unchanged_where_the_product_is_normal(self, m, m_star):
+        mu = reduced_mass(m, m_star)
+        assert mu == reduced_mass(m_star, m)
+        exact = Fraction(m) * Fraction(m_star) / (Fraction(m) + Fraction(m_star))
+        assert abs(Fraction(mu) - exact) <= Fraction(1e-15) * exact
+        product = m * m_star
+        if math.isfinite(product) and product >= sys.float_info.min:
+            assert mu == product / (m + m_star)
+
+    def test_mixture_spec_reads_it(self):
+        spec = mixture_cont_spec(m_a=1e-300, m_b=3e-300)
+        assert spec.reduced_mass(0, 1) == reduced_mass(1e-300, 3e-300) > 0.0
 
 
 class TestEvalKernel:

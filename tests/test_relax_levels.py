@@ -20,7 +20,7 @@ import pytest
 from polykin import cli, relax
 from polykin.collide import (PairKind, bl_poly_poly, discrete_rule, exchange_split,
                              monatomic_rule, unit_sphere)
-from polykin.model import spec_to_json
+from polykin.model import ContinuousEnergy, MixtureSpec, Monatomic, PowerLawE, Species, spec_to_json
 
 from support import bl_spec, discrete_spec, mixture_cont_spec, mixture_disc_spec
 
@@ -193,6 +193,16 @@ def _both(monkeypatch, spec, config, t_end):
     return levelled, sequential
 
 
+def _zero_cross_spec(zeta):
+    """A continuous species (delta 2.5, mass 1) and a monatomic one (mass 2)
+    with C = 1 on the diagonal and C = 0 across: the cross pair type's
+    majorant is 0, so it never draws."""
+    on, off = PowerLawE(C=1.0, zeta=zeta), PowerLawE(C=0.0, zeta=zeta)
+    return MixtureSpec(species=(Species("a", 1.0, ContinuousEnergy(2.5)),
+                                Species("b", 2.0, Monatomic())),
+                       kernels=((on, off), (off, on)))
+
+
 # (spec, dt, cadence): discrete majorants are large (about 780 at these
 # temperatures), so their steps are shorter to keep the sequential reference
 # affordable; three steps per recording interval put chains of conflicts
@@ -204,7 +214,18 @@ CASES = {
     "poly_mono_mixture": (mixture_cont_spec(delta_b=None), 0.01, 3),
     "discrete": (discrete_spec(), 0.001, 3),
     "discrete_mixture": (mixture_disc_spec(), 0.001, 3),
+    "zero_cross": (_zero_cross_spec(0.0), 0.01, 3),
+    "zero_cross_zeta": (_zero_cross_spec(0.5), 0.01, 3),
 }
+
+
+@pytest.mark.parametrize("name", ["zero_cross", "zero_cross_zeta"])
+def test_zero_cross_kernel_has_a_zero_majorant(name):
+    spec, dt, _ = CASES[name]
+    ens = relax.init_ensemble(spec, 1000, 2.0, 1.0, seed=5)
+    majorants = relax._majorants(ens, relax.RelaxConfig(dt=dt, n_particles=1000))
+    assert [(pt.i, pt.j, b_maj > 0.0) for pt, b_maj, _ in majorants] == [
+        (0, 0, True), (0, 1, False), (1, 1, True)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
