@@ -451,8 +451,8 @@ class TestRelaxCommand:
     @pytest.mark.parametrize("mass", [1e300, 1e-300, 1e-160])
     def test_extreme_masses_conserve_energy(self, tmp_path, capsys, mass):
         # the reduced mass's product m * m under- or overflows at these
-        # masses; the run matches the mass-1 run's temperatures, which no
-        # mass changes at zeta = 0
+        # masses; at zeta = 0 the mass leaves the temperatures unchanged, so
+        # the run matches the mass-1 run
         summaries = []
         for m in (1.0, mass):
             cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.5)
