@@ -20,7 +20,6 @@ from .model import (  # noqa: F401
     ResonantTensored,
     Species,
     MixtureSpec,
-    CollisionContext,
     phi_weight,
     eval_kernel,
     validate,

@@ -70,7 +70,7 @@ _MALLOC_THRESHOLDS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 2
 _NAMED_ERRORS = {
     "check": {"delta ": "--", "zeta ": "--"},
     "diag": {"delta ": "--", "zeta ": "--"},
-    "relax": {"b_maj:": "relax.", "n_particles:": "relax.",
+    "relax": {"b_maj:": "relax.", "n_particles:": "relax.", "u0:": "relax.",
               "t_end / dt": "relax.t_end, relax.dt: "},
 }
 
@@ -132,16 +132,24 @@ def _json_path(keys) -> str:
     return path.removeprefix(".")
 
 
+def _finite(x) -> bool:
+    """False for a NaN or infinite float and for an integer no double holds."""
+    try:
+        return not isinstance(x, (int, float)) or math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _non_finite(doc, keys=()):
-    """Path of the first NaN or infinite number in a parsed JSON document or
-    in ``vars`` of the parsed flags (``json`` and ``float`` accept them), or
-    None."""
+    """Path of the first NaN or infinite number, or integer too large for a
+    double, in a parsed JSON document or in ``vars`` of the parsed flags
+    (``json``, ``float`` and ``int`` accept them), or None."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
         items = enumerate(doc)
     else:
-        return _json_path(keys) if isinstance(doc, float) and not math.isfinite(doc) else None
+        return None if _finite(doc) else _json_path(keys)
     return next(filter(None, (_non_finite(v, (*keys, k)) for k, v in items)), None)
 
 

@@ -367,12 +367,23 @@ def com_energy(mu, v, v_star, internal=0.0, internal_star=0.0):
     )
 
 
+def _pair_masses(m, m_star):
+    """The two masses where m + m_* is finite, else both over the larger:
+    the mass fractions the pair rules form are then left finite."""
+    if math.isfinite(m + m_star):
+        return m, m_star
+    big = max(m, m_star)
+    return m / big, m_star / big
+
+
 def _mass_center(v, v_star, m, m_star):
+    m, m_star = _pair_masses(m, m_star)
     return (m * v + m_star * v_star) / (m + m_star)
 
 
 def _post_velocities(center, gprime, sigma, m, m_star):
     """Scattered pair with relative speed gprime along sigma, momentum kept."""
+    m, m_star = _pair_masses(m, m_star)
     tot = m + m_star
     gs = np.asarray(gprime)[..., None] * sigma
     return center + (m_star / tot) * gs, center - (m / tot) * gs

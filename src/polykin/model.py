@@ -27,7 +27,6 @@ __all__ = [
     "Species",
     "MixtureSpec",
     "reduced_mass",
-    "CollisionContext",
     "phi_weight",
     "eval_kernel",
     "validate",
@@ -155,46 +154,32 @@ class ResonantTensored:
 KernelModel = Union[PowerLawE, ResonantTensored]
 
 
-@dataclass
-class CollisionContext:
-    """Evaluation point for :func:`eval_kernel`; fields may be arrays.
-
-    Only the fields a given kernel family reads need to be set: ``E`` for a
-    :class:`PowerLawE`, additionally ``(r, R)`` when it carries a ``psi``,
-    and ``(rel_speed, cos_theta, I, I_star, I_prime, delta)`` for the
-    resonant family.
-    """
-
-    E: np.ndarray | float | None = None
-    rel_speed: np.ndarray | float | None = None
-    I: np.ndarray | float | None = None
-    I_star: np.ndarray | float | None = None
-    I_prime: np.ndarray | float | None = None
-    r: np.ndarray | float | None = None
-    R: np.ndarray | float | None = None
-    cos_theta: np.ndarray | float | None = None
-    delta: float | None = None
-
-
-def _require(ctx: CollisionContext, names: Sequence[str]) -> list:
+def _require(point: dict, names: Sequence[str]) -> list:
     vals = []
     for name in names:
-        v = getattr(ctx, name)
+        v = point[name]
         if v is None:
-            raise ValueError(f"kernel evaluation needs ctx.{name}")
+            raise ValueError(f"kernel evaluation needs {name}")
         vals.append(np.asarray(v, dtype=float) if name != "delta" else float(v))
     return vals
 
 
-def eval_kernel(model: KernelModel, ctx: CollisionContext):
-    """Evaluate a kernel at a collision configuration.  Vectorized.
+def eval_kernel(model: KernelModel, *, E=None, r=None, R=None, rel_speed=None,
+                cos_theta=None, I=None, I_star=None, I_prime=None, delta=None):
+    """Evaluate a kernel at a collision point given by keyword; arguments may
+    be arrays.  Vectorized.
 
-    Raises ValueError on negative total energy or on missing context fields.
+    A :class:`PowerLawE` reads ``E``, and ``(r, R)`` too when it carries a
+    ``psi``; the resonant family reads ``(rel_speed, cos_theta, I, I_star,
+    I_prime, delta)``.  Raises ValueError on negative total energy or on a
+    missing argument the kernel reads.
     """
+    point = dict(E=E, r=r, R=R, rel_speed=rel_speed, cos_theta=cos_theta, I=I,
+                 I_star=I_star, I_prime=I_prime, delta=delta)
     if isinstance(model, PowerLawE):
         # a psi of None is the plain power law, evaluated from E alone
         split = model.psi is not None
-        E, *rR = _require(ctx, ["E", "r", "R"] if split else ["E"])
+        E, *rR = _require(point, ["E", "r", "R"] if split else ["E"])
         if np.any(E < 0):
             raise ValueError("total energy must be nonnegative")
         with np.errstate(divide="ignore"):
@@ -203,7 +188,7 @@ def eval_kernel(model: KernelModel, ctx: CollisionContext):
 
     if isinstance(model, ResonantTensored):
         g, ct, I, I_star, I_prime, delta = _require(
-            ctx, ["rel_speed", "cos_theta", "I", "I_star", "I_prime", "delta"]
+            point, ["rel_speed", "cos_theta", "I", "I_star", "I_prime", "delta"]
         )
         sin = np.sqrt(np.clip(1.0 - ct**2, 0.0, 1.0))
         with np.errstate(divide="ignore"):

@@ -59,14 +59,7 @@ from ..collide import (
     unit_sphere,
 )
 from ..equilib import Maxwellian, _log_phi_ratio
-from ..model import (
-    CollisionContext,
-    KernelModel,
-    MixtureSpec,
-    PowerLawE,
-    ResonantTensored,
-    eval_kernel,
-)
+from ..model import KernelModel, MixtureSpec, PowerLawE, ResonantTensored, eval_kernel
 
 __all__ = ["Proposal", "TransitionBatch", "make_proposal", "sample_transition"]
 
@@ -124,13 +117,13 @@ def _log_weight(weight: float) -> float:
     return math.log(weight) if weight > 0.0 else -math.inf
 
 
-def _log_b(kernel: KernelModel, ctx: CollisionContext, pair_has_split: bool):
+def _log_b(kernel: KernelModel, pair_has_split: bool, **point):
     if isinstance(kernel, PowerLawE) and kernel.psi is not None and not pair_has_split:
         raise ValueError(
             "a psi-weighted kernel needs an energy-split variable; "
             "this species pair has none"
         )
-    b = eval_kernel(kernel, ctx)
+    b = eval_kernel(kernel, **point)
     with np.errstate(divide="ignore"):
         return np.log(np.asarray(b, dtype=float))
 
@@ -150,7 +143,7 @@ def _exchange_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
             law.r_fixed if r is None else r, R, sigma, law.m_i, law.m_j)
         Ip = None if I is None else Ip
         Isp = None if I_star is None else Isp
-    log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), law.beta_r is not None)
+    log_b = _log_b(kernel, law.beta_r is not None, E=E, r=r, R=R)
     # r and R follow their Beta laws: A/q over (r, R, sigma) is law.weight
     log_aq = log_b - (log_q - _log_weight(law.weight))
     return vp, Ip, vsp, Isp, log_aq, {}
@@ -165,15 +158,9 @@ def _resonant_pair(kernel, v, I, v_star, I_star, log_q, prop, rng, n):
     V = v - v_star
     g = np.sqrt(sq_norm(V))
     vhat = V / np.maximum(g, _TINY)[..., None]
-    ctx = CollisionContext(
-        rel_speed=g,
-        cos_theta=np.sum(sigma * vhat, -1),
-        I=I,
-        I_star=I_star,
-        I_prime=I_prime,
-        delta=prop.maxwellian.spec.species[0].energy.delta,
-    )
-    log_b = _log_b(kernel, ctx, False)
+    log_b = _log_b(kernel, False, rel_speed=g, cos_theta=np.sum(sigma * vhat, -1), I=I,
+                   I_star=I_star, I_prime=I_prime,
+                   delta=prop.maxwellian.spec.species[0].energy.delta)
     # I' follows Z Beta(delta/2, delta/2): A/q over (I', sigma) is 4 pi B(beta_r)
     log_aq = log_b - (log_q - _log_weight(4.0 * np.pi * _beta(*law.beta_r)))
     return vp, Ip, vsp, Isp, log_aq, {}
@@ -190,7 +177,7 @@ def _discrete_pair(kernel, v, lev, v_star, lev_star, log_q, prop, rng, n):
     g2 = sq_norm(V)
     E = 0.5 * law.mu * g2 + Ei[lev] + Ej[lev_star]
     g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
-    log_b = _log_b(kernel, CollisionContext(E=E), False)
+    log_b = _log_b(kernel, False, E=E)
     with np.errstate(divide="ignore"):
         log_a = log_b + np.log(g_post) - 0.5 * np.log(np.maximum(E, _TINY))
     # (k', l') has probability g_k' g_l' / (sum g_i)(sum g_j): A/q over

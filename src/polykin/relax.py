@@ -212,7 +212,13 @@ class Ensemble:
         return self.kinetic_energy() + self.internal_energy()
 
     def bulk_velocity(self) -> np.ndarray:
-        return self.momentum() / np.sum(self.masses)
+        """Momentum over total mass; where the total mass overflows, both
+        over the largest mass first."""
+        total = np.sum(self.masses)
+        if math.isfinite(total):
+            return self.momentum() / total
+        big = np.max(self.masses)
+        return self.momentum() / big / np.sum(self.masses / big)
 
     def peculiar_sq(self) -> np.ndarray:
         """Each particle's squared peculiar speed |v - u|^2 about the bulk
@@ -338,8 +344,33 @@ def init_ensemble(
             levels[start:stop] = extra
             internal[start:stop] = energy.table[0][extra]
         start = stop
-    return Ensemble(spec=spec, v=v, internal=internal, levels=levels,
-                    species=species, rng=rng)
+    ensemble = Ensemble(spec=spec, v=v, internal=internal, levels=levels,
+                        species=species, rng=rng)
+    _check_ranges(ensemble, u0)
+    return ensemble
+
+
+def _check_ranges(ensemble: Ensemble, u0: np.ndarray) -> None:
+    """ValueError where a sum or squared speed of the run would overflow.
+
+    The energy about ``u0``, E_0, is at least the center-of-momentum energy,
+    which bounds 1/2 m c^2 for each peculiar speed c: so every squared speed
+    the run forms (relative, post-collision, histogram) stays below
+    32 E_0 / m for the lightest mass m.  The lab-frame momentum and energy
+    are conserved, so finite at the start they stay finite.
+    """
+    masses = [sp.mass for sp in ensemble.spec.species]
+    k = int(np.argmin(masses))
+    e0 = 0.5 * float(np.sum(ensemble.masses * sq_norm(ensemble.v - u0)))
+    e0 += ensemble.internal_energy()
+    if not math.isfinite(32.0 * e0 / masses[k]):
+        raise ValueError(f"species[{k}].mass: {masses[k]:.6g} is too small for this "
+                         f"run's energy {e0:.6g}; its squared speeds could overflow")
+    k = int(np.argmax(masses))
+    momenta = np.sum(np.abs(ensemble.masses[:, None] * ensemble.v))
+    if not (math.isfinite(momenta) and math.isfinite(ensemble.total_energy())):
+        raise ValueError(f"u0: bulk speed {math.hypot(*u0):.6g} overflows this run's "
+                         f"momentum or energy at species[{k}].mass = {masses[k]:.6g}")
 
 
 def _kernel_parameters(spec: MixtureSpec, i: int, j: int) -> tuple[float, float]:

@@ -165,6 +165,26 @@ class TestOnePath:
         assert result[:2] == (code, "")
         assert message in result[2]
 
+    @pytest.mark.parametrize("field", ["relax.dt", "relax.t_end", "relax.T_kin0",
+                                       "relax.T_int0", "relax.n_particles", "relax.b_maj",
+                                       "relax.u0[2]", "--grid"])
+    def test_integer_no_double_holds_is_named(self, tmp_path, capsys, field):
+        # json and int read 1 followed by 400 zeros exactly; float() of it overflows
+        huge = 10**400
+        out = tmp_path / "out.csv"
+        if field == "--grid":
+            argv = ["diag", "--kind", "k1norm", "--delta", "2", "--zeta", "0",
+                    "--grid", str(huge)]
+        else:
+            key = field.removeprefix("relax.").removesuffix("[2]")
+            cfg = write_relax_config(tmp_path / "run.json",
+                                     **{key: [0.0, 0.0, huge] if key == "u0" else huge})
+            argv = ["relax", "--config", str(cfg)]
+        code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith(f"error: {field}")
+        assert "Traceback" not in err
+
     def test_relax_config_defaults_come_from_relax_config(self, tmp_path, capsys,
                                                           monkeypatch):
         cfg = write_relax_config(tmp_path / "run.json", n_particles=500.0, t_end=0.1)
@@ -448,7 +468,7 @@ class TestRelaxCommand:
         assert lines[0] == "# seed=12"
         assert lines[1] == "t,T_kin,T_int,mean_I,H,collisions"
 
-    @pytest.mark.parametrize("mass", [1e300, 1e-300, 1e-160])
+    @pytest.mark.parametrize("mass", [1e300, 1e-300, 1e-160, 1e306, 1e308])
     def test_extreme_masses_conserve_energy(self, tmp_path, capsys, mass):
         # the reduced mass's product m * m under- or overflows at these
         # masses; at zeta = 0 the mass leaves the temperatures unchanged, so
@@ -466,6 +486,29 @@ class TestRelaxCommand:
         unit, extreme = summaries
         assert extreme["energy_drift"] <= 1e-12
         assert extreme["T_kin_final"] == pytest.approx(unit["T_kin_final"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("masses, u0, message", [
+        # T / m overflows: the velocities are not even finite
+        ([1e-308], None, "species[0].mass: 1e-308 is too small"),
+        ([2.0, 1e-308], None, "species[1].mass: 1e-308 is too small"),
+        # 2000 particles of mass 1e306 moving at 1 carry momentum 2e309
+        ([1e306], [1.0, 0.0, 0.0], "relax.u0: bulk speed 1 overflows"),
+    ])
+    def test_masses_out_of_range_exit_2(self, tmp_path, capsys, masses, u0, message):
+        cfg = write_relax_config(tmp_path / "run.json", n_particles=2000, t_end=0.5,
+                                 **({"u0": u0} if u0 else {}))
+        doc = json.loads(cfg.read_text())
+        doc["species"] = [{"label": f"s{k}", "mass": m, "energy": {"kind": "continuous",
+                                                                   "delta": 2.0}}
+                          for k, m in enumerate(masses)]
+        ker = doc["kernels"][0][0]
+        doc["kernels"] = [[ker] * len(masses)] * len(masses)
+        cfg.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(["relax", "--config", str(cfg),
+                                     "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_fixed_seed_reruns_identical(self, tmp_path, capsys):
         cfg = write_relax_config(tmp_path / "run.json")

@@ -12,7 +12,7 @@ import pytest
 from polykin import relax
 from polykin.collide import bl_poly_poly, pair_law, sq_norm, unit_sphere
 from polykin.equilib import EquilibriumParams, Maxwellian
-from polykin.model import (CollisionContext, ContinuousEnergy, DiscreteLevels, MixtureSpec,
+from polykin.model import (ContinuousEnergy, DiscreteLevels, MixtureSpec,
                            Monatomic, PowerLawE, Species, eval_kernel,
                            single_species)
 from polykin.operator import k1matrix
@@ -121,8 +121,8 @@ def test_plain_split_weighted_kernel_is_the_power_law(C, zeta):
     r, R = rng.random((2, E.size))
     with np.errstate(all="ignore"):
         # a psi-free kernel reads E alone, whatever split it is given
-        got = eval_kernel(PowerLawE(C, zeta), CollisionContext(E=E, r=r, R=R))
-        plain = eval_kernel(PowerLawE(C, zeta), CollisionContext(E=E))
+        got = eval_kernel(PowerLawE(C, zeta), E=E, r=r, R=R)
+        plain = eval_kernel(PowerLawE(C, zeta), E=E)
         # the expression it replaced: the power law times ones shaped like r
         replaced = C * E ** (0.5 * zeta) * np.ones_like(r)
     assert np.array_equal(bits(got), bits(plain))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polykin.collide import pair_law
 from polykin.model import (
-    CollisionContext,
     ContinuousEnergy,
     DiscreteLevels,
     MixtureSpec,
@@ -88,52 +87,65 @@ class TestReducedMass:
 class TestEvalKernel:
     def test_power_law(self):
         k = PowerLawE(C=2.0, zeta=1.0)
-        assert eval_kernel(k, CollisionContext(E=4.0)) == pytest.approx(4.0)
-        assert eval_kernel(PowerLawE(C=3.0, zeta=0.0), CollisionContext(E=17.0)) == 3.0
+        assert eval_kernel(k, E=4.0) == pytest.approx(4.0)
+        assert eval_kernel(PowerLawE(C=3.0, zeta=0.0), E=17.0) == 3.0
 
     def test_power_law_negative_energy(self):
         with pytest.raises(ValueError):
-            eval_kernel(PowerLawE(C=1.0, zeta=1.0), CollisionContext(E=-1.0))
+            eval_kernel(PowerLawE(C=1.0, zeta=1.0), E=-1.0)
 
     def test_power_law_missing_context(self):
         with pytest.raises(ValueError):
-            eval_kernel(PowerLawE(C=1.0, zeta=1.0), CollisionContext())
+            eval_kernel(PowerLawE(C=1.0, zeta=1.0))
 
     def test_psi_default_matches_power_law(self):
-        ctx = CollisionContext(E=9.0, r=0.3, R=0.7)
-        a = eval_kernel(PowerLawE(C=1.5, zeta=1.0, psi=None), ctx)
-        b = eval_kernel(PowerLawE(C=1.5, zeta=1.0), CollisionContext(E=9.0))
+        point = dict(E=9.0, r=0.3, R=0.7)
+        a = eval_kernel(PowerLawE(C=1.5, zeta=1.0, psi=None), **point)
+        b = eval_kernel(PowerLawE(C=1.5, zeta=1.0), E=9.0)
         assert a == b
 
     def test_psi_weight_applied(self):
         psi = lambda r, R: r * (1.0 - r) + R  # symmetric in r <-> 1-r
-        ctx = CollisionContext(E=1.0, r=0.25, R=0.5)
-        got = eval_kernel(PowerLawE(C=2.0, zeta=0.0, psi=psi), ctx)
+        point = dict(E=1.0, r=0.25, R=0.5)
+        got = eval_kernel(PowerLawE(C=2.0, zeta=0.0, psi=psi), **point)
         assert got == pytest.approx(2.0 * (0.25 * 0.75 + 0.5))
 
     def test_resonant_indicator_cuts_off(self):
         k = ResonantTensored(C=1.0, zeta2=0.0)
-        ctx = CollisionContext(
+        point = dict(
             rel_speed=2.0, cos_theta=0.0, I=1.0, I_star=1.0, I_prime=3.0, delta=2.0
         )
-        assert eval_kernel(k, ctx) == 0.0
+        assert eval_kernel(k, **point) == 0.0
 
     def test_resonant_default_value(self):
         # b_kin = |V|, b_int = (I+I_*)^(1 + zeta2/2 - delta) = 2^-1
         k = ResonantTensored(C=1.0, zeta2=0.0)
-        ctx = CollisionContext(
+        point = dict(
             rel_speed=2.0, cos_theta=0.3, I=1.0, I_star=1.0, I_prime=1.0, delta=2.0
         )
-        assert eval_kernel(k, ctx) == pytest.approx(1.0)
+        assert eval_kernel(k, **point) == pytest.approx(1.0)
 
     def test_resonant_optional_terms(self):
         k = ResonantTensored(C=1.0, zeta=0.5, zeta1=0.25, kin_terms=("speed", "sin_neg"))
-        ctx = CollisionContext(
+        point = dict(
             rel_speed=4.0, cos_theta=0.6, I=0.5, I_star=1.5, I_prime=0.25, delta=2.0
         )
         sin = np.sqrt(1 - 0.36)
         expect = (4.0 + sin**-0.25) * 2.0**-1.0
-        assert eval_kernel(k, ctx) == pytest.approx(expect, rel=1e-12)
+        assert eval_kernel(k, **point) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("terms, kin", [
+        # |V|^-zeta = 4^-0.5 and |sin theta| (|V|^2 + 1/|V|) = 0.8 * 16.25
+        (("speed_neg",), 0.5),
+        (("sin_quad",), 13.0),
+        (("speed_neg", "sin_quad"), 13.5),
+    ])
+    def test_resonant_singular_terms(self, terms, kin):
+        k = ResonantTensored(C=3.0, zeta=0.5, kin_terms=terms)
+        got = eval_kernel(k, rel_speed=4.0, cos_theta=0.6, I=0.5, I_star=1.5,
+                          I_prime=0.25, delta=2.0)
+        # b_int = (I + I_*)^(1 + zeta2/2 - delta) = 2^-1
+        assert got == pytest.approx(3.0 * kin * 0.5, rel=1e-12)
 
 
 class TestValidate:

@@ -38,7 +38,6 @@ from polykin.collide import (
 )
 from polykin.equilib import EquilibriumParams, Maxwellian
 from polykin.model import (
-    CollisionContext,
     ContinuousEnergy,
     Monatomic,
     PowerLawE,
@@ -63,11 +62,11 @@ def _pow_log(x, p):
     return p * np.log(np.maximum(x, _TINY))
 
 
-def _log_b(kernel, ctx, pair_has_split):
+def _log_b(kernel, pair_has_split, **point):
     if isinstance(kernel, PowerLawE) and kernel.psi is not None and not pair_has_split:
         raise ValueError("a psi-weighted kernel needs an energy-split variable")
     with np.errstate(divide="ignore"):
-        return np.log(np.asarray(eval_kernel(kernel, ctx), dtype=float))
+        return np.log(np.asarray(eval_kernel(kernel, **point), dtype=float))
 
 
 def _gaussian_partner(M, rng, n, j):
@@ -117,7 +116,7 @@ def _bl_pair(spec, pair, law, kernel, v, I, M, rng, n):
     r, R = (np.clip(x, _TINY, 1.0 - 2**-53) for x in exchange_split(law, rng, n))
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, Isp, E = bl_poly_poly(v, v_star, I, I_star, r, R, sigma, law.m_i, law.m_j)
-    log_b = _log_b(kernel, CollisionContext(E=E, r=r, R=R), True)
+    log_b = _log_b(kernel, True, E=E, r=r, R=R)
     log_aq = log_b - (lq_v + lq_I - _log_weight((0.5 * di, 0.5 * dj), (1.5, 0.5 * (di + dj))))
     log_phi = _pow_log(I, 0.5 * di - 1.0) - _pow_log(Ip, 0.5 * di - 1.0)
     log_phi = log_phi + _pow_log(I_star, 0.5 * dj - 1.0) - _pow_log(Isp, 0.5 * dj - 1.0)
@@ -135,9 +134,8 @@ def _resonant_pair(spec, pair, kernel, v, I, M, rng, n):
     V = v - v_star
     g = np.sqrt(np.sum(V * V, -1))
     vhat = V / np.maximum(g, _TINY)[..., None]
-    ctx = CollisionContext(rel_speed=g, cos_theta=np.sum(sigma * vhat, -1), I=I,
-                           I_star=I_star, I_prime=I_prime, delta=delta)
-    log_b = _log_b(kernel, ctx, False)
+    log_b = _log_b(kernel, False, rel_speed=g, cos_theta=np.sum(sigma * vhat, -1), I=I,
+                   I_star=I_star, I_prime=I_prime, delta=delta)
     log_aq = log_b - (lq_v + lq_I - _log_weight((0.5 * delta, 0.5 * delta)))
     p = 0.5 * delta - 1.0
     log_phi = (np.zeros(n) + _pow_log(I, p) - _pow_log(Ip, p)
@@ -152,7 +150,7 @@ def _poly_mono_pair(spec, pair, law, kernel, v, I, M, rng, n):
     R = _beta_draw(1.5, 0.5 * di, rng, n)
     sigma = unit_sphere(rng, n)
     vp, vsp, Ip, _, E = bl_poly_poly(v, v_star, I, 0.0, 1.0, R, sigma, law.m_i, law.m_j)
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
+    log_b = _log_b(kernel, False, E=E, r=np.full(n, 0.5), R=R)
     log_aq = log_b - (lq_v - _log_weight((1.5, 0.5 * di)))
     p = 0.5 * di - 1.0
     log_phi = _pow_log(I, p) - _pow_log(Ip, p)
@@ -168,7 +166,7 @@ def _mono_poly_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     sigma = unit_sphere(rng, n)
     # the internal energy rides with the second (polyatomic) particle
     vp, vsp, _, Isp, E = bl_poly_poly(v, v_star, 0.0, I_star, 0.0, R, sigma, law.m_i, law.m_j)
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=R), False)
+    log_b = _log_b(kernel, False, E=E, r=np.full(n, 0.5), R=R)
     log_aq = log_b - (lq_v + lq_I - _log_weight((1.5, 0.5 * dj)))
     p = 0.5 * dj - 1.0
     log_phi = _pow_log(I_star, p) - _pow_log(Isp, p)
@@ -182,7 +180,7 @@ def _mono_mono_pair(spec, pair, law, kernel, v, _unused, M, rng, n):
     vp, vsp = monatomic_rule(v, v_star, sigma, law.m_i, law.m_j)
     V = v - v_star
     E = 0.5 * law.mu * np.sum(V * V, -1)
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
+    log_b = _log_b(kernel, False, E=E, r=np.full(n, 0.5), R=np.full(n, 0.5))
     log_aq = log_b - (lq_v - _log_weight())
     return (v, None, v_star, None, vp, None, vsp, None, np.zeros(n), log_aq, {})
 
@@ -204,7 +202,7 @@ def _discrete_pair(spec, pair, law, kernel, v, lev, M, rng, n):
     g2 = np.sum(V * V, -1)
     E = 0.5 * law.mu * g2 + Ei[lev] + Ej[lev_star]
     g_post = np.sqrt(np.maximum(g2 - 2.0 * delta_I / law.mu, 0.0))
-    log_b = _log_b(kernel, CollisionContext(E=E, r=np.full(n, 0.5), R=np.full(n, 0.5)), False)
+    log_b = _log_b(kernel, False, E=E, r=np.full(n, 0.5), R=np.full(n, 0.5))
     with np.errstate(divide="ignore"):
         log_a = log_b + np.log(g_post) - 0.5 * np.log(np.maximum(E, _TINY))
     # the drawn channel's g_k' g_l' cancels against its probability
